@@ -11,15 +11,14 @@ __version__ = "0.1.0"
 from .analytic import (CharacteristicScales, GaussianModelParams,
                        build_covariance, characteristic_scales,
                        covariance_schmidt_number, schmidt_number_closed_form,
-                       single_mode_rate)
+                       single_mode_profiles, single_mode_rate)
 from .conditioning import (CombState, ConditionResult, comb_subtraction_experiment,
                            conditioned_state, flat_comb, overlap_matrix,
                            photons_from_squeezing)
 from .dispersion import (C_UM_PER_FS, CrystalPreset, bandwidth_from_tau,
                          convert_bandwidth, delta_k, list_presets, preset_bbo,
                          preset_by_name)
-from .kernel import (GateSpec, GridConfig, KernelGrid, SignalBeamSpec,
-                     build_kernel, single_mode_profiles)
+from .kernel import GateSpec, GridConfig, KernelGrid, SignalBeamSpec, build_kernel
 from .modes import (HermiteGaussSpec, QuadGrid, hermite_gauss, inner_product,
                     uniform_grid)
 from .schmidt import (ScanPoint, SchmidtResult, decompose, gram_matrix,

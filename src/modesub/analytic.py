@@ -11,7 +11,7 @@ covariance-matrix determinants.  This module provides
 * the small-angle closed-form K(l, w_s),
 * the exact covariance-matrix route, valid for any Gaussian kernel and used
   as the oracle for the numerical decomposition,
-* the absolute single-mode subtraction probability and event rate.
+* the single-mode margins, rate and factorized-limit mode profiles.
 
 The small-angle formulas conventionally use the collinear-limit value of
 the up-converted group velocity; pass ``kp_c`` accordingly (see
@@ -25,8 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (C_M_PER_S, C_UM_PER_FS, EPS0_F_PER_M, CrystalPreset)
-from .kernel import GAMMA_SINC, GateSpec, SignalBeamSpec
+from .dispersion import (C_M_PER_S, C_UM_PER_FS, EPS0_F_PER_M, CrystalPreset,
+                         kernel_forms)
+from .kernel import (GAMMA_SINC, GateSpec, GridConfig, SignalBeamSpec,
+                     phase_match_factor)
+from .modes import QuadGrid, default_half_span, hermite_gauss_values, uniform_grid
 
 # fs/um -> s/m
 _KP_TO_SI = 1e-9
@@ -84,22 +87,49 @@ class CharacteristicScales:
     k_min: float
 
 
+def _phi0(kp_s: float, kp_c: float) -> float:
+    """Characteristic non-collinear angle of the small-angle model, rad."""
+    return math.sqrt((kp_c / kp_s - 1.0) / 2.0)
+
+
+def _walk_off_length(kp_s: float, kp_c: float, tau_g: float, gamma: float) -> float:
+    """Temporal walk-off length l0 of gate and up-converted pulse, um."""
+    return tau_g / (math.sqrt(gamma / 2.0) * (kp_c - kp_s))
+
+
+def _angle_margin(kp_s: float, kp_c: float, phi: float, rho: float) -> float:
+    """(phi^2 + |phi (phi - rho)|) / phi0^2; the minimal Schmidt number is 1 + it."""
+    return (phi**2 + abs(phi * (phi - rho))) / _phi0(kp_s, kp_c) ** 2
+
+
+def single_mode_margins(preset: CrystalPreset, tau_g: float) -> tuple[float, float, bool]:
+    """Angle margin, length margin l0/l, and whether the single-mode regime holds.
+
+    Both margins must be well below one; the regime holds "within a factor
+    three" when both are <= 1/3.  Uses the collinear-limit up-converted
+    group velocity and does not depend on the signal beam.
+    """
+    kp_s, kp_c = preset.kp_s, preset.kp_c_collinear
+    angle = _angle_margin(kp_s, kp_c, preset.phi, preset.rho)
+    length = _walk_off_length(kp_s, kp_c, tau_g, GAMMA_SINC) / preset.length_um
+    return angle, length, angle <= 1.0 / 3.0 and length <= 1.0 / 3.0
+
+
 def characteristic_scales(p: GaussianModelParams) -> CharacteristicScales:
     """Single-mode-regime scales of the small-angle Gaussian model.
 
     At phi = 0 the optimum moves to infinite length and waist; those entries
     come back as ``inf``.
     """
-    phi0 = math.sqrt((p.kp_c / p.kp_s - 1.0) / 2.0)
-    d_group = p.kp_c - p.kp_s
-    l0 = p.tau_g / (math.sqrt(p.gamma / 2.0) * d_group)
+    phi0 = _phi0(p.kp_s, p.kp_c)
+    l0 = _walk_off_length(p.kp_s, p.kp_c, p.tau_g, p.gamma)
     if p.phi == 0.0:
         l_opt = math.inf
         w_opt = math.inf
     else:
         l_opt = (p.tau_g / p.kp_s) / (math.sqrt(2.0 * p.gamma) * phi0 * abs(p.phi))
         w_opt = (p.tau_g / p.kp_s) * math.sqrt(abs(p.rho / p.phi - 1.0)) / (2.0 * phi0)
-    k_min = 1.0 + (p.phi**2 + abs(p.phi * (p.phi - p.rho))) / phi0**2
+    k_min = 1.0 + _angle_margin(p.kp_s, p.kp_c, p.phi, p.rho)
     return CharacteristicScales(phi0, l0, l_opt, w_opt, k_min)
 
 
@@ -123,17 +153,6 @@ class CovarianceForm:
     U: np.ndarray                 # 3x3 over (Omega_c, q_c, Omega_s)
     V: np.ndarray                 # 6x6 over (Omega_c, q_c, Omega_s, primed)
     rank_deficient: bool
-
-
-def argument_vectors(p: GaussianModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Linear forms (over Omega_c, q_c, Omega_s) of the three kernel factors."""
-    t, s, c = math.tan(p.phi), math.sin(p.phi), math.cos(p.phi)
-    gate = np.array([1.0, 0.0, -1.0])
-    beam = np.array([p.kp_s * t, 1.0 / c, -2.0 * p.kp_s * t])
-    match = np.array([p.kp_c - p.kp_s * c + p.kp_s * t * s,
-                      t - math.tan(p.rho),
-                      -2.0 * p.kp_s * t * s])
-    return gate, beam, match
 
 
 def assemble_two_copy_form(U: np.ndarray) -> np.ndarray:
@@ -166,7 +185,7 @@ def build_covariance(p: GaussianModelParams) -> CovarianceForm:
     it is rank deficient only for degenerate geometries (flagged, not
     raised -- the Schmidt number may still exist on a reduced block).
     """
-    gate, beam, match = argument_vectors(p)
+    gate, beam, match = map(np.array, kernel_forms(p.kp_s, p.kp_c, p.phi, p.rho))
     U = (p.tau_g**2 * np.outer(gate, gate)
          + p.w_s**2 * np.outer(beam, beam)
          + 2.0 * p.gamma * (p.l / 2.0) ** 2 * np.outer(match, match))
@@ -275,14 +294,62 @@ def single_mode_rate(preset: CrystalPreset, gate: GateSpec, n_photons: float,
     probability = p_norm * n_photons * fluence
     rate = probability * gate.rep_rate_hz
 
-    params = GaussianModelParams.from_preset(
-        preset, gate, signal or SignalBeamSpec(waist_s_um=100.0,
-                                               spectral_tau_fs=gate.tau_g))
-    scales = characteristic_scales(params)
-    phi0 = scales.phi0_rad
-    angle_margin = (preset.phi**2 + abs(preset.phi * (preset.phi - preset.rho))) / phi0**2
-    ok = bool(angle_margin <= 1.0 / 3.0 and scales.l0_um / preset.length_um <= 1.0 / 3.0)
+    _, _, ok = single_mode_margins(preset, gate.tau_g)
     plane_ok = True if signal is None else bool(gate.waist_g_um >= 5.0 * signal.waist_s_um)
     return SingleModeRate(lambda_sq_per_fs=lam_sq, p_norm_m2_per_j=p_norm,
                           probability=probability, rate_hz=rate,
                           single_mode_ok=ok, plane_wave_ok=plane_ok)
+
+
+@dataclass(frozen=True)
+class SingleModeProfiles:
+    """Factorized-limit mode profiles with the validity flags of that limit."""
+
+    subtracted: np.ndarray        # on omega_s grid
+    converted: np.ndarray         # [n_omega_c, n_q]
+    omega_s: QuadGrid
+    omega_c: QuadGrid
+    q_c: QuadGrid
+    single_mode_ok: bool
+    angle_margin: float           # (phi^2 + |phi (phi - rho)|) / phi0^2
+    length_margin: float          # l0 / l
+
+
+def single_mode_profiles(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
+                         config: GridConfig | None = None) -> SingleModeProfiles:
+    """Analytic subtracted/up-converted profiles of the factorized limit.
+
+    The subtracted spectral mode equals the gate spectrum; the up-converted
+    mode is the signal transverse profile times the collinear-limit
+    phase-matching factor, which carries the frequency/momentum angular
+    dispersion.  Valid deep in the single-mode regime; the returned margins
+    (:func:`single_mode_margins`) flag how far the configuration sits from it.
+    """
+    config = config or GridConfig()
+    tau = gate.tau_g
+    d_group = preset.kp_c - preset.kp_s
+    half_l = preset.length_um / 2.0
+
+    g_ws = uniform_grid(default_half_span(tau, gate.order), config.n_omega_s,
+                        label="omega_s")
+    span_q = default_half_span(signal.waist_s_um)
+    ridge = abs(preset.rho - preset.phi) * span_q / d_group
+    span_wc = ridge + 3.0 * 2.0 * np.pi / (d_group * preset.length_um)
+    g_wc = uniform_grid(span_wc, config.n_omega_c, label="omega_c")
+    g_q = uniform_grid(span_q, config.n_q, label="q_c")
+
+    subtracted = hermite_gauss_values(gate.order, tau, g_ws.points, gate.spectral.center)
+    subtracted /= np.sqrt(np.sum(g_ws.weights * subtracted**2))
+
+    us = hermite_gauss_values(0, signal.waist_s_um, g_q.points)
+    pm_arg = (d_group * g_wc.points[:, None]
+              + (preset.phi - preset.rho) * g_q.points[None, :]) * half_l
+    converted = us[None, :] * phase_match_factor(pm_arg, config.phase_matching)
+    conv_norm = np.sum(np.abs(converted) ** 2
+                       * g_wc.weights[:, None] * g_q.weights[None, :])
+    converted = converted / np.sqrt(conv_norm)
+
+    angle, length, ok = single_mode_margins(preset, tau)
+    return SingleModeProfiles(subtracted=subtracted, converted=converted,
+                              omega_s=g_ws, omega_c=g_wc, q_c=g_q, single_mode_ok=ok,
+                              angle_margin=angle, length_margin=length)

@@ -34,10 +34,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="JSON configuration file (defaults apply when omitted)")
     parser.add_argument("--output-dir", type=Path, default=None,
                         help="override the configured output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scans")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="table output format where supported")
 
 
 def cmd_preset(args) -> int:
@@ -76,7 +72,7 @@ def cmd_schmidt(args) -> int:
 def cmd_scan(args) -> int:
     config = _load(args)
     try:
-        paths = run_scan(config, args.output_dir, n_threads=args.threads)
+        paths = run_scan(config, args.output_dir)
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -87,7 +83,7 @@ def cmd_scan(args) -> int:
 
 def cmd_gaussian(args) -> int:
     config = _load(args)
-    if args.output_dir is not None or config.outputs:
+    if args.output_dir is not None:
         path = write_gaussian_table(config, args.output_dir, fmt=args.format)
         print(f"wrote {path}")
         return EXIT_OK
@@ -139,6 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _common_flags(p)
         p.set_defaults(func=func)
+        if name == "gaussian":
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="table output format")
     return parser
 
 

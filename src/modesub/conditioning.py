@@ -59,10 +59,6 @@ class CombState:
     def n_modes(self) -> int:
         return self.photons_comb.size
 
-    def eigenmode_specs(self) -> list[HermiteGaussSpec]:
-        return [HermiteGaussSpec(order=n, scale=self.tau_s_fs)
-                for n in range(self.n_modes)]
-
     def sample_modes(self, grid: QuadGrid) -> np.ndarray:
         """Comb modes on a grid, rows ordered by mode index.
 

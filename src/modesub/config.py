@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -80,13 +80,10 @@ _SCHEMA: dict[str, dict[str, tuple[Any, str]]] = {
     "scan": {
         "axes": ([], "swept axes: {variable, min, max, count, spacing}"),
     },
-    "outputs": ([], "artifact selectors: scan_table, kernel, modes, "
-                    "gaussian_table, condition_summary"),
     "output_dir": ("out", "directory for emitted artifacts"),
 }
 
 _SCAN_VARIABLES = ("l_mm", "w_um", "phi_deg", "gate_order")
-_OUTPUTS = ("scan_table", "kernel", "modes", "gaussian_table", "condition_summary")
 _INLINE_REQUIRED = ("name", "lambda_s_nm", "kp_s_fs_um", "kp_c_fs_um",
                     "rho_deg", "phi_deg")
 
@@ -102,7 +99,6 @@ def schema() -> dict:
             default, doc = body
             out[section] = {"default": default, "doc": doc}
     out["scan"]["axes"]["variables"] = list(_SCAN_VARIABLES)
-    out["outputs"]["choices"] = list(_OUTPUTS)
     return out
 
 
@@ -141,14 +137,8 @@ class RunConfig:
     def preset(self) -> CrystalPreset:
         c = self.resolved["crystal"]
         if c["preset"] is not None:
-            base = preset_by_name(c["preset"])
-            base = CrystalPreset(
-                name=base.name, lambda_s_um=base.lambda_s_um, kp_s=base.kp_s,
-                kp_c=base.kp_c, rho=base.rho, phi=base.phi, theta_pm=base.theta_pm,
-                n_s=base.n_s, n_g=base.n_g, n_c=base.n_c,
-                d_eff_pm_v=c["d_eff_pm_v"], length_um=c["length_mm"] * 1e3,
-                kp_c_collinear=base.kp_c_collinear)
-            return base
+            return replace(preset_by_name(c["preset"]), d_eff_pm_v=c["d_eff_pm_v"],
+                           length_um=c["length_mm"] * 1e3)
         return CrystalPreset(
             name=c["name"],
             lambda_s_um=c["lambda_s_nm"] * 1e-3,
@@ -197,14 +187,7 @@ class RunConfig:
                 "phi_deg": math.degrees(preset.phi),
                 "gate_order": self.resolved["gate"]["order"]}
         axes = self.resolved["scan"]["axes"]
-        grids = []
-        for axis in axes:
-            if axis.get("values") is not None:
-                grids.append([float(v) for v in axis["values"]])
-            elif axis["spacing"] == "log":
-                grids.append(list(np.geomspace(axis["min"], axis["max"], axis["count"])))
-            else:
-                grids.append(list(np.linspace(axis["min"], axis["max"], axis["count"])))
+        grids = [_axis_values(axis) for axis in axes]
         points = []
         def emit(depth: int, current: dict):
             if depth == len(axes):
@@ -221,12 +204,16 @@ class RunConfig:
         return points
 
     @property
-    def outputs(self) -> list[str]:
-        return list(self.resolved["outputs"])
-
-    @property
     def output_dir(self) -> str:
         return self.resolved["output_dir"]
+
+
+def _axis_values(axis: dict) -> list[float]:
+    """The values a normalized scan axis takes, in sweep order."""
+    if axis.get("values") is not None:
+        return list(axis["values"])
+    sample = np.geomspace if axis["spacing"] == "log" else np.linspace
+    return [float(v) for v in sample(axis["min"], axis["max"], axis["count"])]
 
 
 def resolve(raw: dict) -> RunConfig:
@@ -354,25 +341,29 @@ def resolve(raw: dict) -> RunConfig:
                           "count": count, "spacing": spacing})
     scan["axes"] = norm_axes
 
-    outputs = raw.get("outputs", _SCHEMA["outputs"][0])
-    if not isinstance(outputs, list):
-        raise ConfigError("outputs: expected a list")
-    for sel in outputs:
-        if sel not in _OUTPUTS:
-            raise ConfigError(f"outputs: unknown selector {sel!r}; choices {_OUTPUTS}")
     output_dir = raw.get("output_dir", _SCHEMA["output_dir"][0])
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir: expected a string")
 
     resolved = {"crystal": crystal, "gate": gate, "signal": signal, "comb": comb,
-                "grid": grid, "scan": scan, "outputs": list(outputs),
-                "output_dir": output_dir}
+                "grid": grid, "scan": scan, "output_dir": output_dir}
     config = RunConfig(resolved=resolved)
     # fail configuration-time, not run-time, on invalid physics values
     try:
-        config.preset(); config.gate(); config.signal()
+        preset = config.preset(); gate = config.gate(); signal = config.signal()
     except (dispersion.ConfigurationError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    # a scan-axis value passes the rule of the field it replaces
+    replace_field = {"l_mm": lambda v: preset.with_length(v * 1e3),
+                     "w_um": lambda v: replace(signal, waist_s_um=v),
+                     "phi_deg": lambda v: preset.with_phi(math.radians(v)),
+                     "gate_order": lambda v: replace(gate.spectral, order=v)}
+    for i, axis in enumerate(norm_axes):
+        try:
+            for value in _axis_values(axis):
+                replace_field[axis["variable"]](value)
+        except ValueError as exc:
+            raise ConfigError(f"scan.axes[{i}] ({axis['variable']}): {exc}") from exc
     return config
 
 

@@ -164,20 +164,23 @@ def list_presets() -> list[str]:
     return names
 
 
-def mismatch_coefficients(preset: CrystalPreset) -> tuple[float, float, float]:
-    """Gradient (d/dOmega_c, d/dq_c, d/dOmega_s) of the phase mismatch.
+def kernel_forms(kp_s: float, kp_c: float, phi: float,
+                 rho: float) -> tuple[tuple[float, float, float], ...]:
+    """Coefficients over (Omega_c, q_c, Omega_s) of the three kernel factors.
 
-    The mismatch follows from first-order dispersion and the conservation
-    laws of the non-collinear geometry, with the gate taken as a plane wave
-    and the signal transverse momentum eliminated.  Sign convention matches
-    the argument of the phase-matching sinc (the physical mismatch enters
-    only through the even sinc, so the overall sign is immaterial).
+    ``gate`` is the gate-spectrum argument Omega_c - Omega_s, ``beam`` the
+    momentum taken from the signal beam, ``match`` the phase mismatch from
+    first-order dispersion and the conservation laws, with the gate a plane
+    wave and the signal momentum eliminated.  ``match`` takes the sign of
+    the sinc argument; the even sinc makes the overall sign immaterial.
     """
-    t, s, c = math.tan(preset.phi), math.sin(preset.phi), math.cos(preset.phi)
-    d_wc = preset.kp_c - preset.kp_s * c + preset.kp_s * t * s
-    d_qc = t - math.tan(preset.rho)
-    d_ws = -2.0 * preset.kp_s * t * s
-    return d_wc, d_qc, d_ws
+    t, s, c = math.tan(phi), math.sin(phi), math.cos(phi)
+    gate = (1.0, 0.0, -1.0)
+    beam = (kp_s * t, 1.0 / c, -2.0 * kp_s * t)
+    match = (kp_c - kp_s * c + kp_s * t * s,
+             t - math.tan(rho),
+             -2.0 * kp_s * t * s)
+    return gate, beam, match
 
 
 def delta_k(preset: CrystalPreset, omega_c, q_c, omega_s):
@@ -186,7 +189,8 @@ def delta_k(preset: CrystalPreset, omega_c, q_c, omega_s):
     Linear in each argument; exactly zero at the carrier (0, 0, 0).
     Accepts scalars or broadcastable arrays.
     """
-    d_wc, d_qc, d_ws = mismatch_coefficients(preset)
+    _, _, (d_wc, d_qc, d_ws) = kernel_forms(preset.kp_s, preset.kp_c,
+                                            preset.phi, preset.rho)
     return d_wc * np.asarray(omega_c) + d_qc * np.asarray(q_c) + d_ws * np.asarray(omega_s)
 
 

@@ -19,11 +19,16 @@ from typing import Literal
 
 import numpy as np
 
-from .dispersion import CrystalPreset, mismatch_coefficients
-from .modes import HermiteGaussSpec, QuadGrid, hermite_gauss_values, uniform_grid
+from .dispersion import CrystalPreset, kernel_forms
+from .modes import (SPAN_SIGMAS, HermiteGaussSpec, QuadGrid, default_half_span,
+                    hermite_gauss_values, uniform_grid)
 
 # sinc(x) ~ exp(-GAMMA_SINC x^2) matches the full width at half maximum
 GAMMA_SINC = 0.193
+# largest share of the kernel mass a boundary cell may hold
+BOUNDARY_TOL = 1e-3
+# fewest grid points across the phase-matching main lobe on a coupled axis
+MIN_LOBE_POINTS = 8.0
 
 PhaseMatching = Literal["sinc", "gaussian"]
 
@@ -72,7 +77,11 @@ class SignalBeamSpec:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Axis sizes, optional explicit half-spans, and the sinc treatment."""
+    """Axis sizes, span scaling, optional explicit half-spans, sinc treatment.
+
+    Derived half-spans (:func:`derive_grids`) are scaled by ``span_scale``;
+    the ``span_*`` fields replace them per axis.
+    """
 
     n_omega_c: int = 128
     n_q: int = 128
@@ -82,9 +91,6 @@ class GridConfig:
     span_q: float | None = None
     span_omega_s: float | None = None
     phase_matching: PhaseMatching = "sinc"
-    sigmas: float = 5.0
-    boundary_tol: float = 1e-3
-    min_lobe_points: float = 8.0
 
     def __post_init__(self):
         if min(self.n_omega_c, self.n_q, self.n_omega_s) < 8:
@@ -139,17 +145,16 @@ def derive_grids(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     main lobe, since the surrogate has no side lobes to truncate but a wider
     central peak.
     """
-    order_factor = 1.0 + gate.order / 2.0
     l = preset.length_um
     d_group = preset.kp_c - preset.kp_s
     if config.phase_matching == "gaussian":
-        pm_halfwidth = config.sigmas / (np.sqrt(2.0 * GAMMA_SINC) * d_group * l / 2.0)
+        pm_halfwidth = SPAN_SIGMAS / (np.sqrt(2.0 * GAMMA_SINC) * d_group * l / 2.0)
     else:
         pm_halfwidth = 2.0 * np.pi / (d_group * l)
-    span_omega = max(config.sigmas * order_factor / gate.tau_g,
-                     config.sigmas / signal.spectral_tau_fs,
+    span_omega = max(default_half_span(gate.tau_g, gate.order),
+                     default_half_span(signal.spectral_tau_fs),
                      pm_halfwidth) * config.span_scale
-    span_q = config.sigmas / signal.waist_s_um * config.span_scale
+    span_q = default_half_span(signal.waist_s_um) * config.span_scale
 
     s_wc = config.span_omega_c if config.span_omega_c is not None else span_omega
     s_q = config.span_q if config.span_q is not None else span_q
@@ -170,41 +175,41 @@ def _boundary_fractions(intensity_mass: np.ndarray) -> list[float]:
     return fractions
 
 
+def _evaluate_form(coeffs, axes):
+    """c0 Omega_c + c1 q_c + c2 Omega_s, broadcast over only the axes it uses."""
+    return sum(c * x for c, x in zip(coeffs, axes) if c != 0.0)
+
+
 def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-                 config: GridConfig | None = None, *,
-                 grids: tuple[QuadGrid, QuadGrid, QuadGrid] | None = None,
-                 check: bool = True) -> KernelGrid:
+                 config: GridConfig | None = None, *, check: bool = True) -> KernelGrid:
     """Sample the reduced transfer function on a 3-D quadrature grid.
 
     Raises :class:`KernelResolutionError` when fewer than
-    ``config.min_lobe_points`` grid points fall across the phase-matching
-    main lobe along any coupled axis, and :class:`KernelSpanError` when more
-    than ``config.boundary_tol`` of the kernel mass sits in a boundary cell.
+    :data:`MIN_LOBE_POINTS` grid points fall across the phase-matching main
+    lobe along any coupled axis, and :class:`KernelSpanError` when more than
+    :data:`BOUNDARY_TOL` of the kernel mass sits in a boundary cell.
     """
     config = config or GridConfig()
-    if grids is None:
-        grids = derive_grids(preset, gate, signal, config)
-    g_wc, g_q, g_ws = grids
+    g_wc, g_q, g_ws = derive_grids(preset, gate, signal, config)
 
-    d_wc, d_qc, d_ws = mismatch_coefficients(preset)
+    gate_form, beam_form, match_form = kernel_forms(preset.kp_s, preset.kp_c,
+                                                    preset.phi, preset.rho)
     half_l = preset.length_um / 2.0
-    coeffs = (d_wc * half_l, d_qc * half_l, d_ws * half_l)
+    pm_form = tuple(c * half_l for c in match_form)
 
     if check:
-        for grid, c in zip((g_wc, g_q, g_ws), coeffs):
+        for grid, c in zip((g_wc, g_q, g_ws), pm_form):
             if c == 0.0:
                 continue
             dx = grid.points[1] - grid.points[0]
             lobe_points = (2.0 * np.pi / abs(c)) / dx
-            if lobe_points < config.min_lobe_points:
+            if lobe_points < MIN_LOBE_POINTS:
                 raise KernelResolutionError(
                     f"{grid.label}: {lobe_points:.1f} points across the "
-                    f"phase-matching main lobe, need >= {config.min_lobe_points}")
+                    f"phase-matching main lobe, need >= {MIN_LOBE_POINTS}")
 
     n_c, n_q, n_s = g_wc.size, g_q.size, g_ws.size
     values = np.empty((n_c, n_q, n_s), dtype=complex)
-    tan_phi = np.tan(preset.phi)
-    inv_cos = 1.0 / np.cos(preset.phi)
     w_s = signal.waist_s_um
     us_norm = np.sqrt(w_s) / np.pi**0.25
 
@@ -213,12 +218,13 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     # chunk over the signal-frequency axis to bound peak memory
     chunk = max(1, int(4e6) // (n_c * n_q))
     for start in range(0, n_s, chunk):
-        ws = g_ws.points[None, None, start:start + chunk]
-        gate_vals = hermite_gauss_values(gate.order, gate.tau_g, wc - ws,
+        axes = (wc, qc, g_ws.points[None, None, start:start + chunk])
+        gate_vals = hermite_gauss_values(gate.order, gate.tau_g,
+                                         _evaluate_form(gate_form, axes),
                                          gate.spectral.center)
-        us_arg = qc * inv_cos + preset.kp_s * tan_phi * (wc - 2.0 * ws)
+        us_arg = _evaluate_form(beam_form, axes)
         us_vals = us_norm * np.exp(-0.5 * (w_s * us_arg) ** 2)
-        pm_arg = coeffs[0] * wc + coeffs[1] * qc + coeffs[2] * ws
+        pm_arg = _evaluate_form(pm_form, axes)
         values[:, :, start:start + chunk] = (
             gate_vals * us_vals * phase_match_factor(pm_arg, config.phase_matching))
 
@@ -231,76 +237,11 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
         raise KernelSpanError("kernel norm vanished or overflowed; check spans")
 
     fractions = _boundary_fractions(mass)
-    diagnostics = {
-        "boundary_fractions": fractions,
-        "mismatch_coefficients": (d_wc, d_qc, d_ws),
-    }
-    if check and max(fractions) > config.boundary_tol:
+    if check and max(fractions) > BOUNDARY_TOL:
         raise KernelSpanError(
             f"boundary cells hold {max(fractions):.2e} of the kernel mass "
-            f"(limit {config.boundary_tol:.1e}); widen the grid spans")
+            f"(limit {BOUNDARY_TOL:.1e}); widen the grid spans")
 
     return KernelGrid(values=values, omega_c=g_wc, q_c=g_q, omega_s=g_ws,
                       norm_sq=norm_sq, phase_matching=config.phase_matching,
-                      diagnostics=diagnostics)
-
-
-@dataclass(frozen=True)
-class SingleModeProfiles:
-    """Factorized-limit mode profiles with the validity flags of that limit."""
-
-    subtracted: np.ndarray        # on omega_s grid
-    converted: np.ndarray         # [n_omega_c, n_q]
-    omega_s: QuadGrid
-    omega_c: QuadGrid
-    q_c: QuadGrid
-    single_mode_ok: bool
-    angle_margin: float           # (phi^2 + |phi (phi - rho)|) / phi0^2
-    length_margin: float          # l0 / l
-
-
-def single_mode_profiles(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-                         config: GridConfig | None = None) -> SingleModeProfiles:
-    """Analytic subtracted/up-converted profiles of the factorized limit.
-
-    The subtracted spectral mode equals the gate spectrum; the up-converted
-    mode is the signal transverse profile times the collinear-limit
-    phase-matching factor, which carries the frequency/momentum angular
-    dispersion.  Valid deep in the single-mode regime; the returned margins
-    flag how far the configuration sits from it (both should be well below
-    one, "within a factor 3" meaning <= 1/3).
-    """
-    config = config or GridConfig()
-    tau = gate.tau_g
-    order_factor = 1.0 + gate.order / 2.0
-    d_group = preset.kp_c - preset.kp_s
-    half_l = preset.length_um / 2.0
-
-    g_ws = uniform_grid(config.sigmas * order_factor / tau, config.n_omega_s,
-                        label="omega_s")
-    ridge = abs(preset.rho - preset.phi) * config.sigmas / signal.waist_s_um / d_group
-    span_wc = ridge + 3.0 * 2.0 * np.pi / (d_group * preset.length_um)
-    g_wc = uniform_grid(span_wc, config.n_omega_c, label="omega_c")
-    g_q = uniform_grid(config.sigmas / signal.waist_s_um, config.n_q, label="q_c")
-
-    subtracted = hermite_gauss_values(gate.order, tau, g_ws.points, gate.spectral.center)
-    subtracted /= np.sqrt(np.sum(g_ws.weights * subtracted**2))
-
-    us = hermite_gauss_values(0, signal.waist_s_um, g_q.points)
-    pm_arg = (d_group * g_wc.points[:, None]
-              + (preset.phi - preset.rho) * g_q.points[None, :]) * half_l
-    converted = us[None, :] * phase_match_factor(pm_arg, config.phase_matching)
-    conv_norm = np.sum(np.abs(converted) ** 2
-                       * g_wc.weights[:, None] * g_q.weights[None, :])
-    converted = converted / np.sqrt(conv_norm)
-
-    phi0_sq = (preset.kp_c_collinear / preset.kp_s - 1.0) / 2.0
-    angle_margin = (preset.phi**2 + abs(preset.phi * (preset.phi - preset.rho))) / phi0_sq
-    l0 = tau / (np.sqrt(GAMMA_SINC / 2.0) * (preset.kp_c_collinear - preset.kp_s))
-    length_margin = l0 / preset.length_um
-    ok = bool(angle_margin <= 1.0 / 3.0 and length_margin <= 1.0 / 3.0)
-
-    return SingleModeProfiles(subtracted=subtracted, converted=converted,
-                              omega_s=g_ws, omega_c=g_wc, q_c=g_q,
-                              single_mode_ok=ok, angle_margin=float(angle_margin),
-                              length_margin=float(length_margin))
+                      diagnostics={"boundary_fractions": fractions})

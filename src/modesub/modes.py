@@ -15,6 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# grid half-spans reach this many 1/scale widths past the center
+SPAN_SIGMAS = 5.0
+
+
 class GridAdequacyError(ValueError):
     """Grid span too small to hold the requested mode function."""
 
@@ -131,6 +135,6 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid: QuadGrid) -> complex:
     return complex(np.sum(grid.weights * np.conjugate(f) * g))
 
 
-def default_half_span(scale: float, max_order: int = 0, sigmas: float = 5.0) -> float:
+def default_half_span(scale: float, max_order: int = 0) -> float:
     """Default half-span for an HG family: +-5/scale, widened with order."""
-    return sigmas / scale * (1.0 + max_order / 2.0)
+    return SPAN_SIGMAS / scale * (1.0 + max_order / 2.0)

@@ -2,7 +2,7 @@
 
 All numeric CSV output uses ``repr`` (shortest round-trip) formatting and a
 fixed column order, so identical configurations reproduce byte-identical
-files regardless of worker count.
+files.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ def write_run_meta(directory: Path, config: RunConfig, wall_s: float) -> Path:
     return path
 
 
-def run_scan(config: RunConfig, output_dir: str | Path | None = None,
-             n_threads: int = 1) -> dict[str, Path]:
+def run_scan(config: RunConfig, output_dir: str | Path | None = None) -> dict[str, Path]:
     """Evaluate the configured sweep and emit scan_table.csv + run_meta.json.
 
     Returns the emitted paths; numerical failures are carried in-row with
@@ -56,7 +55,7 @@ def run_scan(config: RunConfig, output_dir: str | Path | None = None,
 
     points = config.scan_points()
     rows = schmidt_number_scan(config.preset(), config.gate(), config.signal(),
-                               points, config.grid(), n_threads=n_threads)
+                               points, config.grid())
     lines = [SCAN_HEADER]
     for row in rows:
         p = row.point

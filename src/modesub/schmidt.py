@@ -9,14 +9,14 @@ operator.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from typing import Sequence
 
 import numpy as np
 
-from .dispersion import CrystalPreset
-from .kernel import GateSpec, GridConfig, KernelGrid, SignalBeamSpec, build_kernel
+from .dispersion import ConfigurationError, CrystalPreset
+from .kernel import (GateSpec, GridConfig, KernelGrid, KernelResolutionError,
+                     KernelSpanError, SignalBeamSpec, build_kernel)
 from .modes import HermiteGaussSpec, QuadGrid
 
 # eigenvalues below this fraction of the leading one are numerical noise
@@ -152,24 +152,19 @@ def _scan_one(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
         s = dc_replace(signal, waist_s_um=point.waist_um)
         result = decompose(build_kernel(pset, g, s, config))
         return ScanRow(point, result.schmidt_number, float(result.lambdas_sq[0]))
-    except Exception as exc:  # failures recorded per point, scan continues
+    except (KernelResolutionError, KernelSpanError, DecompositionError,
+            ConfigurationError) as exc:  # recorded per point, scan continues
         return ScanRow(point, None, None, status=f"error: {exc}")
 
 
 def schmidt_number_scan(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                         points: Sequence[ScanPoint],
-                        config: GridConfig | None = None,
-                        n_threads: int = 1) -> list[ScanRow]:
-    """Decompose the kernel at each point; output order follows input order.
+                        config: GridConfig | None = None) -> list[ScanRow]:
+    """Decompose the kernel at each point, in input order.
 
-    Points are independent pure evaluations, so they parallelize over a
-    thread pool (the heavy lifting is in BLAS/LAPACK which releases the
-    GIL).  Per-point failures are recorded in-row.
+    A point whose grid cannot hold its kernel, whose eigensolve fails or
+    whose crystal is invalid is recorded in-row; any other exception is a
+    bug and propagates.
     """
     config = config or GridConfig()
-    if n_threads <= 1 or len(points) <= 1:
-        return [_scan_one(preset, gate, signal, config, p) for p in points]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [pool.submit(_scan_one, preset, gate, signal, config, p)
-                   for p in points]
-        return [f.result() for f in futures]
+    return [_scan_one(preset, gate, signal, config, p) for p in points]

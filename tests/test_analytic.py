@@ -8,9 +8,10 @@ from scipy.optimize import minimize
 from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
                      build_covariance, build_kernel, characteristic_scales,
                      covariance_schmidt_number, decompose, preset_bbo,
-                     schmidt_number_closed_form, single_mode_rate)
+                     schmidt_number_closed_form, single_mode_profiles,
+                     single_mode_rate)
 from modesub.analytic import (DomainError, GaussianModelParams,
-                              argument_vectors, assemble_two_copy_form,
+                              assemble_two_copy_form,
                               conversion_prefactor_fs,
                               normalized_probability_m2_per_j,
                               single_mode_lambda_sq)
@@ -283,6 +284,21 @@ class TestSingleModeRate:
                                 GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0)),
                                 1e-3, signal)
         assert long.single_mode_ok and long.plane_wave_ok
+
+    @pytest.mark.parametrize("phi_deg,sign", [(1, "co"), (1, "counter"),
+                                              (5, "co"), (5, "counter")])
+    @pytest.mark.parametrize("l_um", [2000.0, 11663.4])
+    def test_flags_agree_across_routes(self, phi_deg, sign, l_um):
+        # the rate, the profiles and K_min read one definition of the margins
+        preset = preset_bbo(phi_deg, sign).with_length(l_um)
+        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+        signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=94.0)
+        rate = single_mode_rate(preset, gate, 1e-3, signal)
+        prof = single_mode_profiles(preset, gate, signal,
+                                    GridConfig(n_omega_c=32, n_q=32, n_omega_s=32))
+        assert rate.single_mode_ok == prof.single_mode_ok
+        k_min = characteristic_scales(params_for(phi_deg, sign, l_um, 107.7)).k_min
+        assert k_min - 1.0 == pytest.approx(prof.angle_margin, rel=1e-12)
 
     def test_negative_photon_number_rejected(self):
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))

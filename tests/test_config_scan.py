@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +85,19 @@ class TestResolve:
             resolve({"scan": {"axes": [{"variable": "voltage", "min": 0,
                                         "max": 1, "count": 2}]}})
 
+    @pytest.mark.parametrize("axis,field", [
+        ({"variable": "gate_order", "values": [0.5, 1.7]}, "gate_order"),
+        ({"variable": "gate_order", "values": [-1]}, "gate_order"),
+        ({"variable": "gate_order", "min": 0, "max": 1, "count": 3}, "gate_order"),
+        ({"variable": "w_um", "values": [100.0, -5.0]}, "w_um"),
+        ({"variable": "l_mm", "values": [0.0]}, "l_mm"),
+        ({"variable": "l_mm", "min": -1.0, "max": 2.0, "count": 2}, "l_mm"),
+        ({"variable": "phi_deg", "values": [1.0, -19.5]}, "phi_deg"),
+    ])
+    def test_scan_axis_values_follow_base_field_rules(self, axis, field):
+        with pytest.raises(ConfigError, match=rf"scan\.axes\[0\].*{field}"):
+            resolve({"scan": {"axes": [axis]}})
+
     def test_scan_points_row_major(self):
         config = resolve({"scan": {"axes": [
             {"variable": "l_mm", "values": [1.0, 2.0]},
@@ -96,7 +113,6 @@ class TestResolve:
     def test_schema_covers_every_key(self):
         dump = schema()
         assert dump["gate"]["tau_fs"]["default"] == 94.0
-        assert "scan_table" in dump["outputs"]["choices"]
         assert set(dump["scan"]["axes"]["variables"]) == {
             "l_mm", "w_um", "phi_deg", "gate_order"}
 
@@ -114,9 +130,30 @@ class TestRunScan:
         run_scan(c1)
         body1 = (tmp_path / "a" / "scan_table.csv").read_bytes()
         c2 = self.scan_config(tmp_path, "b")
-        run_scan(c2, n_threads=3)
+        run_scan(c2)
         body2 = (tmp_path / "b" / "scan_table.csv").read_bytes()
         assert body1 == body2
+
+    def test_identical_under_single_threaded_blas(self, tmp_path):
+        config = write_config(tmp_path, {
+            "grid": {"n_omega_c": 64, "n_q": 64, "n_omega_s": 64},
+            "scan": {"axes": [{"variable": "l_mm", "values": [1.5, 2.0, 3.0]},
+                              {"variable": "w_um", "values": [80.0, 140.0]}]}})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        tables = []
+        for name, blas_threads in (("default", None), ("single", "1")):
+            env = dict(os.environ)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if blas_threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = blas_threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "modesub.cli", "scan",
+                            "--config", str(config), "--output-dir", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            tables.append((out / "scan_table.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert tables[0].count(b",ok\n") == 6
 
     def test_header_and_roundtrip_floats(self, tmp_path):
         config = self.scan_config(tmp_path)
@@ -252,7 +289,7 @@ class TestCli:
                                       "values": [0, 1]}]},
                    "output_dir": str(tmp_path / "cli_out")}
         path = write_config(tmp_path, payload)
-        assert main(["scan", "--config", str(path), "--threads", "2"]) == 0
+        assert main(["scan", "--config", str(path)]) == 0
         table = (tmp_path / "cli_out" / "scan_table.csv").read_text().splitlines()
         assert len(table) == 3
 

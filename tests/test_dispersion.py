@@ -5,7 +5,7 @@ import pytest
 
 from modesub import (C_UM_PER_FS, CrystalPreset, bandwidth_from_tau,
                      convert_bandwidth, delta_k, preset_bbo, preset_by_name)
-from modesub.dispersion import ConfigurationError, mismatch_coefficients
+from modesub.dispersion import ConfigurationError, kernel_forms
 
 
 class TestPresets:
@@ -120,7 +120,7 @@ class TestDeltaK:
         wc = np.linspace(-0.05, 0.05, 7)
         out = delta_k(p, wc, 0.0, 0.0)
         assert out.shape == wc.shape
-        d_wc, _, _ = mismatch_coefficients(p)
+        _, _, (d_wc, _, _) = kernel_forms(p.kp_s, p.kp_c, p.phi, p.rho)
         assert np.allclose(out, d_wc * wc, rtol=1e-14)
 
 

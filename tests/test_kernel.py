@@ -6,6 +6,7 @@ import pytest
 
 from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
                      SignalBeamSpec, build_kernel, delta_k, single_mode_profiles)
+from modesub.dispersion import kernel_forms
 from modesub.kernel import (KernelResolutionError, KernelSpanError, derive_grids,
                             phase_match_factor, sinc)
 from modesub.modes import hermite_gauss_values
@@ -59,7 +60,8 @@ class TestBuildKernel:
         # cross-module consistency contract between dispersion and kernel
         cfg = GridConfig(n_omega_c=32, n_q=32, n_omega_s=32)
         k = build_kernel(bbo1co, gate94, signal_opt, cfg)
-        d_wc, d_qc, d_ws = k.diagnostics["mismatch_coefficients"]
+        _, _, (d_wc, d_qc, d_ws) = kernel_forms(bbo1co.kp_s, bbo1co.kp_c,
+                                                bbo1co.phi, bbo1co.rho)
         half_l = bbo1co.length_um / 2.0
         wc = k.omega_c.points[:, None, None]
         qc = k.q_c.points[None, :, None]

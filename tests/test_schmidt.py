@@ -145,7 +145,7 @@ class TestScan:
                           phi_rad=bbo1co.phi, gate_order=0)
         cfg = GridConfig(n_omega_c=48, n_q=48, n_omega_s=48)
         rows = schmidt_number_scan(bbo1co, gate94, signal_opt, [point, point],
-                                   cfg, n_threads=2)
+                                   cfg)
         assert rows[0].schmidt_number == rows[1].schmidt_number
         assert rows[0].lambda1_frac == rows[1].lambda1_frac
 
@@ -180,10 +180,13 @@ class TestScan:
         assert rows[1].status.startswith("error:")
         assert rows[1].schmidt_number is None
 
-    def test_order_preserved_across_thread_counts(self, bbo1co, gate94, signal_opt):
-        points = [ScanPoint(l, 107.7, bbo1co.phi, 0)
-                  for l in (1500.0, 2000.0, 2500.0, 3000.0)]
-        cfg = GridConfig(n_omega_c=48, n_q=48, n_omega_s=48)
-        seq = schmidt_number_scan(bbo1co, gate94, signal_opt, points, cfg, n_threads=1)
-        par = schmidt_number_scan(bbo1co, gate94, signal_opt, points, cfg, n_threads=3)
-        assert [r.schmidt_number for r in seq] == [r.schmidt_number for r in par]
+    def test_program_errors_propagate(self, bbo1co, gate94, signal_opt, monkeypatch):
+        # only domain failures become rows; a bug must stop the scan
+        def broken(*args, **kwargs):
+            raise TypeError("build_kernel is broken")
+
+        monkeypatch.setattr("modesub.schmidt.build_kernel", broken)
+        points = [ScanPoint(2000.0, 107.7, bbo1co.phi, 0)]
+        with pytest.raises(TypeError, match="build_kernel is broken"):
+            schmidt_number_scan(bbo1co, gate94, signal_opt, points,
+                                GridConfig(n_omega_c=48, n_q=48, n_omega_s=48))
