@@ -18,7 +18,8 @@ from .conditioning import (CombState, ConditionResult, comb_subtraction_experime
 from .dispersion import (C_UM_PER_FS, CrystalPreset, bandwidth_from_tau,
                          convert_bandwidth, delta_k, list_presets, preset_bbo,
                          preset_by_name)
-from .kernel import GateSpec, GridConfig, KernelGrid, SignalBeamSpec, build_kernel
+from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid, SignalBeamSpec,
+                     build_kernel, kernel_gram)
 from .modes import (HermiteGaussSpec, QuadGrid, hermite_gauss, inner_product,
                     uniform_grid)
 from .schmidt import (ScanPoint, SchmidtResult, decompose, gram_matrix,
@@ -34,6 +35,7 @@ __all__ = [
     "GaussianModelParams",
     "GridConfig",
     "HermiteGaussSpec",
+    "KernelGram",
     "KernelGrid",
     "QuadGrid",
     "ScanPoint",
@@ -53,6 +55,7 @@ __all__ = [
     "gram_matrix",
     "hermite_gauss",
     "inner_product",
+    "kernel_gram",
     "list_presets",
     "overlap_matrix",
     "photons_from_squeezing",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytic import conversion_prefactor_fs
 from .dispersion import CrystalPreset
-from .kernel import GateSpec, GridConfig, SignalBeamSpec, build_kernel
+from .kernel import GateSpec, GridConfig, SignalBeamSpec, kernel_gram
 from .modes import HermiteGaussSpec, QuadGrid, hermite_gauss_values
 from .schmidt import SchmidtResult, decompose
 
@@ -200,7 +200,7 @@ def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
         spectral = HermiteGaussSpec(order=order, scale=gate.tau_g,
                                     center=gate.spectral.center)
         gate_o = dc_replace(gate, spectral=spectral)
-        schmidt = decompose(build_kernel(preset, gate_o, signal, config))
+        schmidt = decompose(kernel_gram(preset, gate_o, signal, config))
         condition = conditioned_state(schmidt, comb, preset, gate_o)
         n_dump = min(n_dump_modes, schmidt.modes.shape[0])
         results.append(ExperimentResult(

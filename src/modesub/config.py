@@ -106,6 +106,8 @@ def _require_number(value, path: str, *, positive: bool = False,
                     integer: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
     if integer and int(value) != value:
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if positive and value <= 0:
@@ -239,6 +241,9 @@ def resolve(raw: dict) -> RunConfig:
                 raise ConfigError(f"crystal.{key}: required for an inline crystal")
     elif crystal["preset"] is None:
         raise ConfigError("crystal.preset: required unless an inline crystal is given")
+    for key in _SCHEMA["crystal"]:
+        if key not in ("preset", "name") and crystal[key] is not None:
+            _require_number(crystal[key], f"crystal.{key}")
     _require_number(crystal["length_mm"], "crystal.length_mm", positive=True)
     _require_number(crystal["d_eff_pm_v"], "crystal.d_eff_pm_v", positive=True)
 
@@ -256,7 +261,7 @@ def resolve(raw: dict) -> RunConfig:
     comb["n_modes"] = int(comb["n_modes"])
     _require_number(comb["finesse"], "comb.finesse", positive=True)
     _require_number(comb["center_nm"], "comb.center_nm", positive=True)
-    if comb["squeezing_db"] is None or comb["squeezing_db"] < 0:
+    if _require_number(comb["squeezing_db"], "comb.squeezing_db") < 0:
         raise ConfigError("comb.squeezing_db: must be >= 0")
     if comb["preset"] not in ("flat-40", "csv"):
         raise ConfigError(f"comb.preset: unknown preset {comb['preset']!r}")
@@ -323,8 +328,9 @@ def resolve(raw: dict) -> RunConfig:
         if axis.get("values") is not None:
             if not isinstance(axis["values"], list) or not axis["values"]:
                 raise ConfigError(f"{path}.values: expected a non-empty list")
-            norm_axes.append({"variable": var,
-                              "values": [float(v) for v in axis["values"]]})
+            norm_axes.append({"variable": var, "values": [
+                _require_number(v, f"{path}.values[{j}]")
+                for j, v in enumerate(axis["values"])]})
             continue
         count = int(_require_number(axis.get("count", 1), f"{path}.count",
                                     positive=True, integer=True))

@@ -5,7 +5,14 @@ amplitude evaluated at Omega_c - Omega_s, the signal transverse profile
 evaluated at the momentum consumed from the signal beam, and the
 phase-matching factor sinc(delta_k * l / 2).  The gate transverse profile is
 a plane wave (valid for a gate beam much wider than the signal), which is
-what reduces the problem to these three variables.
+what reduces the problem to these three variables.  Every factor is real,
+so the kernel is real.
+
+One sampler evaluates the kernel in Omega_c slabs.  :func:`kernel_gram`
+folds the slabs straight into the real symmetric signal-side Gram matrix
+and never forms the 3-D array; that is the solve path.  :func:`build_kernel`
+stacks the same slabs into the dense array, for the CSV dump and as the
+oracle the tests hold the streamed route to.
 
 Amplitudes are unnormalized: the gate spectrum and signal profile carry unit
 L2 norm, the sinc is dimensionless, so ||L||^2 has units rad/fs and feeds the
@@ -29,6 +36,8 @@ GAMMA_SINC = 0.193
 BOUNDARY_TOL = 1e-3
 # fewest grid points across the phase-matching main lobe on a coupled axis
 MIN_LOBE_POINTS = 8.0
+# kernel samples per Omega_c slab; bounds the working set of both consumers
+SLAB_SAMPLES = 1 << 14
 
 PhaseMatching = Literal["sinc", "gaussian"]
 
@@ -105,7 +114,7 @@ class GridConfig:
 class KernelGrid:
     """Sampled transfer function with its quadrature axes."""
 
-    values: np.ndarray            # complex [n_omega_c, n_q, n_omega_s]
+    values: np.ndarray            # real float64 [n_omega_c, n_q, n_omega_s]
     omega_c: QuadGrid
     q_c: QuadGrid
     omega_s: QuadGrid
@@ -118,14 +127,30 @@ class KernelGrid:
         return np.outer(self.omega_c.weights, self.q_c.weights).ravel()
 
 
+@dataclass(frozen=True)
+class KernelGram:
+    """Signal-side Gram matrix of a kernel, with its signal axis.
+
+    ``gram[i, j]`` integrates L(., ., Omega_s_i) L(., ., Omega_s_j) over the
+    converted variables; the signal-axis weights are not folded in.
+    """
+
+    gram: np.ndarray              # real symmetric [n_omega_s, n_omega_s]
+    omega_s: QuadGrid
+    norm_sq: float
+    diagnostics: dict = field(default_factory=dict)
+
+
 def sinc(x) -> np.ndarray:
     """sin(x)/x with sinc(0) = 1; series fallback below |x| = 1e-4."""
     x = np.asarray(x, dtype=float)
+    out = np.sin(x, out=np.empty_like(x))
+    with np.errstate(invalid="ignore"):   # 0/0 at x = 0 is replaced below
+        np.divide(out, x, out=out)
     small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    out = np.sin(safe) / safe
-    x2 = x * x
-    return np.where(small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0), out)
+    x2 = np.square(x[small])
+    out[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
+    return out
 
 
 def phase_match_factor(arg, kind: PhaseMatching) -> np.ndarray:
@@ -164,32 +189,20 @@ def derive_grids(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
             uniform_grid(s_ws, config.n_omega_s, label="omega_s"))
 
 
-def _boundary_fractions(intensity_mass: np.ndarray) -> list[float]:
-    """Fraction of total quadrature mass in the outermost cell of each axis."""
-    total = float(intensity_mass.sum())
-    fractions = []
-    for axis in range(intensity_mass.ndim):
-        other = tuple(a for a in range(intensity_mass.ndim) if a != axis)
-        marginal = intensity_mass.sum(axis=other)
-        fractions.append(float((marginal[0] + marginal[-1]) / total))
-    return fractions
-
-
 def _evaluate_form(coeffs, axes):
     """c0 Omega_c + c1 q_c + c2 Omega_s, broadcast over only the axes it uses."""
     return sum(c * x for c, x in zip(coeffs, axes) if c != 0.0)
 
 
-def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-                 config: GridConfig | None = None, *, check: bool = True) -> KernelGrid:
-    """Sample the reduced transfer function on a 3-D quadrature grid.
+def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
+            config: GridConfig, check: bool):
+    """The kernel's quadrature axes and a generator of its Omega_c slabs.
 
-    Raises :class:`KernelResolutionError` when fewer than
-    :data:`MIN_LOBE_POINTS` grid points fall across the phase-matching main
-    lobe along any coupled axis, and :class:`KernelSpanError` when more than
-    :data:`BOUNDARY_TOL` of the kernel mass sits in a boundary cell.
+    The main-lobe resolution check runs on the axes before any sample is
+    taken.  Each slab is a real float64 [rows, n_q, n_s] block holding about
+    :data:`SLAB_SAMPLES` samples, rows running over consecutive Omega_c
+    points.
     """
-    config = config or GridConfig()
     g_wc, g_q, g_ws = derive_grids(preset, gate, signal, config)
 
     gate_form, beam_form, match_form = kernel_forms(preset.kp_s, preset.kp_c,
@@ -208,40 +221,118 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                     f"{grid.label}: {lobe_points:.1f} points across the "
                     f"phase-matching main lobe, need >= {MIN_LOBE_POINTS}")
 
-    n_c, n_q, n_s = g_wc.size, g_q.size, g_ws.size
-    values = np.empty((n_c, n_q, n_s), dtype=complex)
     w_s = signal.waist_s_um
     us_norm = np.sqrt(w_s) / np.pi**0.25
-
-    wc = g_wc.points[:, None, None]
     qc = g_q.points[None, :, None]
-    # chunk over the signal-frequency axis to bound peak memory
-    chunk = max(1, int(4e6) // (n_c * n_q))
-    for start in range(0, n_s, chunk):
-        axes = (wc, qc, g_ws.points[None, None, start:start + chunk])
-        gate_vals = hermite_gauss_values(gate.order, gate.tau_g,
-                                         _evaluate_form(gate_form, axes),
-                                         gate.spectral.center)
-        us_arg = _evaluate_form(beam_form, axes)
-        us_vals = us_norm * np.exp(-0.5 * (w_s * us_arg) ** 2)
-        pm_arg = _evaluate_form(pm_form, axes)
-        values[:, :, start:start + chunk] = (
-            gate_vals * us_vals * phase_match_factor(pm_arg, config.phase_matching))
+    ws = g_ws.points[None, None, :]
+    rows = _slab_rows(g_q.size, g_ws.size)
 
-    mass = (np.abs(values) ** 2
-            * g_wc.weights[:, None, None]
-            * g_q.weights[None, :, None]
-            * g_ws.weights[None, None, :])
-    norm_sq = float(mass.sum())
+    def slab(start: int) -> np.ndarray:
+        # multiplied in place, so a slab costs few slab-sized temporaries
+        axes = (g_wc.points[start:start + rows, None, None], qc, ws)
+        values = (hermite_gauss_values(gate.order, gate.tau_g,
+                                       _evaluate_form(gate_form, axes),
+                                       gate.spectral.center)
+                  * (us_norm * np.exp(-0.5 * (w_s * _evaluate_form(beam_form, axes)) ** 2)))
+        values *= phase_match_factor(_evaluate_form(pm_form, axes),
+                                     config.phase_matching)
+        return values
+
+    return (g_wc, g_q, g_ws), (slab(start) for start in range(0, g_wc.size, rows))
+
+
+def _slab_rows(n_q: int, n_s: int) -> int:
+    """Omega_c points per slab."""
+    return max(1, SLAB_SAMPLES // (n_q * n_s))
+
+
+def accumulate_gram(slabs, grids: tuple[QuadGrid, QuadGrid, QuadGrid], *,
+                    with_gram: bool = True):
+    """Fold sqrt(w_c w_q) into each Omega_c slab and sum over the slabs.
+
+    Returns the real symmetric Gram sum a^T a over the weighted slabs (None
+    without ``with_gram``), and the quadrature mass |L|^2 w_c w_q w_s
+    marginalized onto (Omega_c, q_c) and onto Omega_s.
+    """
+    g_wc, g_q, g_ws = grids
+    n_s = g_ws.size
+    sqrt_w = np.sqrt(np.outer(g_wc.weights, g_q.weights))
+    gram = np.zeros((n_s, n_s)) if with_gram else None
+    converted_mass = np.empty((g_wc.size, g_q.size))
+    signal_mass = np.zeros(n_s)
+    start = 0
+    for slab in slabs:
+        stop = start + slab.shape[0]
+        a = (slab * sqrt_w[start:stop, :, None]).reshape(-1, n_s)
+        if with_gram:
+            gram += a.T @ a   # symmetric rank-k update (BLAS syrk)
+        a *= a
+        converted_mass[start:stop] = (a @ g_ws.weights).reshape(-1, g_q.size)
+        signal_mass += a.sum(axis=0)
+        start = stop
+    return gram, converted_mass, signal_mass * g_ws.weights
+
+
+def _checked_mass(converted_mass: np.ndarray, signal_mass: np.ndarray,
+                  check: bool) -> tuple[float, list[float]]:
+    """Kernel norm^2 and the mass fraction in each axis's boundary cells.
+
+    Raises :class:`KernelSpanError` when the norm vanished or overflowed,
+    and, with ``check``, when a boundary fraction exceeds
+    :data:`BOUNDARY_TOL`.
+    """
+    norm_sq = float(converted_mass.sum())
     if norm_sq <= 0 or not np.isfinite(norm_sq):
         raise KernelSpanError("kernel norm vanished or overflowed; check spans")
-
-    fractions = _boundary_fractions(mass)
+    fractions = [float((m[0] + m[-1]) / norm_sq)
+                 for m in (converted_mass.sum(axis=1), converted_mass.sum(axis=0),
+                           signal_mass)]
     if check and max(fractions) > BOUNDARY_TOL:
         raise KernelSpanError(
             f"boundary cells hold {max(fractions):.2e} of the kernel mass "
             f"(limit {BOUNDARY_TOL:.1e}); widen the grid spans")
+    return norm_sq, fractions
 
+
+def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
+                config: GridConfig | None = None) -> KernelGram:
+    """Signal-side Gram operator of the kernel, streamed slab by slab.
+
+    Same checks and errors as :func:`build_kernel`; memory stays at
+    O(n_s^2 + slab) since the 3-D kernel array is never formed.
+    """
+    config = config or GridConfig()
+    grids, slabs = _sample(preset, gate, signal, config, check=True)
+    gram, converted_mass, signal_mass = accumulate_gram(slabs, grids)
+    norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check=True)
+    return KernelGram(gram=gram, omega_s=grids[2], norm_sq=norm_sq,
+                      diagnostics={"boundary_fractions": fractions})
+
+
+def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
+                 config: GridConfig | None = None, *, check: bool = True) -> KernelGrid:
+    """Sample the reduced transfer function on a 3-D quadrature grid.
+
+    Raises :class:`KernelResolutionError` when fewer than
+    :data:`MIN_LOBE_POINTS` grid points fall across the phase-matching main
+    lobe along any coupled axis, and :class:`KernelSpanError` when more than
+    :data:`BOUNDARY_TOL` of the kernel mass sits in a boundary cell.
+    """
+    config = config or GridConfig()
+    grids, slabs = _sample(preset, gate, signal, config, check)
+    g_wc, g_q, g_ws = grids
+    values = np.empty((g_wc.size, g_q.size, g_ws.size))
+    for dest, slab in zip(kernel_slabs(values), slabs):
+        dest[...] = slab
+    _, converted_mass, signal_mass = accumulate_gram(
+        kernel_slabs(values), grids, with_gram=False)
+    norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check)
     return KernelGrid(values=values, omega_c=g_wc, q_c=g_q, omega_s=g_ws,
                       norm_sq=norm_sq, phase_matching=config.phase_matching,
                       diagnostics={"boundary_fractions": fractions})
+
+
+def kernel_slabs(values: np.ndarray):
+    """A dense kernel's Omega_c slabs, as :func:`kernel_gram` samples them."""
+    rows = _slab_rows(*values.shape[1:])
+    return (values[start:start + rows] for start in range(0, values.shape[0], rows))

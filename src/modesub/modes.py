@@ -10,6 +10,7 @@ used here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,8 @@ class HermiteGaussSpec:
     center: float = 0.0
 
     def __post_init__(self):
-        if self.order < 0 or int(self.order) != self.order:
+        if not (math.isfinite(self.order) and self.order >= 0
+                and int(self.order) == self.order):
             raise ValueError(f"order must be a non-negative integer, got {self.order}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")

@@ -21,7 +21,7 @@ from .analytic import (GaussianModelParams, characteristic_scales,
                        single_mode_rate)
 from .conditioning import comb_subtraction_experiment, conditioned_state
 from .config import RunConfig
-from .kernel import build_kernel
+from .kernel import build_kernel, kernel_gram
 from .schmidt import decompose, schmidt_number_scan
 
 SCAN_HEADER = "l_um,w_um,phi_deg,gate_order,K,lambda1_frac,status"
@@ -79,15 +79,16 @@ def write_kernel_csv(config: RunConfig, output_dir: str | Path | None = None) ->
     directory.mkdir(parents=True, exist_ok=True)
     kernel = build_kernel(config.preset(), config.gate(), config.signal(), config.grid())
     path = directory / "kernel.csv"
+    q_cells = [_fmt(qc) + "," for qc in kernel.q_c.points]
+    s_cells = [_fmt(ws) + "," for ws in kernel.omega_s.points]
     with path.open("w") as fh:
         fh.write("omega_c,q_c,omega_s,re,im\n")
-        values = kernel.values
-        for i, wc in enumerate(kernel.omega_c.points):
-            for j, qc in enumerate(kernel.q_c.points):
-                for k, ws in enumerate(kernel.omega_s.points):
-                    v = values[i, j, k]
-                    fh.write(f"{_fmt(wc)},{_fmt(qc)},{_fmt(ws)},"
-                             f"{_fmt(v.real)},{_fmt(v.imag)}\n")
+        # one Omega_c plane per write; the kernel is real, so im is 0.0
+        for wc, plane in zip(kernel.omega_c.points, kernel.values):
+            head = _fmt(wc) + ","
+            fh.write("".join(f"{head}{qc}{ws}{v!r},0.0\n"
+                             for qc, row in zip(q_cells, plane.tolist())
+                             for ws, v in zip(s_cells, row)))
     return path
 
 
@@ -96,8 +97,8 @@ def write_modes_csv(config: RunConfig, output_dir: str | Path | None = None,
     """Dump the leading subtraction modes with their normalized weights."""
     directory = Path(output_dir if output_dir is not None else config.output_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    result = decompose(build_kernel(config.preset(), config.gate(),
-                                    config.signal(), config.grid()))
+    result = decompose(kernel_gram(config.preset(), config.gate(),
+                                   config.signal(), config.grid()))
     m = min(n_modes, result.modes.shape[0])
     path = directory / "modes.csv"
     with path.open("w") as fh:
@@ -105,7 +106,7 @@ def write_modes_csv(config: RunConfig, output_dir: str | Path | None = None,
         fh.write("lambda_sq," + ",".join(_fmt(result.lambdas_sq[i])
                                          for i in range(m)) + "\n")
         for k, ws in enumerate(result.omega_s.points):
-            row = [_fmt(ws)] + [_fmt(np.real(result.modes[i, k])) for i in range(m)]
+            row = [_fmt(ws)] + [_fmt(result.modes[i, k]) for i in range(m)]
             fh.write(",".join(row) + "\n")
     return path
 

@@ -1,10 +1,13 @@
 """Schmidt decomposition of the transfer kernel via its signal-side Gram operator.
 
-The Gram function G(Omega_s, Omega_s') integrates L* L over the converted
-variables.  Its eigenvalues are the squared Schmidt coefficients and its
-eigenfunctions the subtraction modes; the decomposition is carried out on
-the symmetrically weighted matrix so the spectrum matches the continuum
-operator.
+The Gram function G(Omega_s, Omega_s') integrates L L over the converted
+variables; the kernel is real, so G is real symmetric and the subtraction
+modes are real.  Its eigenvalues are the squared Schmidt coefficients and
+its eigenfunctions the subtraction modes; the decomposition is carried out
+on the symmetrically weighted matrix so the spectrum matches the continuum
+operator.  The solve path streams G from the kernel sampler
+(:func:`~modesub.kernel.kernel_gram`); :func:`gram_matrix` runs the same
+accumulation over a dense kernel.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .dispersion import ConfigurationError, CrystalPreset
-from .kernel import (GateSpec, GridConfig, KernelGrid, KernelResolutionError,
-                     KernelSpanError, SignalBeamSpec, build_kernel)
+from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid,
+                     KernelResolutionError, KernelSpanError, SignalBeamSpec,
+                     accumulate_gram, kernel_gram, kernel_slabs)
 from .modes import HermiteGaussSpec, QuadGrid
 
 # eigenvalues below this fraction of the leading one are numerical noise
@@ -56,38 +60,34 @@ class SchmidtResult:
 
 
 def gram_matrix(kernel: KernelGrid) -> np.ndarray:
-    """Hermitian positive-semidefinite G(Omega_s_i, Omega_s_j).
+    """Real symmetric positive-semidefinite G(Omega_s_i, Omega_s_j).
 
     Converted-variable quadrature weights are folded in; the signal-axis
     weights are not (they enter symmetrically at decomposition time).
+    Accumulated over the slabs :func:`~modesub.kernel.kernel_gram` streams,
+    so both routes give the same matrix bit for bit.
     """
-    n_s = kernel.omega_s.size
-    flat = kernel.values.reshape(-1, n_s)
-    weighted = flat * np.sqrt(kernel.converted_weights())[:, None]
-    gram = weighted.conj().T @ weighted
-    return 0.5 * (gram + gram.conj().T)
+    grids = (kernel.omega_c, kernel.q_c, kernel.omega_s)
+    return accumulate_gram(kernel_slabs(kernel.values), grids)[0]
 
 
-def _fix_phase(modes: np.ndarray) -> np.ndarray:
-    """Rotate each mode so its largest-|.|  component is real positive."""
-    fixed = modes.copy()
-    for m in range(fixed.shape[0]):
-        idx = int(np.argmax(np.abs(fixed[m])))
-        pivot = fixed[m, idx]
-        if pivot != 0:
-            fixed[m] *= np.conj(pivot) / abs(pivot)
-    return fixed
+def _fix_sign(modes: np.ndarray) -> np.ndarray:
+    """Flip each mode so its largest-|.| component is positive."""
+    pivots = modes[np.arange(modes.shape[0]), np.argmax(np.abs(modes), axis=1)]
+    return np.where(pivots < 0, -1.0, 1.0)[:, None] * modes
 
 
-def decompose(kernel: KernelGrid) -> SchmidtResult:
+def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
     """Eigendecomposition of the weighted Gram matrix.
 
-    Weighting is symmetric, W^(1/2) G W^(1/2) with W the signal-axis
-    quadrature weights; eigenvectors are de-weighted back to function
-    samples.  Eigenvalues are clipped at zero, sorted descending, and
-    entries below the noise floor are dropped from the returned spectrum.
+    Takes a dense kernel or the streamed Gram of
+    :func:`~modesub.kernel.kernel_gram`.  Weighting is symmetric,
+    W^(1/2) G W^(1/2) with W the signal-axis quadrature weights;
+    eigenvectors are de-weighted back to function samples.  Eigenvalues are
+    clipped at zero, sorted descending, and entries below the noise floor
+    are dropped from the returned spectrum.
     """
-    gram = gram_matrix(kernel)
+    gram = kernel.gram if isinstance(kernel, KernelGram) else gram_matrix(kernel)
     sqrt_w = np.sqrt(kernel.omega_s.weights)
     weighted = sqrt_w[:, None] * gram * sqrt_w[None, :]
     try:
@@ -103,9 +103,7 @@ def decompose(kernel: KernelGrid) -> SchmidtResult:
     keep = evals > NOISE_FLOOR * (evals[0] if evals[0] > 0 else 1.0)
     keep[0] = True
     evals_kept = evals[keep]
-    modes = _fix_phase((evecs[:, keep] / sqrt_w[:, None]).T.astype(complex))
-    if np.allclose(modes.imag, 0.0, atol=1e-10 * float(np.abs(modes).max())):
-        modes = np.ascontiguousarray(modes.real)
+    modes = _fix_sign((evecs[:, keep] / sqrt_w[:, None]).T)
 
     total = float(evals.sum())
     lambdas = evals_kept / total
@@ -150,7 +148,7 @@ def _scan_one(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                                  center=gate.spectral.center)
         g = dc_replace(gate, spectral=gspec)
         s = dc_replace(signal, waist_s_um=point.waist_um)
-        result = decompose(build_kernel(pset, g, s, config))
+        result = decompose(kernel_gram(pset, g, s, config))
         return ScanRow(point, result.schmidt_number, float(result.lambdas_sq[0]))
     except (KernelResolutionError, KernelSpanError, DecompositionError,
             ConfigurationError) as exc:  # recorded per point, scan continues

@@ -218,6 +218,19 @@ class TestArtifacts:
         assert first[0] == second[0] and first[1] == second[1]
         assert float(first[2]) < float(second[2])
 
+    def test_kernel_dump_reads_back_exactly(self, tmp_path):
+        config = resolve({"grid": {"n_omega_c": 12, "n_q": 10, "n_omega_s": 9},
+                          "crystal": {"preset": "bbo-phi1-co", "length_mm": 0.2},
+                          "output_dir": str(tmp_path)})
+        data = np.loadtxt(write_kernel_csv(config), delimiter=",", skiprows=1)
+        kernel = build_kernel(config.preset(), config.gate(), config.signal(),
+                              config.grid())
+        axes = np.meshgrid(kernel.omega_c.points, kernel.q_c.points,
+                           kernel.omega_s.points, indexing="ij")
+        for column, expected in enumerate([*axes, kernel.values]):
+            assert np.array_equal(data[:, column].reshape(12, 10, 9), expected)
+        assert np.all(data[:, 4] == 0.0)
+
     def test_modes_dump_layout(self, tmp_path):
         config = resolve({"grid": SMALL_GRID, "output_dir": str(tmp_path)})
         path = write_modes_csv(config)
@@ -275,6 +288,28 @@ class TestCli:
         path = write_config(tmp_path, {"crystal": {"length_mm": -2}})
         assert main(["scan", "--config", str(path)]) == 1
         assert "crystal.length_mm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload,field", [
+        ({"gate": {"order": math.inf}}, "gate.order"),
+        ({"crystal": {"length_mm": math.nan}}, "crystal.length_mm"),
+        ({"comb": {"squeezing_db": "4.2"}}, "comb.squeezing_db"),
+        ({"crystal": {"name": "x", "lambda_s_nm": 800.0, "kp_s_fs_um": 5.6,
+                      "kp_c_fs_um": "5.8", "rho_deg": 3.9, "phi_deg": 1.0}},
+         "crystal.kp_c_fs_um"),
+        ({"scan": {"axes": [{"variable": "l_mm", "values": [2.0, "abc"]}]}},
+         "scan.axes[0].values[1]"),
+        ({"scan": {"axes": [{"variable": "w_um", "values": ["2"]}]}},
+         "scan.axes[0].values[0]"),
+        ({"scan": {"axes": [{"variable": "gate_order", "values": [0, math.inf]}]}},
+         "scan.axes[0].values[1]"),
+        ({"scan": {"axes": [{"variable": "gate_order", "min": 0, "max": math.inf,
+                             "count": 2}]}}, "scan.axes[0].max"),
+    ])
+    def test_non_finite_or_non_numeric_value_names_the_field(self, tmp_path, capsys,
+                                                             payload, field):
+        path = write_config(tmp_path, payload)
+        assert main(["config", "--config", str(path)]) == 1
+        assert f"configuration error: {field}:" in capsys.readouterr().err
 
     def test_parse_error_named_with_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
-                     SignalBeamSpec, build_kernel, delta_k, single_mode_profiles)
+                     SignalBeamSpec, build_kernel, delta_k, kernel_gram,
+                     single_mode_profiles)
 from modesub.dispersion import kernel_forms
 from modesub.kernel import (KernelResolutionError, KernelSpanError, derive_grids,
                             phase_match_factor, sinc)
@@ -132,6 +134,21 @@ class TestBuildKernel:
         g3 = derive_grids(bbo1co, gate94, signal_opt,
                           GridConfig(span_q=0.123))
         assert g3[1].points[-1] == pytest.approx(0.123, rel=1e-12)
+
+
+class TestKernelGram:
+    def test_streamed_build_never_holds_the_dense_array(self, bbo1co, gate94,
+                                                        signal_opt):
+        cfg = GridConfig(n_omega_c=96, n_q=96, n_omega_s=96)
+        kernel_gram(bbo1co, gate94, signal_opt, cfg)   # warm lazy numpy state
+        tracemalloc.start()
+        try:
+            kernel_gram(bbo1co, gate94, signal_opt, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_nbytes = build_kernel(bbo1co, gate94, signal_opt, cfg).values.nbytes
+        assert peak < dense_nbytes / 4
 
 
 class TestSingleModeProfiles:

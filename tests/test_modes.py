@@ -86,6 +86,11 @@ class TestHermiteGauss:
         with pytest.raises(ValueError):
             HermiteGaussSpec(order=0, scale=0.0)
 
+    @pytest.mark.parametrize("order", [float("inf"), float("nan")])
+    def test_non_finite_order_is_a_value_error(self, order):
+        with pytest.raises(ValueError, match="order"):
+            HermiteGaussSpec(order=order, scale=1.0)
+
 
 class TestInnerProduct:
     def test_two_width_gaussian_overlap(self):

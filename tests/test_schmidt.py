@@ -6,8 +6,10 @@ import pytest
 
 from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
                      KernelGrid, ScanPoint, SignalBeamSpec, build_kernel,
-                     decompose, gram_matrix, schmidt_number_scan, uniform_grid)
-from modesub.kernel import GAMMA_SINC
+                     decompose, gram_matrix, kernel_gram, preset_bbo,
+                     schmidt_number_scan, uniform_grid)
+from modesub.kernel import (GAMMA_SINC, SLAB_SAMPLES, KernelResolutionError,
+                            KernelSpanError)
 
 
 def separable_kernel():
@@ -17,7 +19,7 @@ def separable_kernel():
     g_ws = uniform_grid(1.0, 28, label="omega_s")
     conv = np.exp(-(g_wc.points[:, None] ** 2 + g_q.points[None, :] ** 2))
     sig = np.exp(-2.0 * g_ws.points**2) * (1.0 + g_ws.points)
-    values = (conv[:, :, None] * sig[None, None, :]).astype(complex)
+    values = conv[:, :, None] * sig[None, None, :]
     mass = (np.abs(values) ** 2 * g_wc.weights[:, None, None]
             * g_q.weights[None, :, None] * g_ws.weights[None, None, :])
     return KernelGrid(values=values, omega_c=g_wc, q_c=g_q, omega_s=g_ws,
@@ -139,6 +141,53 @@ class TestDecompose:
             assert defect == pytest.approx(tail, rel=1e-9)
 
 
+class TestStreamedGram:
+    """The streamed solve path against the dense kernel it never builds."""
+
+    @pytest.mark.parametrize("case", ["default", "gate-order-2", "gaussian",
+                                      "counter", "partial-slab"])
+    def test_matches_dense_oracle(self, case, bbo1co, gate94, signal_opt):
+        preset, gate = bbo1co, gate94
+        cfg = GridConfig(n_omega_c=64, n_q=64, n_omega_s=64)
+        if case == "gate-order-2":
+            gate = GateSpec(spectral=HermiteGaussSpec(order=2, scale=94.0))
+        elif case == "gaussian":
+            cfg = replace(cfg, phase_matching="gaussian")
+        elif case == "counter":
+            preset = preset_bbo(5, "counter")
+            cfg = GridConfig(n_omega_c=128, n_q=96, n_omega_s=96)
+        elif case == "partial-slab":
+            cfg = GridConfig(n_omega_c=45, n_q=40, n_omega_s=40)
+            rows = SLAB_SAMPLES // (40 * 40)
+            assert 1 < rows < 45 and 45 % rows != 0
+        dense = build_kernel(preset, gate, signal_opt, cfg)
+        streamed = kernel_gram(preset, gate, signal_opt, cfg)
+        assert np.array_equal(streamed.gram, gram_matrix(dense))
+        assert streamed.norm_sq == pytest.approx(dense.norm_sq, rel=1e-12)
+        assert np.allclose(streamed.diagnostics["boundary_fractions"],
+                           dense.diagnostics["boundary_fractions"], rtol=1e-12, atol=0.0)
+        a, b = decompose(streamed), decompose(dense)
+        assert a.schmidt_number == pytest.approx(b.schmidt_number, rel=1e-12)
+        assert np.allclose(a.lambdas_sq, b.lambdas_sq, rtol=1e-12, atol=0.0)
+        assert np.allclose(a.modes[:4], b.modes[:4], rtol=0.0,
+                           atol=1e-12 * np.abs(b.modes[:4]).max())
+        assert a.modes.dtype == np.float64
+
+    @pytest.mark.parametrize("length_um,cfg,error", [
+        (11663.4, GridConfig(n_omega_c=64, n_q=48, n_omega_s=48), KernelResolutionError),
+        (2000.0, GridConfig(n_omega_c=48, n_q=48, n_omega_s=48,
+                            span_omega_c=0.005, span_omega_s=0.005), KernelSpanError),
+    ])
+    def test_same_errors_as_dense_oracle(self, bbo1co, gate94, signal_opt,
+                                         length_um, cfg, error):
+        preset = bbo1co.with_length(length_um)
+        with pytest.raises(error) as dense:
+            build_kernel(preset, gate94, signal_opt, cfg)
+        with pytest.raises(error) as streamed:
+            kernel_gram(preset, gate94, signal_opt, cfg)
+        assert str(streamed.value) == str(dense.value)
+
+
 class TestScan:
     def test_duplicate_points_bitwise_identical(self, bbo1co, gate94, signal_opt):
         point = ScanPoint(length_um=2000.0, waist_um=107.7,
@@ -185,7 +234,7 @@ class TestScan:
         def broken(*args, **kwargs):
             raise TypeError("build_kernel is broken")
 
-        monkeypatch.setattr("modesub.schmidt.build_kernel", broken)
+        monkeypatch.setattr("modesub.schmidt.kernel_gram", broken)
         points = [ScanPoint(2000.0, 107.7, bbo1co.phi, 0)]
         with pytest.raises(TypeError, match="build_kernel is broken"):
             schmidt_number_scan(bbo1co, gate94, signal_opt, points,
