@@ -338,7 +338,7 @@ def single_mode_profiles(preset: CrystalPreset, gate: GateSpec, signal: SignalBe
     g_wc = uniform_grid(span_wc, config.n_omega_c, label="omega_c")
     g_q = uniform_grid(span_q, config.n_q, label="q_c")
 
-    subtracted = hermite_gauss_values(gate.order, tau, g_ws.points, gate.spectral.center)
+    subtracted = hermite_gauss_values(gate.order, tau, g_ws.points)
     subtracted /= np.sqrt(np.sum(g_ws.weights * subtracted**2))
 
     us = hermite_gauss_values(0, signal.waist_s_um, g_q.points)

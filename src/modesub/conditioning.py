@@ -197,8 +197,7 @@ def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
     config = config or GridConfig()
     results = []
     for order in gate_orders:
-        spectral = HermiteGaussSpec(order=order, scale=gate.tau_g,
-                                    center=gate.spectral.center)
+        spectral = HermiteGaussSpec(order=order, scale=gate.tau_g)
         gate_o = dc_replace(gate, spectral=spectral)
         schmidt = decompose(kernel_gram(preset, gate_o, signal, config))
         condition = conditioned_state(schmidt, comb, preset, gate_o)

@@ -86,6 +86,7 @@ _SCHEMA: dict[str, dict[str, tuple[Any, str]]] = {
 _SCAN_VARIABLES = ("l_mm", "w_um", "phi_deg", "gate_order")
 _INLINE_REQUIRED = ("name", "lambda_s_nm", "kp_s_fs_um", "kp_c_fs_um",
                     "rho_deg", "phi_deg")
+_INLINE_OPTIONAL = ("kp_c_collinear_fs_um", "theta_pm_deg", "n_s", "n_g", "n_c")
 
 
 def schema() -> dict:
@@ -235,12 +236,19 @@ def resolve(raw: dict) -> RunConfig:
 
     given_crystal = raw.get("crystal") or {}
     if any(given_crystal.get(k) is not None for k in _INLINE_REQUIRED):
-        crystal["preset"] = given_crystal.get("preset")  # inline overrides preset
+        crystal["preset"] = given_crystal.get("preset")  # inline replaces the default
         for key in _INLINE_REQUIRED:
             if crystal.get(key) is None:
                 raise ConfigError(f"crystal.{key}: required for an inline crystal")
     elif crystal["preset"] is None:
         raise ConfigError("crystal.preset: required unless an inline crystal is given")
+    if crystal["preset"] is not None:
+        # a named preset carries its own constants; RunConfig.preset() would
+        # ignore these silently
+        for key in _INLINE_REQUIRED + _INLINE_OPTIONAL:
+            if crystal[key] is not None:
+                raise ConfigError(f"crystal.{key}: inline-crystal key given beside "
+                                  f"the named preset {crystal['preset']!r}")
     for key in _SCHEMA["crystal"]:
         if key not in ("preset", "name") and crystal[key] is not None:
             _require_number(crystal[key], f"crystal.{key}")

@@ -14,6 +14,17 @@ and never forms the 3-D array; that is the solve path.  :func:`build_kernel`
 stacks the same slabs into the dense array, for the CSV dump and as the
 oracle the tests hold the streamed route to.
 
+The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
+(-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
+form with no constant term, the gate is carrier-centred (:class:`GateSpec`
+rejects a non-zero centre) and the HG mode has parity (-1)^order, and the
+:func:`~modesub.modes.uniform_grid` axes are antisymmetric to the last bit,
+so the identity holds bit for bit on the sampled array.  The Gram matrix
+and the mass marginals only see products of two samples, so the sign drops
+out: :func:`kernel_gram` samples the Omega_c rows [0, ceil(n_c/2)) and
+completes its sums by reflection, the centre row of an odd axis, which
+mirrors onto itself, entering at half weight.
+
 Amplitudes are unnormalized: the gate spectrum and signal profile carry unit
 L2 norm, the sinc is dimensionless, so ||L||^2 has units rad/fs and feeds the
 absolute probability scale of the conditioning stage.
@@ -62,6 +73,10 @@ class GateSpec:
     def __post_init__(self):
         if self.waist_g_um <= 0 or self.energy_j < 0 or self.rep_rate_hz <= 0:
             raise ValueError("gate waist, energy and repetition rate must be positive")
+        if self.spectral.center != 0.0:
+            # the kernel's point symmetry, which kernel_gram folds, needs it
+            raise ValueError(f"gate spectrum must be carrier-centred, got center "
+                             f"{self.spectral.center}")
 
     @property
     def tau_g(self) -> float:
@@ -121,10 +136,6 @@ class KernelGrid:
     norm_sq: float
     phase_matching: PhaseMatching = "sinc"
     diagnostics: dict = field(default_factory=dict)
-
-    def converted_weights(self) -> np.ndarray:
-        """Flattened (Omega_c, q_c) product quadrature weights."""
-        return np.outer(self.omega_c.weights, self.q_c.weights).ravel()
 
 
 @dataclass(frozen=True)
@@ -195,13 +206,13 @@ def _evaluate_form(coeffs, axes):
 
 
 def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-            config: GridConfig, check: bool):
+            config: GridConfig, check: bool, *, folded: bool = False):
     """The kernel's quadrature axes and a generator of its Omega_c slabs.
 
     The main-lobe resolution check runs on the axes before any sample is
     taken.  Each slab is a real float64 [rows, n_q, n_s] block holding about
     :data:`SLAB_SAMPLES` samples, rows running over consecutive Omega_c
-    points.
+    points; with ``folded`` the slabs stop at row ceil(n_c/2).
     """
     g_wc, g_q, g_ws = derive_grids(preset, gate, signal, config)
 
@@ -226,19 +237,19 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     qc = g_q.points[None, :, None]
     ws = g_ws.points[None, None, :]
     rows = _slab_rows(g_q.size, g_ws.size)
+    stop = _folded_rows(g_wc.size) if folded else g_wc.size
 
     def slab(start: int) -> np.ndarray:
         # multiplied in place, so a slab costs few slab-sized temporaries
-        axes = (g_wc.points[start:start + rows, None, None], qc, ws)
+        axes = (g_wc.points[start:min(start + rows, stop), None, None], qc, ws)
         values = (hermite_gauss_values(gate.order, gate.tau_g,
-                                       _evaluate_form(gate_form, axes),
-                                       gate.spectral.center)
+                                       _evaluate_form(gate_form, axes))
                   * (us_norm * np.exp(-0.5 * (w_s * _evaluate_form(beam_form, axes)) ** 2)))
         values *= phase_match_factor(_evaluate_form(pm_form, axes),
                                      config.phase_matching)
         return values
 
-    return (g_wc, g_q, g_ws), (slab(start) for start in range(0, g_wc.size, rows))
+    return (g_wc, g_q, g_ws), (slab(start) for start in range(0, stop, rows))
 
 
 def _slab_rows(n_q: int, n_s: int) -> int:
@@ -246,19 +257,34 @@ def _slab_rows(n_q: int, n_s: int) -> int:
     return max(1, SLAB_SAMPLES // (n_q * n_s))
 
 
+def _folded_rows(n_c: int) -> int:
+    """Omega_c rows a folded sum samples: ceil(n_c / 2)."""
+    return (n_c + 1) // 2
+
+
 def accumulate_gram(slabs, grids: tuple[QuadGrid, QuadGrid, QuadGrid], *,
-                    with_gram: bool = True):
+                    with_gram: bool = True, folded: bool = False):
     """Fold sqrt(w_c w_q) into each Omega_c slab and sum over the slabs.
 
     Returns the real symmetric Gram sum a^T a over the weighted slabs (None
     without ``with_gram``), and the quadrature mass |L|^2 w_c w_q w_s
     marginalized onto (Omega_c, q_c) and onto Omega_s.
+
+    With ``folded`` the slabs hold only the Omega_c rows [0, ceil(n_c/2)) of
+    a point-symmetric kernel on symmetric weights.  The centre row of an odd
+    axis is weighted by w_c / 2 (exact in binary), and each sum S over the
+    half is completed as S + S reversed along every axis.
     """
     g_wc, g_q, g_ws = grids
     n_s = g_ws.size
-    sqrt_w = np.sqrt(np.outer(g_wc.weights, g_q.weights))
+    w_c = g_wc.weights
+    if folded:
+        w_c = w_c[:_folded_rows(g_wc.size)].copy()
+        if g_wc.size % 2:
+            w_c[-1] /= 2.0   # the self-mirrored centre row
+    sqrt_w = np.sqrt(np.outer(w_c, g_q.weights))
     gram = np.zeros((n_s, n_s)) if with_gram else None
-    converted_mass = np.empty((g_wc.size, g_q.size))
+    converted_mass = np.zeros((g_wc.size, g_q.size))   # unsampled rows stay 0
     signal_mass = np.zeros(n_s)
     start = 0
     for slab in slabs:
@@ -270,6 +296,11 @@ def accumulate_gram(slabs, grids: tuple[QuadGrid, QuadGrid, QuadGrid], *,
         converted_mass[start:stop] = (a @ g_ws.weights).reshape(-1, g_q.size)
         signal_mass += a.sum(axis=0)
         start = stop
+    if folded:
+        if with_gram:
+            gram = gram + gram[::-1, ::-1]
+        converted_mass = converted_mass + converted_mass[::-1, ::-1]
+        signal_mass = signal_mass + signal_mass[::-1]
     return gram, converted_mass, signal_mass * g_ws.weights
 
 
@@ -299,11 +330,16 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     """Signal-side Gram operator of the kernel, streamed slab by slab.
 
     Same checks and errors as :func:`build_kernel`; memory stays at
-    O(n_s^2 + slab) since the 3-D kernel array is never formed.
+    O(n_s^2 + slab) since the 3-D kernel array is never formed.  By the
+    kernel's point symmetry (module docstring) only the Omega_c rows
+    [0, ceil(n_c/2)) are sampled, the centre row of an odd axis at half
+    weight; the Gram matrix G_h and the mass marginals over them are
+    completed by reflection, G = G_h + G_h[::-1, ::-1], before the norm and
+    boundary checks run on the full marginals.
     """
     config = config or GridConfig()
-    grids, slabs = _sample(preset, gate, signal, config, check=True)
-    gram, converted_mass, signal_mass = accumulate_gram(slabs, grids)
+    grids, slabs = _sample(preset, gate, signal, config, check=True, folded=True)
+    gram, converted_mass, signal_mass = accumulate_gram(slabs, grids, folded=True)
     norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check=True)
     return KernelGram(gram=gram, omega_s=grids[2], norm_sq=norm_sq,
                       diagnostics={"boundary_fractions": fractions})
@@ -332,7 +368,12 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                       diagnostics={"boundary_fractions": fractions})
 
 
-def kernel_slabs(values: np.ndarray):
-    """A dense kernel's Omega_c slabs, as :func:`kernel_gram` samples them."""
+def kernel_slabs(values: np.ndarray, *, folded: bool = False):
+    """A dense kernel's Omega_c slabs, as :func:`kernel_gram` samples them.
+
+    With ``folded`` the slabs stop at row ceil(n_c/2).
+    """
     rows = _slab_rows(*values.shape[1:])
+    if folded:
+        values = values[:_folded_rows(values.shape[0])]
     return (values[start:start + rows] for start in range(0, values.shape[0], rows))

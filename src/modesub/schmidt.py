@@ -6,8 +6,9 @@ modes are real.  Its eigenvalues are the squared Schmidt coefficients and
 its eigenfunctions the subtraction modes; the decomposition is carried out
 on the symmetrically weighted matrix so the spectrum matches the continuum
 operator.  The solve path streams G from the kernel sampler
-(:func:`~modesub.kernel.kernel_gram`); :func:`gram_matrix` runs the same
-accumulation over a dense kernel.
+(:func:`~modesub.kernel.kernel_gram`), folded over the kernel's point
+symmetry; :func:`gram_matrix` runs the same accumulation over a dense
+kernel.
 """
 
 from __future__ import annotations
@@ -59,16 +60,36 @@ class SchmidtResult:
         return int(np.searchsorted(filled, cumulative) + 1)
 
 
+def _point_symmetric(kernel: KernelGrid) -> bool:
+    """Whether ``values == +-values[::-1, ::-1, ::-1]`` bit for bit.
+
+    The Omega_c and q_c weights must be palindromes too.  True of every
+    :func:`~modesub.kernel.build_kernel` array.
+    """
+    values = kernel.values
+    flipped = values[::-1, ::-1, ::-1]
+    return (all(np.array_equal(w, w[::-1])
+                for w in (kernel.omega_c.weights, kernel.q_c.weights))
+            and (np.array_equal(values, flipped) or np.array_equal(values, -flipped)))
+
+
 def gram_matrix(kernel: KernelGrid) -> np.ndarray:
     """Real symmetric positive-semidefinite G(Omega_s_i, Omega_s_j).
 
     Converted-variable quadrature weights are folded in; the signal-axis
     weights are not (they enter symmetrically at decomposition time).
     Accumulated over the slabs :func:`~modesub.kernel.kernel_gram` streams,
-    so both routes give the same matrix bit for bit.
+    so both routes give the same matrix bit for bit.  A kernel that is
+    exactly point-symmetric, L(-Omega_c, -q_c, -Omega_s) = +-L(Omega_c, q_c,
+    Omega_s) on palindromic weights, gets the same fold as the streamed
+    route: the Omega_c rows [0, ceil(n_c/2)) only, the centre row of an odd
+    axis at half weight, completed by reflection.  Any other kernel gets
+    the plain sum over every row.
     """
     grids = (kernel.omega_c, kernel.q_c, kernel.omega_s)
-    return accumulate_gram(kernel_slabs(kernel.values), grids)[0]
+    folded = _point_symmetric(kernel)
+    return accumulate_gram(kernel_slabs(kernel.values, folded=folded), grids,
+                           folded=folded)[0]
 
 
 def _fix_sign(modes: np.ndarray) -> np.ndarray:
@@ -144,8 +165,7 @@ def _scan_one(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
               config: GridConfig, point: ScanPoint) -> ScanRow:
     try:
         pset = dc_replace(preset, length_um=point.length_um, phi=point.phi_rad)
-        gspec = HermiteGaussSpec(order=point.gate_order, scale=gate.tau_g,
-                                 center=gate.spectral.center)
+        gspec = HermiteGaussSpec(order=point.gate_order, scale=gate.tau_g)
         g = dc_replace(gate, spectral=gspec)
         s = dc_replace(signal, waist_s_um=point.waist_um)
         result = decompose(kernel_gram(pset, g, s, config))

@@ -12,7 +12,7 @@ from modesub import GridConfig, build_kernel, decompose
 from modesub.cli import main
 from modesub.config import ConfigError, load_config, resolve, schema
 from modesub.scan import (run_scan, write_condition_summary, write_gaussian_table,
-                          write_kernel_csv, write_modes_csv)
+                          write_kernel_csv, write_modes_csv, write_run_meta)
 
 SMALL_GRID = {"n_omega_c": 48, "n_q": 48, "n_omega_s": 48}
 
@@ -67,6 +67,26 @@ class TestResolve:
             resolve({"crystal": {"name": "x", "lambda_s_nm": 800.0,
                                  "kp_s_fs_um": 5.6, "rho_deg": 3.9,
                                  "phi_deg": 1.0}})
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_s", 1.9), ("n_g", 1.7), ("n_c", 1.6), ("theta_pm_deg", 30.0),
+        ("kp_c_collinear_fs_um", 5.8)])
+    def test_inline_crystal_key_beside_preset_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"crystal\.{key}"):
+            resolve({"crystal": {"preset": "bbo-phi1-co", key: value}})
+
+    def test_inline_crystal_beside_preset_rejected(self):
+        with pytest.raises(ConfigError, match=r"crystal\.name"):
+            resolve({"crystal": {
+                "preset": "bbo-phi1-co", "name": "custom", "lambda_s_nm": 800.0,
+                "kp_s_fs_um": 5.6139, "kp_c_fs_um": 5.8107, "rho_deg": 3.9,
+                "phi_deg": -1.0}})
+
+    def test_preset_run_meta_round_trips(self, tmp_path):
+        config = resolve({"crystal": {"preset": "bbo-phi5-counter"}})
+        meta = write_run_meta(tmp_path, config, 0.0)
+        assert json.loads(meta.read_text())["config"]["crystal"]["n_s"] is None
+        assert load_config(meta).resolved == config.resolved
 
     def test_scan_axis_validation(self):
         with pytest.raises(ConfigError, match="scan.axes"):

@@ -8,7 +8,7 @@ import pytest
 from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
                      SignalBeamSpec, build_kernel, delta_k, kernel_gram,
                      single_mode_profiles)
-from modesub.dispersion import kernel_forms
+from modesub.dispersion import kernel_forms, preset_by_name
 from modesub.kernel import (KernelResolutionError, KernelSpanError, derive_grids,
                             phase_match_factor, sinc)
 from modesub.modes import hermite_gauss_values
@@ -136,7 +136,48 @@ class TestBuildKernel:
         assert g3[1].points[-1] == pytest.approx(0.123, rel=1e-12)
 
 
+class TestGateSpec:
+    def test_off_carrier_gate_rejected(self):
+        with pytest.raises(ValueError, match="carrier-centred"):
+            GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0, center=0.01))
+
+
+class TestPointSymmetry:
+    """The premise of the folded Gram sum, bit for bit on the dense array."""
+
+    @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi5-counter"])
+    @pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
+    @pytest.mark.parametrize("n_c", [64, 65])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_kernel_is_point_symmetric(self, signal_opt, preset_name, phase_matching,
+                                       n_c, order):
+        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        cfg = GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41,
+                         phase_matching=phase_matching)
+        # the symmetry is algebraic; coarse spans need not pass the checks
+        k = build_kernel(preset_by_name(preset_name), gate, signal_opt, cfg,
+                         check=False)
+        for grid in (k.omega_c, k.q_c, k.omega_s):
+            assert np.array_equal(grid.points, -grid.points[::-1])
+            assert np.array_equal(grid.weights, grid.weights[::-1])
+        assert np.array_equal(k.values, (-1) ** order * k.values[::-1, ::-1, ::-1])
+
+
 class TestKernelGram:
+    @pytest.mark.parametrize("n_c", [64, 45])
+    def test_samples_half_the_omega_c_axis(self, bbo1co, gate94, signal_opt,
+                                           monkeypatch, n_c):
+        evaluated = []
+
+        def counting(order, scale, x, *args):
+            evaluated.append(np.size(x))
+            return hermite_gauss_values(order, scale, x, *args)
+
+        monkeypatch.setattr("modesub.kernel.hermite_gauss_values", counting)
+        kernel_gram(bbo1co, gate94, signal_opt,
+                    GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41))
+        assert sum(evaluated) == (n_c + 1) // 2 * 41
+
     def test_streamed_build_never_holds_the_dense_array(self, bbo1co, gate94,
                                                         signal_opt):
         cfg = GridConfig(n_omega_c=96, n_q=96, n_omega_s=96)

@@ -8,8 +8,8 @@ from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
                      KernelGrid, ScanPoint, SignalBeamSpec, build_kernel,
                      decompose, gram_matrix, kernel_gram, preset_bbo,
                      schmidt_number_scan, uniform_grid)
-from modesub.kernel import (GAMMA_SINC, SLAB_SAMPLES, KernelResolutionError,
-                            KernelSpanError)
+from modesub.kernel import (GAMMA_SINC, SLAB_SAMPLES, KernelGram,
+                            KernelResolutionError, KernelSpanError)
 
 
 def separable_kernel():
@@ -24,6 +24,13 @@ def separable_kernel():
             * g_q.weights[None, :, None] * g_ws.weights[None, None, :])
     return KernelGrid(values=values, omega_c=g_wc, q_c=g_q, omega_s=g_ws,
                       norm_sq=float(mass.sum()))
+
+
+def unfolded_gram(kernel: KernelGrid) -> np.ndarray:
+    """Plain weighted a^T a over every row of a dense kernel."""
+    sqrt_w = np.sqrt(np.outer(kernel.omega_c.weights, kernel.q_c.weights)).ravel()
+    a = kernel.values.reshape(-1, kernel.omega_s.size) * sqrt_w[:, None]
+    return a.T @ a
 
 
 def multimode_kernel():
@@ -49,6 +56,12 @@ class TestGramMatrix:
         gram = gram_matrix(kernel)
         weighted_trace = float(np.sum(kernel.omega_s.weights * np.diag(gram).real))
         assert weighted_trace == pytest.approx(kernel.norm_sq, rel=1e-10)
+
+    def test_asymmetric_kernel_keeps_the_plain_sum(self):
+        kernel = separable_kernel()   # sig(Omega_s) is not even
+        gram = gram_matrix(kernel)
+        oracle = unfolded_gram(kernel)
+        assert np.max(np.abs(gram - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     def test_hermitian(self, bbo1co, gate94, signal_opt):
         kernel = build_kernel(bbo1co, gate94, signal_opt,
@@ -116,7 +129,8 @@ class TestDecompose:
         kernel = multimode_kernel()
         result = decompose(kernel)
         flat = kernel.values.reshape(-1, kernel.omega_s.size)
-        weighted = (flat * np.sqrt(kernel.converted_weights())[:, None]
+        converted_weights = np.outer(kernel.omega_c.weights, kernel.q_c.weights).ravel()
+        weighted = (flat * np.sqrt(converted_weights)[:, None]
                     * np.sqrt(kernel.omega_s.weights)[None, :])
         singular = np.linalg.svd(weighted, compute_uv=False)
         svd_lambdas = singular**2
@@ -172,6 +186,20 @@ class TestStreamedGram:
         assert np.allclose(a.modes[:4], b.modes[:4], rtol=0.0,
                            atol=1e-12 * np.abs(b.modes[:4]).max())
         assert a.modes.dtype == np.float64
+
+    @pytest.mark.parametrize("order,n", [(0, (45, 40, 41)), (1, (45, 40, 41)),
+                                         (1, (64, 63, 64))])
+    def test_folded_gram_matches_unfolded_oracle(self, bbo1co, signal_opt, order, n):
+        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        cfg = GridConfig(n_omega_c=n[0], n_q=n[1], n_omega_s=n[2])
+        dense = build_kernel(bbo1co, gate, signal_opt, cfg)
+        oracle = unfolded_gram(dense)
+        streamed = kernel_gram(bbo1co, gate, signal_opt, cfg)
+        assert np.max(np.abs(streamed.gram - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        assert streamed.norm_sq == pytest.approx(dense.norm_sq, rel=1e-12)
+        k_oracle = decompose(KernelGram(gram=oracle, omega_s=dense.omega_s,
+                                        norm_sq=dense.norm_sq)).schmidt_number
+        assert decompose(streamed).schmidt_number == pytest.approx(k_oracle, rel=1e-12)
 
     @pytest.mark.parametrize("length_um,cfg,error", [
         (11663.4, GridConfig(n_omega_c=64, n_q=48, n_omega_s=48), KernelResolutionError),
