@@ -19,7 +19,7 @@ import numpy as np
 from .analytic import conversion_prefactor_fs
 from .dispersion import CrystalPreset
 from .kernel import GateSpec, GridConfig, SignalBeamSpec, kernel_gram
-from .modes import HermiteGaussSpec, QuadGrid, hermite_gauss_values
+from .modes import HermiteGaussSpec, QuadGrid, hermite_gauss_table
 from .schmidt import SchmidtResult, decompose
 
 
@@ -66,8 +66,7 @@ class CombState:
         grid, which is harmless in overlaps against compactly supported
         subtraction modes and must not be hidden by renormalizing.
         """
-        return np.stack([hermite_gauss_values(n, self.tau_s_fs, grid.points)
-                         for n in range(self.n_modes)])
+        return hermite_gauss_table(self.n_modes, self.tau_s_fs, grid.points)
 
 
 def photons_from_squeezing(squeezing_db: float, finesse: float) -> float:
@@ -111,8 +110,11 @@ def overlap_matrix(subtraction_modes: np.ndarray, comb: CombState,
     if modes.ndim != 2 or modes.shape[1] != grid.size:
         raise ValueError(f"subtraction modes must be rows on the {grid.size}-point grid, "
                          f"got shape {modes.shape}")
-    comb_samples = comb.sample_modes(grid)
-    return (modes.conj() * grid.weights) @ comb_samples.T
+    return _overlaps(modes, comb.sample_modes(grid), grid)
+
+
+def _overlaps(modes: np.ndarray, comb_modes: np.ndarray, grid: QuadGrid) -> np.ndarray:
+    return (modes.conj() * grid.weights) @ comb_modes.T
 
 
 def purity_from_overlaps(lambdas_sq: np.ndarray, overlap: np.ndarray,
@@ -142,6 +144,7 @@ class ConditionResult:
     rate_hz: float
     schmidt_number: float
     lambdas_sq: np.ndarray         # normalized spectrum of the decomposition
+    comb_modes: np.ndarray         # comb modes on the decomposition's grid, rows
 
 
 def conditioned_state(schmidt: SchmidtResult, comb: CombState,
@@ -157,7 +160,8 @@ def conditioned_state(schmidt: SchmidtResult, comb: CombState,
     m_keep = schmidt.n_effective()
     lam_raw = schmidt.lambdas_sq_raw[:m_keep]
     modes = schmidt.modes[:m_keep]
-    overlap = overlap_matrix(modes, comb, schmidt.omega_s)
+    comb_modes = comb.sample_modes(schmidt.omega_s)
+    overlap = _overlaps(modes, comb_modes, schmidt.omega_s)
 
     herm = (overlap * photons) @ overlap.conj().T
     weight = float(np.sum(lam_raw * np.real(np.diag(herm))))
@@ -167,7 +171,7 @@ def conditioned_state(schmidt: SchmidtResult, comb: CombState,
                            probability=probability, purity=purity,
                            rate_hz=probability * gate.rep_rate_hz,
                            schmidt_number=schmidt.schmidt_number,
-                           lambdas_sq=schmidt.lambdas_sq)
+                           lambdas_sq=schmidt.lambdas_sq, comb_modes=comb_modes)
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,7 @@ def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
             gate_order=order,
             condition=condition,
             subtraction_modes=schmidt.modes[:n_dump],
-            comb_modes=comb.sample_modes(schmidt.omega_s)[:n_dump_modes],
+            comb_modes=condition.comb_modes[:n_dump_modes],
             omega_s=schmidt.omega_s,
             schmidt=schmidt,
         ))

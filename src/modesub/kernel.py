@@ -8,11 +8,12 @@ a plane wave (valid for a gate beam much wider than the signal), which is
 what reduces the problem to these three variables.  Every factor is real,
 so the kernel is real.
 
-One sampler evaluates the kernel in Omega_c slabs.  :func:`kernel_gram`
-folds the slabs straight into the real symmetric signal-side Gram matrix
-and never forms the 3-D array; that is the solve path.  :func:`build_kernel`
-stacks the same slabs into the dense array, for the CSV dump and as the
-oracle the tests hold the streamed route to.
+One sampler writes the kernel's Omega_c rows.  :func:`kernel_gram` has it
+write a few rows at a time into a reused block and folds each block straight
+into the real symmetric signal-side Gram matrix, never forming the 3-D
+array; that is the solve path.  :func:`build_kernel` has it write every row
+into the dense array, for the CSV dump and as the oracle the tests hold the
+streamed route to.
 
 The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
 (-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
@@ -24,6 +25,26 @@ and the mass marginals only see products of two samples, so the sign drops
 out: :func:`kernel_gram` samples the Omega_c rows [0, ceil(n_c/2)) and
 completes its sums by reflection, the centre row of an odd axis, which
 mirrors onto itself, entering at half weight.
+
+Each factor's argument is linear in (Omega_c, q_c, Omega_s)
+(:func:`~modesub.dispersion.kernel_forms`), so it splits into a 2-D
+(Omega_c, Omega_s) part and a 1-D q_c part, and the sampler runs its
+transcendentals on the parts, not on the 3-D grid.  The gate argument has no
+q_c part.  The phase-matching argument delta_k l/2 = u + v gives the sinc
+numerator by angle addition, sin(u + v) = sin u cos v + cos u sin v, so only
+the 2-D u and the 1-D v go through sin and cos; the identity is exact, and
+the computed numerator differs from sin of the rounded sum by a few units
+in the last place.  The divide by x amplifies that absolute error near
+x = 0, so :func:`sinc`'s series takes over below |x| = 1e-2, where it is
+accurate to rounding; the divide and the series are written once, in
+:func:`_sine_over`.  The beam Gaussian is exp(-(beta + gamma)^2) with beta
+and gamma the 2-D and 1-D parts of the momentum, pre-scaled by w_s/sqrt(2):
+one 3-D add, square, negate and exp.  Its exponent is never positive, so it
+cannot overflow, unlike the factored exp(-beta gamma) exp(-beta^2/2)
+exp(-gamma^2/2), whose middle factor overflows for a wide signal beam
+(w_s ~ 2 mm at phi = 5 deg).  u, v, beta and gamma are each a sum of
+products of a coefficient with one axis, so they are odd to the last bit,
+and the point symmetry above survives the split.
 
 Amplitudes are unnormalized: the gate spectrum and signal profile carry unit
 L2 norm, the sinc is dimensionless, so ||L||^2 has units rad/fs and feeds the
@@ -47,8 +68,13 @@ GAMMA_SINC = 0.193
 BOUNDARY_TOL = 1e-3
 # fewest grid points across the phase-matching main lobe on a coupled axis
 MIN_LOBE_POINTS = 8.0
-# kernel samples per Omega_c slab; bounds the working set of both consumers
+# kernel samples per slab of the sampler's 3-D arithmetic; bounds its temporaries
 SLAB_SAMPLES = 1 << 14
+# kernel samples per block of the Gram accumulation, each one BLAS syrk call
+BLOCK_SAMPLES = 1 << 16
+# sinc uses its series below this |x|: the truncation error x^6/5040 and the
+# angle-addition quotient's 2e-16/|x| both stay under 3e-14 relative
+SINC_SERIES_BELOW = 1e-2
 
 PhaseMatching = Literal["sinc", "gaussian"]
 
@@ -153,15 +179,24 @@ class KernelGram:
 
 
 def sinc(x) -> np.ndarray:
-    """sin(x)/x with sinc(0) = 1; series fallback below |x| = 1e-4."""
+    """sin(x)/x with sinc(0) = 1; series fallback below |x| = :data:`SINC_SERIES_BELOW`."""
     x = np.asarray(x, dtype=float)
-    out = np.sin(x, out=np.empty_like(x))
+    return _sine_over(np.sin(x, out=np.empty_like(x)), x)
+
+
+def _sine_over(sine: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sin(x)/x from its numerator ``sine``, overwritten with the result.
+
+    Below |x| = :data:`SINC_SERIES_BELOW` the series replaces the quotient,
+    which is 0/0 at x = 0 and, for a numerator built by angle addition
+    (absolute error ~ 2e-16), loses relative accuracy as 1/|x|.
+    """
     with np.errstate(invalid="ignore"):   # 0/0 at x = 0 is replaced below
-        np.divide(out, x, out=out)
-    small = np.abs(x) < 1e-4
+        np.divide(sine, x, out=sine)
+    small = (x < SINC_SERIES_BELOW) & (x > -SINC_SERIES_BELOW)   # no float temporary
     x2 = np.square(x[small])
-    out[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
-    return out
+    sine[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
+    return sine
 
 
 def phase_match_factor(arg, kind: PhaseMatching) -> np.ndarray:
@@ -200,19 +235,26 @@ def derive_grids(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
             uniform_grid(s_ws, config.n_omega_s, label="omega_s"))
 
 
-def _evaluate_form(coeffs, axes):
-    """c0 Omega_c + c1 q_c + c2 Omega_s, broadcast over only the axes it uses."""
-    return sum(c * x for c, x in zip(coeffs, axes) if c != 0.0)
+def _outer_part(coeffs, omega_c, omega_s):
+    """c0 Omega_c + c2 Omega_s: the (Omega_c, Omega_s) part of the form
+    c0 Omega_c + c1 q_c + c2 Omega_s, whose q_c part is c1 q_c."""
+    return coeffs[0] * omega_c + coeffs[2] * omega_s
 
 
 def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-            config: GridConfig, check: bool, *, folded: bool = False):
-    """The kernel's quadrature axes and a generator of its Omega_c slabs.
+            config: GridConfig, check: bool):
+    """The kernel's quadrature axes and a writer of its Omega_c rows.
 
     The main-lobe resolution check runs on the axes before any sample is
-    taken.  Each slab is a real float64 [rows, n_q, n_s] block holding about
-    :data:`SLAB_SAMPLES` samples, rows running over consecutive Omega_c
-    points; with ``folded`` the slabs stop at row ceil(n_c/2).
+    taken.  ``fill(start, out)`` writes the real float64 rows
+    [start, start + len(out)) into ``out`` ([rows, n_q, n_s]).  It evaluates
+    the 2-D (Omega_c, Omega_s) parts of the forms (module docstring) on
+    those rows only, and every transcendental but the 3-D exps of the beam
+    and of the Gaussian phase matching on the 2-D and 1-D parts.  The 3-D
+    arithmetic runs in place, slab by slab of about :data:`SLAB_SAMPLES`
+    samples, with one slab-sized float temporary, so the temporaries stay
+    small while :func:`accumulate_gram`'s block stays large enough for an
+    efficient syrk.
     """
     g_wc, g_q, g_ws = derive_grids(preset, gate, signal, config)
 
@@ -233,28 +275,45 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                     f"phase-matching main lobe, need >= {MIN_LOBE_POINTS}")
 
     w_s = signal.waist_s_um
-    us_norm = np.sqrt(w_s) / np.pi**0.25
-    qc = g_q.points[None, :, None]
-    ws = g_ws.points[None, None, :]
-    rows = _slab_rows(g_q.size, g_ws.size)
-    stop = _folded_rows(g_wc.size) if folded else g_wc.size
+    amp = np.sqrt(w_s) / np.pi**0.25
+    beam_form = tuple(w_s * np.sqrt(0.5) * c for c in beam_form)
+    sinc_pm = config.phase_matching == "sinc"
+    # 2-D parts are [rows, 1, n_s], 1-D parts [1, n_q, 1]
+    qc, ws = g_q.points[None, :, None], g_ws.points[None, None, :]
+    gamma, v = beam_form[1] * qc, pm_form[1] * qc
+    if sinc_pm:
+        sin_v, cos_v = np.sin(v), np.cos(v)
+    slab_rows = max(1, SLAB_SAMPLES // (g_q.size * g_ws.size))
 
-    def slab(start: int) -> np.ndarray:
-        # multiplied in place, so a slab costs few slab-sized temporaries
-        axes = (g_wc.points[start:min(start + rows, stop), None, None], qc, ws)
-        values = (hermite_gauss_values(gate.order, gate.tau_g,
-                                       _evaluate_form(gate_form, axes))
-                  * (us_norm * np.exp(-0.5 * (w_s * _evaluate_form(beam_form, axes)) ** 2)))
-        values *= phase_match_factor(_evaluate_form(pm_form, axes),
-                                     config.phase_matching)
-        return values
+    def fill(start: int, out: np.ndarray) -> None:
+        wc = g_wc.points[start:start + out.shape[0], None, None]
+        # the gate has no q_c part
+        gate_amp = amp * hermite_gauss_values(gate.order, gate.tau_g,
+                                              _outer_part(gate_form, wc, ws))
+        beta = _outer_part(beam_form, wc, ws)
+        u = _outer_part(pm_form, wc, ws)
+        if sinc_pm:
+            sin_u, cos_u = np.sin(u), np.cos(u)
+        for first in range(0, out.shape[0], slab_rows):
+            slab = out[first:first + slab_rows]
+            rows = slice(first, first + slab.shape[0])
+            temp = np.empty_like(slab)
+            if sinc_pm:
+                np.multiply(sin_u[rows], cos_v, out=slab)
+                slab += np.multiply(cos_u[rows], sin_v, out=temp)
+                _sine_over(slab, np.add(u[rows], v, out=temp))
+            else:   # phase_match_factor's exp(-GAMMA_SINC x^2), in place
+                np.add(u[rows], v, out=slab)
+                np.square(slab, out=slab)
+                slab *= -GAMMA_SINC
+                np.exp(slab, out=slab)
+            np.add(beta[rows], gamma, out=temp)
+            np.square(temp, out=temp)
+            np.negative(temp, out=temp)
+            slab *= np.exp(temp, out=temp)
+            slab *= gate_amp[rows]
 
-    return (g_wc, g_q, g_ws), (slab(start) for start in range(0, stop, rows))
-
-
-def _slab_rows(n_q: int, n_s: int) -> int:
-    """Omega_c points per slab."""
-    return max(1, SLAB_SAMPLES // (n_q * n_s))
+    return (g_wc, g_q, g_ws), fill
 
 
 def _folded_rows(n_c: int) -> int:
@@ -262,40 +321,56 @@ def _folded_rows(n_c: int) -> int:
     return (n_c + 1) // 2
 
 
-def accumulate_gram(slabs, grids: tuple[QuadGrid, QuadGrid, QuadGrid], *,
+def dense_rows(values: np.ndarray):
+    """A dense kernel as the row writer :func:`accumulate_gram` takes."""
+    def fill(start: int, out: np.ndarray) -> None:
+        out[...] = values[start:start + out.shape[0]]
+    return fill
+
+
+def accumulate_gram(fill, grids: tuple[QuadGrid, QuadGrid, QuadGrid], *,
                     with_gram: bool = True, folded: bool = False):
-    """Fold sqrt(w_c w_q) into each Omega_c slab and sum over the slabs.
+    """Fold sqrt(w_c w_q) into the kernel's Omega_c rows and sum over them.
 
-    Returns the real symmetric Gram sum a^T a over the weighted slabs (None
-    without ``with_gram``), and the quadrature mass |L|^2 w_c w_q w_s
-    marginalized onto (Omega_c, q_c) and onto Omega_s.
+    ``fill(start, out)`` writes the kernel's rows [start, start + len(out))
+    into ``out``.  Returns the real symmetric Gram sum a^T a over the
+    weighted rows (None without ``with_gram``), and the quadrature mass
+    |L|^2 w_c w_q w_s marginalized onto (Omega_c, q_c) and onto Omega_s.
+    The rows are written into one reused block of about
+    :data:`BLOCK_SAMPLES` samples, weighted in place, and each block enters
+    the sums at once: one BLAS syrk per block.  The blocks depend only on
+    the grid sizes, so a dense kernel (:func:`dense_rows`) gives the same
+    sums as the sampler bit for bit.
 
-    With ``folded`` the slabs hold only the Omega_c rows [0, ceil(n_c/2)) of
-    a point-symmetric kernel on symmetric weights.  The centre row of an odd
-    axis is weighted by w_c / 2 (exact in binary), and each sum S over the
-    half is completed as S + S reversed along every axis.
+    With ``folded`` only the rows [0, ceil(n_c/2)) of a point-symmetric
+    kernel on symmetric weights are summed.  The centre row of an odd axis
+    is weighted by w_c / 2 (exact in binary), and each sum S over the half
+    is completed as S + S reversed along every axis.
     """
     g_wc, g_q, g_ws = grids
-    n_s = g_ws.size
+    n_q, n_s = g_q.size, g_ws.size
     w_c = g_wc.weights
     if folded:
         w_c = w_c[:_folded_rows(g_wc.size)].copy()
         if g_wc.size % 2:
             w_c[-1] /= 2.0   # the self-mirrored centre row
-    sqrt_w = np.sqrt(np.outer(w_c, g_q.weights))
+    sqrt_w = np.sqrt(np.outer(w_c, g_q.weights))[:, :, None]
+    rows = max(1, BLOCK_SAMPLES // (n_q * n_s))
+    block = np.empty((min(rows, w_c.size), n_q, n_s))
     gram = np.zeros((n_s, n_s)) if with_gram else None
-    converted_mass = np.zeros((g_wc.size, g_q.size))   # unsampled rows stay 0
+    converted_mass = np.zeros((g_wc.size, n_q))   # unsampled rows stay 0
     signal_mass = np.zeros(n_s)
-    start = 0
-    for slab in slabs:
-        stop = start + slab.shape[0]
-        a = (slab * sqrt_w[start:stop, :, None]).reshape(-1, n_s)
+    for start in range(0, w_c.size, rows):
+        stop = min(start + rows, w_c.size)
+        weighted = block[:stop - start]
+        fill(start, weighted)
+        weighted *= sqrt_w[start:stop]
+        a = weighted.reshape(-1, n_s)
         if with_gram:
             gram += a.T @ a   # symmetric rank-k update (BLAS syrk)
         a *= a
-        converted_mass[start:stop] = (a @ g_ws.weights).reshape(-1, g_q.size)
+        converted_mass[start:stop] = (a @ g_ws.weights).reshape(-1, n_q)
         signal_mass += a.sum(axis=0)
-        start = stop
     if folded:
         if with_gram:
             gram = gram + gram[::-1, ::-1]
@@ -327,10 +402,10 @@ def _checked_mass(converted_mass: np.ndarray, signal_mass: np.ndarray,
 
 def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                 config: GridConfig | None = None) -> KernelGram:
-    """Signal-side Gram operator of the kernel, streamed slab by slab.
+    """Signal-side Gram operator of the kernel, streamed block by block.
 
     Same checks and errors as :func:`build_kernel`; memory stays at
-    O(n_s^2 + slab) since the 3-D kernel array is never formed.  By the
+    O(n_s^2 + block) since the 3-D kernel array is never formed.  By the
     kernel's point symmetry (module docstring) only the Omega_c rows
     [0, ceil(n_c/2)) are sampled, the centre row of an odd axis at half
     weight; the Gram matrix G_h and the mass marginals over them are
@@ -338,8 +413,8 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     boundary checks run on the full marginals.
     """
     config = config or GridConfig()
-    grids, slabs = _sample(preset, gate, signal, config, check=True, folded=True)
-    gram, converted_mass, signal_mass = accumulate_gram(slabs, grids, folded=True)
+    grids, fill = _sample(preset, gate, signal, config, check=True)
+    gram, converted_mass, signal_mass = accumulate_gram(fill, grids, folded=True)
     norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check=True)
     return KernelGram(gram=gram, omega_s=grids[2], norm_sq=norm_sq,
                       diagnostics={"boundary_fractions": fractions})
@@ -355,25 +430,13 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     :data:`BOUNDARY_TOL` of the kernel mass sits in a boundary cell.
     """
     config = config or GridConfig()
-    grids, slabs = _sample(preset, gate, signal, config, check)
+    grids, fill = _sample(preset, gate, signal, config, check)
     g_wc, g_q, g_ws = grids
     values = np.empty((g_wc.size, g_q.size, g_ws.size))
-    for dest, slab in zip(kernel_slabs(values), slabs):
-        dest[...] = slab
-    _, converted_mass, signal_mass = accumulate_gram(
-        kernel_slabs(values), grids, with_gram=False)
+    fill(0, values)
+    _, converted_mass, signal_mass = accumulate_gram(dense_rows(values), grids,
+                                                     with_gram=False)
     norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check)
     return KernelGrid(values=values, omega_c=g_wc, q_c=g_q, omega_s=g_ws,
                       norm_sq=norm_sq, phase_matching=config.phase_matching,
                       diagnostics={"boundary_fractions": fractions})
-
-
-def kernel_slabs(values: np.ndarray, *, folded: bool = False):
-    """A dense kernel's Omega_c slabs, as :func:`kernel_gram` samples them.
-
-    With ``folded`` the slabs stop at row ceil(n_c/2).
-    """
-    rows = _slab_rows(*values.shape[1:])
-    if folded:
-        values = values[:_folded_rows(values.shape[0])]
-    return (values[start:start + rows] for start in range(0, values.shape[0], rows))

@@ -85,20 +85,36 @@ class HermiteGaussSpec:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
 
-def hermite_gauss_values(order: int, scale: float, x, center: float = 0.0) -> np.ndarray:
-    """Continuum-normalized HG_n(scale * (x - center)) at arbitrary points.
+def _hermite_functions(order: int, u: np.ndarray):
+    """Yield the orthonormal Hermite functions h_0(u) .. h_order(u) in turn.
 
-    Evaluated with the orthonormal three-term recurrence; the per-step
-    renormalization keeps values bounded at high order.
+    Three-term recurrence; the per-step renormalization keeps values
+    bounded at high order.
     """
-    u = scale * (np.asarray(x, dtype=float) - center)
     h_prev = np.pi ** -0.25 * np.exp(-u * u / 2.0)
+    yield h_prev
     if order == 0:
-        return np.sqrt(scale) * h_prev
+        return
     h = u * np.sqrt(2.0) * h_prev
+    yield h
     for n in range(2, order + 1):
         h_prev, h = h, u * np.sqrt(2.0 / n) * h - np.sqrt((n - 1) / n) * h_prev
+        yield h
+
+
+def hermite_gauss_values(order: int, scale: float, x, center: float = 0.0) -> np.ndarray:
+    """Continuum-normalized HG_n(scale * (x - center)) at arbitrary points."""
+    u = scale * (np.asarray(x, dtype=float) - center)
+    for h in _hermite_functions(order, u):
+        pass
     return np.sqrt(scale) * h
+
+
+def hermite_gauss_table(n_modes: int, scale: float, x) -> np.ndarray:
+    """Rows n = 0 .. n_modes - 1 of :func:`hermite_gauss_values`, bit for bit,
+    from one pass of the recurrence."""
+    u = scale * np.asarray(x, dtype=float)
+    return np.stack([np.sqrt(scale) * h for h in _hermite_functions(n_modes - 1, u)])
 
 
 def hermite_gauss(spec: HermiteGaussSpec, grid: QuadGrid, *,

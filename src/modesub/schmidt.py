@@ -21,13 +21,15 @@ import numpy as np
 from .dispersion import ConfigurationError, CrystalPreset
 from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid,
                      KernelResolutionError, KernelSpanError, SignalBeamSpec,
-                     accumulate_gram, kernel_gram, kernel_slabs)
+                     accumulate_gram, dense_rows, kernel_gram)
 from .modes import HermiteGaussSpec, QuadGrid
 
 # eigenvalues below this fraction of the leading one are numerical noise
 NOISE_FLOOR = 1e-12
 # relative gap under which neighboring eigenvalues count as degenerate
 DEGENERACY_GAP = 1e-9
+# components within this relative distance of a mode's largest |.| tie as its pivot
+PIVOT_TIE = 1e-6
 
 
 class DecompositionError(RuntimeError):
@@ -78,7 +80,7 @@ def gram_matrix(kernel: KernelGrid) -> np.ndarray:
 
     Converted-variable quadrature weights are folded in; the signal-axis
     weights are not (they enter symmetrically at decomposition time).
-    Accumulated over the slabs :func:`~modesub.kernel.kernel_gram` streams,
+    Accumulated in the blocks :func:`~modesub.kernel.kernel_gram` streams,
     so both routes give the same matrix bit for bit.  A kernel that is
     exactly point-symmetric, L(-Omega_c, -q_c, -Omega_s) = +-L(Omega_c, q_c,
     Omega_s) on palindromic weights, gets the same fold as the streamed
@@ -88,13 +90,20 @@ def gram_matrix(kernel: KernelGrid) -> np.ndarray:
     """
     grids = (kernel.omega_c, kernel.q_c, kernel.omega_s)
     folded = _point_symmetric(kernel)
-    return accumulate_gram(kernel_slabs(kernel.values, folded=folded), grids,
-                           folded=folded)[0]
+    return accumulate_gram(dense_rows(kernel.values), grids, folded=folded)[0]
 
 
 def _fix_sign(modes: np.ndarray) -> np.ndarray:
-    """Flip each mode so its largest-|.| component is positive."""
-    pivots = modes[np.arange(modes.shape[0]), np.argmax(np.abs(modes), axis=1)]
+    """Flip each mode so its pivot is positive.
+
+    The pivot is the first component within :data:`PIVOT_TIE` (relative)
+    of the largest |.|: an odd mode of the point-symmetric kernel has two
+    mirror extremes of equal magnitude, and rounding must not pick between
+    them.
+    """
+    mags = np.abs(modes)
+    first = np.argmax(mags >= (1.0 - PIVOT_TIE) * mags.max(axis=1, keepdims=True), axis=1)
+    pivots = modes[np.arange(modes.shape[0]), first]
     return np.where(pivots < 0, -1.0, 1.0)[:, None] * modes
 
 

@@ -275,6 +275,25 @@ class TestExperiment:
             assert r.subtraction_modes.shape[0] == 6
             assert r.comb_modes.shape == (6, r.omega_s.size)
 
+    def test_comb_sampled_once_per_order(self, bbo1co, monkeypatch):
+        signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=TAU_S)
+        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=TAU_S))
+        comb = flat_comb(tau_s_fs=TAU_S)
+        calls = []
+        sample_modes = CombState.sample_modes
+
+        def counting(self, grid):
+            calls.append(grid)
+            return sample_modes(self, grid)
+
+        monkeypatch.setattr(CombState, "sample_modes", counting)
+        results = comb_subtraction_experiment(
+            bbo1co, gate, signal, comb, gate_orders=(0, 1),
+            config=GridConfig(n_omega_c=48, n_q=48, n_omega_s=48))
+        assert len(calls) == len(results)
+        for r in results:
+            assert np.array_equal(r.comb_modes, sample_modes(comb, r.omega_s)[:6])
+
     def test_plane_wave_guard_is_callers_burden(self, bbo1co):
         # gate narrower than 5x the signal waist is allowed at kernel level;
         # the rate helper flags it (covered in analytic tests)

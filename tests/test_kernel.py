@@ -9,9 +9,31 @@ from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
                      SignalBeamSpec, build_kernel, delta_k, kernel_gram,
                      single_mode_profiles)
 from modesub.dispersion import kernel_forms, preset_by_name
-from modesub.kernel import (KernelResolutionError, KernelSpanError, derive_grids,
-                            phase_match_factor, sinc)
+from modesub.kernel import (GAMMA_SINC, KernelResolutionError, KernelSpanError,
+                            _sine_over, derive_grids, phase_match_factor, sinc)
 from modesub.modes import hermite_gauss_values
+
+
+def first_principles(kernel, preset, gate, signal):
+    """Gate spectrum x beam Gaussian x phase matching, each from its own formula,
+    on the kernel's grid; also returns the phase-matching argument."""
+    wc = kernel.omega_c.points[:, None, None]
+    qc = kernel.q_c.points[None, :, None]
+    ws = kernel.omega_s.points[None, None, :]
+    w_s = signal.waist_s_um
+    beam_arg = (qc / math.cos(preset.phi)
+                + preset.kp_s * math.tan(preset.phi) * (wc - 2 * ws))
+    beam = np.sqrt(w_s) / np.pi**0.25 * np.exp(-0.5 * (w_s * beam_arg) ** 2)
+    x = delta_k(preset, wc, qc, ws) * preset.length_um / 2.0
+    pm = sinc(x) if kernel.phase_matching == "sinc" else np.exp(-GAMMA_SINC * x**2)
+    return hermite_gauss_values(gate.order, gate.tau_g, wc - ws) * beam * pm, x
+
+
+def assert_matches_everywhere(values, expected):
+    """Every sample within 1e-12 relative, or 1e-15 of the largest |sample|."""
+    assert np.all(np.isfinite(values))
+    tol = np.maximum(1e-12 * np.abs(expected), 1e-15 * np.abs(expected).max())
+    assert np.all(np.abs(values - expected) <= tol)
 
 
 def collinear_preset(length_um=2000.0):
@@ -30,6 +52,19 @@ class TestSinc:
     def test_even(self):
         x = np.linspace(-10, 10, 101)
         assert np.array_equal(sinc(x), sinc(-x))
+
+    def test_angle_addition_quotient_near_zero(self, rng):
+        # the sampler's numerator sin u cos v + cos u sin v carries an
+        # absolute error ~2e-16 that the divide by a small x amplifies
+        x_target = np.geomspace(1e-7, 0.3, 4000) * rng.choice([-1.0, 1.0], 4000)
+        u = rng.uniform(-20.0, 20.0, x_target.size)
+        v = x_target - u
+        x = u + v
+        sine = np.sin(u) * np.cos(v) + np.cos(u) * np.sin(v)
+        x2 = x * x
+        series = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0 * (1.0 - x2 / 72.0)))
+        expected = np.where(np.abs(x) < 0.05, series, np.sin(x) / x)
+        assert np.allclose(_sine_over(sine, x), expected, rtol=1e-13, atol=0.0)
 
 
 class TestBuildKernel:
@@ -134,6 +169,81 @@ class TestBuildKernel:
         g3 = derive_grids(bbo1co, gate94, signal_opt,
                           GridConfig(span_q=0.123))
         assert g3[1].points[-1] == pytest.approx(0.123, rel=1e-12)
+
+
+class TestFirstPrinciples:
+    """The split-form sampler against the plain product, at every sample."""
+
+    # odd on every axis: the centre sample has delta_k = 0 exactly
+    SERIES_SHAPE = (41, 41, 41)
+
+    @pytest.mark.parametrize("shape", [(48, 47, 49), SERIES_SHAPE])
+    @pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
+    @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi5-counter"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_every_sample_matches(self, signal_opt, order, preset_name,
+                                  phase_matching, shape):
+        preset = preset_by_name(preset_name)
+        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        cfg = GridConfig(*shape, phase_matching=phase_matching)
+        k = build_kernel(preset, gate, signal_opt, cfg, check=False)
+        expected, _ = first_principles(k, preset, gate, signal_opt)
+        assert_matches_everywhere(k.values, expected)
+
+    def test_grid_reaches_the_series_branch(self, bbo1co, gate94, signal_opt):
+        k = build_kernel(bbo1co, gate94, signal_opt, GridConfig(*self.SERIES_SHAPE),
+                         check=False)
+        _, x = first_principles(k, bbo1co, gate94, signal_opt)
+        assert np.any(x == 0.0)
+        # deep in the series branch, where the quotient would lose the most
+        assert np.any((x != 0.0) & (np.abs(x) < 1e-4))
+
+
+class TestWideSignalBeam:
+    """w_s = 2000 um: the beam exponent's (Omega_c, Omega_s) and q_c parts
+    reach a product of several hundred, where exp(-beta gamma) overflows."""
+
+    WIDE = SignalBeamSpec(waist_s_um=2000.0, spectral_tau_fs=93.12)
+
+    @pytest.mark.parametrize("preset_name", ["bbo-phi5-co", "bbo-phi5-counter"])
+    def test_span_error_without_a_warning(self, gate94, preset_name):
+        preset = preset_by_name(preset_name)
+        for build in (kernel_gram, build_kernel):
+            with pytest.raises(KernelSpanError, match="boundary cells hold"):
+                build(preset, gate94, self.WIDE)
+
+    @pytest.mark.parametrize("preset_name", ["bbo-phi5-co", "bbo-phi5-counter"])
+    def test_unchecked_values_match_first_principles(self, gate94, preset_name):
+        preset = preset_by_name(preset_name)
+        k = build_kernel(preset, gate94, self.WIDE, GridConfig(64, 64, 64), check=False)
+        expected, _ = first_principles(k, preset, gate94, self.WIDE)
+        assert_matches_everywhere(k.values, expected)
+
+
+class TestTranscendentals:
+    def test_only_the_beam_exp_sees_the_3d_grid(self, bbo1co, gate94, signal_opt,
+                                                 monkeypatch):
+        seen = dict.fromkeys(("sin", "cos", "exp"), 0)
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        def counting(name):
+            def call(x, *args, **kwargs):
+                seen[name] += np.size(x)
+                return getattr(np, name)(x, *args, **kwargs)
+            return call
+
+        numpy = CountingNumpy()
+        for name in seen:
+            setattr(numpy, name, counting(name))
+        monkeypatch.setattr("modesub.kernel.np", numpy)
+        n_c, n_q, n_s = 45, 40, 41
+        kernel_gram(bbo1co, gate94, signal_opt, GridConfig(n_c, n_q, n_s))
+        half = (n_c + 1) // 2
+        assert seen["sin"] + seen["cos"] <= 2 * (half * n_s + n_q)
+        assert seen["exp"] <= half * n_q * n_s + half * n_s + n_q
 
 
 class TestGateSpec:

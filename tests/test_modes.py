@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from modesub import HermiteGaussSpec, QuadGrid, hermite_gauss, inner_product, uniform_grid
-from modesub.modes import GridAdequacyError, default_half_span, hermite_gauss_values
+from modesub.modes import (GridAdequacyError, default_half_span, hermite_gauss_table,
+                           hermite_gauss_values)
 
 
 class TestQuadGrid:
@@ -79,6 +80,13 @@ class TestHermiteGauss:
         f = hermite_gauss(HermiteGaussSpec(order=60, scale=1.0), g)
         assert np.all(np.isfinite(f))
         assert np.sum(g.weights * f * f) == pytest.approx(1.0, abs=1e-8)
+
+    def test_table_rows_are_the_single_order_values(self):
+        x = uniform_grid(default_half_span(93.12, max_order=60), 301).points
+        table = hermite_gauss_table(61, 93.12, x)
+        assert table.shape == (61, x.size)
+        for n in range(61):
+            assert np.array_equal(table[n], hermite_gauss_values(n, 93.12, x))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
