@@ -28,7 +28,7 @@ import numpy as np
 from .dispersion import (C_M_PER_S, C_UM_PER_FS, EPS0_F_PER_M, CrystalPreset,
                          kernel_forms)
 from .kernel import (GAMMA_SINC, GateSpec, GridConfig, SignalBeamSpec,
-                     phase_match_factor)
+                     phase_match_factor, q_axis_size)
 from .modes import QuadGrid, default_half_span, hermite_gauss_values, uniform_grid
 
 # fs/um -> s/m
@@ -330,13 +330,16 @@ def single_mode_profiles(preset: CrystalPreset, gate: GateSpec, signal: SignalBe
     d_group = preset.kp_c - preset.kp_s
     half_l = preset.length_um / 2.0
 
-    g_ws = uniform_grid(default_half_span(tau, gate.order), config.n_omega_s,
-                        label="omega_s")
+    span_ws = default_half_span(tau, gate.order)
     span_q = default_half_span(signal.waist_s_um)
     ridge = abs(preset.rho - preset.phi) * span_q / d_group
     span_wc = ridge + 3.0 * 2.0 * np.pi / (d_group * preset.length_um)
+    n_q, _ = q_axis_size(kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho),
+                         preset.length_um, signal.waist_s_um, config.n_q,
+                         (span_wc, span_q, span_ws))
+    g_ws = uniform_grid(span_ws, config.n_omega_s, label="omega_s")
     g_wc = uniform_grid(span_wc, config.n_omega_c, label="omega_c")
-    g_q = uniform_grid(span_q, config.n_q, label="q_c")
+    g_q = uniform_grid(span_q, n_q, label="q_c")
 
     subtracted = hermite_gauss_values(gate.order, tau, g_ws.points)
     subtracted /= np.sqrt(np.sum(g_ws.weights * subtracted**2))

@@ -62,9 +62,13 @@ class CombState:
     def sample_modes(self, grid: QuadGrid) -> np.ndarray:
         """Comb modes on a grid, rows ordered by mode index.
 
-        Continuum normalization on purpose: high orders may spill past the
-        grid, which is harmless in overlaps against compactly supported
-        subtraction modes and must not be hidden by renormalizing.
+        Continuum normalization on purpose: renormalizing would hide the
+        part of a high order that spills past the grid.  That spill is not
+        harmless: the subtraction modes carry sinc tails out to the box edge,
+        and with the default spans the top modes of the 40-mode comb turn
+        beyond it.  Against a box three times wider, that biases the
+        conditioned purity by 3.4% at the default point and by 6.9% at
+        l = 1 mm.
         """
         return hermite_gauss_table(self.n_modes, self.tau_s_fs, grid.points)
 
@@ -114,23 +118,35 @@ def overlap_matrix(subtraction_modes: np.ndarray, comb: CombState,
 
 
 def _overlaps(modes: np.ndarray, comb_modes: np.ndarray, grid: QuadGrid) -> np.ndarray:
-    return (modes.conj() * grid.weights) @ comb_modes.T
+    return (modes * grid.weights) @ comb_modes.T
+
+
+def _weight_and_purity(lambdas_sq: np.ndarray, overlap: np.ndarray,
+                       photons: np.ndarray) -> tuple[float, float]:
+    """sum_m lambda_m^2 C_mm and the purity, from C = O diag(N) O^T.
+
+    The modes and overlaps are real, so C is real symmetric; C[m, m] is
+    the photon number subtraction channel m draws on.
+    """
+    channels = (overlap * photons) @ overlap.T
+    weight = float(np.sum(lambdas_sq * np.diag(channels)))
+    if weight <= 0:
+        raise ConditioningError("subtraction probability vanishes: no photon-bearing "
+                                "comb mode couples to any subtraction mode")
+    num = float(np.sum(np.outer(lambdas_sq, lambdas_sq) * channels ** 2))
+    return weight, num / weight**2
 
 
 def purity_from_overlaps(lambdas_sq: np.ndarray, overlap: np.ndarray,
                          photons: np.ndarray) -> float:
-    """Conditioned-state purity from Schmidt weights, overlaps and photons.
+    """Conditioned-state purity from Schmidt weights, real overlaps and photons.
 
     Degree-zero homogeneous in both the Schmidt weights and the photon
     numbers, so any consistent normalization works.
     """
-    herm = (overlap * photons) @ overlap.conj().T
-    denom = float(np.sum(lambdas_sq * np.real(np.diag(herm))))
-    if denom <= 0:
-        raise ConditioningError("subtraction probability vanishes: no photon-bearing "
-                                "comb mode couples to any subtraction mode")
-    num = float(np.sum(np.outer(lambdas_sq, lambdas_sq) * np.abs(herm) ** 2))
-    return num / denom**2
+    if np.iscomplexobj(overlap):
+        raise TypeError("overlaps must be real: the kernel and its modes are real")
+    return _weight_and_purity(lambdas_sq, overlap, photons)[1]
 
 
 @dataclass(frozen=True)
@@ -163,9 +179,7 @@ def conditioned_state(schmidt: SchmidtResult, comb: CombState,
     comb_modes = comb.sample_modes(schmidt.omega_s)
     overlap = _overlaps(modes, comb_modes, schmidt.omega_s)
 
-    herm = (overlap * photons) @ overlap.conj().T
-    weight = float(np.sum(lam_raw * np.real(np.diag(herm))))
-    purity = purity_from_overlaps(lam_raw, overlap, photons)
+    weight, purity = _weight_and_purity(lam_raw, overlap, photons)
     probability = conversion_prefactor_fs(preset, gate) * weight
     return ConditionResult(overlap=overlap, probability_weight=weight,
                            probability=probability, purity=purity,

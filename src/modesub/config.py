@@ -20,7 +20,8 @@ import numpy as np
 from . import dispersion
 from .conditioning import CombState, comb_from_csv, flat_comb
 from .dispersion import CrystalPreset, convert_bandwidth, preset_by_name
-from .kernel import GateSpec, GridConfig, SignalBeamSpec
+from .kernel import (MIN_LOBE_POINTS, N_Q_CLIPPED, Q_STEP_WAIST, GateSpec, GridConfig,
+                     SignalBeamSpec)
 from .modes import HermiteGaussSpec
 from .schmidt import ScanPoint
 
@@ -72,7 +73,10 @@ _SCHEMA: dict[str, dict[str, tuple[Any, str]]] = {
     },
     "grid": {
         "n_omega_c": (128, "points on the up-converted frequency axis"),
-        "n_q": (128, "points on the transverse momentum axis"),
+        "n_q": (None, "points on the transverse momentum axis; null derives them "
+                      f"from the signal beam: step <= {Q_STEP_WAIST}/w_s and <= "
+                      f"1/{2 * MIN_LOBE_POINTS:g} of the phase-matching lobe, or "
+                      f"{N_Q_CLIPPED} when the q box clips the beam's drift"),
         "n_omega_s": (128, "points on the signal frequency axis"),
         "span_scale": (1.0, "multiplier on the auto-derived half-spans"),
         "phase_matching": ("sinc", "'sinc' or 'gaussian' surrogate"),
@@ -311,6 +315,8 @@ def resolve(raw: dict) -> RunConfig:
     _require_number(signal["waist_um"], "signal.waist_um", positive=True)
 
     for key in ("n_omega_c", "n_q", "n_omega_s"):
+        if key == "n_q" and grid[key] is None:
+            continue   # derived from the signal beam
         grid[key] = int(_require_number(grid[key], f"grid.{key}", positive=True,
                                         integer=True))
     _require_number(grid["span_scale"], "grid.span_scale", positive=True)

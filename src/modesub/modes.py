@@ -3,9 +3,11 @@
 Mode functions are real and carry the continuum normalization
 ``integral |f|^2 dx = 1``; order 0 is (s/sqrt(pi))^(1/2) exp(-s^2 x^2 / 2)
 for a scale parameter s (tau in fs for spectral modes, w in um for
-transverse ones).  Integrals are trapezoid sums on uniform grids, which
-converge superalgebraically for the smooth Gaussian-decaying integrands
-used here.
+transverse ones).  Integrals are trapezoid sums on uniform grids.  Their
+step error is O(h^2) wherever the integrand has not decayed at the box
+edge, as on the kernel's Omega axes, whose sinc tails the box truncates;
+it falls exponentially in 1/h only where the box holds the whole
+integrand, as on a q_c axis that holds the signal beam.
 """
 
 from __future__ import annotations

@@ -164,6 +164,11 @@ class TestConditionedState:
             purity = purity_from_overlaps(lam, overlap, photons)
             assert 0.0 < purity <= 1.0 + 1e-12
 
+    def test_complex_overlaps_rejected(self):
+        # the modes are real, so the formula squares C = O N O^T without |.|
+        with pytest.raises(TypeError, match="real"):
+            purity_from_overlaps(np.ones(1), np.array([[1j]]), np.ones(1))
+
     def test_purity_homogeneous_in_photon_numbers(self, rng):
         lam = np.array([0.7, 0.2, 0.1])
         q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
@@ -229,8 +234,7 @@ class TestFockOracle:
             n_c = int(rng.integers(1, 4))
             lam = np.sort(rng.uniform(0.1, 1.0, n_s))[::-1]
             big = max(n_s, n_c)
-            q = np.linalg.qr(rng.normal(size=(big, big))
-                             + 1j * rng.normal(size=(big, big)))[0]
+            q = np.linalg.qr(rng.normal(size=(big, big)))[0]   # real, as the modes are
             overlap = q[:n_s, :n_c]
             states = []
             photons = []

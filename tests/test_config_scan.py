@@ -23,6 +23,25 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+def run_cli_blas_default_and_single(tmp_path, command, config):
+    """Run a modesub command in a subprocess with the default BLAS threads
+    and with OPENBLAS_NUM_THREADS=1; returns the two output directories."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for name, blas_threads in (("default", None), ("single", "1")):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "modesub.cli", command,
+                        "--config", str(config), "--output-dir", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append(out)
+    return outputs
+
+
 class TestResolve:
     def test_minimal_config_fills_documented_defaults(self):
         config = resolve({"crystal": {"preset": "bbo-phi1-co"}})
@@ -130,6 +149,14 @@ class TestResolve:
         with pytest.raises(ConfigError):
             resolve({"crystal": {"preset": "bbo-phi1-co", "d_eff_pm_v": -2.0}})
 
+    def test_n_q_derived_unless_given(self):
+        assert resolve({}).resolved["grid"]["n_q"] is None
+        assert resolve({}).grid().n_q is None
+        assert schema()["grid"]["n_q"]["default"] is None
+        assert resolve({"grid": {"n_q": 64}}).grid().n_q == 64
+        with pytest.raises(ConfigError, match="grid.n_q"):
+            resolve({"grid": {"n_q": 64.5}})
+
     def test_schema_covers_every_key(self):
         dump = schema()
         assert dump["gate"]["tau_fs"]["default"] == 94.0
@@ -159,19 +186,8 @@ class TestRunScan:
             "grid": {"n_omega_c": 64, "n_q": 64, "n_omega_s": 64},
             "scan": {"axes": [{"variable": "l_mm", "values": [1.5, 2.0, 3.0]},
                               {"variable": "w_um", "values": [80.0, 140.0]}]}})
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        tables = []
-        for name, blas_threads in (("default", None), ("single", "1")):
-            env = dict(os.environ)
-            env.pop("OPENBLAS_NUM_THREADS", None)
-            if blas_threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = blas_threads
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = tmp_path / name
-            subprocess.run([sys.executable, "-m", "modesub.cli", "scan",
-                            "--config", str(config), "--output-dir", str(out)],
-                           env=env, check=True, capture_output=True, timeout=300)
-            tables.append((out / "scan_table.csv").read_bytes())
+        tables = [out.joinpath("scan_table.csv").read_bytes()
+                  for out in run_cli_blas_default_and_single(tmp_path, "scan", config)]
         assert tables[0] == tables[1]
         assert tables[0].count(b",ok\n") == 6
 
@@ -269,6 +285,15 @@ class TestArtifacts:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["K_min"]) == pytest.approx(1.06778, abs=1e-4)
         assert float(row["rate_hz"]) == pytest.approx(332.1, rel=1e-3)
+
+    def test_default_subtract_identical_under_single_threaded_blas(self, tmp_path):
+        # default grid, derived q_c axis: the Gram blocks' syrk must not
+        # depend on how many threads OpenBLAS runs
+        outputs = run_cli_blas_default_and_single(tmp_path, "subtract",
+                                                  write_config(tmp_path, {}))
+        summaries = [out.joinpath("condition_summary.json").read_bytes()
+                     for out in outputs]
+        assert summaries[0] == summaries[1]
 
     def test_condition_summary(self, tmp_path):
         config = resolve({"grid": {"n_omega_c": 64, "n_q": 64, "n_omega_s": 64},

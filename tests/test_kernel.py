@@ -9,9 +9,13 @@ from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
                      SignalBeamSpec, build_kernel, delta_k, kernel_gram,
                      single_mode_profiles)
 from modesub.dispersion import kernel_forms, preset_by_name
-from modesub.kernel import (GAMMA_SINC, KernelResolutionError, KernelSpanError,
+from modesub.conditioning import comb_subtraction_experiment, flat_comb
+from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS, N_Q_CLIPPED,
+                            Q_STEP_WAIST, KernelResolutionError, KernelSpanError,
                             _sine_over, derive_grids, phase_match_factor, sinc)
 from modesub.modes import hermite_gauss_values
+
+from conftest import TAU_COMB_FS
 
 
 def first_principles(kernel, preset, gate, signal):
@@ -171,6 +175,74 @@ class TestBuildKernel:
         assert g3[1].points[-1] == pytest.approx(0.123, rel=1e-12)
 
 
+def conditioned(preset, order, w_s, phase_matching, n_q):
+    """(K, lambda_1, purity, probability) at one point, or the error type."""
+    gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+    signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
+    config = GridConfig(n_q=n_q, phase_matching=phase_matching)
+    try:
+        (result,) = comb_subtraction_experiment(preset, gate, signal,
+                                                flat_comb(tau_s_fs=TAU_COMB_FS),
+                                                (order,), config)
+    except (KernelResolutionError, KernelSpanError) as exc:
+        return type(exc)
+    cond = result.condition
+    return np.array([cond.schmidt_number, cond.lambdas_sq[0], cond.purity,
+                     cond.probability])
+
+
+class TestDerivedQAxis:
+    @pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
+    @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi1-counter",
+                                             "bbo-phi5-co", "bbo-phi5-counter"])
+    def test_matches_the_fixed_128_points(self, preset_name, phase_matching):
+        # l and w_s corners, gate orders 0 and 2: the derived axis moves no
+        # number by more than 1e-8 and raises where 128 points raise
+        for l_um in (1000.0, 4000.0):
+            preset = preset_by_name(preset_name).with_length(l_um)
+            for w_s in (50.0, 200.0):
+                for order in (0, 2):
+                    derived = conditioned(preset, order, w_s, phase_matching, None)
+                    fixed = conditioned(preset, order, w_s, phase_matching, 128)
+                    if isinstance(fixed, type):
+                        assert derived is fixed
+                    else:
+                        assert np.all(np.abs(derived - fixed) <= 1e-8 * np.abs(fixed))
+
+    def test_step_follows_the_beam_and_the_lobe(self, bbo1co, gate94, signal_opt):
+        gram = kernel_gram(bbo1co, gate94, signal_opt)
+        g_q = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[1]
+        assert gram.diagnostics["n_q"] == g_q.size < N_Q_CLIPPED
+        assert gram.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
+        step = g_q.points[1] - g_q.points[0]
+        assert step <= Q_STEP_WAIST / signal_opt.waist_s_um
+        match_q = kernel_forms(bbo1co.kp_s, bbo1co.kp_c, bbo1co.phi, bbo1co.rho)[2][1]
+        lobe = 2.0 * np.pi / abs(match_q * bbo1co.length_um / 2.0)
+        assert lobe / step >= 2.0 * MIN_LOBE_POINTS
+        # a long crystal's q lobe, not the beam, sets the step
+        long = bbo1co.with_length(11663.4)
+        assert (derive_grids(long, gate94, signal_opt, GridConfig())[1].size
+                > g_q.size)
+
+    def test_falls_back_when_the_box_clips_the_beam(self, gate94):
+        # phi = 5 deg co: the beam centre drifts 3.2 q half-spans over the
+        # Omega box at w_s = 200 um
+        preset = preset_by_name("bbo-phi5-co").with_length(4000.0)
+        signal = SignalBeamSpec(waist_s_um=200.0, spectral_tau_fs=TAU_COMB_FS)
+        dense = build_kernel(preset, gate94, signal)
+        assert dense.q_c.size == N_Q_CLIPPED
+        for kernel in (kernel_gram(preset, gate94, signal), dense):
+            assert kernel.diagnostics["n_q"] == N_Q_CLIPPED
+            assert kernel.diagnostics["q_drift_ratio"] > MAX_Q_DRIFT
+
+    def test_explicit_size_used_as_given(self, bbo1co, gate94, signal_opt):
+        kernel = build_kernel(bbo1co, gate94, signal_opt, GridConfig(n_q=64))
+        assert kernel.q_c.size == kernel.diagnostics["n_q"] == 64
+        assert 0.0 < kernel.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
+        derived = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[1]
+        assert kernel.q_c.span == pytest.approx(derived.span, rel=1e-12)
+
+
 class TestFirstPrinciples:
     """The split-form sampler against the plain product, at every sample."""
 
@@ -318,7 +390,8 @@ class TestSingleModeProfiles:
         d_group = preset.kp_c - preset.kp_s
         intensity = np.abs(prof.converted) ** 2
         d_wc = prof.omega_c.points[1] - prof.omega_c.points[0]
-        for j in [8, 32, 64, 96, 120]:
+        n = prof.q_c.size   # derived from the signal beam
+        for j in (n // 16, n // 4, n // 2, 3 * n // 4, 15 * n // 16):
             q = prof.q_c.points[j]
             ridge = prof.omega_c.points[np.argmax(intensity[:, j])]
             expected = (preset.rho - preset.phi) * q / d_group
@@ -333,7 +406,8 @@ class TestSingleModeProfiles:
         conv = prof.converted
         mid = conv.shape[1] // 2
         ref = conv[:, mid] / conv[conv.shape[0] // 2, mid]
-        for j in (5, 40, 90):
+        n = prof.q_c.size   # derived from the signal beam
+        for j in (n // 24, n // 3, 5 * n // 7):
             col = conv[:, j] / conv[conv.shape[0] // 2, j]
             assert np.allclose(col, ref, rtol=1e-10, atol=1e-12)
 
