@@ -335,8 +335,8 @@ def single_mode_profiles(preset: CrystalPreset, gate: GateSpec, signal: SignalBe
     ridge = abs(preset.rho - preset.phi) * span_q / d_group
     span_wc = ridge + 3.0 * 2.0 * np.pi / (d_group * preset.length_um)
     n_q, _ = q_axis_size(kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho),
-                         preset.length_um, signal.waist_s_um, config.n_q,
-                         (span_wc, span_q, span_ws))
+                         preset.length_um, signal.waist_s_um,
+                         (span_wc, span_q, span_ws), config)
     g_ws = uniform_grid(span_ws, config.n_omega_s, label="omega_s")
     g_wc = uniform_grid(span_wc, config.n_omega_c, label="omega_c")
     g_q = uniform_grid(span_q, n_q, label="q_c")

@@ -198,6 +198,7 @@ class ExperimentResult:
     comb_modes: np.ndarray           # same grid, first n_dump comb modes
     omega_s: QuadGrid
     schmidt: SchmidtResult
+    grid: dict                       # the kernel's resolved axis sizes and margins
 
 
 def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
@@ -217,7 +218,8 @@ def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
     for order in gate_orders:
         spectral = HermiteGaussSpec(order=order, scale=gate.tau_g)
         gate_o = dc_replace(gate, spectral=spectral)
-        schmidt = decompose(kernel_gram(preset, gate_o, signal, config))
+        gram = kernel_gram(preset, gate_o, signal, config)
+        schmidt = decompose(gram)
         condition = conditioned_state(schmidt, comb, preset, gate_o)
         n_dump = min(n_dump_modes, schmidt.modes.shape[0])
         results.append(ExperimentResult(
@@ -227,5 +229,6 @@ def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
             comb_modes=condition.comb_modes[:n_dump_modes],
             omega_s=schmidt.omega_s,
             schmidt=schmidt,
+            grid=gram.diagnostics,
         ))
     return results

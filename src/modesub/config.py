@@ -20,7 +20,7 @@ import numpy as np
 from . import dispersion
 from .conditioning import CombState, comb_from_csv, flat_comb
 from .dispersion import CrystalPreset, convert_bandwidth, preset_by_name
-from .kernel import (MIN_LOBE_POINTS, N_Q_CLIPPED, Q_STEP_WAIST, GateSpec, GridConfig,
+from .kernel import (MIN_LOBE_POINTS, N_Q_CLIPPED, Q_ALIAS_TOL, GateSpec, GridConfig,
                      SignalBeamSpec)
 from .modes import HermiteGaussSpec
 from .schmidt import ScanPoint
@@ -74,8 +74,9 @@ _SCHEMA: dict[str, dict[str, tuple[Any, str]]] = {
     "grid": {
         "n_omega_c": (128, "points on the up-converted frequency axis"),
         "n_q": (None, "points on the transverse momentum axis; null derives them "
-                      f"from the signal beam: step <= {Q_STEP_WAIST}/w_s and <= "
-                      f"1/{2 * MIN_LOBE_POINTS:g} of the phase-matching lobe, or "
+                      "from the beam's and the phase matching's bandwidth: the "
+                      f"largest step whose trapezoid aliases stay under {Q_ALIAS_TOL:g} "
+                      f"and under 1/{MIN_LOBE_POINTS:g} of the phase-matching lobe, or "
                       f"{N_Q_CLIPPED} when the q box clips the beam's drift"),
         "n_omega_s": (128, "points on the signal frequency axis"),
         "span_scale": (1.0, "multiplier on the auto-derived half-spans"),

@@ -70,8 +70,9 @@ BOUNDARY_TOL = 1e-3
 MIN_LOBE_POINTS = 8.0
 # fewest points on any axis
 MIN_AXIS_POINTS = 8
-# largest step of a derived q_c axis, in units of 1/w_s
-Q_STEP_WAIST = 0.32
+# largest relative size of the aliases the trapezoid rule adds on a derived
+# q_c axis (:func:`q_axis_size`)
+Q_ALIAS_TOL = 1e-12
 # beam-centre drift over the Omega box, as a share of the q_c half-span,
 # above which the q_c box clips the beam and a derived axis keeps N_Q_CLIPPED
 MAX_Q_DRIFT = 0.8
@@ -139,8 +140,9 @@ class GridConfig:
 
     Derived half-spans (:func:`derive_grids`) are scaled by ``span_scale``;
     the ``span_*`` fields replace them per axis.  ``n_q = None`` derives the
-    q_c size from the signal beam (:func:`q_axis_size`): a step of at most
-    :data:`Q_STEP_WAIST` / w_s and 1/(2 :data:`MIN_LOBE_POINTS`) of the
+    q_c size from the bandwidth of the beam and of the phase matching
+    (:func:`q_axis_size`): the largest step whose trapezoid aliases stay
+    under :data:`Q_ALIAS_TOL` and under 1/:data:`MIN_LOBE_POINTS` of the
     phase-matching lobe along q_c, over the same span, or
     :data:`N_Q_CLIPPED` points when the q_c box clips the beam.  An explicit
     ``n_q`` is used as given.
@@ -219,37 +221,60 @@ def phase_match_factor(arg, kind: PhaseMatching) -> np.ndarray:
     return sinc(arg)
 
 
-def q_axis_size(forms, length_um: float, w_s: float, n_q: int | None,
-                spans: tuple[float, float, float]) -> tuple[int, float]:
+def q_axis_size(forms, length_um: float, w_s: float,
+                spans: tuple[float, float, float], config: GridConfig) -> tuple[int, float]:
     """Points on the q_c axis, and the beam's drift over the Omega box / span_q.
 
     ``forms`` are :func:`~modesub.dispersion.kernel_forms` (b the beam
     row, m the match row), ``spans`` the (Omega_c, q_c, Omega_s)
-    half-spans S_c, span_q, S_s.  Along q_c the Gram integrand is the beam
-    Gaussian, of width ~ 1/w_s, times the slowly varying phase-matching
-    sinc.  Over the Omega box the beam centre q* = -(b_c Omega_c +
-    b_s Omega_s) / b_q drifts by up to d = (|b_c| S_c + |b_s| S_s) / |b_q|.
-    While d <= :data:`MAX_Q_DRIFT` span_q the box holds the beam wherever
-    the kernel has its mass, the trapezoid rule converges exponentially,
-    and the step is min(:data:`Q_STEP_WAIST` / w_s, lobe_q /
-    (2 :data:`MIN_LOBE_POINTS`)) with lobe_q = 2 pi / |m_q l / 2|.  Against
-    128 points that moved K, lambda_1, purity and probability by at most
-    3.1e-9 (all four presets, l = 1-4 mm, w_s = 50-200 um, gate orders
-    0-2).  Past the guard the box clips the beam, the q_c quadrature is
-    only O(h^2), and the size stays at :data:`N_Q_CLIPPED`.  An explicit
-    ``n_q`` is returned as given.
+    half-spans S_c, span_q, S_s.  Over the Omega box the beam centre
+    q* = -(b_c Omega_c + b_s Omega_s) / b_q drifts by up to
+    d = (|b_c| S_c + |b_s| S_s) / |b_q|.  An explicit ``config.n_q`` is
+    returned as given; past d > :data:`MAX_Q_DRIFT` span_q the box clips
+    the beam and the size stays at :data:`N_Q_CLIPPED`.
+
+    Otherwise the step h is the largest the trapezoid rule's aliasing
+    allows.  Along q_c each Gram entry integrates B B' S S', with B the
+    beam Gaussian and S the phase-matching factor at two signal
+    frequencies.  B B' is a Gaussian with exponent -w_s^2 b_q^2 (q - qbar)^2,
+    whose transform falls as exp(-k^2 / (4 w_s^2 b_q^2)); the sinc pair S S'
+    is band-limited to |k| <= 2 |m_q l/2|.  The aliases at k = +-2 pi/h
+    stay under :data:`Q_ALIAS_TOL` = eps of the integral once
+
+        2 pi / h >= 2 |m_q l/2| + 2 w_s |b_q| sqrt(ln(2 / eps)).
+
+    The Gaussian surrogate's S S' is not band-limited but Gaussian too,
+    with exponent -2 GAMMA_SINC (m_q l/2)^2 q^2, so B B' S S' is one Gaussian
+    and 2 pi / h >= 2 sqrt(ln(2 / eps) (w_s^2 b_q^2 + 2 GAMMA_SINC
+    (m_q l/2)^2)) bounds it exactly.  h also stays a factor 1 - 1e-9 under
+    lobe_q / :data:`MIN_LOBE_POINTS`, lobe_q = 2 pi / |m_q l/2|, so the
+    resolution check never fires on rounding.
+
+    The aliasing is then negligible; what remains is the O(h^2) endpoint
+    term of the beam tail the box clips where the drift brings the beam
+    near its edge.  Against 128 points the derived axis moved K,
+    lambda_1, purity and probability by at most 8.95e-9 (all four
+    presets, l = 1, 2.5 and 4 mm, w_s = 50, 110 and 200 um, gate orders
+    0-2, sinc and surrogate), a shift that falls as h^2; on the default
+    configuration's 1-4 mm x 50-200 um lattice it takes 19-27 points.
     """
     _, beam, match = forms
     s_wc, s_q, s_ws = spans
     drift = (abs(beam[0]) * s_wc + abs(beam[2]) * s_ws) / abs(beam[1]) / s_q
-    if n_q is not None:
-        return n_q, drift
+    if config.n_q is not None:
+        return config.n_q, drift
     if drift > MAX_Q_DRIFT:
         return N_Q_CLIPPED, drift
-    step = Q_STEP_WAIST / w_s
-    if match[1] != 0.0:
-        step = min(step, 2.0 * np.pi / abs(match[1] * length_um / 2.0)
-                   / (2.0 * MIN_LOBE_POINTS))
+    log_tol = np.log(2.0 / Q_ALIAS_TOL)
+    beam_q, match_q = w_s * abs(beam[1]), abs(match[1] * length_um / 2.0)
+    if config.phase_matching == "gaussian":
+        band = 2.0 * np.sqrt(log_tol * (beam_q**2 + 2.0 * GAMMA_SINC * match_q**2))
+    else:
+        band = 2.0 * match_q + 2.0 * beam_q * np.sqrt(log_tol)
+    step = 2.0 * np.pi / band
+    if match_q != 0.0:
+        # the margin keeps lobe / step clear of MIN_LOBE_POINTS after rounding
+        step = min(step, 2.0 * np.pi / match_q / MIN_LOBE_POINTS * (1.0 - 1e-9))
     return max(MIN_AXIS_POINTS, int(np.ceil(2.0 * s_q / step)) + 1), drift
 
 
@@ -270,7 +295,8 @@ def derive_grids(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
 
 def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
           config: GridConfig, forms):
-    """:func:`derive_grids`' axes, and the q_c size and drift ratio as diagnostics."""
+    """:func:`derive_grids`' axes, and the axis sizes and the q_c drift ratio
+    as diagnostics."""
     l = preset.length_um
     d_group = preset.kp_c - preset.kp_s
     if config.phase_matching == "gaussian":
@@ -285,11 +311,12 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     s_wc = config.span_omega_c if config.span_omega_c is not None else span_omega
     s_q = config.span_q if config.span_q is not None else span_q
     s_ws = config.span_omega_s if config.span_omega_s is not None else span_omega
-    n_q, drift = q_axis_size(forms, l, signal.waist_s_um, config.n_q, (s_wc, s_q, s_ws))
+    n_q, drift = q_axis_size(forms, l, signal.waist_s_um, (s_wc, s_q, s_ws), config)
     grids = (uniform_grid(s_wc, config.n_omega_c, label="omega_c"),
              uniform_grid(s_q, n_q, label="q_c"),
              uniform_grid(s_ws, config.n_omega_s, label="omega_s"))
-    return grids, {"n_q": n_q, "q_drift_ratio": drift}
+    return grids, {"n_omega_c": config.n_omega_c, "n_q": n_q,
+                   "n_omega_s": config.n_omega_s, "q_drift_ratio": drift}
 
 
 def _outer_part(coeffs, omega_c, omega_s):
@@ -301,7 +328,7 @@ def _outer_part(coeffs, omega_c, omega_s):
 def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
             config: GridConfig, check: bool):
     """The kernel's quadrature axes, a writer of its Omega_c rows, and the
-    q_c size and drift ratio (:func:`q_axis_size`) as diagnostics.
+    axis sizes and q_c drift ratio (:func:`q_axis_size`) as diagnostics.
 
     The main-lobe resolution check runs on the axes before any sample is
     taken.  ``fill(start, out)`` writes the real float64 rows
@@ -474,7 +501,7 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     gram, converted_mass, signal_mass = accumulate_gram(fill, grids, folded=True)
     norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check=True)
     return KernelGram(gram=gram, omega_s=grids[2], norm_sq=norm_sq,
-                      diagnostics={"boundary_fractions": fractions, **diagnostics})
+                      diagnostics={**diagnostics, "boundary_fractions": fractions})
 
 
 def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
@@ -496,4 +523,4 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check)
     return KernelGrid(values=values, omega_c=g_wc, q_c=g_q, omega_s=g_ws,
                       norm_sq=norm_sq, phase_matching=config.phase_matching,
-                      diagnostics={"boundary_fractions": fractions, **diagnostics})
+                      diagnostics={**diagnostics, "boundary_fractions": fractions})

@@ -5,9 +5,17 @@ Mode functions are real and carry the continuum normalization
 for a scale parameter s (tau in fs for spectral modes, w in um for
 transverse ones).  Integrals are trapezoid sums on uniform grids.  Their
 step error is O(h^2) wherever the integrand has not decayed at the box
-edge, as on the kernel's Omega axes, whose sinc tails the box truncates;
-it falls exponentially in 1/h only where the box holds the whole
-integrand, as on a q_c axis that holds the signal beam.
+edge, as on the kernel's Omega axes, whose sinc tails the box truncates.
+Where the box holds the whole integrand the error is aliasing, which falls
+exponentially in 1/h: a derived q_c axis
+(:func:`~modesub.kernel.q_axis_size`) takes the largest step that keeps the
+aliases of the beam Gaussian times the phase matching under
+:data:`~modesub.kernel.Q_ALIAS_TOL`.  What is left there is the O(h^2)
+endpoint term of the beam tail, where the beam's drift over the Omega box
+brings it near the q_c edge.  Against 128 points the derived axis moves K,
+lambda_1, purity and probability by at most 9e-9.  In the worst case found
+(phi = 5 deg co, l = 1 mm, w_s = 50 um) the shift against 256 points is
+9.1e-9, 7.6e-9 and 3.3e-9 at 19, 21 and 33 points: it falls as h^2.
 """
 
 from __future__ import annotations

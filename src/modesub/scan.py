@@ -181,9 +181,11 @@ def write_condition_summary(config: RunConfig, output_dir: str | Path | None = N
         n_comb = cond.overlap.shape[1]
         fh.write("subtraction_mode," + ",".join(f"comb_{n + 1}"
                                                 for n in range(n_comb)) + "\n")
-        for m in range(cond.overlap.shape[0]):
-            fh.write(f"{m + 1}," + ",".join(
-                _fmt(abs(cond.overlap[m, n]) ** 2) for n in range(n_comb)) + "\n")
+        # pow(|v|, 2), rounded as a Python v ** 2 is; np.square's v * v
+        # differs in the last bit for about 1 value in 1000
+        weights = np.float_power(np.abs(cond.overlap), 2).tolist()
+        for m, row in enumerate(weights, start=1):
+            fh.write(f"{m}," + ",".join(map(repr, row)) + "\n")
 
     summary = {
         "K": cond.schmidt_number,
@@ -191,6 +193,7 @@ def write_condition_summary(config: RunConfig, output_dir: str | Path | None = N
         "probability_per_pulse": cond.probability,
         "rate_hz": cond.rate_hz,
         "lambda_sq": [float(v) for v in cond.lambdas_sq[:n_dump_modes]],
+        "grid": res.grid,
     }
     summary_path = directory / "condition_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")

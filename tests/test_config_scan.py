@@ -11,6 +11,7 @@ import pytest
 from modesub import GridConfig, build_kernel, decompose
 from modesub.cli import main
 from modesub.config import ConfigError, load_config, resolve, schema
+from modesub.kernel import BOUNDARY_TOL, MAX_Q_DRIFT
 from modesub.scan import (run_scan, write_condition_summary, write_gaussian_table,
                           write_kernel_csv, write_modes_csv, write_run_meta)
 
@@ -303,7 +304,14 @@ class TestArtifacts:
         paths = write_condition_summary(config)
         summary = json.loads(paths["condition_summary"].read_text())
         assert set(summary) == {"K", "purity", "probability_per_pulse",
-                                "rate_hz", "lambda_sq"}
+                                "rate_hz", "lambda_sq", "grid"}
+        grid = summary["grid"]
+        assert list(grid) == ["n_omega_c", "n_q", "n_omega_s", "q_drift_ratio",
+                              "boundary_fractions"]
+        assert grid["n_omega_c"] == grid["n_q"] == grid["n_omega_s"] == 64
+        assert 0.0 < grid["q_drift_ratio"] <= MAX_Q_DRIFT
+        assert len(grid["boundary_fractions"]) == 3
+        assert 0.0 < max(grid["boundary_fractions"]) <= BOUNDARY_TOL
         assert 0.0 < summary["purity"] <= 1.0
         assert summary["rate_hz"] > 0
         overlap_lines = paths["overlap_matrix"].read_text().splitlines()

@@ -11,7 +11,7 @@ from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
 from modesub.dispersion import kernel_forms, preset_by_name
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
 from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS, N_Q_CLIPPED,
-                            Q_STEP_WAIST, KernelResolutionError, KernelSpanError,
+                            Q_ALIAS_TOL, KernelResolutionError, KernelSpanError,
                             _sine_over, derive_grids, phase_match_factor, sinc)
 from modesub.modes import hermite_gauss_values
 
@@ -214,15 +214,37 @@ class TestDerivedQAxis:
         g_q = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[1]
         assert gram.diagnostics["n_q"] == g_q.size < N_Q_CLIPPED
         assert gram.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
-        step = g_q.points[1] - g_q.points[0]
-        assert step <= Q_STEP_WAIST / signal_opt.waist_s_um
-        match_q = kernel_forms(bbo1co.kp_s, bbo1co.kp_c, bbo1co.phi, bbo1co.rho)[2][1]
-        lobe = 2.0 * np.pi / abs(match_q * bbo1co.length_um / 2.0)
-        assert lobe / step >= 2.0 * MIN_LOBE_POINTS
+        _, beam, match = kernel_forms(bbo1co.kp_s, bbo1co.kp_c, bbo1co.phi, bbo1co.rho)
+
+        def band_and_lobe(preset, g_q, n):
+            # on an n-point axis over g_q's span: 2 pi / h over the band of
+            # the beam pair's Gaussian and the sinc pair, and the points
+            # across the q_c lobe
+            step = g_q.span / (n - 1)
+            match_q = abs(match[1] * preset.length_um / 2.0)
+            band = (2.0 * match_q + 2.0 * signal_opt.waist_s_um * abs(beam[1])
+                    * math.sqrt(math.log(2.0 / Q_ALIAS_TOL)))
+            return 2.0 * np.pi / step / band, 2.0 * np.pi / match_q / step
+
+        alias, lobe = band_and_lobe(bbo1co, g_q, g_q.size)
+        assert alias >= 1.0 and lobe >= MIN_LOBE_POINTS
+        # the largest step that fits: one point fewer aliases
+        assert band_and_lobe(bbo1co, g_q, g_q.size - 1)[0] < 1.0
         # a long crystal's q lobe, not the beam, sets the step
         long = bbo1co.with_length(11663.4)
-        assert (derive_grids(long, gate94, signal_opt, GridConfig())[1].size
-                > g_q.size)
+        g_long = derive_grids(long, gate94, signal_opt, GridConfig())[1]
+        alias, lobe = band_and_lobe(long, g_long, g_long.size)
+        assert alias > 1.0 and lobe >= MIN_LOBE_POINTS
+        alias, lobe = band_and_lobe(long, g_long, g_long.size - 1)
+        assert alias > 1.0 and lobe < MIN_LOBE_POINTS
+
+    @pytest.mark.parametrize("l_um", [1000.0, 4000.0])
+    @pytest.mark.parametrize("w_s", [50.0, 200.0])
+    def test_lattice_corners_take_at_most_29_points(self, gate94, l_um, w_s):
+        # the aliasing bound, not a fixed step per waist, sizes the axis
+        preset = preset_by_name("bbo-phi1-co").with_length(l_um)
+        signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
+        assert derive_grids(preset, gate94, signal, GridConfig())[1].size <= 29
 
     def test_falls_back_when_the_box_clips_the_beam(self, gate94):
         # phi = 5 deg co: the beam centre drifts 3.2 q half-spans over the
