@@ -20,8 +20,8 @@ import numpy as np
 from . import dispersion
 from .conditioning import CombState, comb_from_csv, flat_comb
 from .dispersion import CrystalPreset, convert_bandwidth, preset_by_name
-from .kernel import (MIN_LOBE_POINTS, N_Q_CLIPPED, Q_ALIAS_TOL, GateSpec, GridConfig,
-                     SignalBeamSpec)
+from .kernel import (MIN_AXIS_POINTS, MIN_LOBE_POINTS, N_Q_CLIPPED, Q_ALIAS_TOL,
+                     GateSpec, GridConfig, SignalBeamSpec)
 from .modes import HermiteGaussSpec
 from .schmidt import ScanPoint
 
@@ -91,7 +91,8 @@ _SCHEMA: dict[str, dict[str, tuple[Any, str]]] = {
 _SCAN_VARIABLES = ("l_mm", "w_um", "phi_deg", "gate_order")
 _INLINE_REQUIRED = ("name", "lambda_s_nm", "kp_s_fs_um", "kp_c_fs_um",
                     "rho_deg", "phi_deg")
-_INLINE_OPTIONAL = ("kp_c_collinear_fs_um", "theta_pm_deg", "n_s", "n_g", "n_c")
+_INDICES = ("n_s", "n_g", "n_c")
+_INLINE_OPTIONAL = ("kp_c_collinear_fs_um", "theta_pm_deg") + _INDICES
 
 
 def schema() -> dict:
@@ -155,7 +156,7 @@ class RunConfig:
             rho=math.radians(c["rho_deg"]),
             phi=math.radians(c["phi_deg"]),
             theta_pm=math.radians(c["theta_pm_deg"] or 0.0),
-            n_s=c["n_s"] or 1.66, n_g=c["n_g"] or 1.66, n_c=c["n_c"] or 1.66,
+            **{key: c[key] for key in _INDICES if c[key] is not None},
             d_eff_pm_v=c["d_eff_pm_v"],
             length_um=c["length_mm"] * 1e3,
             kp_c_collinear=c["kp_c_collinear_fs_um"])
@@ -256,7 +257,7 @@ def resolve(raw: dict) -> RunConfig:
                                   f"the named preset {crystal['preset']!r}")
     for key in _SCHEMA["crystal"]:
         if key not in ("preset", "name") and crystal[key] is not None:
-            _require_number(crystal[key], f"crystal.{key}")
+            _require_number(crystal[key], f"crystal.{key}", positive=key in _INDICES)
     _require_number(crystal["length_mm"], "crystal.length_mm", positive=True)
     _require_number(crystal["d_eff_pm_v"], "crystal.d_eff_pm_v", positive=True)
 
@@ -320,6 +321,9 @@ def resolve(raw: dict) -> RunConfig:
             continue   # derived from the signal beam
         grid[key] = int(_require_number(grid[key], f"grid.{key}", positive=True,
                                         integer=True))
+        if grid[key] < MIN_AXIS_POINTS:
+            raise ConfigError(f"grid.{key}: need at least {MIN_AXIS_POINTS} points, "
+                              f"got {grid[key]}")
     _require_number(grid["span_scale"], "grid.span_scale", positive=True)
     if grid["phase_matching"] not in ("sinc", "gaussian"):
         raise ConfigError("grid.phase_matching: must be 'sinc' or 'gaussian'")

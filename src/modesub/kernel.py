@@ -12,8 +12,9 @@ One sampler writes the kernel's Omega_c rows.  :func:`kernel_gram` has it
 write a few rows at a time into a reused block and folds each block straight
 into the real symmetric signal-side Gram matrix, never forming the 3-D
 array; that is the solve path.  :func:`build_kernel` has it write every row
-into the dense array, for the CSV dump and as the oracle the tests hold the
-streamed route to.
+into the dense array, for the CSV dump and as a plain reference: its mass
+marginals, and :func:`~modesub.schmidt.gram_matrix` over it, are unfolded
+sums over every row, which the tests hold the streamed route to.
 
 The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
 (-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
@@ -22,9 +23,9 @@ rejects a non-zero centre) and the HG mode has parity (-1)^order, and the
 :func:`~modesub.modes.uniform_grid` axes are antisymmetric to the last bit,
 so the identity holds bit for bit on the sampled array.  The Gram matrix
 and the mass marginals only see products of two samples, so the sign drops
-out: :func:`kernel_gram` samples the Omega_c rows [0, ceil(n_c/2)) and
-completes its sums by reflection, the centre row of an odd axis, which
-mirrors onto itself, entering at half weight.
+out: :func:`kernel_gram`, and only it, samples the Omega_c rows
+[0, ceil(n_c/2)) and completes its sums by reflection, the centre row of an
+odd axis, which mirrors onto itself, entering at half weight.
 
 Each factor's argument is linear in (Omega_c, q_c, Omega_s)
 (:func:`~modesub.dispersion.kernel_forms`), so it splits into a 2-D
@@ -338,7 +339,7 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     and of the Gaussian phase matching on the 2-D and 1-D parts.  The 3-D
     arithmetic runs in place, slab by slab of about :data:`SLAB_SAMPLES`
     samples, with one slab-sized float temporary, so the temporaries stay
-    small while :func:`accumulate_gram`'s block stays large enough for an
+    small while :func:`kernel_gram`'s block stays large enough for an
     efficient syrk.
     """
     forms = kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho)
@@ -400,48 +401,27 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     return (g_wc, g_q, g_ws), fill, diagnostics
 
 
-def _folded_rows(n_c: int) -> int:
-    """Omega_c rows a folded sum samples: ceil(n_c / 2)."""
-    return (n_c + 1) // 2
-
-
-def dense_rows(values: np.ndarray):
-    """A dense kernel as the row writer :func:`accumulate_gram` takes."""
-    def fill(start: int, out: np.ndarray) -> None:
-        out[...] = values[start:start + out.shape[0]]
-    return fill
-
-
-def accumulate_gram(fill, grids: tuple[QuadGrid, QuadGrid, QuadGrid], *,
-                    with_gram: bool = True, folded: bool = False):
-    """Fold sqrt(w_c w_q) into the kernel's Omega_c rows and sum over them.
+def _folded_gram(fill, grids: tuple[QuadGrid, QuadGrid, QuadGrid]):
+    """:func:`kernel_gram`'s folded sums: the Gram sum a^T a over the
+    weighted rows, and the quadrature mass |L|^2 w_c w_q w_s marginalized
+    onto (Omega_c, q_c) and onto Omega_s.
 
     ``fill(start, out)`` writes the kernel's rows [start, start + len(out))
-    into ``out``.  Returns the real symmetric Gram sum a^T a over the
-    weighted rows (None without ``with_gram``), and the quadrature mass
-    |L|^2 w_c w_q w_s marginalized onto (Omega_c, q_c) and onto Omega_s.
-    The rows are written into one reused block of about
-    :data:`BLOCK_SAMPLES` samples, weighted in place, and each block enters
-    the sums at once: one BLAS syrk per block.  The blocks depend only on
-    the grid sizes, so a dense kernel (:func:`dense_rows`) gives the same
-    sums as the sampler bit for bit.
-
-    With ``folded`` only the rows [0, ceil(n_c/2)) of a point-symmetric
-    kernel on symmetric weights are summed.  The centre row of an odd axis
-    is weighted by w_c / 2 (exact in binary), and each sum S over the half
-    is completed as S + S reversed along every axis.
+    into ``out``.  The rows [0, ceil(n_c/2)) are written into one reused
+    block of about :data:`BLOCK_SAMPLES` samples and weighted in place by
+    sqrt(w_c w_q), the centre row of an odd axis at w_c / 2 (exact in
+    binary); each block enters the sums at once, one BLAS syrk per block,
+    and each sum S is completed as S + S reversed along every axis.
     """
     g_wc, g_q, g_ws = grids
     n_q, n_s = g_q.size, g_ws.size
-    w_c = g_wc.weights
-    if folded:
-        w_c = w_c[:_folded_rows(g_wc.size)].copy()
-        if g_wc.size % 2:
-            w_c[-1] /= 2.0   # the self-mirrored centre row
+    w_c = g_wc.weights[:(g_wc.size + 1) // 2].copy()
+    if g_wc.size % 2:
+        w_c[-1] /= 2.0   # the self-mirrored centre row
     sqrt_w = np.sqrt(np.outer(w_c, g_q.weights))[:, :, None]
     rows = max(1, BLOCK_SAMPLES // (n_q * n_s))
     block = np.empty((min(rows, w_c.size), n_q, n_s))
-    gram = np.zeros((n_s, n_s)) if with_gram else None
+    gram = np.zeros((n_s, n_s))
     converted_mass = np.zeros((g_wc.size, n_q))   # unsampled rows stay 0
     signal_mass = np.zeros(n_s)
     for start in range(0, w_c.size, rows):
@@ -450,16 +430,13 @@ def accumulate_gram(fill, grids: tuple[QuadGrid, QuadGrid, QuadGrid], *,
         fill(start, weighted)
         weighted *= sqrt_w[start:stop]
         a = weighted.reshape(-1, n_s)
-        if with_gram:
-            gram += a.T @ a   # symmetric rank-k update (BLAS syrk)
+        gram += a.T @ a   # symmetric rank-k update (BLAS syrk)
         a *= a
         converted_mass[start:stop] = (a @ g_ws.weights).reshape(-1, n_q)
         signal_mass += a.sum(axis=0)
-    if folded:
-        if with_gram:
-            gram = gram + gram[::-1, ::-1]
-        converted_mass = converted_mass + converted_mass[::-1, ::-1]
-        signal_mass = signal_mass + signal_mass[::-1]
+    gram = gram + gram[::-1, ::-1]
+    converted_mass = converted_mass + converted_mass[::-1, ::-1]
+    signal_mass = signal_mass + signal_mass[::-1]
     return gram, converted_mass, signal_mass * g_ws.weights
 
 
@@ -498,7 +475,7 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     """
     config = config or GridConfig()
     grids, fill, diagnostics = _sample(preset, gate, signal, config, check=True)
-    gram, converted_mass, signal_mass = accumulate_gram(fill, grids, folded=True)
+    gram, converted_mass, signal_mass = _folded_gram(fill, grids)
     norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check=True)
     return KernelGram(gram=gram, omega_s=grids[2], norm_sq=norm_sq,
                       diagnostics={**diagnostics, "boundary_fractions": fractions})
@@ -518,8 +495,10 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     g_wc, g_q, g_ws = grids
     values = np.empty((g_wc.size, g_q.size, g_ws.size))
     fill(0, values)
-    _, converted_mass, signal_mass = accumulate_gram(dense_rows(values), grids,
-                                                     with_gram=False)
+    # |L|^2 w_c w_q w_s summed in one pass over the array, no dense temporary
+    w_cq = np.outer(g_wc.weights, g_q.weights)
+    converted_mass = np.einsum("cqs,cqs,s->cq", values, values, g_ws.weights) * w_cq
+    signal_mass = np.einsum("cqs,cqs,cq->s", values, values, w_cq) * g_ws.weights
     norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check)
     return KernelGrid(values=values, omega_c=g_wc, q_c=g_q, omega_s=g_ws,
                       norm_sq=norm_sq, phase_matching=config.phase_matching,

@@ -28,6 +28,8 @@ import numpy as np
 
 # grid half-spans reach this many 1/scale widths past the center
 SPAN_SIGMAS = 5.0
+# largest normalization defect of a mode function sampled by hermite_gauss
+ADEQUACY_TOL = 1e-6
 
 
 class GridAdequacyError(ValueError):
@@ -63,17 +65,17 @@ class QuadGrid:
         return float(self.points[-1] - self.points[0])
 
 
-def uniform_grid(half_span: float, n: int, center: float = 0.0, label: str = "") -> QuadGrid:
-    """Uniform symmetric grid with trapezoid weights.
+def uniform_grid(half_span: float, n: int, label: str = "") -> QuadGrid:
+    """Uniform grid on [-half_span, half_span] with trapezoid weights.
 
-    Points are built as integer offsets times the step so that a grid
-    centered at 0 is antisymmetric to the last bit.
+    Points are built as integer offsets times the step so that the grid is
+    antisymmetric to the last bit.
     """
     if half_span <= 0 or n < 2:
         raise ValueError("half_span must be > 0 and n >= 2")
     offsets = np.arange(n) - (n - 1) / 2.0
     dx = 2.0 * half_span / (n - 1)
-    points = center + offsets * dx
+    points = offsets * dx
     weights = np.full(n, dx)
     weights[0] = weights[-1] = dx / 2.0
     return QuadGrid(points, weights, label)
@@ -127,22 +129,16 @@ def hermite_gauss_table(n_modes: int, scale: float, x) -> np.ndarray:
     return np.stack([np.sqrt(scale) * h for h in _hermite_functions(n_modes - 1, u)])
 
 
-def hermite_gauss(spec: HermiteGaussSpec, grid: QuadGrid, *,
-                  renormalize: bool = True, adequacy_tol: float = 1e-6) -> np.ndarray:
+def hermite_gauss(spec: HermiteGaussSpec, grid: QuadGrid) -> np.ndarray:
     """Sample a mode function on a grid, L2-normalized under its weights.
 
     Raises :class:`GridAdequacyError` when the grid truncates the function
-    (normalization defect above ``adequacy_tol``).  With
-    ``renormalize=False`` the raw continuum-normalized samples are returned
-    and no adequacy check is made; use that for functions that extend past
-    the grid on purpose (e.g. high-order comb modes entering overlap
-    integrals against compactly supported partners).
+    (normalization defect above :data:`ADEQUACY_TOL`).  For the raw
+    continuum-normalized samples, unchecked, call :func:`hermite_gauss_values`.
     """
     values = hermite_gauss_values(spec.order, spec.scale, grid.points, spec.center)
-    if not renormalize:
-        return values
     norm_sq = float(np.sum(grid.weights * values * values))
-    if abs(norm_sq - 1.0) > adequacy_tol:
+    if abs(norm_sq - 1.0) > ADEQUACY_TOL:
         raise GridAdequacyError(
             f"grid span {grid.span:.4g} inadequate for HG order {spec.order} "
             f"at scale {spec.scale:.4g}: normalization defect {abs(norm_sq - 1.0):.2e}")

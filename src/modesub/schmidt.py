@@ -7,8 +7,8 @@ its eigenfunctions the subtraction modes; the decomposition is carried out
 on the symmetrically weighted matrix so the spectrum matches the continuum
 operator.  The solve path streams G from the kernel sampler
 (:func:`~modesub.kernel.kernel_gram`), folded over the kernel's point
-symmetry; :func:`gram_matrix` runs the same accumulation over a dense
-kernel.
+symmetry; :func:`gram_matrix` is the plain sum over every row of a dense
+kernel, the reference the streamed fold is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .dispersion import ConfigurationError, CrystalPreset
 from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid,
                      KernelResolutionError, KernelSpanError, SignalBeamSpec,
-                     accumulate_gram, dense_rows, kernel_gram)
+                     kernel_gram)
 from .modes import HermiteGaussSpec, QuadGrid
 
 # eigenvalues below this fraction of the leading one are numerical noise
@@ -62,35 +62,18 @@ class SchmidtResult:
         return int(np.searchsorted(filled, cumulative) + 1)
 
 
-def _point_symmetric(kernel: KernelGrid) -> bool:
-    """Whether ``values == +-values[::-1, ::-1, ::-1]`` bit for bit.
-
-    The Omega_c and q_c weights must be palindromes too.  True of every
-    :func:`~modesub.kernel.build_kernel` array.
-    """
-    values = kernel.values
-    flipped = values[::-1, ::-1, ::-1]
-    return (all(np.array_equal(w, w[::-1])
-                for w in (kernel.omega_c.weights, kernel.q_c.weights))
-            and (np.array_equal(values, flipped) or np.array_equal(values, -flipped)))
-
-
 def gram_matrix(kernel: KernelGrid) -> np.ndarray:
     """Real symmetric positive-semidefinite G(Omega_s_i, Omega_s_j).
 
     Converted-variable quadrature weights are folded in; the signal-axis
-    weights are not (they enter symmetrically at decomposition time).
-    Accumulated in the blocks :func:`~modesub.kernel.kernel_gram` streams,
-    so both routes give the same matrix bit for bit.  A kernel that is
-    exactly point-symmetric, L(-Omega_c, -q_c, -Omega_s) = +-L(Omega_c, q_c,
-    Omega_s) on palindromic weights, gets the same fold as the streamed
-    route: the Omega_c rows [0, ceil(n_c/2)) only, the centre row of an odd
-    axis at half weight, completed by reflection.  Any other kernel gets
-    the plain sum over every row.
+    weights are not (they enter symmetrically at decomposition time).  The
+    plain weighted a^T a over every Omega_c row: no symmetry is assumed, so
+    it is an independent check on :func:`~modesub.kernel.kernel_gram`'s
+    folded sum, which it matches to rounding.
     """
-    grids = (kernel.omega_c, kernel.q_c, kernel.omega_s)
-    folded = _point_symmetric(kernel)
-    return accumulate_gram(dense_rows(kernel.values), grids, folded=folded)[0]
+    sqrt_w = np.sqrt(np.outer(kernel.omega_c.weights, kernel.q_c.weights))
+    a = (kernel.values * sqrt_w[:, :, None]).reshape(-1, kernel.omega_s.size)
+    return a.T @ a
 
 
 def _fix_sign(modes: np.ndarray) -> np.ndarray:

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modesub import GridConfig, build_kernel, decompose
+from modesub import GridConfig, build_kernel, decompose, kernel_gram
 from modesub.cli import main
 from modesub.config import ConfigError, load_config, resolve, schema
-from modesub.kernel import BOUNDARY_TOL, MAX_Q_DRIFT
+from modesub.kernel import BOUNDARY_TOL, MAX_Q_DRIFT, MIN_AXIS_POINTS
 from modesub.scan import (run_scan, write_condition_summary, write_gaussian_table,
                           write_kernel_csv, write_modes_csv, write_run_meta)
 
@@ -81,6 +81,24 @@ class TestResolve:
         preset = config.preset()
         assert preset.phi == pytest.approx(math.radians(-1.0))
         assert preset.length_um == 3000.0
+
+    @pytest.mark.parametrize("key", ["n_s", "n_g", "n_c"])
+    def test_inline_refractive_index_must_be_positive(self, key):
+        crystal = {"name": "custom", "lambda_s_nm": 800.0, "kp_s_fs_um": 5.6139,
+                   "kp_c_fs_um": 5.8107, "rho_deg": 3.9, "phi_deg": -1.0}
+        with pytest.raises(ConfigError, match=rf"crystal\.{key}"):
+            resolve({"crystal": {**crystal, key: 0}})
+        # a given index reaches the crystal; an omitted one keeps its default
+        preset = resolve({"crystal": {**crystal, key: 2.5}}).preset()
+        assert getattr(preset, key) == 2.5
+        assert {getattr(preset, k) for k in ("n_s", "n_g", "n_c") if k != key} == {1.66}
+
+    @pytest.mark.parametrize("key", ["n_omega_c", "n_q", "n_omega_s"])
+    def test_too_small_grid_names_the_field(self, key):
+        with pytest.raises(ConfigError, match=rf"grid\.{key}"):
+            resolve({"grid": {key: MIN_AXIS_POINTS - 1}})
+        grid = resolve({"grid": {key: MIN_AXIS_POINTS}}).grid()
+        assert getattr(grid, key) == MIN_AXIS_POINTS
 
     def test_inline_crystal_missing_field(self):
         with pytest.raises(ConfigError, match="crystal.kp_c_fs_um"):
@@ -223,8 +241,8 @@ class TestRunScan:
         run_scan(config)
         lines = (tmp_path / "single" / "scan_table.csv").read_text().splitlines()
         assert len(lines) == 2
-        direct = decompose(build_kernel(bbo1co.with_length(2000.0), gate94,
-                                        signal_opt, GridConfig(**SMALL_GRID)))
+        direct = decompose(kernel_gram(bbo1co.with_length(2000.0), gate94,
+                                       signal_opt, GridConfig(**SMALL_GRID)))
         assert float(lines[1].split(",")[4]) == direct.schmidt_number
 
     def test_all_points_failing_raises(self, tmp_path):
@@ -407,6 +425,23 @@ class TestCli:
         path = write_config(tmp_path, payload)
         assert main(["subtract", "--config", str(path)]) == 0
         assert (tmp_path / "sub_out" / "condition_summary.json").exists()
+
+    def test_solve_commands_skip_the_dense_route(self, tmp_path, monkeypatch):
+        # subtract, scan and schmidt run on kernel_gram's streamed Gram alone
+        def dense_route(*args, **kwargs):
+            raise AssertionError("the dense kernel route ran")
+
+        monkeypatch.setattr("modesub.scan.build_kernel", dense_route)
+        monkeypatch.setattr("modesub.schmidt.gram_matrix", dense_route)
+        payload = {"grid": SMALL_GRID, "comb": {"n_modes": 10},
+                   "scan": {"axes": [{"variable": "gate_order", "values": [0, 1]}]}}
+        path = write_config(tmp_path, payload)
+        for command in ("subtract", "scan", "schmidt"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--output-dir", str(out)]) == 0
+        assert (tmp_path / "subtract" / "condition_summary.json").exists()
+        assert len((tmp_path / "scan" / "scan_table.csv").read_text().splitlines()) == 3
+        assert (tmp_path / "schmidt" / "modes.csv").exists()
 
     def test_kernel_and_schmidt_commands(self, tmp_path, capsys):
         payload = {"grid": {"n_omega_c": 16, "n_q": 12, "n_omega_s": 10},

@@ -12,7 +12,7 @@ from modesub.dispersion import kernel_forms, preset_by_name
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
 from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS, N_Q_CLIPPED,
                             Q_ALIAS_TOL, KernelResolutionError, KernelSpanError,
-                            _sine_over, derive_grids, phase_match_factor, sinc)
+                            _sine_over, derive_grids, sinc)
 from modesub.modes import hermite_gauss_values
 
 from conftest import TAU_COMB_FS

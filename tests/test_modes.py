@@ -72,7 +72,7 @@ class TestHermiteGauss:
         with pytest.raises(GridAdequacyError):
             hermite_gauss(HermiteGaussSpec(order=0, scale=94.0), g)
         # continuum sampling is allowed to spill
-        f = hermite_gauss(HermiteGaussSpec(order=0, scale=94.0), g, renormalize=False)
+        f = hermite_gauss_values(0, 94.0, g.points)
         assert np.all(np.isfinite(f))
 
     def test_high_order_recurrence_stays_finite(self):

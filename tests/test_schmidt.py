@@ -193,13 +193,16 @@ class TestStreamedGram:
             assert 1 < rows < 45 and 45 % rows != 0
         dense = build_kernel(preset, gate, signal_opt, cfg)
         streamed = kernel_gram(preset, gate, signal_opt, cfg)
-        assert np.array_equal(streamed.gram, gram_matrix(dense))
+        oracle = gram_matrix(dense)
+        assert np.max(np.abs(streamed.gram - oracle)) <= 1e-13 * np.max(np.abs(oracle))
         assert streamed.norm_sq == pytest.approx(dense.norm_sq, rel=1e-12)
         assert np.allclose(streamed.diagnostics["boundary_fractions"],
                            dense.diagnostics["boundary_fractions"], rtol=1e-12, atol=0.0)
         a, b = decompose(streamed), decompose(dense)
         assert a.schmidt_number == pytest.approx(b.schmidt_number, rel=1e-12)
-        assert np.allclose(a.lambdas_sq, b.lambdas_sq, rtol=1e-12, atol=0.0)
+        # eigenvalues near NOISE_FLOOR differ by up to 1e-5 relative, but by
+        # under 5e-16 on the unit-sum scale
+        assert np.allclose(a.lambdas_sq, b.lambdas_sq, rtol=1e-12, atol=1e-15)
         assert np.allclose(a.modes[:4], b.modes[:4], rtol=0.0,
                            atol=1e-12 * np.abs(b.modes[:4]).max())
         assert a.modes.dtype == np.float64
