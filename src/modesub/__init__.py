@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .analytic import (CharacteristicScales, GaussianModelParams,
                        build_covariance, characteristic_scales,
                        covariance_schmidt_number, schmidt_number_closed_form,
-                       single_mode_profiles, single_mode_rate)
+                       single_mode_rate)
 from .conditioning import (CombState, ConditionResult, comb_subtraction_experiment,
                            conditioned_state, flat_comb, overlap_matrix,
                            photons_from_squeezing)
@@ -20,8 +20,7 @@ from .dispersion import (C_UM_PER_FS, CrystalPreset, bandwidth_from_tau,
                          preset_by_name)
 from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid, SignalBeamSpec,
                      build_kernel, kernel_gram)
-from .modes import (HermiteGaussSpec, QuadGrid, hermite_gauss, inner_product,
-                    uniform_grid)
+from .modes import HermiteGaussSpec, QuadGrid, hermite_gauss, uniform_grid
 from .schmidt import (ScanPoint, SchmidtResult, decompose, gram_matrix,
                       schmidt_number_scan)
 
@@ -54,7 +53,6 @@ __all__ = [
     "flat_comb",
     "gram_matrix",
     "hermite_gauss",
-    "inner_product",
     "kernel_gram",
     "list_presets",
     "overlap_matrix",
@@ -63,7 +61,6 @@ __all__ = [
     "preset_by_name",
     "schmidt_number_closed_form",
     "schmidt_number_scan",
-    "single_mode_profiles",
     "single_mode_rate",
     "uniform_grid",
 ]

@@ -1,7 +1,7 @@
 """Closed-form Gaussian model of the up-conversion Schmidt spectrum.
 
 Approximating the phase-matching sinc by a Gaussian of equal FWHM
-(exp(-gamma x^2), gamma = 0.193) makes the transfer kernel an exact
+(exp(-GAMMA_SINC x^2), GAMMA_SINC = 0.193) makes the transfer kernel an exact
 three-variable Gaussian, for which the Schmidt number follows from
 covariance-matrix determinants.  This module provides
 
@@ -11,7 +11,7 @@ covariance-matrix determinants.  This module provides
 * the small-angle closed-form K(l, w_s),
 * the exact covariance-matrix route, valid for any Gaussian kernel and used
   as the oracle for the numerical decomposition,
-* the single-mode margins, rate and factorized-limit mode profiles.
+* the single-mode margins and rate.
 
 The small-angle formulas conventionally use the collinear-limit value of
 the up-converted group velocity; pass ``kp_c`` accordingly (see
@@ -25,11 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (C_M_PER_S, C_UM_PER_FS, EPS0_F_PER_M, CrystalPreset,
-                         kernel_forms)
-from .kernel import (GAMMA_SINC, GateSpec, GridConfig, SignalBeamSpec,
-                     phase_match_factor, q_axis_size)
-from .modes import QuadGrid, default_half_span, hermite_gauss_values, uniform_grid
+from .dispersion import C_M_PER_S, EPS0_F_PER_M, CrystalPreset, kernel_forms
+from .kernel import GAMMA_SINC, GateSpec, SignalBeamSpec
 
 # fs/um -> s/m
 _KP_TO_SI = 1e-9
@@ -52,7 +49,6 @@ class GaussianModelParams:
     tau_g: float
     w_s: float
     l: float
-    gamma: float = GAMMA_SINC
 
     def __post_init__(self):
         if not (self.kp_c > self.kp_s > 0):
@@ -92,9 +88,9 @@ def _phi0(kp_s: float, kp_c: float) -> float:
     return math.sqrt((kp_c / kp_s - 1.0) / 2.0)
 
 
-def _walk_off_length(kp_s: float, kp_c: float, tau_g: float, gamma: float) -> float:
+def _walk_off_length(kp_s: float, kp_c: float, tau_g: float) -> float:
     """Temporal walk-off length l0 of gate and up-converted pulse, um."""
-    return tau_g / (math.sqrt(gamma / 2.0) * (kp_c - kp_s))
+    return tau_g / (math.sqrt(GAMMA_SINC / 2.0) * (kp_c - kp_s))
 
 
 def _angle_margin(kp_s: float, kp_c: float, phi: float, rho: float) -> float:
@@ -111,7 +107,7 @@ def single_mode_margins(preset: CrystalPreset, tau_g: float) -> tuple[float, flo
     """
     kp_s, kp_c = preset.kp_s, preset.kp_c_collinear
     angle = _angle_margin(kp_s, kp_c, preset.phi, preset.rho)
-    length = _walk_off_length(kp_s, kp_c, tau_g, GAMMA_SINC) / preset.length_um
+    length = _walk_off_length(kp_s, kp_c, tau_g) / preset.length_um
     return angle, length, angle <= 1.0 / 3.0 and length <= 1.0 / 3.0
 
 
@@ -122,12 +118,12 @@ def characteristic_scales(p: GaussianModelParams) -> CharacteristicScales:
     come back as ``inf``.
     """
     phi0 = _phi0(p.kp_s, p.kp_c)
-    l0 = _walk_off_length(p.kp_s, p.kp_c, p.tau_g, p.gamma)
+    l0 = _walk_off_length(p.kp_s, p.kp_c, p.tau_g)
     if p.phi == 0.0:
         l_opt = math.inf
         w_opt = math.inf
     else:
-        l_opt = (p.tau_g / p.kp_s) / (math.sqrt(2.0 * p.gamma) * phi0 * abs(p.phi))
+        l_opt = (p.tau_g / p.kp_s) / (math.sqrt(2.0 * GAMMA_SINC) * phi0 * abs(p.phi))
         w_opt = (p.tau_g / p.kp_s) * math.sqrt(abs(p.rho / p.phi - 1.0)) / (2.0 * phi0)
     k_min = 1.0 + _angle_margin(p.kp_s, p.kp_c, p.phi, p.rho)
     return CharacteristicScales(phi0, l0, l_opt, w_opt, k_min)
@@ -139,9 +135,9 @@ def schmidt_number_closed_form(p: GaussianModelParams) -> float:
     Returned without clamping: a value below one signals a bug, not physics.
     """
     d_group = p.kp_c - p.kp_s
-    a = 1.0 + 2.0 * p.tau_g**2 / (p.gamma * d_group**2 * p.l**2)
+    a = 1.0 + 2.0 * p.tau_g**2 / (GAMMA_SINC * d_group**2 * p.l**2)
     b = (p.phi - p.rho) ** 2 * p.tau_g**2 / d_group**2
-    c = 1.0 + 2.0 * p.phi**4 * p.gamma * p.kp_s**2 * p.l**2 / p.tau_g**2
+    c = 1.0 + 2.0 * p.phi**4 * GAMMA_SINC * p.kp_s**2 * p.l**2 / p.tau_g**2
     d = 4.0 * p.phi**2 * p.kp_s**2 / p.tau_g**2
     return math.sqrt((a * p.w_s**2 + b) * (c / p.w_s**2 + d))
 
@@ -188,7 +184,7 @@ def build_covariance(p: GaussianModelParams) -> CovarianceForm:
     gate, beam, match = map(np.array, kernel_forms(p.kp_s, p.kp_c, p.phi, p.rho))
     U = (p.tau_g**2 * np.outer(gate, gate)
          + p.w_s**2 * np.outer(beam, beam)
-         + 2.0 * p.gamma * (p.l / 2.0) ** 2 * np.outer(match, match))
+         + 2.0 * GAMMA_SINC * (p.l / 2.0) ** 2 * np.outer(match, match))
     evals = np.linalg.eigvalsh(U)
     deficient = bool(evals[0] <= 1e-12 * evals[-1])
     return CovarianceForm(U=U, V=assemble_two_copy_form(U), rank_deficient=deficient)
@@ -299,60 +295,3 @@ def single_mode_rate(preset: CrystalPreset, gate: GateSpec, n_photons: float,
     return SingleModeRate(lambda_sq_per_fs=lam_sq, p_norm_m2_per_j=p_norm,
                           probability=probability, rate_hz=rate,
                           single_mode_ok=ok, plane_wave_ok=plane_ok)
-
-
-@dataclass(frozen=True)
-class SingleModeProfiles:
-    """Factorized-limit mode profiles with the validity flags of that limit."""
-
-    subtracted: np.ndarray        # on omega_s grid
-    converted: np.ndarray         # [n_omega_c, n_q]
-    omega_s: QuadGrid
-    omega_c: QuadGrid
-    q_c: QuadGrid
-    single_mode_ok: bool
-    angle_margin: float           # (phi^2 + |phi (phi - rho)|) / phi0^2
-    length_margin: float          # l0 / l
-
-
-def single_mode_profiles(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-                         config: GridConfig | None = None) -> SingleModeProfiles:
-    """Analytic subtracted/up-converted profiles of the factorized limit.
-
-    The subtracted spectral mode equals the gate spectrum; the up-converted
-    mode is the signal transverse profile times the collinear-limit
-    phase-matching factor, which carries the frequency/momentum angular
-    dispersion.  Valid deep in the single-mode regime; the returned margins
-    (:func:`single_mode_margins`) flag how far the configuration sits from it.
-    """
-    config = config or GridConfig()
-    tau = gate.tau_g
-    d_group = preset.kp_c - preset.kp_s
-    half_l = preset.length_um / 2.0
-
-    span_ws = default_half_span(tau, gate.order)
-    span_q = default_half_span(signal.waist_s_um)
-    ridge = abs(preset.rho - preset.phi) * span_q / d_group
-    span_wc = ridge + 3.0 * 2.0 * np.pi / (d_group * preset.length_um)
-    n_q, _ = q_axis_size(kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho),
-                         preset.length_um, signal.waist_s_um,
-                         (span_wc, span_q, span_ws), config)
-    g_ws = uniform_grid(span_ws, config.n_omega_s, label="omega_s")
-    g_wc = uniform_grid(span_wc, config.n_omega_c, label="omega_c")
-    g_q = uniform_grid(span_q, n_q, label="q_c")
-
-    subtracted = hermite_gauss_values(gate.order, tau, g_ws.points)
-    subtracted /= np.sqrt(np.sum(g_ws.weights * subtracted**2))
-
-    us = hermite_gauss_values(0, signal.waist_s_um, g_q.points)
-    pm_arg = (d_group * g_wc.points[:, None]
-              + (preset.phi - preset.rho) * g_q.points[None, :]) * half_l
-    converted = us[None, :] * phase_match_factor(pm_arg, config.phase_matching)
-    conv_norm = np.sum(np.abs(converted) ** 2
-                       * g_wc.weights[:, None] * g_q.weights[None, :])
-    converted = converted / np.sqrt(conv_norm)
-
-    angle, length, ok = single_mode_margins(preset, tau)
-    return SingleModeProfiles(subtracted=subtracted, converted=converted,
-                              omega_s=g_ws, omega_c=g_wc, q_c=g_q, single_mode_ok=ok,
-                              angle_margin=angle, length_margin=length)

@@ -20,8 +20,8 @@ import numpy as np
 from . import dispersion
 from .conditioning import CombState, comb_from_csv, flat_comb
 from .dispersion import CrystalPreset, convert_bandwidth, preset_by_name
-from .kernel import (MIN_AXIS_POINTS, MIN_LOBE_POINTS, N_Q_CLIPPED, Q_ALIAS_TOL,
-                     GateSpec, GridConfig, SignalBeamSpec)
+from .kernel import (MIN_AXIS_POINTS, MIN_LOBE_POINTS, Q_ALIAS_TOL, GateSpec,
+                     GridConfig, SignalBeamSpec)
 from .modes import HermiteGaussSpec
 from .schmidt import ScanPoint
 
@@ -76,8 +76,8 @@ _SCHEMA: dict[str, dict[str, tuple[Any, str]]] = {
         "n_q": (None, "points on the transverse momentum axis; null derives them "
                       "from the beam's and the phase matching's bandwidth: the "
                       f"largest step whose trapezoid aliases stay under {Q_ALIAS_TOL:g} "
-                      f"and under 1/{MIN_LOBE_POINTS:g} of the phase-matching lobe, or "
-                      f"{N_Q_CLIPPED} when the q box clips the beam's drift"),
+                      f"and under 1/{MIN_LOBE_POINTS:g} of the phase-matching lobe, "
+                      "over a span that holds the beam's drift"),
         "n_omega_s": (128, "points on the signal frequency axis"),
         "span_scale": (1.0, "multiplier on the auto-derived half-spans"),
         "phase_matching": ("sinc", "'sinc' or 'gaussian' surrogate"),
@@ -120,6 +120,29 @@ def _require_number(value, path: str, *, positive: bool = False,
     if positive and value <= 0:
         raise ConfigError(f"{path}: must be positive, got {value!r}")
     return float(value)
+
+
+def _check_one_width(name: str, given: dict) -> None:
+    """Reject a section given both of its spectral widths."""
+    if given.get("tau_fs") is not None and given.get("fwhm_nm") is not None:
+        raise ConfigError(f"{name}.tau_fs / {name}.fwhm_nm: give exactly one "
+                          "spectral width")
+
+
+def _resolve_width(name: str, section: dict, given: dict, carrier_um: float) -> None:
+    """Resolve a section's spectral width to tau_fs, in place.
+
+    ``given`` is the section as written and ``section`` its merged copy.
+    An fwhm_nm (given, or the default) converts at ``carrier_um`` unless a
+    tau_fs was given.  fwhm_nm is then cleared: the canonical width is
+    tau_fs in resolved configs.
+    """
+    _check_one_width(name, given)
+    if given.get("tau_fs") is None and section["fwhm_nm"] is not None:
+        section["tau_fs"] = convert_bandwidth(
+            _require_number(section["fwhm_nm"], f"{name}.fwhm_nm", positive=True),
+            carrier_um)
+    section["fwhm_nm"] = None
 
 
 def _merge_section(name: str, given: dict | None) -> dict:
@@ -261,10 +284,8 @@ def resolve(raw: dict) -> RunConfig:
     _require_number(crystal["length_mm"], "crystal.length_mm", positive=True)
     _require_number(crystal["d_eff_pm_v"], "crystal.d_eff_pm_v", positive=True)
 
-    # gate spectral width: exactly one specification
     explicit_gate = raw.get("gate") or {}
-    if explicit_gate.get("tau_fs") is not None and explicit_gate.get("fwhm_nm") is not None:
-        raise ConfigError("gate.tau_fs / gate.fwhm_nm: give exactly one spectral width")
+    _check_one_width("gate", explicit_gate)   # reported before the other gate fields
     gate["order"] = int(_require_number(gate["order"], "gate.order", integer=True))
     if gate["order"] < 0:
         raise ConfigError("gate.order: must be >= 0")
@@ -281,36 +302,18 @@ def resolve(raw: dict) -> RunConfig:
         raise ConfigError(f"comb.preset: unknown preset {comb['preset']!r}")
     if comb["preset"] == "csv" and not comb["photons_csv"]:
         raise ConfigError("comb.photons_csv: required for comb.preset = 'csv'")
-    explicit_comb = raw.get("comb") or {}
-    if (explicit_comb.get("tau_fs") is not None
-            and explicit_comb.get("fwhm_nm") is not None):
-        raise ConfigError("comb.tau_fs / comb.fwhm_nm: give exactly one spectral width")
-    if explicit_comb.get("tau_fs") is not None or comb["fwhm_nm"] is None:
-        _require_number(comb["tau_fs"], "comb.tau_fs", positive=True)
-    else:
-        _require_number(comb["fwhm_nm"], "comb.fwhm_nm", positive=True)
-        comb["tau_fs"] = convert_bandwidth(comb["fwhm_nm"], comb["center_nm"] * 1e-3)
-    comb["fwhm_nm"] = None  # canonical width is tau_fs in resolved configs
+    _resolve_width("comb", comb, raw.get("comb") or {}, comb["center_nm"] * 1e-3)
+    _require_number(comb["tau_fs"], "comb.tau_fs", positive=True)
 
     # carrier wavelength used for nm -> fs conversions of gate and signal
     if crystal["preset"] is not None:
         carrier_um = preset_by_name(crystal["preset"]).lambda_s_um
     else:
         carrier_um = crystal["lambda_s_nm"] * 1e-3
-    if gate["fwhm_nm"] is not None:
-        _require_number(gate["fwhm_nm"], "gate.fwhm_nm", positive=True)
-        gate["tau_fs"] = convert_bandwidth(gate["fwhm_nm"], carrier_um)
-        gate["fwhm_nm"] = None  # canonical width is tau_fs in resolved configs
+    _resolve_width("gate", gate, explicit_gate, carrier_um)
     _require_number(gate["tau_fs"], "gate.tau_fs", positive=True)
 
-    explicit_signal = raw.get("signal") or {}
-    if explicit_signal.get("tau_fs") is not None and explicit_signal.get("fwhm_nm") is not None:
-        raise ConfigError("signal.tau_fs / signal.fwhm_nm: give exactly one spectral width")
-    if signal["fwhm_nm"] is not None:
-        signal["tau_fs"] = convert_bandwidth(
-            _require_number(signal["fwhm_nm"], "signal.fwhm_nm", positive=True),
-            carrier_um)
-        signal["fwhm_nm"] = None
+    _resolve_width("signal", signal, raw.get("signal") or {}, carrier_um)
     if signal["tau_fs"] is None:
         signal["tau_fs"] = comb["tau_fs"]
     _require_number(signal["tau_fs"], "signal.tau_fs", positive=True)

@@ -18,14 +18,15 @@ sums over every row, which the tests hold the streamed route to.
 
 The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
 (-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
-form with no constant term, the gate is carrier-centred (:class:`GateSpec`
-rejects a non-zero centre) and the HG mode has parity (-1)^order, and the
-:func:`~modesub.modes.uniform_grid` axes are antisymmetric to the last bit,
-so the identity holds bit for bit on the sampled array.  The Gram matrix
-and the mass marginals only see products of two samples, so the sign drops
-out: :func:`kernel_gram`, and only it, samples the Omega_c rows
-[0, ceil(n_c/2)) and completes its sums by reflection, the centre row of an
-odd axis, which mirrors onto itself, entering at half weight.
+form with no constant term, the gate is carrier-centred (a
+:class:`~modesub.modes.HermiteGaussSpec` has no centre) and the HG mode has
+parity (-1)^order, and the :func:`~modesub.modes.uniform_grid` axes are
+antisymmetric to the last bit, so the identity holds bit for bit on the
+sampled array.  The Gram matrix and the mass marginals only see products of
+two samples, so the sign drops out: :func:`kernel_gram`, and only it,
+samples the Omega_c rows [0, ceil(n_c/2)) and completes its sums by
+reflection, the centre row of an odd axis, which mirrors onto itself,
+entering at half weight.
 
 Each factor's argument is linear in (Omega_c, q_c, Omega_s)
 (:func:`~modesub.dispersion.kernel_forms`), so it splits into a 2-D
@@ -74,10 +75,10 @@ MIN_AXIS_POINTS = 8
 # largest relative size of the aliases the trapezoid rule adds on a derived
 # q_c axis (:func:`q_axis_size`)
 Q_ALIAS_TOL = 1e-12
-# beam-centre drift over the Omega box, as a share of the q_c half-span,
-# above which the q_c box clips the beam and a derived axis keeps N_Q_CLIPPED
-MAX_Q_DRIFT = 0.8
-N_Q_CLIPPED = 128
+# largest beam-centre drift over the Omega box, as a share of the q_c
+# half-span; a derived q_c span widens to keep it (:func:`_axes`), which
+# leaves at least 5 (1 - MAX_Q_DRIFT) = 1.5 beam widths 1/w_s of margin
+MAX_Q_DRIFT = 0.7
 # kernel samples per slab of the sampler's 3-D arithmetic; bounds its temporaries
 SLAB_SAMPLES = 1 << 14
 # kernel samples per block of the Gram accumulation, each one BLAS syrk call
@@ -109,10 +110,6 @@ class GateSpec:
     def __post_init__(self):
         if self.waist_g_um <= 0 or self.energy_j < 0 or self.rep_rate_hz <= 0:
             raise ValueError("gate waist, energy and repetition rate must be positive")
-        if self.spectral.center != 0.0:
-            # the kernel's point symmetry, which kernel_gram folds, needs it
-            raise ValueError(f"gate spectrum must be carrier-centred, got center "
-                             f"{self.spectral.center}")
 
     @property
     def tau_g(self) -> float:
@@ -140,13 +137,12 @@ class GridConfig:
     """Axis sizes, span scaling, optional explicit half-spans, sinc treatment.
 
     Derived half-spans (:func:`derive_grids`) are scaled by ``span_scale``;
-    the ``span_*`` fields replace them per axis.  ``n_q = None`` derives the
-    q_c size from the bandwidth of the beam and of the phase matching
-    (:func:`q_axis_size`): the largest step whose trapezoid aliases stay
-    under :data:`Q_ALIAS_TOL` and under 1/:data:`MIN_LOBE_POINTS` of the
-    phase-matching lobe along q_c, over the same span, or
-    :data:`N_Q_CLIPPED` points when the q_c box clips the beam.  An explicit
-    ``n_q`` is used as given.
+    the ``span_*`` fields replace them per axis.  A derived q_c half-span
+    holds the beam centre's drift over the Omega box.  ``n_q = None``
+    derives the q_c size from the bandwidth of the beam and of the phase
+    matching (:func:`q_axis_size`): the largest step whose trapezoid aliases
+    stay under :data:`Q_ALIAS_TOL` and under 1/:data:`MIN_LOBE_POINTS` of the
+    phase-matching lobe along q_c.  An explicit ``n_q`` is used as given.
     """
 
     n_omega_c: int = 128
@@ -216,27 +212,14 @@ def _sine_over(sine: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sine
 
 
-def phase_match_factor(arg, kind: PhaseMatching) -> np.ndarray:
-    if kind == "gaussian":
-        return np.exp(-GAMMA_SINC * np.square(arg))
-    return sinc(arg)
-
-
-def q_axis_size(forms, length_um: float, w_s: float,
-                spans: tuple[float, float, float], config: GridConfig) -> tuple[int, float]:
-    """Points on the q_c axis, and the beam's drift over the Omega box / span_q.
+def q_axis_size(forms, length_um: float, w_s: float, span_q: float,
+                phase_matching: PhaseMatching) -> int:
+    """Points on a derived q_c axis of half-span ``span_q``.
 
     ``forms`` are :func:`~modesub.dispersion.kernel_forms` (b the beam
-    row, m the match row), ``spans`` the (Omega_c, q_c, Omega_s)
-    half-spans S_c, span_q, S_s.  Over the Omega box the beam centre
-    q* = -(b_c Omega_c + b_s Omega_s) / b_q drifts by up to
-    d = (|b_c| S_c + |b_s| S_s) / |b_q|.  An explicit ``config.n_q`` is
-    returned as given; past d > :data:`MAX_Q_DRIFT` span_q the box clips
-    the beam and the size stays at :data:`N_Q_CLIPPED`.
-
-    Otherwise the step h is the largest the trapezoid rule's aliasing
-    allows.  Along q_c each Gram entry integrates B B' S S', with B the
-    beam Gaussian and S the phase-matching factor at two signal
+    row, m the match row).  The step h is the largest the trapezoid rule's
+    aliasing allows.  Along q_c each Gram entry integrates B B' S S', with
+    B the beam Gaussian and S the phase-matching factor at two signal
     frequencies.  B B' is a Gaussian with exponent -w_s^2 b_q^2 (q - qbar)^2,
     whose transform falls as exp(-k^2 / (4 w_s^2 b_q^2)); the sinc pair S S'
     is band-limited to |k| <= 2 |m_q l/2|.  The aliases at k = +-2 pi/h
@@ -252,23 +235,19 @@ def q_axis_size(forms, length_um: float, w_s: float,
     resolution check never fires on rounding.
 
     The aliasing is then negligible; what remains is the O(h^2) endpoint
-    term of the beam tail the box clips where the drift brings the beam
-    near its edge.  Against 128 points the derived axis moved K,
-    lambda_1, purity and probability by at most 8.95e-9 (all four
-    presets, l = 1, 2.5 and 4 mm, w_s = 50, 110 and 200 um, gate orders
-    0-2, sinc and surrogate), a shift that falls as h^2; on the default
-    configuration's 1-4 mm x 50-200 um lattice it takes 19-27 points.
+    term of the beam tail at the box edge, which :func:`_axes` keeps at
+    least 1.5 beam widths past the beam's farthest drift.  Against 128
+    points over the same span the derived axis moved K, lambda_1, purity
+    and probability by at most 1.75e-9 (all four presets, l = 1, 2.5 and
+    4 mm, w_s = 50, 110 and 200 um, gate orders 0-2, sinc and surrogate),
+    a shift that falls as h^2.  It takes 19-27 points on the default
+    configuration's 1-4 mm x 50-200 um lattice, and up to 181 where the
+    drift widens the span (phi = 5 deg).
     """
     _, beam, match = forms
-    s_wc, s_q, s_ws = spans
-    drift = (abs(beam[0]) * s_wc + abs(beam[2]) * s_ws) / abs(beam[1]) / s_q
-    if config.n_q is not None:
-        return config.n_q, drift
-    if drift > MAX_Q_DRIFT:
-        return N_Q_CLIPPED, drift
     log_tol = np.log(2.0 / Q_ALIAS_TOL)
     beam_q, match_q = w_s * abs(beam[1]), abs(match[1] * length_um / 2.0)
-    if config.phase_matching == "gaussian":
+    if phase_matching == "gaussian":
         band = 2.0 * np.sqrt(log_tol * (beam_q**2 + 2.0 * GAMMA_SINC * match_q**2))
     else:
         band = 2.0 * match_q + 2.0 * beam_q * np.sqrt(log_tol)
@@ -276,29 +255,41 @@ def q_axis_size(forms, length_um: float, w_s: float,
     if match_q != 0.0:
         # the margin keeps lobe / step clear of MIN_LOBE_POINTS after rounding
         step = min(step, 2.0 * np.pi / match_q / MIN_LOBE_POINTS * (1.0 - 1e-9))
-    return max(MIN_AXIS_POINTS, int(np.ceil(2.0 * s_q / step)) + 1), drift
+    return max(MIN_AXIS_POINTS, int(np.ceil(2.0 * span_q / step)) + 1)
 
 
 def derive_grids(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                  config: GridConfig) -> tuple[QuadGrid, QuadGrid, QuadGrid]:
-    """Default quadrature axes for a kernel build.
-
-    Omega spans come from the gate and comb time scales and from the
-    phase-matching bandwidth 2 pi / (k'_c - k'_s) l (widest wins); the
-    momentum span from the signal waist.  For the Gaussian surrogate the
-    phase-matching contribution is its 5-sigma width instead of the sinc
-    main lobe, since the surrogate has no side lobes to truncate but a wider
-    central peak.  The q_c size is :func:`q_axis_size`'s.
-    """
+    """Default quadrature axes for a kernel build; :func:`_axes` sizes them."""
     forms = kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho)
     return _axes(preset, gate, signal, config, forms)[0]
 
 
 def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
           config: GridConfig, forms):
-    """:func:`derive_grids`' axes, and the axis sizes and the q_c drift ratio
-    as diagnostics."""
+    """The kernel's quadrature axes, and the axis sizes and the q_c drift
+    ratio as diagnostics; the one place an axis is sized.
+
+    Omega spans come from the gate and comb time scales and from the
+    phase-matching bandwidth 2 pi / (k'_c - k'_s) l (widest wins).  For the
+    Gaussian surrogate the phase-matching contribution is its 5-sigma width
+    instead of the sinc main lobe, since the surrogate has no side lobes to
+    truncate but a wider central peak.
+
+    The q_c span holds the signal beam where the Omega box puts it.  Over
+    the box the beam centre q* = -(b_c Omega_c + b_s Omega_s) / b_q (b the
+    beam row of ``forms``) drifts by up to d = (|b_c| S_c + |b_s| S_s) /
+    |b_q|, S_c and S_s the Omega half-spans.  The derived q_c half-span is
+    the larger of the beam's own 5 / w_s and d / :data:`MAX_Q_DRIFT`; only
+    points with a large drift, such as phi = 5 deg with a wide beam, take
+    the second.  The q_c size is :func:`q_axis_size`'s for that span, and
+    ``q_drift_ratio`` reports d / span_q.
+
+    ``span_scale`` scales the derived half-spans (the drift bound follows
+    the Omega spans); an explicit ``span_*`` or ``n_q`` is used as given.
+    """
     l = preset.length_um
+    w_s = signal.waist_s_um
     d_group = preset.kp_c - preset.kp_s
     if config.phase_matching == "gaussian":
         pm_halfwidth = SPAN_SIGMAS / (np.sqrt(2.0 * GAMMA_SINC) * d_group * l / 2.0)
@@ -307,17 +298,24 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     span_omega = max(default_half_span(gate.tau_g, gate.order),
                      default_half_span(signal.spectral_tau_fs),
                      pm_halfwidth) * config.span_scale
-    span_q = default_half_span(signal.waist_s_um) * config.span_scale
-
     s_wc = config.span_omega_c if config.span_omega_c is not None else span_omega
-    s_q = config.span_q if config.span_q is not None else span_q
     s_ws = config.span_omega_s if config.span_omega_s is not None else span_omega
-    n_q, drift = q_axis_size(forms, l, signal.waist_s_um, (s_wc, s_q, s_ws), config)
+
+    _, beam, _ = forms
+    drift = (abs(beam[0]) * s_wc + abs(beam[2]) * s_ws) / abs(beam[1])
+    if config.span_q is not None:
+        s_q = config.span_q
+    else:
+        # the margin keeps drift / s_q at or under MAX_Q_DRIFT after rounding
+        s_q = max(default_half_span(w_s) * config.span_scale,
+                  drift / MAX_Q_DRIFT * (1.0 + 1e-9))
+    n_q = (config.n_q if config.n_q is not None
+           else q_axis_size(forms, l, w_s, s_q, config.phase_matching))
     grids = (uniform_grid(s_wc, config.n_omega_c, label="omega_c"),
              uniform_grid(s_q, n_q, label="q_c"),
              uniform_grid(s_ws, config.n_omega_s, label="omega_s"))
     return grids, {"n_omega_c": config.n_omega_c, "n_q": n_q,
-                   "n_omega_s": config.n_omega_s, "q_drift_ratio": drift}
+                   "n_omega_s": config.n_omega_s, "q_drift_ratio": drift / s_q}
 
 
 def _outer_part(coeffs, omega_c, omega_s):
@@ -329,7 +327,7 @@ def _outer_part(coeffs, omega_c, omega_s):
 def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
             config: GridConfig, check: bool):
     """The kernel's quadrature axes, a writer of its Omega_c rows, and the
-    axis sizes and q_c drift ratio (:func:`q_axis_size`) as diagnostics.
+    axis sizes and q_c drift ratio (:func:`_axes`) as diagnostics.
 
     The main-lobe resolution check runs on the axes before any sample is
     taken.  ``fill(start, out)`` writes the real float64 rows
@@ -387,7 +385,7 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                 np.multiply(sin_u[rows], cos_v, out=slab)
                 slab += np.multiply(cos_u[rows], sin_v, out=temp)
                 _sine_over(slab, np.add(u[rows], v, out=temp))
-            else:   # phase_match_factor's exp(-GAMMA_SINC x^2), in place
+            else:   # the surrogate's exp(-GAMMA_SINC x^2), in place
                 np.add(u[rows], v, out=slab)
                 np.square(slab, out=slab)
                 slab *= -GAMMA_SINC

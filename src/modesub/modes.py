@@ -1,4 +1,4 @@
-"""Hermite-Gauss mode functions, quadrature grids and inner products.
+"""Hermite-Gauss mode functions and quadrature grids.
 
 Mode functions are real and carry the continuum normalization
 ``integral |f|^2 dx = 1``; order 0 is (s/sqrt(pi))^(1/2) exp(-s^2 x^2 / 2)
@@ -7,15 +7,16 @@ transverse ones).  Integrals are trapezoid sums on uniform grids.  Their
 step error is O(h^2) wherever the integrand has not decayed at the box
 edge, as on the kernel's Omega axes, whose sinc tails the box truncates.
 Where the box holds the whole integrand the error is aliasing, which falls
-exponentially in 1/h: a derived q_c axis
-(:func:`~modesub.kernel.q_axis_size`) takes the largest step that keeps the
-aliases of the beam Gaussian times the phase matching under
-:data:`~modesub.kernel.Q_ALIAS_TOL`.  What is left there is the O(h^2)
-endpoint term of the beam tail, where the beam's drift over the Omega box
-brings it near the q_c edge.  Against 128 points the derived axis moves K,
-lambda_1, purity and probability by at most 9e-9.  In the worst case found
-(phi = 5 deg co, l = 1 mm, w_s = 50 um) the shift against 256 points is
-9.1e-9, 7.6e-9 and 3.3e-9 at 19, 21 and 33 points: it falls as h^2.
+exponentially in 1/h.  A derived q_c span holds the beam wherever its
+centre drifts over the Omega box (:func:`~modesub.kernel._axes`), and a
+derived q_c axis (:func:`~modesub.kernel.q_axis_size`) takes the largest
+step that keeps the aliases of the beam Gaussian times the phase matching
+under :data:`~modesub.kernel.Q_ALIAS_TOL`.  What is left there is the
+O(h^2) endpoint term of the beam tail, where the drift brings the beam
+near the q_c edge.  Against 128 points the derived axis moves K,
+lambda_1, purity and probability by at most 2e-9.  In the worst case found
+(phi = 1 deg co, l = 1 mm, w_s = 200 um) the shift against 256 points is
+1.8e-9, 1.5e-9 and 6.5e-10 at 19, 21 and 33 points: it falls as h^2.
 """
 
 from __future__ import annotations
@@ -83,11 +84,10 @@ def uniform_grid(half_span: float, n: int, label: str = "") -> QuadGrid:
 
 @dataclass(frozen=True)
 class HermiteGaussSpec:
-    """Order, scale and center of one Hermite-Gauss mode function."""
+    """Order and scale of one carrier-centred Hermite-Gauss mode function."""
 
     order: int
     scale: float
-    center: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.order) and self.order >= 0
@@ -114,9 +114,9 @@ def _hermite_functions(order: int, u: np.ndarray):
         yield h
 
 
-def hermite_gauss_values(order: int, scale: float, x, center: float = 0.0) -> np.ndarray:
-    """Continuum-normalized HG_n(scale * (x - center)) at arbitrary points."""
-    u = scale * (np.asarray(x, dtype=float) - center)
+def hermite_gauss_values(order: int, scale: float, x) -> np.ndarray:
+    """Continuum-normalized HG_n(scale * x) at arbitrary points."""
+    u = scale * np.asarray(x, dtype=float)
     for h in _hermite_functions(order, u):
         pass
     return np.sqrt(scale) * h
@@ -136,27 +136,13 @@ def hermite_gauss(spec: HermiteGaussSpec, grid: QuadGrid) -> np.ndarray:
     (normalization defect above :data:`ADEQUACY_TOL`).  For the raw
     continuum-normalized samples, unchecked, call :func:`hermite_gauss_values`.
     """
-    values = hermite_gauss_values(spec.order, spec.scale, grid.points, spec.center)
+    values = hermite_gauss_values(spec.order, spec.scale, grid.points)
     norm_sq = float(np.sum(grid.weights * values * values))
     if abs(norm_sq - 1.0) > ADEQUACY_TOL:
         raise GridAdequacyError(
             f"grid span {grid.span:.4g} inadequate for HG order {spec.order} "
             f"at scale {spec.scale:.4g}: normalization defect {abs(norm_sq - 1.0):.2e}")
     return values / np.sqrt(norm_sq)
-
-
-def inner_product(f: np.ndarray, g: np.ndarray, grid: QuadGrid) -> complex:
-    """Quadrature inner product sum_k w_k f*(x_k) g(x_k).
-
-    Conjugate-symmetric in its arguments; both samples must live on the
-    same grid.
-    """
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != (grid.size,) or g.shape != (grid.size,):
-        raise ValueError(
-            f"samples must match the grid size {grid.size}, got {f.shape} and {g.shape}")
-    return complex(np.sum(grid.weights * np.conjugate(f) * g))
 
 
 def default_half_span(scale: float, max_order: int = 0) -> float:

@@ -35,6 +35,13 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _output_directory(config: RunConfig, output_dir: str | Path | None) -> Path:
+    """``output_dir``, or the configured one when it is None, created if missing."""
+    directory = Path(output_dir if output_dir is not None else config.output_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
+
+
 def write_run_meta(directory: Path, config: RunConfig, wall_s: float) -> Path:
     meta = {"tool": "modesub", "version": __version__,
             "wall_time_s": wall_s, "config": config.resolved}
@@ -50,8 +57,7 @@ def run_scan(config: RunConfig, output_dir: str | Path | None = None) -> dict[st
     status != ok.  Raises RuntimeError when every point failed.
     """
     t0 = time.monotonic()
-    directory = Path(output_dir if output_dir is not None else config.output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = _output_directory(config, output_dir)
 
     points = config.scan_points()
     rows = schmidt_number_scan(config.preset(), config.gate(), config.signal(),
@@ -75,8 +81,7 @@ def run_scan(config: RunConfig, output_dir: str | Path | None = None) -> dict[st
 
 def write_kernel_csv(config: RunConfig, output_dir: str | Path | None = None) -> Path:
     """Dump the kernel samples, row-major over (omega_c, q_c, omega_s)."""
-    directory = Path(output_dir if output_dir is not None else config.output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = _output_directory(config, output_dir)
     kernel = build_kernel(config.preset(), config.gate(), config.signal(), config.grid())
     path = directory / "kernel.csv"
     q_cells = [_fmt(qc) + "," for qc in kernel.q_c.points]
@@ -95,8 +100,7 @@ def write_kernel_csv(config: RunConfig, output_dir: str | Path | None = None) ->
 def write_modes_csv(config: RunConfig, output_dir: str | Path | None = None,
                     n_modes: int = 6) -> Path:
     """Dump the leading subtraction modes with their normalized weights."""
-    directory = Path(output_dir if output_dir is not None else config.output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = _output_directory(config, output_dir)
     result = decompose(kernel_gram(config.preset(), config.gate(),
                                    config.signal(), config.grid()))
     m = min(n_modes, result.modes.shape[0])
@@ -145,8 +149,7 @@ def gaussian_table_rows(config: RunConfig) -> list[dict]:
 
 def write_gaussian_table(config: RunConfig, output_dir: str | Path | None = None,
                          fmt: str = "csv") -> Path:
-    directory = Path(output_dir if output_dir is not None else config.output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = _output_directory(config, output_dir)
     rows = gaussian_table_rows(config)
     columns = list(rows[0].keys())
     if fmt == "json":
@@ -164,8 +167,7 @@ def write_gaussian_table(config: RunConfig, output_dir: str | Path | None = None
 def write_condition_summary(config: RunConfig, output_dir: str | Path | None = None,
                             n_dump_modes: int = 6) -> dict[str, Path]:
     """Single-order conditioning artifacts: |O|^2 matrix CSV + summary JSON."""
-    directory = Path(output_dir if output_dir is not None else config.output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = _output_directory(config, output_dir)
     preset = config.preset()
     gate = config.gate()
     results = comb_subtraction_experiment(preset, gate, config.signal(),

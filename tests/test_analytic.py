@@ -8,13 +8,12 @@ from scipy.optimize import minimize
 from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
                      build_covariance, build_kernel, characteristic_scales,
                      covariance_schmidt_number, decompose, kernel_gram, preset_bbo,
-                     schmidt_number_closed_form, single_mode_profiles,
-                     single_mode_rate)
+                     schmidt_number_closed_form, single_mode_rate)
 from modesub.analytic import (DomainError, GaussianModelParams,
                               assemble_two_copy_form,
                               conversion_prefactor_fs,
                               normalized_probability_m2_per_j,
-                              single_mode_lambda_sq)
+                              single_mode_lambda_sq, single_mode_margins)
 from modesub.kernel import GAMMA_SINC
 
 
@@ -293,16 +292,15 @@ class TestSingleModeRate:
                                               (5, "co"), (5, "counter")])
     @pytest.mark.parametrize("l_um", [2000.0, 11663.4])
     def test_flags_agree_across_routes(self, phi_deg, sign, l_um):
-        # the rate, the profiles and K_min read one definition of the margins
+        # the rate and K_min read one definition of the margins
         preset = preset_bbo(phi_deg, sign).with_length(l_um)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=94.0)
         rate = single_mode_rate(preset, gate, 1e-3, signal)
-        prof = single_mode_profiles(preset, gate, signal,
-                                    GridConfig(n_omega_c=32, n_q=32, n_omega_s=32))
-        assert rate.single_mode_ok == prof.single_mode_ok
+        angle, _, ok = single_mode_margins(preset, gate.tau_g)
+        assert rate.single_mode_ok == ok
         k_min = characteristic_scales(params_for(phi_deg, sign, l_um, 107.7)).k_min
-        assert k_min - 1.0 == pytest.approx(prof.angle_margin, rel=1e-12)
+        assert k_min - 1.0 == pytest.approx(angle, rel=1e-12)
 
     def test_negative_photon_number_rejected(self):
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))

@@ -426,6 +426,17 @@ class TestCli:
         assert main(["subtract", "--config", str(path)]) == 0
         assert (tmp_path / "sub_out" / "condition_summary.json").exists()
 
+    def test_subtract_where_the_beam_drifts(self, tmp_path, capsys):
+        # phi = 5 deg co, w_s = 200 um: the q_c span must hold the beam's
+        # drift over the Omega box, or the boundary check fails
+        payload = {"crystal": {"preset": "bbo-phi5-co"}, "signal": {"waist_um": 200},
+                   "output_dir": str(tmp_path / "out")}
+        path = write_config(tmp_path, payload)
+        assert main(["subtract", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "out" / "condition_summary.json").read_text())
+        assert summary["grid"]["q_drift_ratio"] <= MAX_Q_DRIFT
+
     def test_solve_commands_skip_the_dense_route(self, tmp_path, monkeypatch):
         # subtract, scan and schmidt run on kernel_gram's streamed Gram alone
         def dense_route(*args, **kwargs):
