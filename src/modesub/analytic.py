@@ -144,10 +144,10 @@ def schmidt_number_closed_form(p: GaussianModelParams) -> float:
 
 @dataclass(frozen=True)
 class CovarianceForm:
-    """Quadratic forms of the Gaussian kernel and its Gram two-copy product."""
+    """Quadratic form of the Gaussian kernel (its Gram two-copy form is
+    ``assemble_two_copy_form(U)``)."""
 
     U: np.ndarray                 # 3x3 over (Omega_c, q_c, Omega_s)
-    V: np.ndarray                 # 6x6 over (Omega_c, q_c, Omega_s, primed)
     rank_deficient: bool
 
 
@@ -187,7 +187,7 @@ def build_covariance(p: GaussianModelParams) -> CovarianceForm:
          + 2.0 * GAMMA_SINC * (p.l / 2.0) ** 2 * np.outer(match, match))
     evals = np.linalg.eigvalsh(U)
     deficient = bool(evals[0] <= 1e-12 * evals[-1])
-    return CovarianceForm(U=U, V=assemble_two_copy_form(U), rank_deficient=deficient)
+    return CovarianceForm(U=U, rank_deficient=deficient)
 
 
 def covariance_schmidt_number(U: np.ndarray) -> float:

@@ -5,12 +5,13 @@ eigenmodes with mean photon numbers N_n per pulse.  Heralding on one
 up-converted photon mixes the subtraction channels with weights given by
 the squared Schmidt coefficients; the purity and probability of the
 conditioned state follow from the overlap matrix between subtraction modes
-and comb modes.
+and comb modes, which :func:`overlap_matrix` alone computes.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace as dc_replace
 from typing import Sequence
 
@@ -39,7 +40,6 @@ class CombState:
     tau_s_fs: float
     photons_comb: np.ndarray
     finesse: float = 40.0
-    label: str = "comb"
 
     def __post_init__(self):
         photons = np.asarray(self.photons_comb, dtype=float)
@@ -96,15 +96,28 @@ def flat_comb(n_modes: int = 40, squeezing_db: float = 4.2, finesse: float = 40.
     """
     n1_comb = photons_from_squeezing(squeezing_db, finesse) * finesse
     return CombState(tau_s_fs=tau_s_fs, photons_comb=np.full(n_modes, n1_comb),
-                     finesse=finesse, label=f"flat-{n_modes}")
+                     finesse=finesse)
 
 
 def comb_from_csv(path, tau_s_fs: float, finesse: float = 40.0) -> CombState:
-    """Comb photon distribution from a two-column CSV (index, N_comb)."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    order = np.argsort(data[:, 0])
-    return CombState(tau_s_fs=tau_s_fs, photons_comb=data[order, 1],
-                     finesse=finesse, label="csv")
+    """Comb photon distribution from a two-column CSV (index, N_comb).
+
+    Rows may come in any order, but each index of 0..N-1 must appear once: a
+    gap or a repeat would put photons on the wrong comb mode.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty file fails the check below
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    index = data[:, 0]
+    if (data.shape[1] != 2 or not np.all(np.isfinite(data)) or np.any(data[:, 1] < 0)
+            or not np.array_equal(np.sort(index), np.arange(index.size))):
+        raise ValueError(f"{path}: expected rows 'index,N_comb' of finite numbers, "
+                         "N_comb >= 0 and each index of 0..N-1 once")
+    return CombState(tau_s_fs=tau_s_fs, photons_comb=data[np.argsort(index), 1],
+                     finesse=finesse)
 
 
 def overlap_matrix(subtraction_modes: np.ndarray, comb: CombState,
@@ -114,11 +127,7 @@ def overlap_matrix(subtraction_modes: np.ndarray, comb: CombState,
     if modes.ndim != 2 or modes.shape[1] != grid.size:
         raise ValueError(f"subtraction modes must be rows on the {grid.size}-point grid, "
                          f"got shape {modes.shape}")
-    return _overlaps(modes, comb.sample_modes(grid), grid)
-
-
-def _overlaps(modes: np.ndarray, comb_modes: np.ndarray, grid: QuadGrid) -> np.ndarray:
-    return (modes * grid.weights) @ comb_modes.T
+    return (modes * grid.weights) @ comb.sample_modes(grid).T
 
 
 def _weight_and_purity(lambdas_sq: np.ndarray, overlap: np.ndarray,
@@ -160,7 +169,6 @@ class ConditionResult:
     rate_hz: float
     schmidt_number: float
     lambdas_sq: np.ndarray         # normalized spectrum of the decomposition
-    comb_modes: np.ndarray         # comb modes on the decomposition's grid, rows
 
 
 def conditioned_state(schmidt: SchmidtResult, comb: CombState,
@@ -168,16 +176,15 @@ def conditioned_state(schmidt: SchmidtResult, comb: CombState,
     """Evaluate subtraction probability, rate and purity for one decomposition.
 
     Schmidt sums are truncated once the cumulative normalized weight reaches
-    1 - 1e-6; comb sums run over every photon-bearing mode.
+    1 - 1e-6; comb sums run over every photon-bearing mode, with the overlaps
+    from :func:`overlap_matrix`.
     """
     photons = comb.photons_pulse
     if float(photons.sum()) <= 0.0:
         raise ConditioningError("all comb modes are vacuum; conditioning undefined")
     m_keep = schmidt.n_effective()
     lam_raw = schmidt.lambdas_sq_raw[:m_keep]
-    modes = schmidt.modes[:m_keep]
-    comb_modes = comb.sample_modes(schmidt.omega_s)
-    overlap = _overlaps(modes, comb_modes, schmidt.omega_s)
+    overlap = overlap_matrix(schmidt.modes[:m_keep], comb, schmidt.omega_s)
 
     weight, purity = _weight_and_purity(lam_raw, overlap, photons)
     probability = conversion_prefactor_fs(preset, gate) * weight
@@ -185,33 +192,28 @@ def conditioned_state(schmidt: SchmidtResult, comb: CombState,
                            probability=probability, purity=purity,
                            rate_hz=probability * gate.rep_rate_hz,
                            schmidt_number=schmidt.schmidt_number,
-                           lambdas_sq=schmidt.lambdas_sq, comb_modes=comb_modes)
+                           lambdas_sq=schmidt.lambdas_sq)
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """One gate order of the comb-subtraction experiment, with dump payloads."""
+    """One gate order of the comb-subtraction experiment."""
 
     gate_order: int
     condition: ConditionResult
-    subtraction_modes: np.ndarray    # first n_dump modes, rows
-    comb_modes: np.ndarray           # same grid, first n_dump comb modes
-    omega_s: QuadGrid
-    schmidt: SchmidtResult
     grid: dict                       # the kernel's resolved axis sizes and margins
 
 
 def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
                                 signal: SignalBeamSpec, comb: CombState,
                                 gate_orders: Sequence[int] = (0, 1, 2),
-                                config: GridConfig | None = None,
-                                n_dump_modes: int = 6) -> list[ExperimentResult]:
+                                config: GridConfig | None = None) -> list[ExperimentResult]:
     """Match the gate to successive comb modes and condition on a herald.
 
     For each requested order the gate spectral profile is set to that comb
     eigenmode shape (same order, gate's own time scale), the kernel is
     rebuilt and decomposed, and the conditioned state evaluated against the
-    full comb.
+    full comb; only that state's figures and the kernel's grid diagnostics are kept.
     """
     config = config or GridConfig()
     results = []
@@ -220,15 +222,9 @@ def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
         gate_o = dc_replace(gate, spectral=spectral)
         gram = kernel_gram(preset, gate_o, signal, config)
         schmidt = decompose(gram)
-        condition = conditioned_state(schmidt, comb, preset, gate_o)
-        n_dump = min(n_dump_modes, schmidt.modes.shape[0])
         results.append(ExperimentResult(
             gate_order=order,
-            condition=condition,
-            subtraction_modes=schmidt.modes[:n_dump],
-            comb_modes=condition.comb_modes[:n_dump_modes],
-            omega_s=schmidt.omega_s,
-            schmidt=schmidt,
+            condition=conditioned_state(schmidt, comb, preset, gate_o),
             grid=gram.diagnostics,
         ))
     return results

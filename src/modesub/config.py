@@ -300,6 +300,8 @@ def resolve(raw: dict) -> RunConfig:
         raise ConfigError("comb.squeezing_db: must be >= 0")
     if comb["preset"] not in ("flat-40", "csv"):
         raise ConfigError(f"comb.preset: unknown preset {comb['preset']!r}")
+    if comb["photons_csv"] is not None and not isinstance(comb["photons_csv"], str):
+        raise ConfigError("comb.photons_csv: expected a string")
     if comb["preset"] == "csv" and not comb["photons_csv"]:
         raise ConfigError("comb.photons_csv: required for comb.preset = 'csv'")
     _resolve_width("comb", comb, raw.get("comb") or {}, comb["center_nm"] * 1e-3)

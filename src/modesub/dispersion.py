@@ -15,7 +15,7 @@ units (nm, mm, degrees, nJ, MHz) appear only at the CLI boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ C_UM_PER_FS = 0.299792458
 # SI values, used only for absolute probabilities/rates
 C_M_PER_S = 299792458.0
 EPS0_F_PER_M = 8.8541878128e-12
-HBAR_J_S = 1.054571817e-34
 
 # beta-barium-borate is a negative uniaxial crystal; phase matching of the
 # degenerate type-I process exists up to a maximal non-collinear angle set by

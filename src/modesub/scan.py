@@ -17,14 +17,14 @@ import numpy as np
 
 from . import __version__
 from .analytic import (GaussianModelParams, characteristic_scales,
-                       conversion_prefactor_fs, schmidt_number_closed_form,
-                       single_mode_rate)
-from .conditioning import comb_subtraction_experiment, conditioned_state
+                       schmidt_number_closed_form, single_mode_rate)
+from .conditioning import comb_subtraction_experiment
 from .config import RunConfig
 from .kernel import build_kernel, kernel_gram
 from .schmidt import decompose, schmidt_number_scan
 
 SCAN_HEADER = "l_um,w_um,phi_deg,gate_order,K,lambda1_frac,status"
+N_LEADING_MODES = 6  # modes in modes.csv, Schmidt weights in condition_summary.json
 
 
 def _fmt(value) -> str:
@@ -97,13 +97,12 @@ def write_kernel_csv(config: RunConfig, output_dir: str | Path | None = None) ->
     return path
 
 
-def write_modes_csv(config: RunConfig, output_dir: str | Path | None = None,
-                    n_modes: int = 6) -> Path:
+def write_modes_csv(config: RunConfig, output_dir: str | Path | None = None) -> Path:
     """Dump the leading subtraction modes with their normalized weights."""
     directory = _output_directory(config, output_dir)
     result = decompose(kernel_gram(config.preset(), config.gate(),
                                    config.signal(), config.grid()))
-    m = min(n_modes, result.modes.shape[0])
+    m = min(N_LEADING_MODES, result.modes.shape[0])
     path = directory / "modes.csv"
     with path.open("w") as fh:
         fh.write("omega_s," + ",".join(f"mode_{i + 1}" for i in range(m)) + "\n")
@@ -116,24 +115,25 @@ def write_modes_csv(config: RunConfig, output_dir: str | Path | None = None,
 
 
 def gaussian_table_rows(config: RunConfig) -> list[dict]:
-    """Analytic-model summary, one row per scan point (or the base point)."""
+    """The order-0 closed form, one row per distinct (l, w_s, phi) in scan order."""
     preset = config.preset()
     gate = config.gate()
     signal = config.signal()
     comb = config.comb()
     n1 = float(comb.photons_pulse[0]) if comb.n_modes else 0.0
-    points = config.scan_points()
+    geometries = dict.fromkeys((p.length_um, p.waist_um, p.phi_rad)
+                               for p in config.scan_points())
     rows = []
-    for point in points:
-        pset = dc_replace(preset, length_um=point.length_um, phi=point.phi_rad)
-        sig = dc_replace(signal, waist_s_um=point.waist_um)
+    for length_um, waist_um, phi_rad in geometries:
+        pset = dc_replace(preset, length_um=length_um, phi=phi_rad)
+        sig = dc_replace(signal, waist_s_um=waist_um)
         params = GaussianModelParams.from_preset(pset, gate, sig, collinear=True)
         scales = characteristic_scales(params)
         rate = single_mode_rate(pset, gate, n1, sig)
         rows.append({
-            "l_um": point.length_um,
-            "w_um": point.waist_um,
-            "phi_deg": math.degrees(point.phi_rad),
+            "l_um": length_um,
+            "w_um": waist_um,
+            "phi_deg": math.degrees(phi_rad),
             "phi0_deg": math.degrees(scales.phi0_rad),
             "l0_um": scales.l0_um,
             "l_opt_um": scales.l_opt_um,
@@ -164,8 +164,8 @@ def write_gaussian_table(config: RunConfig, output_dir: str | Path | None = None
     return path
 
 
-def write_condition_summary(config: RunConfig, output_dir: str | Path | None = None,
-                            n_dump_modes: int = 6) -> dict[str, Path]:
+def write_condition_summary(config: RunConfig, output_dir: str | Path | None = None
+                            ) -> dict[str, Path]:
     """Single-order conditioning artifacts: |O|^2 matrix CSV + summary JSON."""
     directory = _output_directory(config, output_dir)
     preset = config.preset()
@@ -173,8 +173,7 @@ def write_condition_summary(config: RunConfig, output_dir: str | Path | None = N
     results = comb_subtraction_experiment(preset, gate, config.signal(),
                                           config.comb(),
                                           gate_orders=(gate.order,),
-                                          config=config.grid(),
-                                          n_dump_modes=n_dump_modes)
+                                          config=config.grid())
     res = results[0]
     cond = res.condition
 
@@ -194,7 +193,7 @@ def write_condition_summary(config: RunConfig, output_dir: str | Path | None = N
         "purity": cond.purity,
         "probability_per_pulse": cond.probability,
         "rate_hz": cond.rate_hz,
-        "lambda_sq": [float(v) for v in cond.lambdas_sq[:n_dump_modes]],
+        "lambda_sq": [float(v) for v in cond.lambdas_sq[:N_LEADING_MODES]],
         "grid": res.grid,
     }
     summary_path = directory / "condition_summary.json"

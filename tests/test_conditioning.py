@@ -52,6 +52,24 @@ class TestCombState:
         assert np.allclose(comb.photons_comb, [0.25, 0.20, 0.10])
         assert np.allclose(comb.photons_pulse, np.array([0.25, 0.20, 0.10]) / 40.0)
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("0.25\n0.20\n", id="one-column"),
+        pytest.param("0,0.1\n0,0.2\n", id="repeated-index"),
+        # photons meant for mode 5 would land on mode 2
+        pytest.param("1,0.1\n2,0.2\n5,0.3\n", id="gapped-index"),
+        pytest.param("0,0.1\n1.5,0.2\n", id="fractional-index"),
+        pytest.param("0,0.1,7\n1,0.2,7\n", id="three-columns"),
+        pytest.param("index,N\n0,0.1\n", id="header-row"),
+        pytest.param("0,0.1\n1,nan\n", id="non-finite"),
+        pytest.param("0,0.1\n1,-0.2\n", id="negative-photons"),
+        pytest.param("", id="empty"),
+    ])
+    def test_csv_rejects_malformed_file_naming_it(self, tmp_path, text):
+        path = tmp_path / "bad_photons.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad_photons.csv"):
+            comb_from_csv(path, tau_s_fs=TAU_S)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CombState(tau_s_fs=TAU_S, photons_comb=np.array([0.1, -0.2]))
@@ -275,9 +293,6 @@ class TestExperiment:
         rates = [r.condition.rate_hz for r in results]
         assert purities[0] > purities[1] > purities[2]
         assert (max(rates) - min(rates)) / min(rates) < 0.05
-        for r in results:
-            assert r.subtraction_modes.shape[0] == 6
-            assert r.comb_modes.shape == (6, r.omega_s.size)
 
     def test_comb_sampled_once_per_order(self, bbo1co, monkeypatch):
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=TAU_S)
@@ -295,8 +310,6 @@ class TestExperiment:
             bbo1co, gate, signal, comb, gate_orders=(0, 1),
             config=GridConfig(n_omega_c=48, n_q=48, n_omega_s=48))
         assert len(calls) == len(results)
-        for r in results:
-            assert np.array_equal(r.comb_modes, sample_modes(comb, r.omega_s)[:6])
 
     def test_plane_wave_guard_is_callers_burden(self, bbo1co):
         # gate narrower than 5x the signal waist is allowed at kernel level;

@@ -375,6 +375,7 @@ class TestCli:
          "scan.axes[0].values[1]"),
         ({"scan": {"axes": [{"variable": "gate_order", "min": 0, "max": math.inf,
                              "count": 2}]}}, "scan.axes[0].max"),
+        ({"comb": {"preset": "csv", "photons_csv": 5}}, "comb.photons_csv"),
     ])
     def test_non_finite_or_non_numeric_value_names_the_field(self, tmp_path, capsys,
                                                              payload, field):
@@ -417,6 +418,24 @@ class TestCli:
         assert main(["gaussian", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["K_min"] == pytest.approx(1.06778, abs=1e-4)
+
+    def test_gaussian_table_one_row_per_geometry(self, tmp_path, capsys):
+        # the closed form is the order-0 model: a gate_order axis adds no rows
+        payload = {"scan": {"axes": [{"variable": "l_mm", "values": [1.0, 3.0]},
+                                     {"variable": "gate_order", "values": [0, 1, 2]}]}}
+        path = write_config(tmp_path, payload)
+        assert main(["gaussian", "--config", str(path), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["l_um"] for row in rows] == [1000.0, 3000.0]
+
+    def test_malformed_photons_csv_names_the_file(self, tmp_path, capsys):
+        photons = tmp_path / "one_column.csv"
+        photons.write_text("0.1\n0.2\n")
+        path = write_config(tmp_path, {"comb": {"preset": "csv",
+                                                "photons_csv": str(photons)},
+                                       "output_dir": str(tmp_path / "out")})
+        assert main(["subtract", "--config", str(path)]) == 1
+        assert "error: " + str(photons) in capsys.readouterr().err
 
     def test_subtract_command(self, tmp_path, capsys):
         payload = {"grid": {"n_omega_c": 64, "n_q": 64, "n_omega_s": 64},
