@@ -8,13 +8,16 @@ a plane wave (valid for a gate beam much wider than the signal), which is
 what reduces the problem to these three variables.  Every factor is real,
 so the kernel is real.
 
-One sampler writes the kernel's Omega_c rows.  :func:`kernel_gram` has it
-write a few rows at a time into a reused block and folds each block straight
-into the real symmetric signal-side Gram matrix, never forming the 3-D
-array; that is the solve path.  :func:`build_kernel` has it write every row
-into the dense array, for the CSV dump and as a plain reference: its mass
-marginals, and :func:`~modesub.schmidt.gram_matrix` over it, are unfolded
-sums over every row, which the tests hold the streamed route to.
+One sampler writes the kernel one q_c plane at a time: a contiguous
+[Omega_c, Omega_s] array on which every q_c part is a scalar.
+:func:`kernel_gram` has it write a few whole planes at a time into a reused
+block and folds each block straight into the real symmetric signal-side
+Gram matrix, never forming the 3-D array; that is the solve path.
+:func:`build_kernel` has it write every plane, block by block, into the
+dense [Omega_c, q_c, Omega_s] array, for the CSV dump and as a plain
+reference: its mass marginals, and :func:`~modesub.schmidt.gram_matrix`
+over it, are unfolded sums over every row, which the tests hold the
+streamed route to.
 
 The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
 (-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
@@ -79,9 +82,8 @@ Q_ALIAS_TOL = 1e-12
 # half-span; a derived q_c span widens to keep it (:func:`_axes`), which
 # leaves at least 5 (1 - MAX_Q_DRIFT) = 1.5 beam widths 1/w_s of margin
 MAX_Q_DRIFT = 0.7
-# kernel samples per slab of the sampler's 3-D arithmetic; bounds its temporaries
-SLAB_SAMPLES = 1 << 14
-# kernel samples per block of the Gram accumulation, each one BLAS syrk call
+# kernel samples per block of whole q_c planes the sampler writes; each
+# block is one BLAS syrk call of the Gram accumulation
 BLOCK_SAMPLES = 1 << 16
 # sinc uses its series below this |x|: the truncation error x^6/5040 and the
 # angle-addition quotient's 2e-16/|x| both stay under 3e-14 relative
@@ -326,19 +328,21 @@ def _outer_part(coeffs, omega_c, omega_s):
 
 def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
             config: GridConfig, check: bool):
-    """The kernel's quadrature axes, a writer of its Omega_c rows, and the
-    axis sizes and q_c drift ratio (:func:`_axes`) as diagnostics.
+    """The kernel's quadrature axes, a plane-block writer, and the axis
+    sizes and q_c drift ratio (:func:`_axes`) as diagnostics.
 
     The main-lobe resolution check runs on the axes before any sample is
-    taken.  ``fill(start, out)`` writes the real float64 rows
-    [start, start + len(out)) into ``out`` ([rows, n_q, n_s]).  It evaluates
-    the 2-D (Omega_c, Omega_s) parts of the forms (module docstring) on
-    those rows only, and every transcendental but the 3-D exps of the beam
-    and of the Gaussian phase matching on the 2-D and 1-D parts.  The 3-D
-    arithmetic runs in place, slab by slab of about :data:`SLAB_SAMPLES`
-    samples, with one slab-sized float temporary, so the temporaries stay
-    small while :func:`kernel_gram`'s block stays large enough for an
-    efficient syrk.
+    taken.  ``blocks(rows)`` evaluates the 2-D (Omega_c, Omega_s) parts of
+    the forms (module docstring) on the Omega_c rows [0, rows) once, with
+    their gate amplitude, sin and cos.  It then yields ``(start, block)``:
+    the q_c planes [start, start + len(block)) of those rows, written into
+    one reused contiguous block ([planes, rows, n_s], real float64) of about
+    :data:`BLOCK_SAMPLES` samples.  On a plane the 1-D q_c parts are
+    scalars, so every 3-D op is a contiguous pass over a plane and a scalar
+    or a 2-D part, in place or into one plane-sized temporary; only the exps
+    of the beam and of the Gaussian phase matching see every sample.  The
+    ops run in the order of the plain product's, so every sample is the
+    same to the last bit whatever the block shape.
     """
     forms = kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho)
     (g_wc, g_q, g_ws), diagnostics = _axes(preset, gate, signal, config, forms)
@@ -361,15 +365,14 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     amp = np.sqrt(w_s) / np.pi**0.25
     beam_form = tuple(w_s * np.sqrt(0.5) * c for c in beam_form)
     sinc_pm = config.phase_matching == "sinc"
-    # 2-D parts are [rows, 1, n_s], 1-D parts [1, n_q, 1]
-    qc, ws = g_q.points[None, :, None], g_ws.points[None, None, :]
-    gamma, v = beam_form[1] * qc, pm_form[1] * qc
+    # the 1-D parts, one scalar per q_c plane
+    gamma, v = beam_form[1] * g_q.points, pm_form[1] * g_q.points
     if sinc_pm:
         sin_v, cos_v = np.sin(v), np.cos(v)
-    slab_rows = max(1, SLAB_SAMPLES // (g_q.size * g_ws.size))
 
-    def fill(start: int, out: np.ndarray) -> None:
-        wc = g_wc.points[start:start + out.shape[0], None, None]
+    def blocks(rows: int):
+        # 2-D parts are [rows, n_s]
+        wc, ws = g_wc.points[:rows, None], g_ws.points[None, :]
         # the gate has no q_c part
         gate_amp = amp * hermite_gauss_values(gate.order, gate.tau_g,
                                               _outer_part(gate_form, wc, ws))
@@ -377,65 +380,64 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
         u = _outer_part(pm_form, wc, ws)
         if sinc_pm:
             sin_u, cos_u = np.sin(u), np.cos(u)
-        for first in range(0, out.shape[0], slab_rows):
-            slab = out[first:first + slab_rows]
-            rows = slice(first, first + slab.shape[0])
-            temp = np.empty_like(slab)
-            if sinc_pm:
-                np.multiply(sin_u[rows], cos_v, out=slab)
-                slab += np.multiply(cos_u[rows], sin_v, out=temp)
-                _sine_over(slab, np.add(u[rows], v, out=temp))
-            else:   # the surrogate's exp(-GAMMA_SINC x^2), in place
-                np.add(u[rows], v, out=slab)
-                np.square(slab, out=slab)
-                slab *= -GAMMA_SINC
-                np.exp(slab, out=slab)
-            np.add(beta[rows], gamma, out=temp)
-            np.square(temp, out=temp)
-            np.negative(temp, out=temp)
-            slab *= np.exp(temp, out=temp)
-            slab *= gate_amp[rows]
+        temp = np.empty_like(u)
+        per_block = max(1, BLOCK_SAMPLES // u.size)
+        block = np.empty((min(per_block, g_q.size), *u.shape))
+        for start in range(0, g_q.size, per_block):
+            part = block[:min(per_block, g_q.size - start)]
+            for k, plane in enumerate(part, start):
+                if sinc_pm:
+                    np.multiply(sin_u, cos_v[k], out=plane)
+                    plane += np.multiply(cos_u, sin_v[k], out=temp)
+                    _sine_over(plane, np.add(u, v[k], out=temp))
+                else:   # the surrogate's exp(-GAMMA_SINC x^2), in place
+                    np.add(u, v[k], out=plane)
+                    np.square(plane, out=plane)
+                    plane *= -GAMMA_SINC
+                    np.exp(plane, out=plane)
+                np.add(beta, gamma[k], out=temp)
+                np.square(temp, out=temp)
+                np.negative(temp, out=temp)
+                plane *= np.exp(temp, out=temp)
+                plane *= gate_amp
+            yield start, part
 
-    return (g_wc, g_q, g_ws), fill, diagnostics
+    return (g_wc, g_q, g_ws), blocks, diagnostics
 
 
-def _folded_gram(fill, grids: tuple[QuadGrid, QuadGrid, QuadGrid]):
+def _folded_gram(blocks, grids: tuple[QuadGrid, QuadGrid, QuadGrid]):
     """:func:`kernel_gram`'s folded sums: the Gram sum a^T a over the
     weighted rows, and the quadrature mass |L|^2 w_c w_q w_s marginalized
     onto (Omega_c, q_c) and onto Omega_s.
 
-    ``fill(start, out)`` writes the kernel's rows [start, start + len(out))
-    into ``out``.  The rows [0, ceil(n_c/2)) are written into one reused
-    block of about :data:`BLOCK_SAMPLES` samples and weighted in place by
-    sqrt(w_c w_q), the centre row of an odd axis at w_c / 2 (exact in
-    binary); each block enters the sums at once, one BLAS syrk per block,
-    and each sum S is completed as S + S reversed along every axis.
+    ``blocks`` is :func:`_sample`'s plane-block writer.  It samples the
+    Omega_c rows [0, ceil(n_c/2)), a block of whole q_c planes at a time,
+    and each block is weighted in place by sqrt(w_c w_q), the centre row of
+    an odd axis at w_c / 2 (exact in binary).  The block's rows are
+    (q_c, Omega_c) pairs, and a^T a does not depend on their order; each
+    block enters the sums at once, one BLAS syrk per block, and each sum S
+    is completed as S + S reversed along every axis.  The Omega_s marginal
+    is diag(G) w_s, which needs no sum of its own.
     """
     g_wc, g_q, g_ws = grids
     n_q, n_s = g_q.size, g_ws.size
     w_c = g_wc.weights[:(g_wc.size + 1) // 2].copy()
     if g_wc.size % 2:
         w_c[-1] /= 2.0   # the self-mirrored centre row
-    sqrt_w = np.sqrt(np.outer(w_c, g_q.weights))[:, :, None]
-    rows = max(1, BLOCK_SAMPLES // (n_q * n_s))
-    block = np.empty((min(rows, w_c.size), n_q, n_s))
+    rows = w_c.size
+    sqrt_w = np.sqrt(np.outer(g_q.weights, w_c))[:, :, None]
     gram = np.zeros((n_s, n_s))
-    converted_mass = np.zeros((g_wc.size, n_q))   # unsampled rows stay 0
-    signal_mass = np.zeros(n_s)
-    for start in range(0, w_c.size, rows):
-        stop = min(start + rows, w_c.size)
-        weighted = block[:stop - start]
-        fill(start, weighted)
+    converted_mass = np.zeros((n_q, g_wc.size))   # unsampled rows stay 0
+    for start, weighted in blocks(rows):
+        stop = start + weighted.shape[0]
         weighted *= sqrt_w[start:stop]
         a = weighted.reshape(-1, n_s)
         gram += a.T @ a   # symmetric rank-k update (BLAS syrk)
         a *= a
-        converted_mass[start:stop] = (a @ g_ws.weights).reshape(-1, n_q)
-        signal_mass += a.sum(axis=0)
+        converted_mass[start:stop, :rows] = (a @ g_ws.weights).reshape(-1, rows)
     gram = gram + gram[::-1, ::-1]
     converted_mass = converted_mass + converted_mass[::-1, ::-1]
-    signal_mass = signal_mass + signal_mass[::-1]
-    return gram, converted_mass, signal_mass * g_ws.weights
+    return gram, converted_mass.T, np.diag(gram) * g_ws.weights
 
 
 def _checked_mass(converted_mass: np.ndarray, signal_mass: np.ndarray,
@@ -467,13 +469,16 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     O(n_s^2 + block) since the 3-D kernel array is never formed.  By the
     kernel's point symmetry (module docstring) only the Omega_c rows
     [0, ceil(n_c/2)) are sampled, the centre row of an odd axis at half
-    weight; the Gram matrix G_h and the mass marginals over them are
-    completed by reflection, G = G_h + G_h[::-1, ::-1], before the norm and
-    boundary checks run on the full marginals.
+    weight, in blocks of whole q_c planes (:func:`_folded_gram`).  The Gram
+    matrix G_h and the (Omega_c, q_c) mass marginal over them are completed
+    by reflection, G = G_h + G_h[::-1, ::-1], so G is centrosymmetric to the
+    last bit, which :func:`~modesub.schmidt.decompose` relies on.  The
+    Omega_s marginal is read off diag(G), and the norm and boundary checks
+    run on the full marginals.
     """
     config = config or GridConfig()
-    grids, fill, diagnostics = _sample(preset, gate, signal, config, check=True)
-    gram, converted_mass, signal_mass = _folded_gram(fill, grids)
+    grids, blocks, diagnostics = _sample(preset, gate, signal, config, check=True)
+    gram, converted_mass, signal_mass = _folded_gram(blocks, grids)
     norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check=True)
     return KernelGram(gram=gram, omega_s=grids[2], norm_sq=norm_sq,
                       diagnostics={**diagnostics, "boundary_fractions": fractions})
@@ -489,10 +494,13 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     :data:`BOUNDARY_TOL` of the kernel mass sits in a boundary cell.
     """
     config = config or GridConfig()
-    grids, fill, diagnostics = _sample(preset, gate, signal, config, check)
+    grids, blocks, diagnostics = _sample(preset, gate, signal, config, check)
     g_wc, g_q, g_ws = grids
     values = np.empty((g_wc.size, g_q.size, g_ws.size))
-    fill(0, values)
+    # a q_c plane of the array is strided, and the writer runs about twice
+    # as slow on it, so the planes are written contiguously and copied in
+    for start, block in blocks(g_wc.size):
+        values[:, start:start + block.shape[0]] = block.transpose(1, 0, 2)
     # |L|^2 w_c w_q w_s summed in one pass over the array, no dense temporary
     w_cq = np.outer(g_wc.weights, g_q.weights)
     converted_mass = np.einsum("cqs,cqs,s->cq", values, values, g_ws.weights) * w_cq

@@ -119,8 +119,7 @@ def gaussian_table_rows(config: RunConfig) -> list[dict]:
     preset = config.preset()
     gate = config.gate()
     signal = config.signal()
-    comb = config.comb()
-    n1 = float(comb.photons_pulse[0]) if comb.n_modes else 0.0
+    n1 = float(config.comb().photons_pulse[0])
     geometries = dict.fromkeys((p.length_um, p.waist_um, p.phi_rad)
                                for p in config.scan_points())
     rows = []

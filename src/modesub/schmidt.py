@@ -9,6 +9,13 @@ operator.  The solve path streams G from the kernel sampler
 (:func:`~modesub.kernel.kernel_gram`), folded over the kernel's point
 symmetry; :func:`gram_matrix` is the plain sum over every row of a dense
 kernel, the reference the streamed fold is tested against.
+
+The point symmetry also makes G centrosymmetric, G(-Omega_s, -Omega_s') =
+G(Omega_s, Omega_s'), so every subtraction mode is even or odd in Omega_s,
+like the Hermite-Gauss comb modes it is matched against.
+:func:`decompose` solves the two parities as separate blocks of half the
+size and builds each mode from its half; a Gram that is not point-symmetric
+is an error, not an input to symmetrize.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ NOISE_FLOOR = 1e-12
 DEGENERACY_GAP = 1e-9
 # components within this relative distance of a mode's largest |.| tie as its pivot
 PIVOT_TIE = 1e-6
+# largest max |G - J G J| a decomposed Gram may hold, relative to max |G|;
+# a dense kernel's plain sum is point-symmetric only to rounding
+POINT_SYMMETRY_TOL = 1e-12
 
 
 class DecompositionError(RuntimeError):
@@ -80,9 +90,9 @@ def _fix_sign(modes: np.ndarray) -> np.ndarray:
     """Flip each mode so its pivot is positive.
 
     The pivot is the first component within :data:`PIVOT_TIE` (relative)
-    of the largest |.|: an odd mode of the point-symmetric kernel has two
-    mirror extremes of equal magnitude, and rounding must not pick between
-    them.
+    of the largest |.|.  A mode of :func:`decompose` is even or odd to the
+    last bit, so its mirror extremes tie exactly and the first one is the
+    pivot; the tolerance keeps rounding from choosing between near ties.
     """
     mags = np.abs(modes)
     first = np.argmax(mags >= (1.0 - PIVOT_TIE) * mags.max(axis=1, keepdims=True), axis=1)
@@ -90,29 +100,80 @@ def _fix_sign(modes: np.ndarray) -> np.ndarray:
     return np.where(pivots < 0, -1.0, 1.0)[:, None] * modes
 
 
+def _parity_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of a centrosymmetric matrix h = J h J.
+
+    J reverses the axis.  With m = n // 2, H the top-left m x m block and
+    M[i, j] = h[i, n-1-j] its mirror, an even vector [v; J v] / sqrt 2 is
+    an eigenvector of h when v is one of H + M, and an odd vector
+    [v; -J v] / sqrt 2 when v is one of H - M.  On an odd axis the even
+    vector is [v / sqrt 2; c; J v / sqrt 2], and the even block gains the
+    centre row and column, the off-diagonal part scaled by sqrt 2.  Only the
+    first ceil(n/2) rows of h are read.
+    """
+    n = h.shape[0]
+    m = n // 2
+    top, mirror = h[:m, :m], h[:m, ::-1][:, :m]
+    even, odd = top + mirror, top - mirror
+    if n % 2:
+        root2 = np.sqrt(2.0)
+        even = np.block([[even, root2 * h[:m, m:m + 1]],
+                         [root2 * h[m:m + 1, :m], h[m:m + 1, m:m + 1]]])
+    return even, odd
+
+
+def _parity_vectors(even: np.ndarray, odd: np.ndarray, n: int) -> np.ndarray:
+    """Columns of an n-axis from the parity blocks' eigenvectors
+    (:func:`_parity_blocks`), even then odd; each column is even or odd
+    to the last bit."""
+    m = n // 2
+    half = np.sqrt(0.5)
+    even_top, odd_top = even[:m] * half, odd * half
+    # even[m:] is the centre row of an odd axis, and empty on an even one
+    return np.hstack([np.vstack([even_top, even[m:], even_top[::-1]]),
+                      np.vstack([odd_top, np.zeros((n % 2, odd.shape[1])),
+                                 -odd_top[::-1]])])
+
+
 def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
-    """Eigendecomposition of the weighted Gram matrix.
+    """Eigendecomposition of the weighted Gram matrix, one parity at a time.
 
     Takes a dense kernel or the streamed Gram of
     :func:`~modesub.kernel.kernel_gram`.  Weighting is symmetric,
     W^(1/2) G W^(1/2) with W the signal-axis quadrature weights;
-    eigenvectors are de-weighted back to function samples.  Eigenvalues are
+    eigenvectors are de-weighted back to function samples.  The kernel is
+    point-symmetric, so G = J G J with J the reversal of the Omega_s axis
+    (exactly for the streamed G, to rounding for :func:`gram_matrix`), and
+    so is the weighted matrix, whose weights are symmetric.  It splits into
+    an even and an odd block (:func:`_parity_blocks`) of ceil(n/2) and
+    floor(n/2) rows, one ``eigh`` each, and every mode is even or odd to
+    the last bit.  Raises :class:`DecompositionError` when
+    max |G - J G J| exceeds :data:`POINT_SYMMETRY_TOL` of max |G|; a Gram
+    that is not point-symmetric is never symmetrized.  Eigenvalues are
     clipped at zero, sorted descending, and entries below the noise floor
     are dropped from the returned spectrum.
     """
     gram = kernel.gram if isinstance(kernel, KernelGram) else gram_matrix(kernel)
+    peak = float(np.abs(gram).max())
+    asymmetry = float(np.abs(gram - gram[::-1, ::-1]).max())
+    if not asymmetry <= POINT_SYMMETRY_TOL * peak:
+        raise DecompositionError(
+            f"Gram matrix is not point-symmetric: max |G - JGJ| {asymmetry:.3e} "
+            f"against max |G| {peak:.3e}")
     sqrt_w = np.sqrt(kernel.omega_s.weights)
     weighted = sqrt_w[:, None] * gram * sqrt_w[None, :]
     try:
-        evals, evecs = np.linalg.eigh(weighted)
+        (even_vals, even_vecs), (odd_vals, odd_vecs) = map(np.linalg.eigh,
+                                                           _parity_blocks(weighted))
     except np.linalg.LinAlgError as exc:
-        scale = float(np.abs(weighted).max())
         raise DecompositionError(
             f"eigensolver failed on a {weighted.shape[0]}x{weighted.shape[0]} "
-            f"Gram matrix (max |entry| {scale:.3e})") from exc
+            f"Gram matrix (max |entry| {peak:.3e})") from exc
 
-    evals = np.clip(evals[::-1], 0.0, None)
-    evecs = evecs[:, ::-1]
+    evals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(-evals, kind="stable")
+    evals = np.clip(evals[order], 0.0, None)
+    evecs = _parity_vectors(even_vecs, odd_vecs, weighted.shape[0])[:, order]
     keep = evals > NOISE_FLOOR * (evals[0] if evals[0] > 0 else 1.0)
     keep[0] = True
     evals_kept = evals[keep]

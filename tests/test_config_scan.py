@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modesub import GridConfig, build_kernel, decompose, kernel_gram
+from modesub.analytic import single_mode_rate
 from modesub.cli import main
 from modesub.config import ConfigError, load_config, resolve, schema
 from modesub.kernel import BOUNDARY_TOL, MAX_Q_DRIFT, MIN_AXIS_POINTS
@@ -305,14 +307,17 @@ class TestArtifacts:
         assert float(row["K_min"]) == pytest.approx(1.06778, abs=1e-4)
         assert float(row["rate_hz"]) == pytest.approx(332.1, rel=1e-3)
 
-    def test_default_subtract_identical_under_single_threaded_blas(self, tmp_path):
-        # default grid, derived q_c axis: the Gram blocks' syrk must not
-        # depend on how many threads OpenBLAS runs
-        outputs = run_cli_blas_default_and_single(tmp_path, "subtract",
+    @pytest.mark.parametrize("command,artifact", [("subtract", "condition_summary.json"),
+                                                  ("schmidt", "modes.csv")])
+    def test_default_identical_under_single_threaded_blas(self, tmp_path, command,
+                                                          artifact):
+        # default grid, derived q_c axis: neither the Gram blocks' syrk nor
+        # the two parity blocks' eigensolves may depend on how many threads
+        # OpenBLAS runs
+        outputs = run_cli_blas_default_and_single(tmp_path, command,
                                                   write_config(tmp_path, {}))
-        summaries = [out.joinpath("condition_summary.json").read_bytes()
-                     for out in outputs]
-        assert summaries[0] == summaries[1]
+        files = [out.joinpath(artifact).read_bytes() for out in outputs]
+        assert files[0] == files[1]
 
     def test_condition_summary(self, tmp_path):
         config = resolve({"grid": {"n_omega_c": 64, "n_q": 64, "n_omega_s": 64},
@@ -427,6 +432,21 @@ class TestCli:
         assert main(["gaussian", "--config", str(path), "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert [row["l_um"] for row in rows] == [1000.0, 3000.0]
+
+    def test_gaussian_table_takes_n1_from_csv_index_0(self, tmp_path, capsys):
+        # rows out of order: n_1 is the photon number of comb mode 0
+        photons = tmp_path / "photons.csv"
+        photons.write_text("2,5.0\n0,80.0\n1,3.0\n")
+        path = write_config(tmp_path, {"comb": {"preset": "csv",
+                                                "photons_csv": str(photons)}})
+        assert main(["gaussian", "--config", str(path), "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        config = load_config(path)
+        n1 = 80.0 / config.comb().finesse
+        preset = config.preset().with_length(row["l_um"])
+        signal = replace(config.signal(), waist_s_um=row["w_um"])
+        expected = single_mode_rate(preset, config.gate(), n1, signal).rate_hz
+        assert row["rate_hz"] == pytest.approx(expected, rel=1e-12)
 
     def test_malformed_photons_csv_names_the_file(self, tmp_path, capsys):
         photons = tmp_path / "one_column.csv"

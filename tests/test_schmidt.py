@@ -8,9 +8,9 @@ from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
                      KernelGrid, ScanPoint, SignalBeamSpec, build_kernel,
                      decompose, gram_matrix, kernel_gram, preset_bbo,
                      schmidt_number_scan, uniform_grid)
-from modesub.kernel import (GAMMA_SINC, SLAB_SAMPLES, KernelGram,
+from modesub.kernel import (BLOCK_SAMPLES, GAMMA_SINC, KernelGram,
                             KernelResolutionError, KernelSpanError)
-from modesub.schmidt import PIVOT_TIE
+from modesub.schmidt import PIVOT_TIE, DecompositionError
 
 
 def separable_kernel():
@@ -172,11 +172,55 @@ class TestDecompose:
             assert defect == pytest.approx(tail, rel=1e-9)
 
 
+def weighted_gram_eigh(gram: KernelGram):
+    """Spectrum (descending, unit sum) and modes of one plain eigh of the
+    weighted Gram matrix, with no use of its symmetry."""
+    sqrt_w = np.sqrt(gram.omega_s.weights)
+    evals, evecs = np.linalg.eigh(sqrt_w[:, None] * gram.gram * sqrt_w[None, :])
+    evals = np.clip(evals[::-1], 0.0, None)
+    return evals / evals.sum(), (evecs[:, ::-1] / sqrt_w[:, None]).T
+
+
+class TestParitySplit:
+    """The two parity blocks against one eigh of the whole matrix."""
+
+    @pytest.mark.parametrize("n_s", [64, 65])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_matches_plain_eigh(self, bbo1co, signal_opt, order, n_s):
+        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        gram = kernel_gram(bbo1co, gate, signal_opt, GridConfig(n_omega_s=n_s))
+        result = decompose(gram)
+        lambdas, modes = weighted_gram_eigh(gram)
+        assert np.allclose(result.lambdas_sq, lambdas[:result.lambdas_sq.size],
+                           rtol=1e-12, atol=1e-15)
+        assert result.schmidt_number == pytest.approx(1.0 / np.sum(lambdas**2),
+                                                      rel=1e-12)
+        n_modes = result.n_effective()
+        assert not result.degenerate[:n_modes].any()
+        for mode, oracle in zip(result.modes[:n_modes], modes):
+            sign = np.sign(np.sum(mode * oracle))
+            assert np.max(np.abs(mode - sign * oracle)) <= 1e-10 * np.abs(oracle).max()
+        # every mode is even or odd to the last bit, the leading one with
+        # the HG gate's parity
+        parities = [1 if np.array_equal(mode[::-1], mode) else
+                    -1 if np.array_equal(mode[::-1], -mode) else 0
+                    for mode in result.modes]
+        assert 0 not in parities
+        assert parities[0] == (-1) ** order and -parities[0] in parities
+
+    def test_not_point_symmetric_gram_raises(self):
+        kernel = separable_kernel()   # sig(Omega_s) is not even
+        gram = KernelGram(gram=gram_matrix(kernel), omega_s=kernel.omega_s,
+                          norm_sq=kernel.norm_sq)
+        with pytest.raises(DecompositionError, match="not point-symmetric"):
+            decompose(gram)
+
+
 class TestStreamedGram:
     """The streamed solve path against the dense kernel it never builds."""
 
     @pytest.mark.parametrize("case", ["default", "gate-order-2", "gaussian",
-                                      "counter", "partial-slab"])
+                                      "counter", "partial-block"])
     def test_matches_dense_oracle(self, case, bbo1co, gate94, signal_opt):
         preset, gate = bbo1co, gate94
         cfg = GridConfig(n_omega_c=64, n_q=64, n_omega_s=64)
@@ -187,10 +231,11 @@ class TestStreamedGram:
         elif case == "counter":
             preset = preset_bbo(5, "counter")
             cfg = GridConfig(n_omega_c=128, n_q=96, n_omega_s=96)
-        elif case == "partial-slab":
-            cfg = GridConfig(n_omega_c=45, n_q=40, n_omega_s=40)
-            rows = SLAB_SAMPLES // (40 * 40)
-            assert 1 < rows < 45 and 45 % rows != 0
+        elif case == "partial-block":
+            # the last block of whole q_c planes holds fewer than the others
+            cfg = GridConfig(n_omega_c=127, n_q=40, n_omega_s=64)
+            planes = BLOCK_SAMPLES // ((127 + 1) // 2 * 64)   # sampled rows x n_s
+            assert 1 < planes < 40 and 40 % planes != 0
         dense = build_kernel(preset, gate, signal_opt, cfg)
         streamed = kernel_gram(preset, gate, signal_opt, cfg)
         oracle = gram_matrix(dense)
