@@ -7,6 +7,7 @@ failure (every scan point failed), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -108,7 +109,15 @@ def cmd_subtract(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``modesub`` argument parser, built once per process.
+
+    Building it takes about a millisecond (eight parsers and their help
+    formatters), which a driver calling :func:`main` in a loop would pay
+    on every call.  ``parse_args`` leaves a parser unchanged and returns a
+    fresh namespace, so calls share nothing through it.
+    """
     parser = argparse.ArgumentParser(
         prog="modesub",
         description="Mode-selective photon subtraction via non-collinear "

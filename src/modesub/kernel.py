@@ -12,7 +12,8 @@ One sampler writes the kernel one q_c plane at a time: a contiguous
 [Omega_c, Omega_s] array on which every q_c part is a scalar.
 :func:`kernel_gram` has it write a few whole planes at a time into a reused
 block and folds each block straight into the real symmetric signal-side
-Gram matrix, never forming the 3-D array; that is the solve path.
+Gram matrix, never forming the 3-D array; that is the solve path, and it
+runs at one OpenBLAS thread (:func:`kernel_gram` says why).
 :func:`build_kernel` has it write every plane, block by block, into the
 dense [Omega_c, q_c, Omega_s] array, for the CSV dump and as a plain
 reference: its mass marginals, and :func:`~modesub.schmidt.gram_matrix`
@@ -63,6 +64,7 @@ from typing import Literal
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .dispersion import CrystalPreset, kernel_forms
 from .modes import (SPAN_SIGMAS, HermiteGaussSpec, QuadGrid, default_half_span,
                     hermite_gauss_values, uniform_grid)
@@ -208,9 +210,12 @@ def _sine_over(sine: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     with np.errstate(invalid="ignore"):   # 0/0 at x = 0 is replaced below
         np.divide(sine, x, out=sine)
-    small = (x < SINC_SERIES_BELOW) & (x > -SINC_SERIES_BELOW)   # no float temporary
-    x2 = np.square(x[small])
-    sine[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
+    # flat indices, taken once; most q_c planes miss the ridge and have none.
+    # np.put writes through a strided ``sine``, where sine.ravel() would copy
+    small = np.flatnonzero((x < SINC_SERIES_BELOW) & (x > -SINC_SERIES_BELOW))
+    if small.size:
+        x2 = np.square(np.take(x, small))
+        np.put(sine, small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0))
     return sine
 
 
@@ -461,6 +466,7 @@ def _checked_mass(converted_mass: np.ndarray, signal_mass: np.ndarray,
     return norm_sq, fractions
 
 
+@one_blas_thread()
 def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                 config: GridConfig | None = None) -> KernelGram:
     """Signal-side Gram operator of the kernel, streamed block by block.
@@ -475,6 +481,12 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     last bit, which :func:`~modesub.schmidt.decompose` relies on.  The
     Omega_s marginal is read off diag(G), and the norm and boundary checks
     run on the full marginals.
+
+    The whole call runs at one OpenBLAS thread and restores the count on
+    return (:func:`~modesub._blas.one_blas_thread`).  Each block's syrk is
+    about 500 x 128; a second thread gains nothing on it and spin-waits
+    through the next plane's numpy passes, which then run slower.  The
+    thread count does not change a sample or a Gram entry.
     """
     config = config or GridConfig()
     grids, blocks, diagnostics = _sample(preset, gate, signal, config, check=True)

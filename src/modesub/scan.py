@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._blas import environment
 from .analytic import (GaussianModelParams, characteristic_scales,
                        schmidt_number_closed_form, single_mode_rate)
 from .conditioning import comb_subtraction_experiment
@@ -44,7 +45,8 @@ def _output_directory(config: RunConfig, output_dir: str | Path | None) -> Path:
 
 def write_run_meta(directory: Path, config: RunConfig, wall_s: float) -> Path:
     meta = {"tool": "modesub", "version": __version__,
-            "wall_time_s": wall_s, "config": config.resolved}
+            "wall_time_s": wall_s, "config": config.resolved,
+            "environment": environment()}
     path = directory / "run_meta.json"
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return path

@@ -15,7 +15,8 @@ G(Omega_s, Omega_s'), so every subtraction mode is even or odd in Omega_s,
 like the Hermite-Gauss comb modes it is matched against.
 :func:`decompose` solves the two parities as separate blocks of half the
 size and builds each mode from its half; a Gram that is not point-symmetric
-is an error, not an input to symmetrize.
+is an error, not an input to symmetrize.  The solve runs at one OpenBLAS
+thread (:func:`~modesub._blas.one_blas_thread`), like the Gram it reads.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .dispersion import ConfigurationError, CrystalPreset
 from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid,
                      KernelResolutionError, KernelSpanError, SignalBeamSpec,
@@ -135,6 +137,7 @@ def _parity_vectors(even: np.ndarray, odd: np.ndarray, n: int) -> np.ndarray:
                                  -odd_top[::-1]])])
 
 
+@one_blas_thread()
 def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
     """Eigendecomposition of the weighted Gram matrix, one parity at a time.
 
@@ -152,6 +155,10 @@ def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
     that is not point-symmetric is never symmetrized.  Eigenvalues are
     clipped at zero, sorted descending, and entries below the noise floor
     are dropped from the returned spectrum.
+
+    The call runs at one OpenBLAS thread and restores the count on return,
+    also when it raises.  The parity blocks are about 64 x 64: a second
+    thread slows their ``eigh`` by its spin-wait and speeds up nothing.
     """
     gram = kernel.gram if isinstance(kernel, KernelGram) else gram_matrix(kernel)
     peak = float(np.abs(gram).max())

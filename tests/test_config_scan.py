@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modesub import GridConfig, build_kernel, decompose, kernel_gram
+from modesub import GridConfig, _blas, build_kernel, decompose, kernel_gram
 from modesub.analytic import single_mode_rate
-from modesub.cli import main
+from modesub.cli import build_parser, main
 from modesub.config import ConfigError, load_config, resolve, schema
 from modesub.kernel import BOUNDARY_TOL, MAX_Q_DRIFT, MIN_AXIS_POINTS
 from modesub.scan import (run_scan, write_condition_summary, write_gaussian_table,
@@ -222,6 +222,19 @@ class TestRunScan:
         assert cells[-1] == "ok"
         assert repr(float(cells[4])) == cells[4]  # shortest round-trip format
 
+    def test_run_meta_records_the_environment(self, tmp_path):
+        meta = json.loads(run_scan(self.scan_config(tmp_path))["run_meta"].read_text())
+        env = meta["environment"]
+        assert set(env) == {"numpy", "blas", "blas_threads", "solve_single_thread",
+                            "nproc"}
+        assert env["numpy"] == np.__version__
+        assert env["nproc"] == os.cpu_count()
+        if _blas._openblas() is None:
+            assert env["blas_threads"] is None and not env["solve_single_thread"]
+        else:   # the count outside the solve, not the solve's 1
+            assert env["solve_single_thread"]
+            assert env["blas_threads"] == _blas.blas_threads()
+
     def test_run_meta_reproduces_the_run(self, tmp_path):
         config = self.scan_config(tmp_path)
         paths = run_scan(config)
@@ -311,9 +324,11 @@ class TestArtifacts:
                                                   ("schmidt", "modes.csv")])
     def test_default_identical_under_single_threaded_blas(self, tmp_path, command,
                                                           artifact):
-        # default grid, derived q_c axis: neither the Gram blocks' syrk nor
-        # the two parity blocks' eigensolves may depend on how many threads
-        # OpenBLAS runs
+        # default grid, derived q_c axis, in a fresh process with the
+        # environment's BLAS threads and with OPENBLAS_NUM_THREADS=1.  The
+        # solve runs at one OpenBLAS thread on both sides, so this checks the
+        # rest of the run; TestOneBlasThread.test_same_numbers_at_two_threads
+        # holds the solve itself at two threads against one
         outputs = run_cli_blas_default_and_single(tmp_path, command,
                                                   write_config(tmp_path, {}))
         files = [out.joinpath(artifact).read_bytes() for out in outputs]
@@ -423,6 +438,16 @@ class TestCli:
         assert main(["gaussian", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["K_min"] == pytest.approx(1.06778, abs=1e-4)
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_shares_no_state_between_calls(self, tmp_path, capsys):
+        assert main(["gaussian", "--format", "json"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert main(["gaussian", "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'gaussian_table.csv'}\n"
+        assert not (tmp_path / "gaussian_table.json").exists()
 
     def test_gaussian_table_one_row_per_geometry(self, tmp_path, capsys):
         # the closed form is the order-0 model: a gate_order axis adds no rows

@@ -9,8 +9,8 @@ from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
 from modesub.dispersion import kernel_forms, preset_by_name
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
 from modesub.kernel import (BOUNDARY_TOL, GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
-                            Q_ALIAS_TOL, KernelResolutionError, KernelSpanError,
-                            _sine_over, derive_grids, sinc)
+                            Q_ALIAS_TOL, SINC_SERIES_BELOW, KernelResolutionError,
+                            KernelSpanError, _sine_over, derive_grids, sinc)
 from modesub.modes import hermite_gauss_values
 
 from conftest import TAU_COMB_FS
@@ -67,6 +67,31 @@ class TestSinc:
         series = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0 * (1.0 - x2 / 72.0)))
         expected = np.where(np.abs(x) < 0.05, series, np.sin(x) / x)
         assert np.allclose(_sine_over(sine, x), expected, rtol=1e-13, atol=0.0)
+
+    @staticmethod
+    def boolean_mask_sine_over(sine, x):
+        """The plain boolean-mask form of :func:`_sine_over`'s arithmetic."""
+        sine = sine / x
+        small = (x < SINC_SERIES_BELOW) & (x > -SINC_SERIES_BELOW)
+        x2 = np.square(x[small])
+        sine[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)
+        return sine
+
+    @pytest.mark.parametrize("case", ["near-zero", "no-small-x", "strided"])
+    def test_series_bit_identical_to_boolean_mask(self, rng, case):
+        if case == "no-small-x":   # a plane the phase-matching ridge misses
+            x = rng.uniform(0.5, 40.0, (64, 128)) * rng.choice([-1.0, 1.0], (64, 128))
+            sine = np.sin(x)
+        else:   # test_angle_addition_quotient_near_zero's inputs, as a plane
+            x_target = np.geomspace(1e-7, 0.3, 4000) * rng.choice([-1.0, 1.0], 4000)
+            u = rng.uniform(-20.0, 20.0, x_target.size)
+            v = x_target - u
+            x = (u + v).reshape(50, 80)
+            sine = (np.sin(u) * np.cos(v) + np.cos(u) * np.sin(v)).reshape(50, 80)
+        expected = self.boolean_mask_sine_over(sine, x)
+        if case == "strided":   # the series must land in a non-contiguous array
+            sine, x = np.asfortranarray(sine), np.asfortranarray(x)
+        assert np.array_equal(_sine_over(sine, x), expected)
 
 
 class TestBuildKernel:

@@ -4,10 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from modesub import _blas
+from modesub import kernel as kernel_mod
 from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
                      KernelGrid, ScanPoint, SignalBeamSpec, build_kernel,
                      decompose, gram_matrix, kernel_gram, preset_bbo,
                      schmidt_number_scan, uniform_grid)
+from modesub.config import resolve
 from modesub.kernel import (BLOCK_SAMPLES, GAMMA_SINC, KernelGram,
                             KernelResolutionError, KernelSpanError)
 from modesub.schmidt import PIVOT_TIE, DecompositionError
@@ -332,3 +335,83 @@ class TestScan:
         with pytest.raises(TypeError, match="build_kernel is broken"):
             schmidt_number_scan(bbo1co, gate94, signal_opt, points,
                                 GridConfig(n_omega_c=48, n_q=48, n_omega_s=48))
+
+
+needs_openblas = pytest.mark.skipif(_blas._openblas() is None,
+                                    reason="numpy does not link its bundled OpenBLAS")
+
+
+@pytest.fixture
+def two_threads():
+    """OpenBLAS at two threads for the test, the caller's count afterwards,
+    so a restore to the count before the solve is not a restore to 1."""
+    get, set_threads = _blas._openblas()
+    saved = get()
+    set_threads(2)
+    yield
+    set_threads(saved)
+
+
+@needs_openblas
+@pytest.mark.usefixtures("two_threads")
+class TestOneBlasThread:
+    """The solve path runs at one OpenBLAS thread and gives the count back."""
+
+    def test_count_restored_after_the_solve(self, bbo1co, gate94, signal_opt):
+        gram = kernel_gram(bbo1co, gate94, signal_opt)
+        assert _blas.blas_threads() == 2
+        decompose(gram)
+        assert _blas.blas_threads() == 2
+
+    def test_count_restored_when_decompose_raises(self):
+        kernel = separable_kernel()   # the Gram of test_not_point_symmetric_gram_raises
+        gram = KernelGram(gram=gram_matrix(kernel), omega_s=kernel.omega_s,
+                          norm_sq=kernel.norm_sq)
+        with pytest.raises(DecompositionError):
+            decompose(gram)
+        assert _blas.blas_threads() == 2
+
+    def test_nested_use_restores_each_level(self):
+        with _blas.one_blas_thread():
+            assert _blas.blas_threads() == 1
+            with _blas.one_blas_thread():
+                assert _blas.blas_threads() == 1
+            assert _blas.blas_threads() == 1
+        assert _blas.blas_threads() == 2
+
+    def test_one_thread_inside_the_solve(self, bbo1co, gate94, signal_opt, monkeypatch):
+        seen = []
+
+        def recording(wrapped):
+            def call(*args, **kwargs):
+                seen.append((wrapped.__name__, _blas.blas_threads()))
+                return wrapped(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(kernel_mod, "_folded_gram", recording(kernel_mod._folded_gram))
+        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        decompose(kernel_gram(bbo1co, gate94, signal_opt))
+        assert seen == [("_folded_gram", 1), ("eigh", 1), ("eigh", 1)]
+
+    def test_no_library_found_leaves_the_count(self, monkeypatch):
+        get, _ = _blas._openblas()
+        monkeypatch.setattr(_blas, "_openblas", lambda: None)
+        with _blas.one_blas_thread():
+            assert get() == 2
+        assert _blas.blas_threads() is None
+
+    def test_same_numbers_at_two_threads(self, monkeypatch):
+        # the OPENBLAS_NUM_THREADS=1 subprocess tests run the solve at one
+        # thread on both sides; here the helper is switched off to run it at
+        # two threads against one, at the default point
+        config = resolve({})
+        args = (config.preset(), config.gate(), config.signal(), config.grid())
+        with monkeypatch.context() as patched:
+            patched.setattr(_blas, "_openblas", lambda: None)
+            gram_two = kernel_gram(*args)
+            result_two = decompose(gram_two)
+        gram_one = kernel_gram(*args)
+        result_one = decompose(gram_one)
+        assert np.array_equal(gram_two.gram, gram_one.gram)
+        assert np.array_equal(result_two.lambdas_sq, result_one.lambdas_sq)
+        assert np.array_equal(result_two.modes, result_one.modes)
