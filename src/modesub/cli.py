@@ -96,8 +96,7 @@ def cmd_gaussian(args) -> int:
     widths = {c: max(len(c), 12) for c in columns}
     print("  ".join(c.ljust(widths[c]) for c in columns))
     for row in rows:
-        print("  ".join(f"{row[c]:<{widths[c]}.6g}" if row[c] is not None else ""
-                        for c in columns))
+        print("  ".join(f"{row[c]:<{widths[c]}.6g}" for c in columns))
     return EXIT_OK
 
 

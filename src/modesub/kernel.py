@@ -16,9 +16,10 @@ Gram matrix, never forming the 3-D array; that is the solve path, and it
 runs at one OpenBLAS thread (:func:`kernel_gram` says why).
 :func:`build_kernel` has it write every plane, block by block, into the
 dense [Omega_c, q_c, Omega_s] array, for the CSV dump and as a plain
-reference: its mass marginals, and :func:`~modesub.schmidt.gram_matrix`
-over it, are unfolded sums over every row, which the tests hold the
-streamed route to.
+reference: its norm, and :func:`~modesub.schmidt.gram_matrix` over it, are
+unfolded sums over every row, which the tests hold the streamed route to.
+Both measure truncation as ``mass_captured``: the share of the closed-form
+continuum ||L||^2 (:func:`continuum_norm_sq`) in the box, whatever the step.
 
 The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
 (-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
@@ -26,11 +27,10 @@ form with no constant term, the gate is carrier-centred (a
 :class:`~modesub.modes.HermiteGaussSpec` has no centre) and the HG mode has
 parity (-1)^order, and the :func:`~modesub.modes.uniform_grid` axes are
 antisymmetric to the last bit, so the identity holds bit for bit on the
-sampled array.  The Gram matrix and the mass marginals only see products of
-two samples, so the sign drops out: :func:`kernel_gram`, and only it,
-samples the Omega_c rows [0, ceil(n_c/2)) and completes its sums by
-reflection, the centre row of an odd axis, which mirrors onto itself,
-entering at half weight.
+sampled array.  The Gram matrix only sees products of two samples, so the
+sign drops out: :func:`kernel_gram`, and only it, samples the Omega_c rows
+[0, ceil(n_c/2)) and completes its sum by reflection, the centre row of an
+odd axis, which mirrors onto itself, entering at half weight.
 
 Each factor's argument is linear in (Omega_c, q_c, Omega_s)
 (:func:`~modesub.dispersion.kernel_forms`), so it splits into a 2-D
@@ -71,8 +71,8 @@ from .modes import (SPAN_SIGMAS, HermiteGaussSpec, QuadGrid, default_half_span,
 
 # sinc(x) ~ exp(-GAMMA_SINC x^2) matches the full width at half maximum
 GAMMA_SINC = 0.193
-# largest share of the kernel mass a boundary cell may hold
-BOUNDARY_TOL = 1e-3
+# smallest share of the continuum norm^2 a checked grid box must hold
+MIN_MASS_CAPTURED = 0.9
 # fewest grid points across the phase-matching main lobe on a coupled axis
 MIN_LOBE_POINTS = 8.0
 # fewest points on any axis
@@ -99,7 +99,7 @@ class KernelResolutionError(ValueError):
 
 
 class KernelSpanError(ValueError):
-    """Grid box cuts off a non-negligible fraction of the kernel."""
+    """Grid box holds too little of the kernel's norm (:func:`_checked_mass`)."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ class GridConfig:
         if self.span_scale <= 0:
             raise ValueError("span_scale must be positive")
         if self.phase_matching not in ("sinc", "gaussian"):
-            raise ValueError(f"phase_matching must be 'sinc' or 'gaussian'")
+            raise ValueError("phase_matching must be 'sinc' or 'gaussian'")
 
 
 @dataclass(frozen=True)
@@ -265,6 +265,18 @@ def q_axis_size(forms, length_um: float, w_s: float, span_q: float,
     return max(MIN_AXIS_POINTS, int(np.ceil(2.0 * span_q / step)) + 1)
 
 
+def continuum_norm_sq(forms, length_um: float, phase_matching: PhaseMatching) -> float:
+    """||L||^2 over all of (Omega_c, q_c, Omega_s): pi / |det M| for the sinc,
+    sqrt(pi / (2 GAMMA_SINC)) / |det M| for the surrogate, M the rows of
+    ``forms`` (:func:`~modesub.dispersion.kernel_forms`) with the match row
+    times l/2.  In y = M x, L is a product of one factor per y_k, and the HG
+    gate and the beam Gaussian have unit norm for every gate order."""
+    gate, beam, match = forms
+    det = np.linalg.det([gate, beam, [c * length_um / 2.0 for c in match]])
+    pm_sq = np.pi if phase_matching == "sinc" else np.sqrt(np.pi / (2.0 * GAMMA_SINC))
+    return float(pm_sq / abs(det))
+
+
 def derive_grids(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                  config: GridConfig) -> tuple[QuadGrid, QuadGrid, QuadGrid]:
     """Default quadrature axes for a kernel build; :func:`_axes` sizes them."""
@@ -333,8 +345,8 @@ def _outer_part(coeffs, omega_c, omega_s):
 
 def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
             config: GridConfig, check: bool):
-    """The kernel's quadrature axes, a plane-block writer, and the axis
-    sizes and q_c drift ratio (:func:`_axes`) as diagnostics.
+    """The kernel's quadrature axes, a plane-block writer, the continuum norm^2
+    and, as diagnostics, the axis sizes and q_c drift ratio (:func:`_axes`).
 
     The main-lobe resolution check runs on the axes before any sample is
     taken.  ``blocks(rows)`` evaluates the 2-D (Omega_c, Omega_s) parts of
@@ -351,6 +363,7 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     """
     forms = kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho)
     (g_wc, g_q, g_ws), diagnostics = _axes(preset, gate, signal, config, forms)
+    continuum = continuum_norm_sq(forms, preset.length_um, config.phase_matching)
     gate_form, beam_form, match_form = forms
     half_l = preset.length_um / 2.0
     pm_form = tuple(c * half_l for c in match_form)
@@ -407,63 +420,47 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                 plane *= gate_amp
             yield start, part
 
-    return (g_wc, g_q, g_ws), blocks, diagnostics
+    return (g_wc, g_q, g_ws), blocks, continuum, diagnostics
 
 
-def _folded_gram(blocks, grids: tuple[QuadGrid, QuadGrid, QuadGrid]):
-    """:func:`kernel_gram`'s folded sums: the Gram sum a^T a over the
-    weighted rows, and the quadrature mass |L|^2 w_c w_q w_s marginalized
-    onto (Omega_c, q_c) and onto Omega_s.
+def _folded_gram(blocks, grids: tuple[QuadGrid, QuadGrid, QuadGrid]) -> np.ndarray:
+    """:func:`kernel_gram`'s folded Gram sum a^T a over the weighted rows.
 
     ``blocks`` is :func:`_sample`'s plane-block writer.  It samples the
     Omega_c rows [0, ceil(n_c/2)), a block of whole q_c planes at a time,
     and each block is weighted in place by sqrt(w_c w_q), the centre row of
     an odd axis at w_c / 2 (exact in binary).  The block's rows are
     (q_c, Omega_c) pairs, and a^T a does not depend on their order; each
-    block enters the sums at once, one BLAS syrk per block, and each sum S
-    is completed as S + S reversed along every axis.  The Omega_s marginal
-    is diag(G) w_s, which needs no sum of its own.
+    block enters the sum at once, one BLAS syrk per block, and the sum G_h
+    is completed as G_h + G_h reversed along both axes.
     """
     g_wc, g_q, g_ws = grids
-    n_q, n_s = g_q.size, g_ws.size
     w_c = g_wc.weights[:(g_wc.size + 1) // 2].copy()
     if g_wc.size % 2:
         w_c[-1] /= 2.0   # the self-mirrored centre row
-    rows = w_c.size
     sqrt_w = np.sqrt(np.outer(g_q.weights, w_c))[:, :, None]
-    gram = np.zeros((n_s, n_s))
-    converted_mass = np.zeros((n_q, g_wc.size))   # unsampled rows stay 0
-    for start, weighted in blocks(rows):
-        stop = start + weighted.shape[0]
-        weighted *= sqrt_w[start:stop]
-        a = weighted.reshape(-1, n_s)
+    gram = np.zeros((g_ws.size, g_ws.size))
+    for start, weighted in blocks(w_c.size):
+        weighted *= sqrt_w[start:start + weighted.shape[0]]
+        a = weighted.reshape(-1, g_ws.size)
         gram += a.T @ a   # symmetric rank-k update (BLAS syrk)
-        a *= a
-        converted_mass[start:stop, :rows] = (a @ g_ws.weights).reshape(-1, rows)
-    gram = gram + gram[::-1, ::-1]
-    converted_mass = converted_mass + converted_mass[::-1, ::-1]
-    return gram, converted_mass.T, np.diag(gram) * g_ws.weights
+    return gram + gram[::-1, ::-1]
 
 
-def _checked_mass(converted_mass: np.ndarray, signal_mass: np.ndarray,
-                  check: bool) -> tuple[float, list[float]]:
-    """Kernel norm^2 and the mass fraction in each axis's boundary cells.
+def _checked_mass(norm_sq: float, continuum: float, check: bool) -> float:
+    """``mass_captured`` = norm_sq / ``continuum`` (:func:`continuum_norm_sq`).
 
     Raises :class:`KernelSpanError` when the norm vanished or overflowed,
-    and, with ``check``, when a boundary fraction exceeds
-    :data:`BOUNDARY_TOL`.
+    and, with ``check``, when the share is under :data:`MIN_MASS_CAPTURED`.
     """
-    norm_sq = float(converted_mass.sum())
     if norm_sq <= 0 or not np.isfinite(norm_sq):
         raise KernelSpanError("kernel norm vanished or overflowed; check spans")
-    fractions = [float((m[0] + m[-1]) / norm_sq)
-                 for m in (converted_mass.sum(axis=1), converted_mass.sum(axis=0),
-                           signal_mass)]
-    if check and max(fractions) > BOUNDARY_TOL:
+    captured = norm_sq / continuum
+    if check and captured < MIN_MASS_CAPTURED:
         raise KernelSpanError(
-            f"boundary cells hold {max(fractions):.2e} of the kernel mass "
-            f"(limit {BOUNDARY_TOL:.1e}); widen the grid spans")
-    return norm_sq, fractions
+            f"the grid box holds {captured:.3f} of the kernel's continuum norm^2 "
+            f"(limit {MIN_MASS_CAPTURED}); widen the grid spans")
+    return captured
 
 
 @one_blas_thread()
@@ -476,11 +473,11 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     kernel's point symmetry (module docstring) only the Omega_c rows
     [0, ceil(n_c/2)) are sampled, the centre row of an odd axis at half
     weight, in blocks of whole q_c planes (:func:`_folded_gram`).  The Gram
-    matrix G_h and the (Omega_c, q_c) mass marginal over them are completed
-    by reflection, G = G_h + G_h[::-1, ::-1], so G is centrosymmetric to the
-    last bit, which :func:`~modesub.schmidt.decompose` relies on.  The
-    Omega_s marginal is read off diag(G), and the norm and boundary checks
-    run on the full marginals.
+    matrix G_h over them is completed by reflection, G = G_h + G_h[::-1, ::-1],
+    so G is centrosymmetric to the last bit, which
+    :func:`~modesub.schmidt.decompose` relies on.  The norm is read off its
+    diagonal, norm_sq = sum_i w_s,i G_ii, and ``diagnostics["mass_captured"]``
+    is its share of the continuum norm^2 (:func:`_checked_mass`).
 
     The whole call runs at one OpenBLAS thread and restores the count on
     return (:func:`~modesub._blas.one_blas_thread`).  Each block's syrk is
@@ -489,11 +486,12 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     thread count does not change a sample or a Gram entry.
     """
     config = config or GridConfig()
-    grids, blocks, diagnostics = _sample(preset, gate, signal, config, check=True)
-    gram, converted_mass, signal_mass = _folded_gram(blocks, grids)
-    norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check=True)
+    grids, blocks, continuum, diagnostics = _sample(preset, gate, signal, config, check=True)
+    gram = _folded_gram(blocks, grids)
+    norm_sq = float(np.diag(gram) @ grids[2].weights)
+    captured = _checked_mass(norm_sq, continuum, check=True)
     return KernelGram(gram=gram, omega_s=grids[2], norm_sq=norm_sq,
-                      diagnostics={**diagnostics, "boundary_fractions": fractions})
+                      diagnostics={**diagnostics, "mass_captured": captured})
 
 
 def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
@@ -502,11 +500,12 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
 
     Raises :class:`KernelResolutionError` when fewer than
     :data:`MIN_LOBE_POINTS` grid points fall across the phase-matching main
-    lobe along any coupled axis, and :class:`KernelSpanError` when more than
-    :data:`BOUNDARY_TOL` of the kernel mass sits in a boundary cell.
+    lobe along any coupled axis, and :class:`KernelSpanError` when the box
+    holds under :data:`MIN_MASS_CAPTURED` of the continuum norm^2, the share
+    ``diagnostics["mass_captured"]`` reports (:func:`_checked_mass`).
     """
     config = config or GridConfig()
-    grids, blocks, diagnostics = _sample(preset, gate, signal, config, check)
+    grids, blocks, continuum, diagnostics = _sample(preset, gate, signal, config, check)
     g_wc, g_q, g_ws = grids
     values = np.empty((g_wc.size, g_q.size, g_ws.size))
     # a q_c plane of the array is strided, and the writer runs about twice
@@ -514,10 +513,9 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     for start, block in blocks(g_wc.size):
         values[:, start:start + block.shape[0]] = block.transpose(1, 0, 2)
     # |L|^2 w_c w_q w_s summed in one pass over the array, no dense temporary
-    w_cq = np.outer(g_wc.weights, g_q.weights)
-    converted_mass = np.einsum("cqs,cqs,s->cq", values, values, g_ws.weights) * w_cq
-    signal_mass = np.einsum("cqs,cqs,cq->s", values, values, w_cq) * g_ws.weights
-    norm_sq, fractions = _checked_mass(converted_mass, signal_mass, check)
+    norm_sq = float(g_wc.weights @ np.einsum("cqs,cqs,s->cq", values, values,
+                                             g_ws.weights) @ g_q.weights)
+    captured = _checked_mass(norm_sq, continuum, check)
     return KernelGrid(values=values, omega_c=g_wc, q_c=g_q, omega_s=g_ws,
                       norm_sq=norm_sq, phase_matching=config.phase_matching,
-                      diagnostics={**diagnostics, "boundary_fractions": fractions})
+                      diagnostics={**diagnostics, "mass_captured": captured})

@@ -13,7 +13,7 @@ from modesub import GridConfig, _blas, build_kernel, decompose, kernel_gram
 from modesub.analytic import single_mode_rate
 from modesub.cli import build_parser, main
 from modesub.config import ConfigError, load_config, resolve, schema
-from modesub.kernel import BOUNDARY_TOL, MAX_Q_DRIFT, MIN_AXIS_POINTS
+from modesub.kernel import MAX_Q_DRIFT, MIN_AXIS_POINTS, MIN_MASS_CAPTURED
 from modesub.scan import (run_scan, write_condition_summary, write_gaussian_table,
                           write_kernel_csv, write_modes_csv, write_run_meta)
 
@@ -345,11 +345,10 @@ class TestArtifacts:
                                 "rate_hz", "lambda_sq", "grid"}
         grid = summary["grid"]
         assert list(grid) == ["n_omega_c", "n_q", "n_omega_s", "q_drift_ratio",
-                              "boundary_fractions"]
+                              "mass_captured"]
         assert grid["n_omega_c"] == grid["n_q"] == grid["n_omega_s"] == 64
         assert 0.0 < grid["q_drift_ratio"] <= MAX_Q_DRIFT
-        assert len(grid["boundary_fractions"]) == 3
-        assert 0.0 < max(grid["boundary_fractions"]) <= BOUNDARY_TOL
+        assert MIN_MASS_CAPTURED <= grid["mass_captured"] < 1.0
         assert 0.0 < summary["purity"] <= 1.0
         assert summary["rate_hz"] > 0
         overlap_lines = paths["overlap_matrix"].read_text().splitlines()

@@ -8,9 +8,10 @@ from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
                      SignalBeamSpec, build_kernel, decompose, delta_k, kernel_gram)
 from modesub.dispersion import kernel_forms, preset_by_name
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
-from modesub.kernel import (BOUNDARY_TOL, GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
-                            Q_ALIAS_TOL, SINC_SERIES_BELOW, KernelResolutionError,
-                            KernelSpanError, _sine_over, derive_grids, sinc)
+from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
+                            MIN_MASS_CAPTURED, Q_ALIAS_TOL, SINC_SERIES_BELOW,
+                            KernelResolutionError, KernelSpanError, _sine_over,
+                            derive_grids, sinc)
 from modesub.modes import hermite_gauss_values
 
 from conftest import TAU_COMB_FS
@@ -169,6 +170,36 @@ class TestBuildKernel:
                          span_omega_c=0.005, span_omega_s=0.005)
         with pytest.raises(KernelSpanError):
             build_kernel(bbo1co, gate94, signal_opt, cfg)
+
+    @pytest.mark.parametrize("order", [0, 2])
+    @pytest.mark.parametrize("l_um", [1000.0, 2000.0])
+    def test_surrogate_box_holds_the_continuum_norm(self, signal_opt, order, l_um):
+        # the surrogate's Gaussian tails are negligible past 1.5 x the spans,
+        # so the box norm is the closed form to rounding, for any gate order
+        preset = preset_by_name("bbo-phi1-co").with_length(l_um)
+        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        cfg = GridConfig(span_scale=1.5, phase_matching="gaussian")
+        captured = kernel_gram(preset, gate, signal_opt, cfg).diagnostics["mass_captured"]
+        assert captured == pytest.approx(1.0, abs=1e-12)
+
+    def test_sinc_mass_outside_the_box_falls_as_one_over_span(self, gate94, signal_opt):
+        # the sinc^2 tails past X x the spans hold a share ~ 1/X of the norm
+        # (l = 1 mm: 0.0662 and 0.0329 at X = 1 and 2, same step)
+        preset = preset_by_name("bbo-phi1-co").with_length(1000.0)
+        outside = [(1.0 - kernel_gram(preset, gate94, signal_opt,
+                                      GridConfig(n_omega_c=n, n_omega_s=n, span_scale=x)
+                                      ).diagnostics["mass_captured"]) * x
+                   for x, n in ((1.0, 128), (2.0, 256))]
+        assert outside[1] == pytest.approx(outside[0], rel=0.05)
+
+    def test_mass_captured_does_not_depend_on_the_step(self, gate94):
+        # one box at two steps holds one share of the norm
+        preset = preset_by_name("bbo-phi1-co").with_length(1000.0)
+        signal = SignalBeamSpec(waist_s_um=200.0, spectral_tau_fs=TAU_COMB_FS)
+        coarse, fine = (kernel_gram(preset, gate94, signal, GridConfig(n, n, n))
+                        .diagnostics["mass_captured"] for n in (64, 128))
+        assert coarse >= MIN_MASS_CAPTURED
+        assert coarse == pytest.approx(fine, abs=1e-4)
 
     def test_gate_marginal_recovery_in_long_pulse_limit(self, signal_opt):
         # narrowband gate in a thin crystal: phase matching is flat across
@@ -333,7 +364,7 @@ class TestWideSignalBeam:
         for build in (kernel_gram, build_kernel):
             kernel = build(preset, gate94, self.WIDE)
             assert kernel.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
-            assert max(kernel.diagnostics["boundary_fractions"]) <= BOUNDARY_TOL
+            assert kernel.diagnostics["mass_captured"] >= MIN_MASS_CAPTURED
 
     @pytest.mark.parametrize("preset_name", ["bbo-phi5-co", "bbo-phi5-counter"])
     def test_unchecked_values_match_first_principles(self, gate94, preset_name):
