@@ -20,7 +20,7 @@ from .dispersion import (C_UM_PER_FS, CrystalPreset, bandwidth_from_tau,
                          preset_by_name)
 from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid, SignalBeamSpec,
                      build_kernel, kernel_gram)
-from .modes import HermiteGaussSpec, QuadGrid, hermite_gauss, uniform_grid
+from .modes import HermiteGaussSpec, QuadGrid, uniform_grid
 from .schmidt import (ScanPoint, SchmidtResult, decompose, gram_matrix,
                       schmidt_number_scan)
 
@@ -52,7 +52,6 @@ __all__ = [
     "delta_k",
     "flat_comb",
     "gram_matrix",
-    "hermite_gauss",
     "kernel_gram",
     "list_presets",
     "overlap_matrix",

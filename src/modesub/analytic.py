@@ -142,15 +142,6 @@ def schmidt_number_closed_form(p: GaussianModelParams) -> float:
     return math.sqrt((a * p.w_s**2 + b) * (c / p.w_s**2 + d))
 
 
-@dataclass(frozen=True)
-class CovarianceForm:
-    """Quadratic form of the Gaussian kernel (its Gram two-copy form is
-    ``assemble_two_copy_form(U)``)."""
-
-    U: np.ndarray                 # 3x3 over (Omega_c, q_c, Omega_s)
-    rank_deficient: bool
-
-
 def assemble_two_copy_form(U: np.ndarray) -> np.ndarray:
     """6x6 exponent matrix of L*(y,s) L(y,s') L(y',s) L*(y',s').
 
@@ -173,21 +164,19 @@ def assemble_two_copy_form(U: np.ndarray) -> np.ndarray:
     return V
 
 
-def build_covariance(p: GaussianModelParams) -> CovarianceForm:
-    """Exponent matrices of the Gaussian-surrogate kernel.
+def build_covariance(p: GaussianModelParams) -> np.ndarray:
+    """Exponent matrix U of the Gaussian-surrogate kernel, 3x3 over
+    (Omega_c, q_c, Omega_s): L = exp(-x^T U x / 2) for the order-0 gate.
 
     U is the sum of rank-one contributions from the gate spectrum, the
-    signal transverse profile and the Gaussian-approximated phase matching;
-    it is rank deficient only for degenerate geometries (flagged, not
-    raised -- the Schmidt number may still exist on a reduced block).
+    signal transverse profile and the Gaussian-approximated phase matching.
+    It is singular only for degenerate geometries, which
+    :func:`covariance_schmidt_number` detects itself.
     """
     gate, beam, match = map(np.array, kernel_forms(p.kp_s, p.kp_c, p.phi, p.rho))
-    U = (p.tau_g**2 * np.outer(gate, gate)
-         + p.w_s**2 * np.outer(beam, beam)
-         + 2.0 * GAMMA_SINC * (p.l / 2.0) ** 2 * np.outer(match, match))
-    evals = np.linalg.eigvalsh(U)
-    deficient = bool(evals[0] <= 1e-12 * evals[-1])
-    return CovarianceForm(U=U, rank_deficient=deficient)
+    return (p.tau_g**2 * np.outer(gate, gate)
+            + p.w_s**2 * np.outer(beam, beam)
+            + 2.0 * GAMMA_SINC * (p.l / 2.0) ** 2 * np.outer(match, match))
 
 
 def covariance_schmidt_number(U: np.ndarray) -> float:

@@ -63,10 +63,11 @@ class CombState:
         """Comb modes on a grid, rows ordered by mode index.
 
         Continuum normalization on purpose: renormalizing would hide the
-        part of a high order that spills past the grid.  That spill is not
-        harmless: the subtraction modes carry sinc tails out to the box edge,
-        and with the default spans the top modes of the 40-mode comb turn
-        beyond it.  Against a box three times wider, that biases the
+        part of a high order that spills past the grid, which shows as a
+        row's grid norm sum_i w_i row_i^2 under 1.  That spill is not
+        harmless: the subtraction modes carry sinc tails out to the box
+        edge, and with the default spans the top modes of the 40-mode comb
+        turn beyond it.  Against a box three times wider, that biases the
         conditioned purity by 3.4% at the default point and by 6.9% at
         l = 1 mm.
         """
@@ -163,7 +164,6 @@ class ConditionResult:
     """Herald statistics and conditioned-state figures of one configuration."""
 
     overlap: np.ndarray
-    probability_weight: float      # sum lambda^2(raw) |O|^2 N, 1/fs
     probability: float             # per pulse
     purity: float
     rate_hz: float
@@ -175,9 +175,9 @@ def conditioned_state(schmidt: SchmidtResult, comb: CombState,
                       preset: CrystalPreset, gate: GateSpec) -> ConditionResult:
     """Evaluate subtraction probability, rate and purity for one decomposition.
 
-    Schmidt sums are truncated once the cumulative normalized weight reaches
-    1 - 1e-6; comb sums run over every photon-bearing mode, with the overlaps
-    from :func:`overlap_matrix`.
+    Schmidt sums run over the leading modes that hold
+    :data:`~modesub.schmidt.KEPT_WEIGHT` of the normalized spectrum; comb sums
+    run over every photon-bearing mode, with the overlaps from :func:`overlap_matrix`.
     """
     photons = comb.photons_pulse
     if float(photons.sum()) <= 0.0:
@@ -188,8 +188,7 @@ def conditioned_state(schmidt: SchmidtResult, comb: CombState,
 
     weight, purity = _weight_and_purity(lam_raw, overlap, photons)
     probability = conversion_prefactor_fs(preset, gate) * weight
-    return ConditionResult(overlap=overlap, probability_weight=weight,
-                           probability=probability, purity=purity,
+    return ConditionResult(overlap=overlap, probability=probability, purity=purity,
                            rate_hz=probability * gate.rep_rate_hz,
                            schmidt_number=schmidt.schmidt_number,
                            lambdas_sq=schmidt.lambdas_sq)

@@ -9,6 +9,7 @@ be reproduced from its own metadata file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -219,20 +220,14 @@ class RunConfig:
                 "phi_deg": math.degrees(preset.phi),
                 "gate_order": self.resolved["gate"]["order"]}
         axes = self.resolved["scan"]["axes"]
-        grids = [_axis_values(axis) for axis in axes]
+        names = [axis["variable"] for axis in axes]
         points = []
-        def emit(depth: int, current: dict):
-            if depth == len(axes):
-                points.append(ScanPoint(
-                    length_um=current["l_mm"] * 1e3,
-                    waist_um=current["w_um"],
-                    phi_rad=math.radians(current["phi_deg"]),
-                    gate_order=int(current["gate_order"])))
-                return
-            var = axes[depth]["variable"]
-            for value in grids[depth]:
-                emit(depth + 1, {**current, var: value})
-        emit(0, base)
+        for values in itertools.product(*(_axis_values(axis) for axis in axes)):
+            current = {**base, **dict(zip(names, values))}
+            points.append(ScanPoint(length_um=current["l_mm"] * 1e3,
+                                    waist_um=current["w_um"],
+                                    phi_rad=math.radians(current["phi_deg"]),
+                                    gate_order=int(current["gate_order"])))
         return points
 
     @property

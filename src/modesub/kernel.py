@@ -16,7 +16,7 @@ Gram matrix, never forming the 3-D array; that is the solve path, and it
 runs at one OpenBLAS thread (:func:`kernel_gram` says why).
 :func:`build_kernel` has it write every plane, block by block, into the
 dense [Omega_c, q_c, Omega_s] array, for the CSV dump and as a plain
-reference: its norm, and :func:`~modesub.schmidt.gram_matrix` over it, are
+reference: its norm and :func:`~modesub.schmidt.gram_matrix` over it are
 unfolded sums over every row, which the tests hold the streamed route to.
 Both measure truncation as ``mass_captured``: the share of the closed-form
 continuum ||L||^2 (:func:`continuum_norm_sq`) in the box, whatever the step.
@@ -170,28 +170,28 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class KernelGrid:
-    """Sampled transfer function with its quadrature axes."""
+    """Sampled transfer function with its quadrature axes and diagnostics;
+    like :class:`KernelGram`, it stores no norm."""
 
     values: np.ndarray            # real float64 [n_omega_c, n_q, n_omega_s]
     omega_c: QuadGrid
     q_c: QuadGrid
     omega_s: QuadGrid
-    norm_sq: float
-    phase_matching: PhaseMatching = "sinc"
     diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class KernelGram:
-    """Signal-side Gram matrix of a kernel, with its signal axis.
+    """Signal-side Gram matrix of a kernel, with its signal axis and diagnostics.
 
     ``gram[i, j]`` integrates L(., ., Omega_s_i) L(., ., Omega_s_j) over the
-    converted variables; the signal-axis weights are not folded in.
+    converted variables; the signal-axis weights are not folded in.  The box
+    norm^2, sum_i w_s,i gram[i, i], is stored once, by
+    :func:`~modesub.schmidt.decompose` as ``SchmidtResult.norm_sq``.
     """
 
     gram: np.ndarray              # real symmetric [n_omega_s, n_omega_s]
     omega_s: QuadGrid
-    norm_sq: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -475,9 +475,9 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     weight, in blocks of whole q_c planes (:func:`_folded_gram`).  The Gram
     matrix G_h over them is completed by reflection, G = G_h + G_h[::-1, ::-1],
     so G is centrosymmetric to the last bit, which
-    :func:`~modesub.schmidt.decompose` relies on.  The norm is read off its
-    diagonal, norm_sq = sum_i w_s,i G_ii, and ``diagnostics["mass_captured"]``
-    is its share of the continuum norm^2 (:func:`_checked_mass`).
+    :func:`~modesub.schmidt.decompose` relies on.  The box norm^2,
+    sum_i w_s,i G_ii, is checked and reported as its share of the continuum
+    norm^2, ``diagnostics["mass_captured"]`` (:func:`_checked_mass`).
 
     The whole call runs at one OpenBLAS thread and restores the count on
     return (:func:`~modesub._blas.one_blas_thread`).  Each block's syrk is
@@ -490,7 +490,7 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     gram = _folded_gram(blocks, grids)
     norm_sq = float(np.diag(gram) @ grids[2].weights)
     captured = _checked_mass(norm_sq, continuum, check=True)
-    return KernelGram(gram=gram, omega_s=grids[2], norm_sq=norm_sq,
+    return KernelGram(gram=gram, omega_s=grids[2],
                       diagnostics={**diagnostics, "mass_captured": captured})
 
 
@@ -517,5 +517,4 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                                              g_ws.weights) @ g_q.weights)
     captured = _checked_mass(norm_sq, continuum, check)
     return KernelGrid(values=values, omega_c=g_wc, q_c=g_q, omega_s=g_ws,
-                      norm_sq=norm_sq, phase_matching=config.phase_matching,
                       diagnostics={**diagnostics, "mass_captured": captured})

@@ -3,7 +3,9 @@
 Mode functions are real and carry the continuum normalization
 ``integral |f|^2 dx = 1``; order 0 is (s/sqrt(pi))^(1/2) exp(-s^2 x^2 / 2)
 for a scale parameter s (tau in fs for spectral modes, w in um for
-transverse ones).  Integrals are trapezoid sums on uniform grids.  Their
+transverse ones).  They are sampled as they are, never renormalized to a
+grid, so a grid that cuts one off shows it as a grid norm under 1.
+Integrals are trapezoid sums on uniform grids.  Their
 step error is O(h^2) wherever the integrand has not decayed at the box
 edge, as on the kernel's Omega axes, whose sinc tails the box truncates.
 Where the box holds the whole integrand the error is aliasing, which falls
@@ -29,12 +31,6 @@ import numpy as np
 
 # grid half-spans reach this many 1/scale widths past the center
 SPAN_SIGMAS = 5.0
-# largest normalization defect of a mode function sampled by hermite_gauss
-ADEQUACY_TOL = 1e-6
-
-
-class GridAdequacyError(ValueError):
-    """Grid span too small to hold the requested mode function."""
 
 
 @dataclass(frozen=True)
@@ -127,22 +123,6 @@ def hermite_gauss_table(n_modes: int, scale: float, x) -> np.ndarray:
     from one pass of the recurrence."""
     u = scale * np.asarray(x, dtype=float)
     return np.stack([np.sqrt(scale) * h for h in _hermite_functions(n_modes - 1, u)])
-
-
-def hermite_gauss(spec: HermiteGaussSpec, grid: QuadGrid) -> np.ndarray:
-    """Sample a mode function on a grid, L2-normalized under its weights.
-
-    Raises :class:`GridAdequacyError` when the grid truncates the function
-    (normalization defect above :data:`ADEQUACY_TOL`).  For the raw
-    continuum-normalized samples, unchecked, call :func:`hermite_gauss_values`.
-    """
-    values = hermite_gauss_values(spec.order, spec.scale, grid.points)
-    norm_sq = float(np.sum(grid.weights * values * values))
-    if abs(norm_sq - 1.0) > ADEQUACY_TOL:
-        raise GridAdequacyError(
-            f"grid span {grid.span:.4g} inadequate for HG order {spec.order} "
-            f"at scale {spec.scale:.4g}: normalization defect {abs(norm_sq - 1.0):.2e}")
-    return values / np.sqrt(norm_sq)
 
 
 def default_half_span(scale: float, max_order: int = 0) -> float:

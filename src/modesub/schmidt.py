@@ -35,8 +35,8 @@ from .modes import HermiteGaussSpec, QuadGrid
 
 # eigenvalues below this fraction of the leading one are numerical noise
 NOISE_FLOOR = 1e-12
-# relative gap under which neighboring eigenvalues count as degenerate
-DEGENERACY_GAP = 1e-9
+# cumulative share of the unit-sum spectrum the leading kept modes hold
+KEPT_WEIGHT = 1.0 - 1e-6
 # components within this relative distance of a mode's largest |.| tie as its pivot
 PIVOT_TIE = 1e-6
 # largest max |G - J G J| a decomposed Gram may hold, relative to max |G|;
@@ -52,9 +52,10 @@ class DecompositionError(RuntimeError):
 class SchmidtResult:
     """Spectrum and subtraction modes of one kernel decomposition.
 
-    ``lambdas_sq`` is normalized to unit sum; the physical (raw) squared
-    coefficients are ``lambdas_sq * norm_sq``.  Modes are rows, sampled on
-    ``omega_s`` and orthonormal under its quadrature weights.
+    ``lambdas_sq`` is normalized to unit sum; ``norm_sq``, the weighted
+    Gram trace, is the one box norm^2 a solve stores, and the physical
+    (raw) squared coefficients are ``lambdas_sq * norm_sq``.  Modes are
+    rows, sampled on ``omega_s`` and orthonormal under its quadrature weights.
     """
 
     lambdas_sq: np.ndarray
@@ -62,16 +63,15 @@ class SchmidtResult:
     schmidt_number: float
     norm_sq: float
     omega_s: QuadGrid
-    degenerate: np.ndarray
 
     @property
     def lambdas_sq_raw(self) -> np.ndarray:
         return self.lambdas_sq * self.norm_sq
 
-    def n_effective(self, cumulative: float = 1.0 - 1e-6) -> int:
-        """Number of leading modes holding the given cumulative weight."""
+    def n_effective(self) -> int:
+        """Number of leading modes holding :data:`KEPT_WEIGHT` of the spectrum."""
         filled = np.cumsum(self.lambdas_sq)
-        return int(np.searchsorted(filled, cumulative) + 1)
+        return int(np.searchsorted(filled, KEPT_WEIGHT) + 1)
 
 
 def gram_matrix(kernel: KernelGrid) -> np.ndarray:
@@ -189,18 +189,9 @@ def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
     total = float(evals.sum())
     lambdas = evals_kept / total
     schmidt_number = 1.0 / float(np.sum(lambdas**2))
-
-    gaps = np.abs(np.diff(evals_kept))
-    scale = np.maximum(evals_kept[:-1], evals_kept[0] * NOISE_FLOOR)
-    deg = np.zeros(evals_kept.size, dtype=bool)
-    close = gaps < DEGENERACY_GAP * scale
-    deg[:-1] |= close
-    deg[1:] |= close
-
     return SchmidtResult(lambdas_sq=lambdas, modes=modes,
                          schmidt_number=schmidt_number,
-                         norm_sq=float(total), omega_s=kernel.omega_s,
-                         degenerate=deg)
+                         norm_sq=total, omega_s=kernel.omega_s)
 
 
 @dataclass(frozen=True)

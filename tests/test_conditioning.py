@@ -132,8 +132,7 @@ def synthetic_schmidt(lambdas_frac, modes, grid):
     lam = np.asarray(lambdas_frac, dtype=float)
     return SchmidtResult(lambdas_sq=lam / lam.sum(), modes=np.asarray(modes),
                          schmidt_number=float(lam.sum() ** 2 / np.sum(lam**2)),
-                         norm_sq=1.0, omega_s=grid,
-                         degenerate=np.zeros(lam.size, dtype=bool))
+                         norm_sq=1.0, omega_s=grid)
 
 
 class TestConditionedState:
@@ -206,8 +205,7 @@ class TestConditionedState:
         for n1 in (0.1, 0.2, 0.4):
             photons = np.array([n1, 0.05, 0.0])
             comb = CombState(tau_s_fs=TAU_S, photons_comb=photons, finesse=1.0)
-            weights.append(conditioned_state(schmidt, comb, bbo1co, gate94)
-                           .probability_weight)
+            weights.append(conditioned_state(schmidt, comb, bbo1co, gate94).probability)
         slope1 = (weights[1] - weights[0]) / 0.1
         slope2 = (weights[2] - weights[1]) / 0.2
         assert slope1 == pytest.approx(slope2, rel=1e-12)

@@ -1,11 +1,14 @@
-"""Every name a module imports is used in that module, and every f-string
-has a placeholder.
+"""Every name a module imports is used in that module, every private name
+the package defines is read by the package, and every f-string has a
+placeholder.
 
 No linter ships with the project, so this walks each module's syntax tree:
 an import binds names, and a name that is never loaded afterwards is dead.
-``__init__`` re-exports by design and is skipped by the import rule.  An
-f-string with nothing to format is a plain string written misleadingly; the
-rule covers the package, the tests and the benchmark.
+``__init__`` re-exports by design and is skipped by the import rule.  A
+module-level ``_name`` is no module's interface, so the package itself must
+load it, as a name, an attribute or an import; one that only tests read is
+dead code.  An f-string with nothing to format is a plain string written
+misleadingly; the rule covers the package, the tests and the benchmark.
 """
 
 import ast
@@ -34,6 +37,28 @@ def unused_imports(source: str) -> list[str]:
     return sorted(bound - used - EXEMPT)
 
 
+def unloaded_private_names(sources: list[str]) -> list[str]:
+    """Module-level ``_name`` bindings (not dunders) that no source loads."""
+    defined, loaded = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(a.name for a in node.names)
+    return sorted(n for n in defined - loaded
+                  if n.startswith("_") and not n.startswith("__"))
+
+
 def placeholder_free_fstrings(source: str) -> list[int]:
     """Lines of the f-strings with no replacement field.  The format spec of
     a field (the ``.2f`` of ``{x:.2f}``) is an f-string node of its own and
@@ -53,6 +78,15 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["path"]
 
 
+def test_detects_an_unloaded_private_name():
+    first = ("from second import _imported\n_used = 1\n_dead, kept = 2, 3\n"
+             "__all__ = ['kept']\n\n\ndef _helper():\n    return _used + _imported\n\n\n"
+             "class _Unread:\n    pass\n\n\nprint(_helper())\n")
+    second = ("import first\n_imported = 0\n_attr = 1\n_orphan: int = 2\n"
+              "_table = {}\n_table['k'] = first._attr\n")
+    assert unloaded_private_names([first, second]) == ["_Unread", "_dead", "_orphan"]
+
+
 def test_detects_an_fstring_without_placeholders():
     source = ('x = 1.5\na = f"plain"\nb = f"{x:.2f} and {x!r:>{8}}"\n'
               'c = "not an f-string"\nd = (f"joined "\n     "text")\n'
@@ -63,6 +97,11 @@ def test_detects_an_fstring_without_placeholders():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_no_unloaded_private_names():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unloaded_private_names(sources) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
