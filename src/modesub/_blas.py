@@ -1,11 +1,12 @@
 """One BLAS thread for the Schmidt solve, and the BLAS a run used.
 
-The solve path (:func:`~modesub.kernel.kernel_gram` and
-:func:`~modesub.schmidt.decompose`) hands BLAS only small problems: a syrk
-per block of about 500 x 128 samples and two ``eigh`` calls of about
+The solve path (:func:`~modesub.kernel.kernel_gram`, and
+:func:`~modesub.schmidt.decompose` or the scan's eigenvalue-only solve)
+hands BLAS only small problems: a syrk per block of about 500 x 128
+samples and one ``eigh`` or ``eigvalsh`` call per parity block of about
 64 x 64.  A second OpenBLAS thread does not pay for itself there, and after
 each call it spin-waits on the other core, which slows the numpy passes
-that follow (the sampler's and the weighting's) by up to 3.5x on a
+that follow (the sampler's and the solve's) by up to 3.5x on a
 two-core machine.  :func:`one_blas_thread` runs a call at one thread and
 puts the count back afterwards.
 

@@ -13,7 +13,10 @@ One sampler writes the kernel one q_c plane at a time: a contiguous
 :func:`kernel_gram` has it write a few whole planes at a time into a reused
 block and folds each block straight into the real symmetric signal-side
 Gram matrix, never forming the 3-D array; that is the solve path, and it
-runs at one OpenBLAS thread (:func:`kernel_gram` says why).
+runs at one OpenBLAS thread (:func:`kernel_gram` says why).  The Gram
+sums the samples times sqrt(w_c w_q), the quadrature weights of the
+converted axes; the sampler writes the samples already weighted, so no
+pass of its own applies the weights (:func:`_sample`).
 :func:`build_kernel` has it write every plane, block by block, into the
 dense [Omega_c, q_c, Omega_s] array, for the CSV dump and as a plain
 reference: its norm and :func:`~modesub.schmidt.gram_matrix` over it are
@@ -45,12 +48,14 @@ x = 0, so :func:`sinc`'s series takes over below |x| = 1e-2, where it is
 accurate to rounding; the divide and the series are written once, in
 :func:`_sine_over`.  The beam Gaussian is exp(-(beta + gamma)^2) with beta
 and gamma the 2-D and 1-D parts of the momentum, pre-scaled by w_s/sqrt(2):
-one 3-D add, square, negate and exp.  Its exponent is never positive, so it
-cannot overflow, unlike the factored exp(-beta gamma) exp(-beta^2/2)
-exp(-gamma^2/2), whose middle factor overflows for a wide signal beam
-(w_s ~ 2 mm at phi = 5 deg).  u, v, beta and gamma are each a sum of
-products of a coefficient with one axis, so they are odd to the last bit,
-and the point symmetry above survives the split.
+one 3-D add, square, subtract and exp, the subtract from the plane's
+log sqrt(w_q), which is 0 for the unweighted dense array.  Its exponent
+never exceeds log sqrt(w_q), so it cannot overflow, unlike the factored
+exp(-beta gamma) exp(-beta^2/2) exp(-gamma^2/2), whose middle factor
+overflows for a wide signal beam (w_s ~ 2 mm at phi = 5 deg).  u, v,
+beta and gamma are each a sum of products of a coefficient with one axis,
+so they are odd to the last bit, and the point symmetry above survives the
+split.
 
 Amplitudes are unnormalized: the gate spectrum and signal profile carry unit
 L2 norm, the sinc is dimensionless, so ||L||^2 has units rad/fs and feeds the
@@ -212,7 +217,7 @@ def _sine_over(sine: np.ndarray, x: np.ndarray) -> np.ndarray:
         np.divide(sine, x, out=sine)
     # flat indices, taken once; most q_c planes miss the ridge and have none.
     # np.put writes through a strided ``sine``, where sine.ravel() would copy
-    small = np.flatnonzero((x < SINC_SERIES_BELOW) & (x > -SINC_SERIES_BELOW))
+    small = np.flatnonzero(np.abs(x) < SINC_SERIES_BELOW)
     if small.size:
         x2 = np.square(np.take(x, small))
         np.put(sine, small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0))
@@ -349,17 +354,27 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     and, as diagnostics, the axis sizes and q_c drift ratio (:func:`_axes`).
 
     The main-lobe resolution check runs on the axes before any sample is
-    taken.  ``blocks(rows)`` evaluates the 2-D (Omega_c, Omega_s) parts of
-    the forms (module docstring) on the Omega_c rows [0, rows) once, with
-    their gate amplitude, sin and cos.  It then yields ``(start, block)``:
-    the q_c planes [start, start + len(block)) of those rows, written into
-    one reused contiguous block ([planes, rows, n_s], real float64) of about
-    :data:`BLOCK_SAMPLES` samples.  On a plane the 1-D q_c parts are
-    scalars, so every 3-D op is a contiguous pass over a plane and a scalar
-    or a 2-D part, in place or into one plane-sized temporary; only the exps
-    of the beam and of the Gaussian phase matching see every sample.  The
-    ops run in the order of the plain product's, so every sample is the
-    same to the last bit whatever the block shape.
+    taken.  ``blocks(w_c, w_q)`` writes the samples times sqrt(w_c w_q),
+    ``w_c`` the weights of the Omega_c rows [0, len(w_c)) it samples and
+    ``w_q`` those of every q_c plane.  It evaluates the 2-D
+    (Omega_c, Omega_s) parts of the forms (module docstring) on those rows
+    once, with their sin and cos and their gate amplitude, which takes
+    sqrt(w_c) row by row.  It then yields ``(start, block)``: the q_c planes
+    [start, start + len(block)), written into one reused contiguous block
+    ([planes, rows, n_s], real float64) of about :data:`BLOCK_SAMPLES`
+    samples.  On a plane the 1-D q_c parts are scalars, so every 3-D op is a
+    contiguous pass over a plane and a scalar or a 2-D part, in place or
+    into one plane-sized temporary.  Per plane the sinc takes two multiplies,
+    an add, the add u + v, the divide and the |x| mask of
+    :func:`_sine_over`; the surrogate an add, a square, a scale and an exp.
+    The beam then takes an add, a square, the subtract from
+    log sqrt(w_q[k]) that puts the plane weight in its exponent, and an exp,
+    and two multiplies apply the beam and the gate.  Only the exps of the
+    beam and of the Gaussian phase matching see every sample.  With unit
+    weights (:func:`build_kernel`) sqrt 1 = 1 and log 1 = 0, so the samples
+    are the unweighted kernel's to the last bit.  The ops run in one order
+    on every plane, so every sample is the same to the last bit whatever
+    the block shape.
     """
     forms = kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho)
     (g_wc, g_q, g_ws), diagnostics = _axes(preset, gate, signal, config, forms)
@@ -388,12 +403,16 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     if sinc_pm:
         sin_v, cos_v = np.sin(v), np.cos(v)
 
-    def blocks(rows: int):
+    def blocks(w_c: np.ndarray, w_q: np.ndarray):
+        rows = w_c.size
         # 2-D parts are [rows, n_s]
         wc, ws = g_wc.points[:rows, None], g_ws.points[None, :]
-        # the gate has no q_c part
+        # the gate has no q_c part; the row weights ride on it
         gate_amp = amp * hermite_gauss_values(gate.order, gate.tau_g,
                                               _outer_part(gate_form, wc, ws))
+        gate_amp *= np.sqrt(w_c)[:, None]
+        # the plane weights ride in the beam exponent
+        log_sqrt_w_q = 0.5 * np.log(w_q)
         beta = _outer_part(beam_form, wc, ws)
         u = _outer_part(pm_form, wc, ws)
         if sinc_pm:
@@ -415,7 +434,7 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                     np.exp(plane, out=plane)
                 np.add(beta, gamma[k], out=temp)
                 np.square(temp, out=temp)
-                np.negative(temp, out=temp)
+                np.subtract(log_sqrt_w_q[k], temp, out=temp)
                 plane *= np.exp(temp, out=temp)
                 plane *= gate_amp
             yield start, part
@@ -428,20 +447,18 @@ def _folded_gram(blocks, grids: tuple[QuadGrid, QuadGrid, QuadGrid]) -> np.ndarr
 
     ``blocks`` is :func:`_sample`'s plane-block writer.  It samples the
     Omega_c rows [0, ceil(n_c/2)), a block of whole q_c planes at a time,
-    and each block is weighted in place by sqrt(w_c w_q), the centre row of
-    an odd axis at w_c / 2 (exact in binary).  The block's rows are
-    (q_c, Omega_c) pairs, and a^T a does not depend on their order; each
-    block enters the sum at once, one BLAS syrk per block, and the sum G_h
-    is completed as G_h + G_h reversed along both axes.
+    already weighted by sqrt(w_c w_q), the centre row of an odd axis at
+    w_c / 2 (exact in binary).  The block's rows are (q_c, Omega_c) pairs,
+    and a^T a does not depend on their order; each block enters the sum as
+    it is written, one BLAS syrk per block, and the sum G_h is completed as
+    G_h + G_h reversed along both axes.
     """
     g_wc, g_q, g_ws = grids
     w_c = g_wc.weights[:(g_wc.size + 1) // 2].copy()
     if g_wc.size % 2:
         w_c[-1] /= 2.0   # the self-mirrored centre row
-    sqrt_w = np.sqrt(np.outer(g_q.weights, w_c))[:, :, None]
     gram = np.zeros((g_ws.size, g_ws.size))
-    for start, weighted in blocks(w_c.size):
-        weighted *= sqrt_w[start:start + weighted.shape[0]]
+    for _, weighted in blocks(w_c, g_q.weights):
         a = weighted.reshape(-1, g_ws.size)
         gram += a.T @ a   # symmetric rank-k update (BLAS syrk)
     return gram + gram[::-1, ::-1]
@@ -510,7 +527,7 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     values = np.empty((g_wc.size, g_q.size, g_ws.size))
     # a q_c plane of the array is strided, and the writer runs about twice
     # as slow on it, so the planes are written contiguously and copied in
-    for start, block in blocks(g_wc.size):
+    for start, block in blocks(np.ones(g_wc.size), np.ones(g_q.size)):
         values[:, start:start + block.shape[0]] = block.transpose(1, 0, 2)
     # |L|^2 w_c w_q w_s summed in one pass over the array, no dense temporary
     norm_sq = float(g_wc.weights @ np.einsum("cqs,cqs,s->cq", values, values,

@@ -57,10 +57,6 @@ class QuadGrid:
     def size(self) -> int:
         return self.points.size
 
-    @property
-    def span(self) -> float:
-        return float(self.points[-1] - self.points[0])
-
 
 def uniform_grid(half_span: float, n: int, label: str = "") -> QuadGrid:
     """Uniform grid on [-half_span, half_span] with trapezoid weights.

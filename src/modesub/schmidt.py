@@ -15,8 +15,12 @@ G(Omega_s, Omega_s'), so every subtraction mode is even or odd in Omega_s,
 like the Hermite-Gauss comb modes it is matched against.
 :func:`decompose` solves the two parities as separate blocks of half the
 size and builds each mode from its half; a Gram that is not point-symmetric
-is an error, not an input to symmetrize.  The solve runs at one OpenBLAS
-thread (:func:`~modesub._blas.one_blas_thread`), like the Gram it reads.
+is an error, not an input to symmetrize.  A scan reads only K and lambda_1,
+so its points solve the same blocks for their eigenvalues alone.  Both
+take K = (tr A)^2 / ||A||_F^2 of the weighted Gram A, which is
+(sum lambda)^2 / sum lambda^2 to rounding, so a scan row's K is the
+decomposition's to the last bit.  The solve runs at one OpenBLAS thread
+(:func:`~modesub._blas.one_blas_thread`), like the Gram it reads.
 """
 
 from __future__ import annotations
@@ -54,8 +58,11 @@ class SchmidtResult:
 
     ``lambdas_sq`` is normalized to unit sum; ``norm_sq``, the weighted
     Gram trace, is the one box norm^2 a solve stores, and the physical
-    (raw) squared coefficients are ``lambdas_sq * norm_sq``.  Modes are
-    rows, sampled on ``omega_s`` and orthonormal under its quadrature weights.
+    (raw) squared coefficients are ``lambdas_sq * norm_sq``.
+    ``schmidt_number`` is (tr A)^2 / ||A||_F^2 of the weighted Gram A, equal
+    to rounding to 1 / sum lambda^2 over the whole unit-sum spectrum.  Modes
+    are rows, sampled on ``omega_s`` and orthonormal under its quadrature
+    weights.
     """
 
     lambdas_sq: np.ndarray
@@ -137,6 +144,52 @@ def _parity_vectors(even: np.ndarray, odd: np.ndarray, n: int) -> np.ndarray:
                                  -odd_top[::-1]])])
 
 
+def _parity_solve(kernel: KernelGrid | KernelGram, solve):
+    """The weighted Gram of :func:`decompose`, and ``solve`` run on each of
+    its parity blocks (:func:`_parity_blocks`), even then odd.
+
+    Returns the square roots of the signal-axis weights, the weighted
+    matrix W^(1/2) G W^(1/2) and the two blocks' results.  Raises
+    :class:`DecompositionError` when the Gram is not point-symmetric or
+    the solver fails.
+    """
+    gram = kernel.gram if isinstance(kernel, KernelGram) else gram_matrix(kernel)
+    peak = float(np.abs(gram).max())
+    asymmetry = float(np.abs(gram - gram[::-1, ::-1]).max())
+    if not asymmetry <= POINT_SYMMETRY_TOL * peak:
+        raise DecompositionError(
+            f"Gram matrix is not point-symmetric: max |G - JGJ| {asymmetry:.3e} "
+            f"against max |G| {peak:.3e}")
+    sqrt_w = np.sqrt(kernel.omega_s.weights)
+    weighted = sqrt_w[:, None] * gram * sqrt_w[None, :]
+    try:
+        solved = tuple(map(solve, _parity_blocks(weighted)))
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(
+            f"eigensolver failed on a {weighted.shape[0]}x{weighted.shape[0]} "
+            f"Gram matrix (max |entry| {peak:.3e})") from exc
+    return sqrt_w, weighted, solved
+
+
+def _schmidt_number(weighted: np.ndarray) -> float:
+    """K = (tr A)^2 / ||A||_F^2 of the weighted Gram A.
+
+    With lambda the eigenvalues of A this is (sum lambda)^2 / sum lambda^2,
+    the inverse purity of the unit-sum spectrum, read off A without its
+    spectrum, so both solves report the same K to the last bit.  Numpy's
+    pairwise sum keeps it independent of the BLAS thread count.
+    """
+    return float(np.trace(weighted) ** 2 / np.sum(np.square(weighted)))
+
+
+def _descending(even_vals: np.ndarray, odd_vals: np.ndarray):
+    """The order that sorts the two blocks' eigenvalues descending, and the
+    sorted eigenvalues clipped at zero."""
+    evals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(-evals, kind="stable")
+    return order, np.clip(evals[order], 0.0, None)
+
+
 @one_blas_thread()
 def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
     """Eigendecomposition of the weighted Gram matrix, one parity at a time.
@@ -154,44 +207,36 @@ def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
     max |G - J G J| exceeds :data:`POINT_SYMMETRY_TOL` of max |G|; a Gram
     that is not point-symmetric is never symmetrized.  Eigenvalues are
     clipped at zero, sorted descending, and entries below the noise floor
-    are dropped from the returned spectrum.
+    are dropped from the returned spectrum.  K is (tr A)^2 / ||A||_F^2 of
+    the weighted matrix A (:func:`_schmidt_number`), which equals
+    1 / sum lambda^2 of the whole unit-sum spectrum to rounding.
 
     The call runs at one OpenBLAS thread and restores the count on return,
     also when it raises.  The parity blocks are about 64 x 64: a second
     thread slows their ``eigh`` by its spin-wait and speeds up nothing.
     """
-    gram = kernel.gram if isinstance(kernel, KernelGram) else gram_matrix(kernel)
-    peak = float(np.abs(gram).max())
-    asymmetry = float(np.abs(gram - gram[::-1, ::-1]).max())
-    if not asymmetry <= POINT_SYMMETRY_TOL * peak:
-        raise DecompositionError(
-            f"Gram matrix is not point-symmetric: max |G - JGJ| {asymmetry:.3e} "
-            f"against max |G| {peak:.3e}")
-    sqrt_w = np.sqrt(kernel.omega_s.weights)
-    weighted = sqrt_w[:, None] * gram * sqrt_w[None, :]
-    try:
-        (even_vals, even_vecs), (odd_vals, odd_vecs) = map(np.linalg.eigh,
-                                                           _parity_blocks(weighted))
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(
-            f"eigensolver failed on a {weighted.shape[0]}x{weighted.shape[0]} "
-            f"Gram matrix (max |entry| {peak:.3e})") from exc
-
-    evals = np.concatenate([even_vals, odd_vals])
-    order = np.argsort(-evals, kind="stable")
-    evals = np.clip(evals[order], 0.0, None)
+    sqrt_w, weighted, ((even_vals, even_vecs), (odd_vals, odd_vecs)) = _parity_solve(
+        kernel, np.linalg.eigh)
+    order, evals = _descending(even_vals, odd_vals)
     evecs = _parity_vectors(even_vecs, odd_vecs, weighted.shape[0])[:, order]
     keep = evals > NOISE_FLOOR * (evals[0] if evals[0] > 0 else 1.0)
     keep[0] = True
-    evals_kept = evals[keep]
     modes = _fix_sign((evecs[:, keep] / sqrt_w[:, None]).T)
 
     total = float(evals.sum())
-    lambdas = evals_kept / total
-    schmidt_number = 1.0 / float(np.sum(lambdas**2))
-    return SchmidtResult(lambdas_sq=lambdas, modes=modes,
-                         schmidt_number=schmidt_number,
+    return SchmidtResult(lambdas_sq=evals[keep] / total, modes=modes,
+                         schmidt_number=_schmidt_number(weighted),
                          norm_sq=total, omega_s=kernel.omega_s)
+
+
+@one_blas_thread()
+def _schmidt_number_and_lead(kernel: KernelGram) -> tuple[float, float]:
+    """K and lambda_1 / sum lambda of :func:`decompose`, from the eigenvalues
+    alone: one ``eigvalsh`` per parity block, at one OpenBLAS thread.  K is
+    :func:`decompose`'s to the last bit; lambda_1 matches it to rounding."""
+    _, weighted, spectra = _parity_solve(kernel, np.linalg.eigvalsh)
+    _, evals = _descending(*spectra)
+    return _schmidt_number(weighted), float(evals[0] / evals.sum())
 
 
 @dataclass(frozen=True)
@@ -219,8 +264,7 @@ def _scan_one(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
         gspec = HermiteGaussSpec(order=point.gate_order, scale=gate.tau_g)
         g = dc_replace(gate, spectral=gspec)
         s = dc_replace(signal, waist_s_um=point.waist_um)
-        result = decompose(kernel_gram(pset, g, s, config))
-        return ScanRow(point, result.schmidt_number, float(result.lambdas_sq[0]))
+        return ScanRow(point, *_schmidt_number_and_lead(kernel_gram(pset, g, s, config)))
     except (KernelResolutionError, KernelSpanError, DecompositionError,
             ConfigurationError) as exc:  # recorded per point, scan continues
         return ScanRow(point, None, None, status=f"error: {exc}")
@@ -229,7 +273,8 @@ def _scan_one(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
 def schmidt_number_scan(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
                         points: Sequence[ScanPoint],
                         config: GridConfig | None = None) -> list[ScanRow]:
-    """Decompose the kernel at each point, in input order.
+    """K and lambda_1 / sum lambda of the kernel at each point, in input
+    order, from the eigenvalues alone (:func:`_schmidt_number_and_lead`).
 
     A point whose grid cannot hold its kernel, whose eigensolve fails or
     whose crystal is invalid is recorded in-row; any other exception is a

@@ -26,19 +26,28 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+# the CLI with the one-thread helper switched off, so its solve runs at the
+# environment's BLAS thread count
+CLI_WITHOUT_ONE_BLAS_THREAD = (
+    "import sys; from modesub import _blas; _blas._openblas = lambda: None; "
+    "from modesub.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
 def run_cli_blas_default_and_single(tmp_path, command, config):
-    """Run a modesub command in a subprocess with the default BLAS threads
-    and with OPENBLAS_NUM_THREADS=1; returns the two output directories."""
+    """Run a modesub command in two subprocesses: at the environment's BLAS
+    threads with the one-thread helper off, so the solve runs at that count
+    too, and at OPENBLAS_NUM_THREADS=1; returns the two output directories."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
-    for name, blas_threads in (("default", None), ("single", "1")):
+    for name, launch, blas_threads in (("default", ["-c", CLI_WITHOUT_ONE_BLAS_THREAD], None),
+                                       ("single", ["-m", "modesub.cli"], "1")):
         env = dict(os.environ)
         env.pop("OPENBLAS_NUM_THREADS", None)
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / name
-        subprocess.run([sys.executable, "-m", "modesub.cli", command,
+        subprocess.run([sys.executable, *launch, command,
                         "--config", str(config), "--output-dir", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
         outputs.append(out)
@@ -207,10 +216,14 @@ class TestRunScan:
             "grid": {"n_omega_c": 64, "n_q": 64, "n_omega_s": 64},
             "scan": {"axes": [{"variable": "l_mm", "values": [1.5, 2.0, 3.0]},
                               {"variable": "w_um", "values": [80.0, 140.0]}]}})
-        tables = [out.joinpath("scan_table.csv").read_bytes()
-                  for out in run_cli_blas_default_and_single(tmp_path, "scan", config)]
+        outputs = run_cli_blas_default_and_single(tmp_path, "scan", config)
+        tables = [out.joinpath("scan_table.csv").read_bytes() for out in outputs]
         assert tables[0] == tables[1]
         assert tables[0].count(b",ok\n") == 6
+        # the default side's solve ran without the one-thread helper
+        helper_on = [json.loads(out.joinpath("run_meta.json").read_text())
+                     ["environment"]["solve_single_thread"] for out in outputs]
+        assert helper_on == [False, _blas._openblas() is not None]
 
     def test_header_and_roundtrip_floats(self, tmp_path):
         config = self.scan_config(tmp_path)
@@ -324,11 +337,10 @@ class TestArtifacts:
                                                   ("schmidt", "modes.csv")])
     def test_default_identical_under_single_threaded_blas(self, tmp_path, command,
                                                           artifact):
-        # default grid, derived q_c axis, in a fresh process with the
-        # environment's BLAS threads and with OPENBLAS_NUM_THREADS=1.  The
-        # solve runs at one OpenBLAS thread on both sides, so this checks the
-        # rest of the run; TestOneBlasThread.test_same_numbers_at_two_threads
-        # holds the solve itself at two threads against one
+        # default grid, derived q_c axis, in a fresh process at the
+        # environment's BLAS threads with the one-thread helper off, and at
+        # OPENBLAS_NUM_THREADS=1: the whole run, solve included, at the
+        # default count against one thread
         outputs = run_cli_blas_default_and_single(tmp_path, command,
                                                   write_config(tmp_path, {}))
         files = [out.joinpath(artifact).read_bytes() for out in outputs]

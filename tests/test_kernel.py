@@ -10,8 +10,8 @@ from modesub.dispersion import kernel_forms, preset_by_name
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
 from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
                             MIN_MASS_CAPTURED, Q_ALIAS_TOL, SINC_SERIES_BELOW,
-                            KernelResolutionError, KernelSpanError, _sine_over,
-                            derive_grids, sinc)
+                            KernelResolutionError, KernelSpanError, _sample,
+                            _sine_over, derive_grids, sinc)
 from modesub.modes import hermite_gauss_values
 
 from conftest import TAU_COMB_FS
@@ -223,7 +223,8 @@ class TestBuildKernel:
     def test_span_scale_and_overrides(self, bbo1co, gate94, signal_opt):
         g1 = derive_grids(bbo1co, gate94, signal_opt, GridConfig())
         g2 = derive_grids(bbo1co, gate94, signal_opt, GridConfig(span_scale=2.0))
-        assert g2[0].span == pytest.approx(2.0 * g1[0].span, rel=1e-12)
+        assert g2[0].points[-1] - g2[0].points[0] == pytest.approx(
+            2.0 * (g1[0].points[-1] - g1[0].points[0]), rel=1e-12)
         g3 = derive_grids(bbo1co, gate94, signal_opt,
                           GridConfig(span_q=0.123))
         assert g3[1].points[-1] == pytest.approx(0.123, rel=1e-12)
@@ -274,7 +275,7 @@ class TestDerivedQAxis:
             # on an n-point axis over g_q's span: 2 pi / h over the band of
             # the beam pair's Gaussian and the sinc pair, and the points
             # across the q_c lobe
-            step = g_q.span / (n - 1)
+            step = (g_q.points[-1] - g_q.points[0]) / (n - 1)
             match_q = abs(match[1] * preset.length_um / 2.0)
             band = (2.0 * match_q + 2.0 * signal_opt.waist_s_um * abs(beam[1])
                     * math.sqrt(math.log(2.0 / Q_ALIAS_TOL)))
@@ -319,7 +320,8 @@ class TestDerivedQAxis:
         assert kernel.q_c.size == kernel.diagnostics["n_q"] == 64
         assert 0.0 < kernel.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
         derived = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[1]
-        assert kernel.q_c.span == pytest.approx(derived.span, rel=1e-12)
+        assert kernel.q_c.points[-1] - kernel.q_c.points[0] == pytest.approx(
+            derived.points[-1] - derived.points[0], rel=1e-12)
 
 
 class TestFirstPrinciples:
@@ -435,6 +437,28 @@ class TestKernelGram:
         kernel_gram(bbo1co, gate94, signal_opt,
                     GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41))
         assert sum(evaluated) == (n_c + 1) // 2 * 41
+
+    @pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
+    @pytest.mark.parametrize("n_c", [64, 45])
+    def test_only_the_gram_blocks_carry_the_weights(self, bbo1co, gate94, signal_opt,
+                                                    n_c, phase_matching):
+        # build_kernel's samples are the kernel itself; the blocks the Gram
+        # folds are the same samples times sqrt(w_c w_q), the self-mirrored
+        # centre row of an odd Omega_c axis at w_c / 2
+        cfg = GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41,
+                         phase_matching=phase_matching)
+        dense = build_kernel(bbo1co, gate94, signal_opt, cfg)
+        expected, _ = first_principles(dense, bbo1co, gate94, signal_opt, phase_matching)
+        assert_matches_everywhere(dense.values, expected)
+        (g_wc, g_q, _), blocks, _, _ = _sample(bbo1co, gate94, signal_opt, cfg,
+                                               check=True)
+        w_c = g_wc.weights[:(n_c + 1) // 2].copy()
+        if n_c % 2:
+            w_c[-1] /= 2.0
+        weighted = np.concatenate([block.copy() for _, block in blocks(w_c, g_q.weights)])
+        sqrt_w = np.sqrt(np.outer(g_q.weights, w_c))[:, :, None]
+        assert_matches_everywhere(weighted,
+                                  dense.values[:w_c.size].transpose(1, 0, 2) * sqrt_w)
 
     def test_streamed_build_never_holds_the_dense_array(self, bbo1co, gate94,
                                                         signal_opt):

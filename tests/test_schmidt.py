@@ -201,6 +201,20 @@ class TestParitySplit:
         assert 0 not in parities
         assert parities[0] == (-1) ** order and -parities[0] in parities
 
+    @pytest.mark.parametrize("n_s", [64, 65])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_scan_eigenvalues_match_plain_eigh(self, bbo1co, signal_opt, order, n_s):
+        # the scan solves for eigenvalues only; its K is decompose's to the bit
+        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        cfg = GridConfig(n_omega_s=n_s)
+        point = ScanPoint(bbo1co.length_um, signal_opt.waist_s_um, bbo1co.phi, order)
+        [row] = schmidt_number_scan(bbo1co, gate, signal_opt, [point], cfg)
+        gram = kernel_gram(bbo1co, gate, signal_opt, cfg)
+        lambdas, _ = weighted_gram_eigh(gram)
+        assert row.schmidt_number == pytest.approx(1.0 / np.sum(lambdas**2), rel=1e-12)
+        assert row.lambda1_frac == pytest.approx(lambdas[0], rel=1e-12)
+        assert row.schmidt_number == decompose(gram).schmidt_number
+
     def test_not_point_symmetric_gram_raises(self):
         kernel = separable_kernel()   # sig(Omega_s) is not even
         gram = KernelGram(gram=gram_matrix(kernel), omega_s=kernel.omega_s)
@@ -359,7 +373,10 @@ class TestOneBlasThread:
             assert _blas.blas_threads() == 1
         assert _blas.blas_threads() == 2
 
-    def test_one_thread_inside_the_solve(self, bbo1co, gate94, signal_opt, monkeypatch):
+    @staticmethod
+    def record_blas_threads(monkeypatch) -> list:
+        """(name, BLAS threads) at each call of the Gram fold and of the two
+        eigensolvers, in call order."""
         seen = []
 
         def recording(wrapped):
@@ -369,9 +386,22 @@ class TestOneBlasThread:
             return call
 
         monkeypatch.setattr(kernel_mod, "_folded_gram", recording(kernel_mod._folded_gram))
-        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        return seen
+
+    def test_one_thread_inside_the_solve(self, bbo1co, gate94, signal_opt, monkeypatch):
+        seen = self.record_blas_threads(monkeypatch)
         decompose(kernel_gram(bbo1co, gate94, signal_opt))
         assert seen == [("_folded_gram", 1), ("eigh", 1), ("eigh", 1)]
+
+    def test_scan_solves_eigenvalues_only_at_one_thread(self, bbo1co, gate94,
+                                                        signal_opt, monkeypatch):
+        seen = self.record_blas_threads(monkeypatch)
+        point = ScanPoint(bbo1co.length_um, signal_opt.waist_s_um, bbo1co.phi, 0)
+        [row] = schmidt_number_scan(bbo1co, gate94, signal_opt, [point])
+        assert row.status == "ok"
+        assert seen == [("_folded_gram", 1), ("eigvalsh", 1), ("eigvalsh", 1)]
 
     def test_no_library_found_leaves_the_count(self, monkeypatch):
         get, _ = _blas._openblas()
@@ -381,17 +411,24 @@ class TestOneBlasThread:
         assert _blas.blas_threads() is None
 
     def test_same_numbers_at_two_threads(self, monkeypatch):
-        # the OPENBLAS_NUM_THREADS=1 subprocess tests run the solve at one
-        # thread on both sides; here the helper is switched off to run it at
-        # two threads against one, at the default point
+        # the helper is switched off to run the solve, and the scan's
+        # eigenvalue-only solve, at two threads against one, at the default point
         config = resolve({})
         args = (config.preset(), config.gate(), config.signal(), config.grid())
+        preset, signal = args[0], args[2]
+        point = ScanPoint(preset.length_um, signal.waist_s_um, preset.phi,
+                          args[1].order)
         with monkeypatch.context() as patched:
             patched.setattr(_blas, "_openblas", lambda: None)
             gram_two = kernel_gram(*args)
             result_two = decompose(gram_two)
+            [row_two] = schmidt_number_scan(*args[:3], [point], args[3])
         gram_one = kernel_gram(*args)
         result_one = decompose(gram_one)
+        [row_one] = schmidt_number_scan(*args[:3], [point], args[3])
         assert np.array_equal(gram_two.gram, gram_one.gram)
         assert np.array_equal(result_two.lambdas_sq, result_one.lambdas_sq)
         assert np.array_equal(result_two.modes, result_one.modes)
+        assert row_two.schmidt_number == row_one.schmidt_number
+        assert row_two.lambda1_frac == row_one.lambda1_frac
+        assert row_one.schmidt_number == result_one.schmidt_number
