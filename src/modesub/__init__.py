@@ -15,14 +15,15 @@ from .analytic import (CharacteristicScales, GaussianModelParams,
 from .conditioning import (CombState, ConditionResult, comb_subtraction_experiment,
                            conditioned_state, flat_comb, overlap_matrix,
                            photons_from_squeezing)
+from .config import ScanPoint
 from .dispersion import (C_UM_PER_FS, CrystalPreset, bandwidth_from_tau,
                          convert_bandwidth, delta_k, list_presets, preset_bbo,
                          preset_by_name)
 from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid, SignalBeamSpec,
                      build_kernel, kernel_gram)
 from .modes import HermiteGaussSpec, QuadGrid, uniform_grid
-from .schmidt import (ScanPoint, SchmidtResult, decompose, gram_matrix,
-                      schmidt_number_scan)
+from .scan import schmidt_number_scan
+from .schmidt import SchmidtResult, decompose, gram_matrix
 
 __all__ = [
     "C_UM_PER_FS",

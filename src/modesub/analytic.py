@@ -28,8 +28,6 @@ import numpy as np
 from .dispersion import C_M_PER_S, EPS0_F_PER_M, CrystalPreset, kernel_forms
 from .kernel import GAMMA_SINC, GateSpec, SignalBeamSpec
 
-# fs/um -> s/m
-_KP_TO_SI = 1e-9
 # 1/fs -> 1/s
 _PER_FS_TO_SI = 1e15
 
@@ -214,23 +212,6 @@ def single_mode_lambda_sq(preset: CrystalPreset) -> float:
     return math.pi / ((preset.kp_c - preset.kp_s) * preset.length_um / 2.0)
 
 
-def normalized_probability_m2_per_j(preset: CrystalPreset) -> float:
-    """Subtraction probability per photon per unit gate fluence, m^2/J.
-
-    chi2^2 omega_s0 omega_c0 l / (8 eps0 n_s n_c n_g c^3 (kp_c - kp_s)),
-    all in SI.  This is the reduced form of the single-mode probability
-    divided by N_s W_g / (pi w_g^2).
-    """
-    chi2 = 2.0 * preset.d_eff_pm_v * 1e-12
-    omega_s0 = preset.omega_s0 * _PER_FS_TO_SI
-    omega_c0 = preset.omega_c0 * _PER_FS_TO_SI
-    l_m = preset.length_um * 1e-6
-    d_group_si = (preset.kp_c - preset.kp_s) * _KP_TO_SI
-    return (chi2**2 * omega_s0 * omega_c0 * l_m
-            / (8.0 * EPS0_F_PER_M * preset.n_s * preset.n_c * preset.n_g
-               * C_M_PER_S**3 * d_group_si))
-
-
 def conversion_prefactor_fs(preset: CrystalPreset, gate: GateSpec) -> float:
     """|C'|^2 of the plane-wave-gate interaction, expressed in fs.
 
@@ -266,6 +247,8 @@ def single_mode_rate(preset: CrystalPreset, gate: GateSpec, n_photons: float,
     """Subtraction probability and event rate in the single-mode regime.
 
     ``n_photons`` is the mean photon number per pulse in the matched mode.
+    ``p_norm_m2_per_j`` is the probability per photon per unit gate
+    fluence W_g / (pi w_g^2), which the gate energy and waist drop out of.
     The flags report whether the single-mode conditions hold within a factor
     three and whether the gate waist dominates the signal waist enough for
     the plane-wave reduction.
@@ -273,10 +256,11 @@ def single_mode_rate(preset: CrystalPreset, gate: GateSpec, n_photons: float,
     if n_photons < 0:
         raise DomainError("photon number must be non-negative")
     lam_sq = single_mode_lambda_sq(preset)
-    p_norm = normalized_probability_m2_per_j(preset)
+    weight = conversion_prefactor_fs(preset, gate) * lam_sq
     w_g_m = gate.waist_g_um * 1e-6
     fluence = gate.energy_j / (math.pi * w_g_m**2)
-    probability = p_norm * n_photons * fluence
+    probability = weight * n_photons
+    p_norm = weight / fluence
     rate = probability * gate.rep_rate_hz
 
     _, _, ok = single_mode_margins(preset, gate.tau_g)

@@ -5,6 +5,16 @@ convert to the internal fs/um/rad system when the artifact objects are
 built.  Unknown keys are rejected, every reported error names the offending
 field, and the fully resolved configuration is JSON-dumpable so a run can
 be reproduced from its own metadata file.
+
+A scan point is the crystal, gate and signal beam it solves
+(:class:`ScanPoint`).  What each scan variable sets is written once, in
+:data:`_SCAN_SETTERS`: one value in lab units, set on one field of one of
+the three objects, whose constructor checks it.  :func:`resolve` runs every
+axis value through its setter on the base point, and
+:meth:`RunConfig.scan_points` folds the setters over the row-major product
+of the axes.  Checking one value at a time is enough: each setter changes
+one field, and no constructor check reads two scanned fields, so values
+that each pass on the base point pass in every combination.
 """
 
 from __future__ import annotations
@@ -14,17 +24,15 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from . import dispersion
 from .conditioning import CombState, comb_from_csv, flat_comb
 from .dispersion import CrystalPreset, convert_bandwidth, preset_by_name
 from .kernel import (MIN_AXIS_POINTS, MIN_LOBE_POINTS, Q_ALIAS_TOL, GateSpec,
                      GridConfig, SignalBeamSpec)
 from .modes import HermiteGaussSpec
-from .schmidt import ScanPoint
 
 
 class ConfigError(ValueError):
@@ -89,7 +97,27 @@ _SCHEMA: dict[str, dict[str, tuple[Any, str]]] = {
     "output_dir": ("out", "directory for emitted artifacts"),
 }
 
-_SCAN_VARIABLES = ("l_mm", "w_um", "phi_deg", "gate_order")
+
+@dataclass(frozen=True)
+class ScanPoint:
+    """One operating point of a scan: the built crystal, gate and signal
+    beam it solves.  It equals the configured base point except in the
+    fields its axes set (:data:`_SCAN_SETTERS`)."""
+
+    preset: CrystalPreset
+    gate: GateSpec
+    signal: SignalBeamSpec
+
+
+# what one scan-axis value, in lab units, sets on a point
+_SCAN_SETTERS: dict[str, Callable[[ScanPoint, float], ScanPoint]] = {
+    "l_mm": lambda p, v: replace(p, preset=p.preset.with_length(v * 1e3)),
+    "w_um": lambda p, v: replace(p, signal=replace(p.signal, waist_s_um=v)),
+    "phi_deg": lambda p, v: replace(p, preset=p.preset.with_phi(math.radians(v))),
+    "gate_order": lambda p, v: replace(p, gate=replace(
+        p.gate, spectral=replace(p.gate.spectral, order=v))),
+}
+_SCAN_VARIABLES = tuple(_SCAN_SETTERS)
 _INLINE_REQUIRED = ("name", "lambda_s_nm", "kp_s_fs_um", "kp_c_fs_um",
                     "rho_deg", "phi_deg")
 _INDICES = ("n_s", "n_g", "n_c")
@@ -213,21 +241,17 @@ class RunConfig:
                           phase_matching=g["phase_matching"])
 
     def scan_points(self) -> list[ScanPoint]:
-        """Cartesian sweep in row-major order over the listed axes."""
-        preset = self.preset()
-        base = {"l_mm": preset.length_um / 1e3,
-                "w_um": self.resolved["signal"]["waist_um"],
-                "phi_deg": math.degrees(preset.phi),
-                "gate_order": self.resolved["gate"]["order"]}
+        """The base point with each combination of axis values set on it,
+        row-major over the listed axes (the last axis varies fastest)."""
+        base = ScanPoint(self.preset(), self.gate(), self.signal())
         axes = self.resolved["scan"]["axes"]
-        names = [axis["variable"] for axis in axes]
+        setters = [_SCAN_SETTERS[axis["variable"]] for axis in axes]
         points = []
-        for values in itertools.product(*(_axis_values(axis) for axis in axes)):
-            current = {**base, **dict(zip(names, values))}
-            points.append(ScanPoint(length_um=current["l_mm"] * 1e3,
-                                    waist_um=current["w_um"],
-                                    phi_rad=math.radians(current["phi_deg"]),
-                                    gate_order=int(current["gate_order"])))
+        for values in itertools.product(*map(_axis_values, axes)):
+            point = base
+            for setter, value in zip(setters, values):
+                point = setter(point, value)
+            points.append(point)
         return points
 
     @property
@@ -267,6 +291,14 @@ def resolve(raw: dict) -> RunConfig:
     elif crystal["preset"] is None:
         raise ConfigError("crystal.preset: required unless an inline crystal is given")
     if crystal["preset"] is not None:
+        if not isinstance(crystal["preset"], str):
+            raise ConfigError(f"crystal.preset: expected a string, got "
+                              f"{crystal['preset']!r}")
+        try:
+            # carrier wavelength of the nm -> fs conversions of gate and signal
+            carrier_um = preset_by_name(crystal["preset"]).lambda_s_um
+        except ValueError as exc:
+            raise ConfigError(f"crystal.preset: {exc}") from exc
         # a named preset carries its own constants; RunConfig.preset() would
         # ignore these silently
         for key in _INLINE_REQUIRED + _INLINE_OPTIONAL:
@@ -302,10 +334,7 @@ def resolve(raw: dict) -> RunConfig:
     _resolve_width("comb", comb, raw.get("comb") or {}, comb["center_nm"] * 1e-3)
     _require_number(comb["tau_fs"], "comb.tau_fs", positive=True)
 
-    # carrier wavelength used for nm -> fs conversions of gate and signal
-    if crystal["preset"] is not None:
-        carrier_um = preset_by_name(crystal["preset"]).lambda_s_um
-    else:
+    if crystal["preset"] is None:
         carrier_um = crystal["lambda_s_nm"] * 1e-3
     _resolve_width("gate", gate, explicit_gate, carrier_um)
     _require_number(gate["tau_fs"], "gate.tau_fs", positive=True)
@@ -375,18 +404,14 @@ def resolve(raw: dict) -> RunConfig:
     config = RunConfig(resolved=resolved)
     # fail configuration-time, not run-time, on invalid physics values
     try:
-        preset = config.preset(); gate = config.gate(); signal = config.signal()
-    except (dispersion.ConfigurationError, ValueError) as exc:
+        base = ScanPoint(config.preset(), config.gate(), config.signal())
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # a scan-axis value passes the rule of the field it replaces
-    replace_field = {"l_mm": lambda v: preset.with_length(v * 1e3),
-                     "w_um": lambda v: replace(signal, waist_s_um=v),
-                     "phi_deg": lambda v: preset.with_phi(math.radians(v)),
-                     "gate_order": lambda v: replace(gate.spectral, order=v)}
     for i, axis in enumerate(norm_axes):
+        setter = _SCAN_SETTERS[axis["variable"]]
         try:
             for value in _axis_values(axis):
-                replace_field[axis["variable"]](value)
+                setter(base, value)
         except ValueError as exc:
             raise ConfigError(f"scan.axes[{i}] ({axis['variable']}): {exc}") from exc
     return config

@@ -82,10 +82,6 @@ class CrystalPreset:
             object.__setattr__(self, "kp_c_collinear", self.kp_c)
 
     @property
-    def lambda_c_um(self) -> float:
-        return self.lambda_s_um / 2.0
-
-    @property
     def omega_s0(self) -> float:
         """Signal carrier angular frequency, rad/fs."""
         return 2.0 * math.pi * C_UM_PER_FS / self.lambda_s_um

@@ -87,6 +87,8 @@ class HermiteGaussSpec:
             raise ValueError(f"order must be a non-negative integer, got {self.order}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+        # an integral float order (a scan-axis value) becomes the recurrence's int
+        object.__setattr__(self, "order", int(self.order))
 
 
 def _hermite_functions(order: int, u: np.ndarray):

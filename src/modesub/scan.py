@@ -1,5 +1,12 @@
 """Scan orchestration and deterministic artifact emission.
 
+The scan loop (:func:`schmidt_number_scan`) solves each configured
+:class:`~modesub.config.ScanPoint` for K and lambda_1 in input order.  A
+point whose grid cannot hold its kernel, or whose eigensolve fails, becomes
+a row with an ``error:`` status and the scan goes on; any other exception
+is a bug and stops it.  :func:`run_scan` raises when every point failed,
+which the CLI reports as a numerical failure.
+
 All numeric CSV output uses ``repr`` (shortest round-trip) formatting and a
 fixed column order, so identical configurations reproduce byte-identical
 files.
@@ -10,8 +17,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -20,9 +28,10 @@ from ._blas import environment
 from .analytic import (GaussianModelParams, characteristic_scales,
                        schmidt_number_closed_form, single_mode_rate)
 from .conditioning import comb_subtraction_experiment
-from .config import RunConfig
-from .kernel import build_kernel, kernel_gram
-from .schmidt import decompose, schmidt_number_scan
+from .config import RunConfig, ScanPoint
+from .kernel import (GridConfig, KernelResolutionError, KernelSpanError,
+                     build_kernel, kernel_gram)
+from .schmidt import DecompositionError, decompose, schmidt_number_and_lead
 
 SCAN_HEADER = "l_um,w_um,phi_deg,gate_order,K,lambda1_frac,status"
 N_LEADING_MODES = 6  # modes in modes.csv, Schmidt weights in condition_summary.json
@@ -52,6 +61,34 @@ def write_run_meta(directory: Path, config: RunConfig, wall_s: float) -> Path:
     return path
 
 
+@dataclass(frozen=True)
+class ScanRow:
+    point: ScanPoint
+    schmidt_number: float | None
+    lambda1_frac: float | None
+    status: str = "ok"
+
+
+def schmidt_number_scan(points: Sequence[ScanPoint],
+                        config: GridConfig | None = None) -> list[ScanRow]:
+    """K and lambda_1 / sum lambda of the kernel at each point, in input
+    order, from the eigenvalues alone
+    (:func:`~modesub.schmidt.schmidt_number_and_lead`).
+
+    A point whose grid cannot hold its kernel or whose eigensolve fails is
+    recorded in-row; any other exception is a bug and propagates.
+    """
+    rows = []
+    for point in points:
+        try:
+            gram = kernel_gram(point.preset, point.gate, point.signal, config)
+            rows.append(ScanRow(point, *schmidt_number_and_lead(gram)))
+        except (KernelResolutionError, KernelSpanError,
+                DecompositionError) as exc:  # recorded per point, scan continues
+            rows.append(ScanRow(point, None, None, status=f"error: {exc}"))
+    return rows
+
+
 def run_scan(config: RunConfig, output_dir: str | Path | None = None) -> dict[str, Path]:
     """Evaluate the configured sweep and emit scan_table.csv + run_meta.json.
 
@@ -61,15 +98,14 @@ def run_scan(config: RunConfig, output_dir: str | Path | None = None) -> dict[st
     t0 = time.monotonic()
     directory = _output_directory(config, output_dir)
 
-    points = config.scan_points()
-    rows = schmidt_number_scan(config.preset(), config.gate(), config.signal(),
-                               points, config.grid())
+    rows = schmidt_number_scan(config.scan_points(), config.grid())
     lines = [SCAN_HEADER]
     for row in rows:
         p = row.point
         lines.append(",".join([
-            _fmt(p.length_um), _fmt(p.waist_um), _fmt(math.degrees(p.phi_rad)),
-            str(p.gate_order), _fmt(row.schmidt_number), _fmt(row.lambda1_frac),
+            _fmt(p.preset.length_um), _fmt(p.signal.waist_s_um),
+            _fmt(math.degrees(p.preset.phi)), str(p.gate.order),
+            _fmt(row.schmidt_number), _fmt(row.lambda1_frac),
             row.status.replace(",", ";"),
         ]))
     table = directory / "scan_table.csv"
@@ -118,23 +154,20 @@ def write_modes_csv(config: RunConfig, output_dir: str | Path | None = None) -> 
 
 def gaussian_table_rows(config: RunConfig) -> list[dict]:
     """The order-0 closed form, one row per distinct (l, w_s, phi) in scan order."""
-    preset = config.preset()
-    gate = config.gate()
-    signal = config.signal()
     n1 = float(config.comb().photons_pulse[0])
-    geometries = dict.fromkeys((p.length_um, p.waist_um, p.phi_rad)
-                               for p in config.scan_points())
+    geometries = {}
+    for p in config.scan_points():
+        geometries.setdefault((p.preset.length_um, p.signal.waist_s_um, p.preset.phi), p)
     rows = []
-    for length_um, waist_um, phi_rad in geometries:
-        pset = dc_replace(preset, length_um=length_um, phi=phi_rad)
-        sig = dc_replace(signal, waist_s_um=waist_um)
-        params = GaussianModelParams.from_preset(pset, gate, sig, collinear=True)
+    for p in geometries.values():
+        params = GaussianModelParams.from_preset(p.preset, p.gate, p.signal,
+                                                 collinear=True)
         scales = characteristic_scales(params)
-        rate = single_mode_rate(pset, gate, n1, sig)
+        rate = single_mode_rate(p.preset, p.gate, n1, p.signal)
         rows.append({
-            "l_um": length_um,
-            "w_um": waist_um,
-            "phi_deg": math.degrees(phi_rad),
+            "l_um": p.preset.length_um,
+            "w_um": p.signal.waist_s_um,
+            "phi_deg": math.degrees(p.preset.phi),
             "phi0_deg": math.degrees(scales.phi0_rad),
             "l0_um": scales.l0_um,
             "l_opt_um": scales.l_opt_um,

@@ -15,27 +15,24 @@ G(Omega_s, Omega_s'), so every subtraction mode is even or odd in Omega_s,
 like the Hermite-Gauss comb modes it is matched against.
 :func:`decompose` solves the two parities as separate blocks of half the
 size and builds each mode from its half; a Gram that is not point-symmetric
-is an error, not an input to symmetrize.  A scan reads only K and lambda_1,
-so its points solve the same blocks for their eigenvalues alone.  Both
-take K = (tr A)^2 / ||A||_F^2 of the weighted Gram A, which is
-(sum lambda)^2 / sum lambda^2 to rounding, so a scan row's K is the
-decomposition's to the last bit.  The solve runs at one OpenBLAS thread
-(:func:`~modesub._blas.one_blas_thread`), like the Gram it reads.
+is an error, not an input to symmetrize.  :func:`schmidt_number_and_lead`
+solves the same blocks for their eigenvalues alone, for a caller that
+reads only K and lambda_1.  Both take K = (tr A)^2 / ||A||_F^2 of the
+weighted Gram A, which is (sum lambda)^2 / sum lambda^2 to rounding, so
+the two report the same K to the last bit.  The solve runs at one
+OpenBLAS thread (:func:`~modesub._blas.one_blas_thread`), like the Gram it
+reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._blas import one_blas_thread
-from .dispersion import ConfigurationError, CrystalPreset
-from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid,
-                     KernelResolutionError, KernelSpanError, SignalBeamSpec,
-                     kernel_gram)
-from .modes import HermiteGaussSpec, QuadGrid
+from .kernel import KernelGram, KernelGrid
+from .modes import QuadGrid
 
 # eigenvalues below this fraction of the leading one are numerical noise
 NOISE_FLOOR = 1e-12
@@ -230,55 +227,10 @@ def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
 
 
 @one_blas_thread()
-def _schmidt_number_and_lead(kernel: KernelGram) -> tuple[float, float]:
+def schmidt_number_and_lead(kernel: KernelGram) -> tuple[float, float]:
     """K and lambda_1 / sum lambda of :func:`decompose`, from the eigenvalues
     alone: one ``eigvalsh`` per parity block, at one OpenBLAS thread.  K is
     :func:`decompose`'s to the last bit; lambda_1 matches it to rounding."""
     _, weighted, spectra = _parity_solve(kernel, np.linalg.eigvalsh)
     _, evals = _descending(*spectra)
     return _schmidt_number(weighted), float(evals[0] / evals.sum())
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    """One operating point of a Schmidt-number scan."""
-
-    length_um: float
-    waist_um: float
-    phi_rad: float
-    gate_order: int = 0
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    point: ScanPoint
-    schmidt_number: float | None
-    lambda1_frac: float | None
-    status: str = "ok"
-
-
-def _scan_one(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-              config: GridConfig, point: ScanPoint) -> ScanRow:
-    try:
-        pset = dc_replace(preset, length_um=point.length_um, phi=point.phi_rad)
-        gspec = HermiteGaussSpec(order=point.gate_order, scale=gate.tau_g)
-        g = dc_replace(gate, spectral=gspec)
-        s = dc_replace(signal, waist_s_um=point.waist_um)
-        return ScanRow(point, *_schmidt_number_and_lead(kernel_gram(pset, g, s, config)))
-    except (KernelResolutionError, KernelSpanError, DecompositionError,
-            ConfigurationError) as exc:  # recorded per point, scan continues
-        return ScanRow(point, None, None, status=f"error: {exc}")
-
-
-def schmidt_number_scan(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-                        points: Sequence[ScanPoint],
-                        config: GridConfig | None = None) -> list[ScanRow]:
-    """K and lambda_1 / sum lambda of the kernel at each point, in input
-    order, from the eigenvalues alone (:func:`_schmidt_number_and_lead`).
-
-    A point whose grid cannot hold its kernel, whose eigensolve fails or
-    whose crystal is invalid is recorded in-row; any other exception is a
-    bug and propagates.
-    """
-    config = config or GridConfig()
-    return [_scan_one(preset, gate, signal, config, p) for p in points]

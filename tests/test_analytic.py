@@ -12,7 +12,6 @@ from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
 from modesub.analytic import (DomainError, GaussianModelParams,
                               assemble_two_copy_form,
                               conversion_prefactor_fs,
-                              normalized_probability_m2_per_j,
                               single_mode_lambda_sq, single_mode_margins)
 from modesub.kernel import GAMMA_SINC
 
@@ -246,10 +245,11 @@ class TestCovariance:
 class TestSingleModeRate:
     def test_normalized_probability_value(self):
         preset = preset_bbo(1, "co").with_length(2000.0)
-        assert normalized_probability_m2_per_j(preset) == pytest.approx(
-            0.2065117391181664, rel=1e-9)
+        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+        p_norm = single_mode_rate(preset, gate, 1e-3).p_norm_m2_per_j
+        assert p_norm == pytest.approx(0.2065117391181664, rel=1e-9)
         # quoted as ~0.2 m^2/J at these parameters
-        assert normalized_probability_m2_per_j(preset) == pytest.approx(0.21, abs=0.02)
+        assert p_norm == pytest.approx(0.21, abs=0.02)
 
     def test_event_rate(self):
         preset = preset_bbo(1, "co").with_length(2000.0)

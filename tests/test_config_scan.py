@@ -172,8 +172,35 @@ class TestResolve:
             {"variable": "l_mm", "values": [1.0, 2.0]},
             {"variable": "gate_order", "values": [0, 1]}]}})
         points = config.scan_points()
-        assert [(p.length_um, p.gate_order) for p in points] == [
+        assert [(p.preset.length_um, p.gate.order) for p in points] == [
             (1000.0, 0), (1000.0, 1), (2000.0, 0), (2000.0, 1)]
+
+    def test_scan_points_differ_from_base_only_where_axes_set(self):
+        # an inline crystal keeps kp, rho and l at every phi; only phi moves
+        crystal = {"name": "custom", "lambda_s_nm": 800.0, "kp_s_fs_um": 5.6139,
+                   "kp_c_fs_um": 5.8107, "rho_deg": 3.9, "phi_deg": -1.0}
+        config = resolve({"crystal": crystal, "scan": {"axes": [
+            {"variable": "phi_deg", "values": [-1.3, 2.0]},
+            {"variable": "gate_order", "min": 0, "max": 2, "count": 3}]}})
+        base_preset, base_gate, base_signal = (config.preset(), config.gate(),
+                                               config.signal())
+        points = config.scan_points()
+        assert len(points) == 6
+        for point, (phi_deg, order) in zip(points, [(p, o) for p in (-1.3, 2.0)
+                                                    for o in (0, 1, 2)]):
+            assert point.preset == replace(base_preset, phi=math.radians(phi_deg))
+            assert point.gate == replace(base_gate, spectral=replace(
+                base_gate.spectral, order=order))
+            assert point.signal == base_signal
+            assert type(point.gate.order) is int
+
+    @pytest.mark.parametrize("name", [5, ["x"], "nope", "bbo-phi3-co"])
+    def test_bad_preset_names_the_field(self, name, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"crystal\.preset"):
+            resolve({"crystal": {"preset": name}})
+        path = write_config(tmp_path, {"crystal": {"preset": name}})
+        assert main(["config", "--config", str(path)]) == 1
+        assert "configuration error: crystal.preset:" in capsys.readouterr().err
 
     def test_physics_validation_surfaces_as_config_error(self):
         with pytest.raises(ConfigError):

@@ -18,7 +18,6 @@ class TestPresets:
         assert p.phi == pytest.approx(math.radians(1.0), rel=1e-12)
         assert p.theta_pm == pytest.approx(math.radians(29.4), rel=1e-12)
         assert p.lambda_s_um == 0.800
-        assert p.lambda_c_um == 0.400
         assert p.d_eff_pm_v == 2.0
 
     def test_bbo_phi5_values(self):

@@ -1,14 +1,16 @@
 """Every name a module imports is used in that module, every private name
-the package defines is read by the package, and every f-string has a
-placeholder.
+the package defines is read by the package, no module imports another
+module's private name, and every f-string has a placeholder.
 
 No linter ships with the project, so this walks each module's syntax tree:
 an import binds names, and a name that is never loaded afterwards is dead.
 ``__init__`` re-exports by design and is skipped by the import rule.  A
 module-level ``_name`` is no module's interface, so the package itself must
 load it, as a name, an attribute or an import; one that only tests read is
-dead code.  An f-string with nothing to format is a plain string written
-misleadingly; the rule covers the package, the tests and the benchmark.
+dead code.  Nor may one module import another's ``_name``: what a module
+lends to another is its interface and carries a public name.  An f-string
+with nothing to format is a plain string written misleadingly; the rule
+covers the package, the tests and the benchmark.
 """
 
 import ast
@@ -59,6 +61,13 @@ def unloaded_private_names(sources: list[str]) -> list[str]:
                   if n.startswith("_") and not n.startswith("__"))
 
 
+def imported_private_names(source: str) -> list[str]:
+    """``_name``s (not dunders) that a ``from ... import`` takes from a module."""
+    return sorted(a.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) for a in node.names
+                  if a.name.startswith("_") and not a.name.startswith("__"))
+
+
 def placeholder_free_fstrings(source: str) -> list[int]:
     """Lines of the f-strings with no replacement field.  The format spec of
     a field (the ``.2f`` of ``{x:.2f}``) is an f-string node of its own and
@@ -87,6 +96,14 @@ def test_detects_an_unloaded_private_name():
     assert unloaded_private_names([first, second]) == ["_Unread", "_dead", "_orphan"]
 
 
+def test_detects_an_imported_private_name():
+    source = ("from __future__ import annotations\n"
+              "from . import __version__\nfrom ._blas import one_blas_thread\n"
+              "from .kernel import (_sample, kernel_gram)\n"
+              "from modesub.schmidt import _parity_blocks as blocks\n")
+    assert imported_private_names(source) == ["_parity_blocks", "_sample"]
+
+
 def test_detects_an_fstring_without_placeholders():
     source = ('x = 1.5\na = f"plain"\nb = f"{x:.2f} and {x!r:>{8}}"\n'
               'c = "not an f-string"\nd = (f"joined "\n     "text")\n'
@@ -102,6 +119,11 @@ def test_no_unused_imports(module):
 def test_no_unloaded_private_names():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unloaded_private_names(sources) == []
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_imported_private_names(module):
+    assert imported_private_names(module.read_text()) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))

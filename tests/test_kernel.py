@@ -159,6 +159,11 @@ class TestBuildKernel:
         assert k.diagnostics["mass_captured"] > 0
         assert np.all(np.isfinite(k.values.real))
 
+    def test_float_gate_order_is_the_integer_order(self, bbo1co, signal_opt):
+        grams = [kernel_gram(bbo1co, GateSpec(spectral=HermiteGaussSpec(order, 94.0)),
+                             signal_opt) for order in (2, 2.0)]
+        assert np.array_equal(grams[0].gram, grams[1].gram)
+
     def test_resolution_guard(self, bbo1co, gate94, signal_opt):
         long_crystal = bbo1co.with_length(11663.4)
         with pytest.raises(KernelResolutionError):

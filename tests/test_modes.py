@@ -89,6 +89,10 @@ class TestHermiteGauss:
         with pytest.raises(ValueError, match="order"):
             HermiteGaussSpec(order=order, scale=1.0)
 
+    def test_integral_float_order_stored_as_int(self):
+        spec = HermiteGaussSpec(order=2.0, scale=1.0)
+        assert type(spec.order) is int and spec.order == 2
+
 
 class TestInnerProduct:
     def test_two_width_gaussian_overlap(self):

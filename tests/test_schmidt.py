@@ -207,8 +207,7 @@ class TestParitySplit:
         # the scan solves for eigenvalues only; its K is decompose's to the bit
         gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
         cfg = GridConfig(n_omega_s=n_s)
-        point = ScanPoint(bbo1co.length_um, signal_opt.waist_s_um, bbo1co.phi, order)
-        [row] = schmidt_number_scan(bbo1co, gate, signal_opt, [point], cfg)
+        [row] = schmidt_number_scan([ScanPoint(bbo1co, gate, signal_opt)], cfg)
         gram = kernel_gram(bbo1co, gate, signal_opt, cfg)
         lambdas, _ = weighted_gram_eigh(gram)
         assert row.schmidt_number == pytest.approx(1.0 / np.sum(lambdas**2), rel=1e-12)
@@ -281,54 +280,55 @@ class TestStreamedGram:
 
 class TestScan:
     def test_duplicate_points_bitwise_identical(self, bbo1co, gate94, signal_opt):
-        point = ScanPoint(length_um=2000.0, waist_um=107.7,
-                          phi_rad=bbo1co.phi, gate_order=0)
+        point = ScanPoint(bbo1co, gate94, signal_opt)
         cfg = GridConfig(n_omega_c=48, n_q=48, n_omega_s=48)
-        rows = schmidt_number_scan(bbo1co, gate94, signal_opt, [point, point],
-                                   cfg)
+        rows = schmidt_number_scan([point, point], cfg)
         assert rows[0].schmidt_number == rows[1].schmidt_number
         assert rows[0].lambda1_frac == rows[1].lambda1_frac
 
     def test_longer_crystal_less_multimode_along_optimal_focus(self, bbo1co, gate94):
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=93.12)
         lengths = [2000.0, 4000.0, 8000.0, 16000.0]
-        points = [ScanPoint(l, 107.7, bbo1co.phi, 0) for l in lengths]
+        points = [ScanPoint(bbo1co.with_length(l), gate94, signal) for l in lengths]
         cfg = GridConfig(n_omega_c=256, n_q=64, n_omega_s=64)
-        rows = schmidt_number_scan(bbo1co, gate94, signal, points, cfg)
+        rows = schmidt_number_scan(points, cfg)
         ks = [r.schmidt_number for r in rows]
         assert all(r.status == "ok" for r in rows)
         for a, b in zip(ks, ks[1:]):
             assert b <= a * 1.01
 
-    def test_gate_order_increases_mode_count(self, gate94):
+    def test_gate_order_increases_mode_count(self):
         preset = CrystalPreset(name="bbo5", lambda_s_um=0.8, kp_s=5.6138837221849,
                                kp_c=5.787303285966586, rho=math.radians(4.1),
                                phi=math.radians(5.0), theta_pm=0.0)
         signal = SignalBeamSpec(waist_s_um=26.8, spectral_tau_fs=93.12)
-        points = [ScanPoint(2000.0, 26.8, preset.phi, order) for order in (0, 1, 2)]
+        points = [ScanPoint(preset, GateSpec(spectral=HermiteGaussSpec(order, 94.0)),
+                            signal) for order in (0, 1, 2)]
         cfg = GridConfig(n_omega_c=96, n_q=96, n_omega_s=96)
-        rows = schmidt_number_scan(preset, gate94, signal, points, cfg)
+        rows = schmidt_number_scan(points, cfg)
         ks = [r.schmidt_number for r in rows]
         assert ks[0] < ks[1] < ks[2]
 
     def test_failures_recorded_in_row(self, bbo1co, gate94, signal_opt):
-        points = [ScanPoint(2000.0, 107.7, bbo1co.phi, 0),
-                  ScanPoint(-5.0, 107.7, bbo1co.phi, 0)]
+        # the long crystal's lobe is too narrow for 48 Omega_c points
+        points = [ScanPoint(bbo1co, gate94, signal_opt),
+                  ScanPoint(bbo1co.with_length(11663.4), gate94, signal_opt)]
         cfg = GridConfig(n_omega_c=48, n_q=48, n_omega_s=48)
-        rows = schmidt_number_scan(bbo1co, gate94, signal_opt, points, cfg)
+        with pytest.raises(KernelResolutionError) as raised:
+            kernel_gram(points[1].preset, gate94, signal_opt, cfg)
+        rows = schmidt_number_scan(points, cfg)
         assert rows[0].status == "ok"
-        assert rows[1].status.startswith("error:")
-        assert rows[1].schmidt_number is None
+        assert rows[1].status == f"error: {raised.value}"
+        assert rows[1].schmidt_number is None and rows[1].lambda1_frac is None
 
     def test_program_errors_propagate(self, bbo1co, gate94, signal_opt, monkeypatch):
         # only domain failures become rows; a bug must stop the scan
         def broken(*args, **kwargs):
-            raise TypeError("build_kernel is broken")
+            raise TypeError("kernel_gram is broken")
 
-        monkeypatch.setattr("modesub.schmidt.kernel_gram", broken)
-        points = [ScanPoint(2000.0, 107.7, bbo1co.phi, 0)]
-        with pytest.raises(TypeError, match="build_kernel is broken"):
-            schmidt_number_scan(bbo1co, gate94, signal_opt, points,
+        monkeypatch.setattr("modesub.scan.kernel_gram", broken)
+        with pytest.raises(TypeError, match="kernel_gram is broken"):
+            schmidt_number_scan([ScanPoint(bbo1co, gate94, signal_opt)],
                                 GridConfig(n_omega_c=48, n_q=48, n_omega_s=48))
 
 
@@ -398,8 +398,7 @@ class TestOneBlasThread:
     def test_scan_solves_eigenvalues_only_at_one_thread(self, bbo1co, gate94,
                                                         signal_opt, monkeypatch):
         seen = self.record_blas_threads(monkeypatch)
-        point = ScanPoint(bbo1co.length_um, signal_opt.waist_s_um, bbo1co.phi, 0)
-        [row] = schmidt_number_scan(bbo1co, gate94, signal_opt, [point])
+        [row] = schmidt_number_scan([ScanPoint(bbo1co, gate94, signal_opt)])
         assert row.status == "ok"
         assert seen == [("_folded_gram", 1), ("eigvalsh", 1), ("eigvalsh", 1)]
 
@@ -415,17 +414,15 @@ class TestOneBlasThread:
         # eigenvalue-only solve, at two threads against one, at the default point
         config = resolve({})
         args = (config.preset(), config.gate(), config.signal(), config.grid())
-        preset, signal = args[0], args[2]
-        point = ScanPoint(preset.length_um, signal.waist_s_um, preset.phi,
-                          args[1].order)
+        point = ScanPoint(*args[:3])
         with monkeypatch.context() as patched:
             patched.setattr(_blas, "_openblas", lambda: None)
             gram_two = kernel_gram(*args)
             result_two = decompose(gram_two)
-            [row_two] = schmidt_number_scan(*args[:3], [point], args[3])
+            [row_two] = schmidt_number_scan([point], args[3])
         gram_one = kernel_gram(*args)
         result_one = decompose(gram_one)
-        [row_one] = schmidt_number_scan(*args[:3], [point], args[3])
+        [row_one] = schmidt_number_scan([point], args[3])
         assert np.array_equal(gram_two.gram, gram_one.gram)
         assert np.array_equal(result_two.lambdas_sq, result_one.lambdas_sq)
         assert np.array_equal(result_two.modes, result_one.modes)
