@@ -16,9 +16,8 @@ from .conditioning import (CombState, ConditionResult, comb_subtraction_experime
                            conditioned_state, flat_comb, overlap_matrix,
                            photons_from_squeezing)
 from .config import ScanPoint
-from .dispersion import (C_UM_PER_FS, CrystalPreset, bandwidth_from_tau,
-                         convert_bandwidth, delta_k, list_presets, preset_bbo,
-                         preset_by_name)
+from .dispersion import (C_UM_PER_FS, PRESETS, CrystalPreset, bandwidth_from_tau,
+                         convert_bandwidth, preset_bbo, preset_by_name)
 from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid, SignalBeamSpec,
                      build_kernel, kernel_gram)
 from .modes import HermiteGaussSpec, QuadGrid, uniform_grid
@@ -37,6 +36,7 @@ __all__ = [
     "HermiteGaussSpec",
     "KernelGram",
     "KernelGrid",
+    "PRESETS",
     "QuadGrid",
     "ScanPoint",
     "SchmidtResult",
@@ -50,11 +50,9 @@ __all__ = [
     "convert_bandwidth",
     "covariance_schmidt_number",
     "decompose",
-    "delta_k",
     "flat_comb",
     "gram_matrix",
     "kernel_gram",
-    "list_presets",
     "overlap_matrix",
     "photons_from_squeezing",
     "preset_bbo",

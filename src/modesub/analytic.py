@@ -10,7 +10,12 @@ covariance-matrix determinants.  This module provides
   Schmidt number) in the small-angle expansion,
 * the small-angle closed-form K(l, w_s),
 * the exact covariance-matrix route, valid for any Gaussian kernel and used
-  as the oracle for the numerical decomposition,
+  as the oracle for the numerical decomposition: with the exponent matrix
+  U = [[A, b], [b^T, u]] split into y = (Omega_c, q_c) and s = Omega_s,
+  integrating y out of L(y, s) L(y, s') leaves a Gaussian Gram kernel in
+  (s, s') whose Schmidt number is sqrt(u / (u - b^T A^-1 b)) =
+  sqrt(u det A / det U), the ratio of u to its Schur complement
+  (:func:`covariance_schmidt_number`),
 * the single-mode margins and rate.
 
 The small-angle formulas conventionally use the collinear-limit value of
@@ -140,28 +145,6 @@ def schmidt_number_closed_form(p: GaussianModelParams) -> float:
     return math.sqrt((a * p.w_s**2 + b) * (c / p.w_s**2 + d))
 
 
-def assemble_two_copy_form(U: np.ndarray) -> np.ndarray:
-    """6x6 exponent matrix of L*(y,s) L(y,s') L(y',s) L*(y',s').
-
-    Derived from the block partition U = [[A, b], [b^T, u]] over
-    y = (Omega_c, q_c) and s = Omega_s: summing the four single-copy
-    exponents doubles the diagonal blocks and couples each s to both copies
-    of y through b, with no y-y' or s-s' coupling.
-    """
-    A = U[:2, :2]
-    b = U[:2, 2]
-    u = U[2, 2]
-    V = np.zeros((6, 6))
-    V[:2, :2] = 2.0 * A
-    V[3:5, 3:5] = 2.0 * A
-    V[2, 2] = 2.0 * u
-    V[5, 5] = 2.0 * u
-    for rows, col in (((0, 2), 2), ((0, 2), 5), ((3, 5), 2), ((3, 5), 5)):
-        V[rows[0]:rows[1], col] = b
-        V[col, rows[0]:rows[1]] = b
-    return V
-
-
 def build_covariance(p: GaussianModelParams) -> np.ndarray:
     """Exponent matrix U of the Gaussian-surrogate kernel, 3x3 over
     (Omega_c, q_c, Omega_s): L = exp(-x^T U x / 2) for the order-0 gate.
@@ -177,12 +160,27 @@ def build_covariance(p: GaussianModelParams) -> np.ndarray:
             + 2.0 * GAMMA_SINC * (p.l / 2.0) ** 2 * np.outer(match, match))
 
 
+def _schur_schmidt_number(U: np.ndarray) -> float:
+    """K = sqrt(u det A / det U) for U = [[A, b], [b^T, u]] with s last."""
+    return math.sqrt(U[-1, -1] * np.linalg.det(U[:-1, :-1]) / np.linalg.det(U))
+
+
 def covariance_schmidt_number(U: np.ndarray) -> float:
     """Exact Schmidt number of a Gaussian kernel from determinants.
 
+    With U = [[A, b], [b^T, u]] over y = (Omega_c, q_c) and s = Omega_s,
+    integrating y out of L(y, s) L(y, s') leaves the signal-side Gram kernel
+    G(s, s') ~ exp(-[alpha (s^2 + s'^2) - 2 beta s s'] / 2), with
+    beta = b^T A^-1 b / 2 and alpha = u - beta.  Then
+    K = (Tr G)^2 / Tr G^2 = sqrt((alpha + beta) / (alpha - beta))
+      = sqrt(u / (u - b^T A^-1 b)) = sqrt(u det A / det U),
+    the last step because u - b^T A^-1 b = det U / det A is the Schur
+    complement of A.  The same holds for any block A, e.g. 3x3 for a gate
+    with its own transverse momentum.
+
     For a rank-deficient U whose transverse-momentum coordinate decouples
-    (degenerate collinear geometry), the computation falls back to the
-    coupled 2x2 frequency block.
+    (degenerate collinear geometry), the same formula runs on the coupled
+    2x2 (Omega_c, Omega_s) block.
     """
     U = np.asarray(U, dtype=float)
     if U.shape != (3, 3) or not np.allclose(U, U.T, rtol=0, atol=1e-10 * max(1.0, np.abs(U).max())):
@@ -199,12 +197,10 @@ def covariance_schmidt_number(U: np.ndarray) -> float:
         reduced = U[np.ix_((0, 2), (0, 2))]
         if np.linalg.eigvalsh(reduced)[0] <= 1e-12 * scale:
             raise DomainError("reduced frequency block is not positive definite")
-        a, b, u = reduced[0, 0], reduced[0, 1], reduced[1, 1]
-        return 1.0 / math.sqrt(1.0 - b * b / (a * u))
+        return _schur_schmidt_number(reduced)
     if evals[0] <= 0:
         raise DomainError("U must be positive definite")
-    V = assemble_two_copy_form(U)
-    return float(np.sqrt(np.linalg.det(V)) / np.linalg.det(2.0 * U))
+    return _schur_schmidt_number(U)
 
 
 def single_mode_lambda_sq(preset: CrystalPreset) -> float:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, resolve, schema
-from .dispersion import list_presets, preset_by_name
+from .dispersion import PRESETS
 from .scan import (gaussian_table_rows, run_scan, write_condition_summary,
                    write_gaussian_table, write_kernel_csv, write_modes_csv)
 
@@ -39,8 +39,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_preset(args) -> int:
     if args.action == "list":
-        for name in list_presets():
-            p = preset_by_name(name)
+        for name, p in PRESETS.items():
             print(f"{name}: kp_s={p.kp_s:.4f} fs/um, kp_c={p.kp_c:.4f} fs/um, "
                   f"rho={p.rho:.5f} rad, phi={p.phi:+.5f} rad, "
                   f"theta_pm={p.theta_pm:.5f} rad")

@@ -136,7 +136,9 @@ def _weight_and_purity(lambdas_sq: np.ndarray, overlap: np.ndarray,
     """sum_m lambda_m^2 C_mm and the purity, from C = O diag(N) O^T.
 
     The modes and overlaps are real, so C is real symmetric; C[m, m] is
-    the photon number subtraction channel m draws on.
+    the photon number subtraction channel m draws on.  The purity is
+    degree-zero homogeneous in both the Schmidt weights and the photon
+    numbers, so any consistent normalization works.
     """
     channels = (overlap * photons) @ overlap.T
     weight = float(np.sum(lambdas_sq * np.diag(channels)))
@@ -145,18 +147,6 @@ def _weight_and_purity(lambdas_sq: np.ndarray, overlap: np.ndarray,
                                 "comb mode couples to any subtraction mode")
     num = float(np.sum(np.outer(lambdas_sq, lambdas_sq) * channels ** 2))
     return weight, num / weight**2
-
-
-def purity_from_overlaps(lambdas_sq: np.ndarray, overlap: np.ndarray,
-                         photons: np.ndarray) -> float:
-    """Conditioned-state purity from Schmidt weights, real overlaps and photons.
-
-    Degree-zero homogeneous in both the Schmidt weights and the photon
-    numbers, so any consistent normalization works.
-    """
-    if np.iscomplexobj(overlap):
-        raise TypeError("overlaps must be real: the kernel and its modes are real")
-    return _weight_and_purity(lambdas_sq, overlap, photons)[1]
 
 
 @dataclass(frozen=True)

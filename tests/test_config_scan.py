@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,12 +13,18 @@ import pytest
 from modesub import GridConfig, _blas, build_kernel, decompose, kernel_gram
 from modesub.analytic import single_mode_rate
 from modesub.cli import build_parser, main
-from modesub.config import ConfigError, load_config, resolve, schema
+from modesub.config import _SCHEMA, ConfigError, load_config, resolve, schema
 from modesub.kernel import MAX_Q_DRIFT, MIN_AXIS_POINTS, MIN_MASS_CAPTURED
 from modesub.scan import (run_scan, write_condition_summary, write_gaussian_table,
                           write_kernel_csv, write_modes_csv, write_run_meta)
 
 SMALL_GRID = {"n_omega_c": 48, "n_q": 48, "n_omega_s": 48}
+INLINE_CRYSTAL = {"name": "custom", "lambda_s_nm": 800.0, "kp_s_fs_um": 5.6139,
+                  "kp_c_fs_um": 5.8107, "rho_deg": 3.9, "phi_deg": -1.0}
+# every key of the schema, as an error names it
+SCHEMA_FIELDS = [f"{section}.{key}" if isinstance(body, dict) else section
+                 for section, body in _SCHEMA.items()
+                 for key in (body if isinstance(body, dict) else [None])]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -166,6 +173,22 @@ class TestResolve:
     def test_scan_axis_values_follow_base_field_rules(self, axis, field):
         with pytest.raises(ConfigError, match=rf"scan\.axes\[0\].*{field}"):
             resolve({"scan": {"axes": [axis]}})
+
+    @pytest.mark.parametrize("key,value", [
+        ("min", 5), ("max", 9), ("count", 4), ("spacing", "log")])
+    def test_axis_values_exclude_a_range(self, key, value):
+        # a range beside values was dropped from the resolved config
+        with pytest.raises(ConfigError, match=rf"scan\.axes\[0\]: .*values and {key}"):
+            resolve({"scan": {"axes": [{"variable": "l_mm", "values": [1.5],
+                                        key: value}]}})
+
+    def test_variable_swept_twice_rejected(self):
+        # the later axis overwrote the earlier one's value on every point
+        with pytest.raises(ConfigError,
+                           match=r"scan\.axes\[2\]\.variable: .*scan\.axes\[0\]"):
+            resolve({"scan": {"axes": [{"variable": "l_mm", "values": [1.5]},
+                                       {"variable": "w_um", "values": [80.0]},
+                                       {"variable": "l_mm", "values": [2.5, 3.0]}]}})
 
     def test_scan_points_row_major(self):
         config = resolve({"scan": {"axes": [
@@ -438,6 +461,31 @@ class TestCli:
     def test_non_finite_or_non_numeric_value_names_the_field(self, tmp_path, capsys,
                                                              payload, field):
         path = write_config(tmp_path, payload)
+        assert main(["config", "--config", str(path)]) == 1
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[1], {"x": 1}, True], ids=["list", "object", "bool"])
+    @pytest.mark.parametrize("field", SCHEMA_FIELDS)
+    def test_every_key_rejects_a_wrong_type(self, tmp_path, capsys, field, value):
+        section, _, key = field.partition(".")
+        path = write_config(tmp_path, {section: {key: value} if key else value})
+        assert main(["config", "--config", str(path)]) == 1
+        # a list-valued key may name its item instead: scan.axes[0]
+        assert re.search(rf"configuration error: {re.escape(field)}[:\[]",
+                         capsys.readouterr().err)
+
+    @pytest.mark.parametrize("change,field", [
+        ({"name": 5}, "crystal.name"),
+        ({"rho_deg": -3.9}, "crystal.rho_deg"),
+        ({"phi_deg": 25.0}, "crystal.phi_deg"),
+        ({"phi_deg": -19.0}, "crystal.phi_deg"),
+        ({"lambda_s_nm": -800.0}, "crystal.lambda_s_nm"),
+        ({"kp_s_fs_um": 5.8107, "kp_c_fs_um": 5.6139},
+         "crystal.kp_s_fs_um / crystal.kp_c_fs_um"),
+    ])
+    def test_inline_crystal_error_names_its_field(self, tmp_path, capsys, change, field):
+        path = write_config(tmp_path, {"crystal": {**INLINE_CRYSTAL, **change},
+                                       "gate": {"fwhm_nm": 6.0}})
         assert main(["config", "--config", str(path)]) == 1
         assert f"configuration error: {field}:" in capsys.readouterr().err
 

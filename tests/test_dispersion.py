@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from modesub import (C_UM_PER_FS, CrystalPreset, bandwidth_from_tau,
-                     convert_bandwidth, delta_k, preset_bbo, preset_by_name)
-from modesub.dispersion import ConfigurationError, kernel_forms
+from modesub import (C_UM_PER_FS, PRESETS, CrystalPreset, bandwidth_from_tau,
+                     convert_bandwidth, preset_bbo, preset_by_name)
+from modesub.dispersion import ConfigurationError
+
+from conftest import delta_k
 
 
 class TestPresets:
@@ -47,7 +49,12 @@ class TestPresets:
 
     def test_preset_by_name(self):
         assert preset_by_name("bbo-phi5-counter").phi < 0
-        with pytest.raises(ConfigurationError):
+        assert list(PRESETS) == ["bbo-phi1-co", "bbo-phi1-counter", "bbo-phi5-co",
+                                 "bbo-phi5-counter"]
+        for name, preset in PRESETS.items():
+            assert preset_by_name(name) is preset and preset.name == name
+        assert PRESETS["bbo-phi5-counter"] == preset_bbo(5, "counter")
+        with pytest.raises(ConfigurationError, match="available"):
             preset_by_name("ktp-phi1-co")
 
     def test_invariants_enforced(self):
@@ -113,14 +120,6 @@ class TestDeltaK:
                 slopes.append((delta_k(p, *hi) - delta_k(p, *lo)) / h)
             slopes = np.array(slopes)
             assert np.all(np.abs(slopes - slopes[0]) <= 1e-12 * np.abs(slopes[0]))
-
-    def test_vectorized(self):
-        p = preset_bbo(1, "co")
-        wc = np.linspace(-0.05, 0.05, 7)
-        out = delta_k(p, wc, 0.0, 0.0)
-        assert out.shape == wc.shape
-        _, _, (d_wc, _, _) = kernel_forms(p.kp_s, p.kp_c, p.phi, p.rho)
-        assert np.allclose(out, d_wc * wc, rtol=1e-14)
 
 
 class TestBandwidth:

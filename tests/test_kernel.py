@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
-                     SignalBeamSpec, build_kernel, decompose, delta_k, kernel_gram)
+                     SignalBeamSpec, build_kernel, decompose, kernel_gram)
 from modesub.dispersion import kernel_forms, preset_by_name
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
 from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
@@ -14,7 +14,7 @@ from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
                             _sine_over, derive_grids, sinc)
 from modesub.modes import hermite_gauss_values
 
-from conftest import TAU_COMB_FS
+from conftest import TAU_COMB_FS, delta_k
 
 
 def first_principles(kernel, preset, gate, signal, phase_matching="sinc"):
@@ -119,21 +119,6 @@ class TestBuildKernel:
             pm = sinc(np.array([delta_k(p, wc, qc, ws) * p.length_um / 2.0]))[0]
             assert k.values[i, j, m].real == pytest.approx(
                 float(gate * us * pm), rel=1e-12, abs=1e-300)
-
-    def test_sinc_argument_equals_delta_k_times_half_length(self, bbo1co, gate94,
-                                                            signal_opt):
-        # cross-module consistency contract between dispersion and kernel
-        cfg = GridConfig(n_omega_c=32, n_q=32, n_omega_s=32)
-        k = build_kernel(bbo1co, gate94, signal_opt, cfg)
-        _, _, (d_wc, d_qc, d_ws) = kernel_forms(bbo1co.kp_s, bbo1co.kp_c,
-                                                bbo1co.phi, bbo1co.rho)
-        half_l = bbo1co.length_um / 2.0
-        wc = k.omega_c.points[:, None, None]
-        qc = k.q_c.points[None, :, None]
-        ws = k.omega_s.points[None, None, :]
-        from_kernel = (d_wc * wc + d_qc * qc + d_ws * ws) * half_l
-        from_dispersion = delta_k(bbo1co, wc, qc, ws) * half_l
-        assert np.allclose(from_kernel, from_dispersion, rtol=1e-10, atol=1e-14)
 
     def test_collinear_limit_factorizes_spatially(self, gate94, signal_opt):
         k = build_kernel(collinear_preset(), gate94, signal_opt,
