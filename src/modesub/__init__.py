@@ -8,8 +8,7 @@ multimode squeezed frequency comb.
 
 __version__ = "0.1.0"
 
-from .analytic import (CharacteristicScales, GaussianModelParams,
-                       build_covariance, characteristic_scales,
+from .analytic import (CharacteristicScales, build_covariance, characteristic_scales,
                        covariance_schmidt_number, schmidt_number_closed_form,
                        single_mode_rate)
 from .conditioning import (CombState, ConditionResult, comb_subtraction_experiment,
@@ -31,7 +30,6 @@ __all__ = [
     "ConditionResult",
     "CrystalPreset",
     "GateSpec",
-    "GaussianModelParams",
     "GridConfig",
     "HermiteGaussSpec",
     "KernelGram",

@@ -3,24 +3,41 @@
 Approximating the phase-matching sinc by a Gaussian of equal FWHM
 (exp(-GAMMA_SINC x^2), GAMMA_SINC = 0.193) makes the transfer kernel an exact
 three-variable Gaussian, for which the Schmidt number follows from
-covariance-matrix determinants.  This module provides
+covariance-matrix determinants.  Each function reads the objects it
+describes, whose constructors check them: the crystal
+(:class:`~modesub.dispersion.CrystalPreset`), the gate
+(:class:`~modesub.kernel.GateSpec`) and the signal beam
+(:class:`~modesub.kernel.SignalBeamSpec`).  This module provides
 
-* the characteristic scales of the single-mode regime (walk-off length,
-  characteristic non-collinear angle, optimal length and focusing, minimal
-  Schmidt number) in the small-angle expansion,
+* the characteristic scales of the single-mode regime (characteristic
+  non-collinear angle, walk-off length, optimal length and focusing,
+  minimal Schmidt number) in the small-angle expansion, which also hold the
+  single-mode margins (:func:`characteristic_scales`),
 * the small-angle closed-form K(l, w_s),
 * the exact covariance-matrix route, valid for any Gaussian kernel and used
-  as the oracle for the numerical decomposition: with the exponent matrix
-  U = [[A, b], [b^T, u]] split into y = (Omega_c, q_c) and s = Omega_s,
-  integrating y out of L(y, s) L(y, s') leaves a Gaussian Gram kernel in
-  (s, s') whose Schmidt number is sqrt(u / (u - b^T A^-1 b)) =
-  sqrt(u det A / det U), the ratio of u to its Schur complement
-  (:func:`covariance_schmidt_number`),
-* the single-mode margins and rate.
+  as the oracle for the numerical decomposition: the exponent matrix U of
+  the Gaussian-surrogate kernel (:func:`build_covariance`) and the Schmidt
+  number of any positive-definite U with the signal frequency last,
+  K = sqrt(u det A / det U) (:func:`covariance_schmidt_number`),
+* the single-mode rate.
 
-The small-angle formulas conventionally use the collinear-limit value of
-the up-converted group velocity; pass ``kp_c`` accordingly (see
-``GaussianModelParams.from_preset``).
+The up-converted inverse group velocity k'_c is read in one convention per
+route.  The small-angle functions read the collinear-limit
+``preset.kp_c_collinear``, under which the closed-form scales reproduce
+their reference values; :func:`build_covariance` reads the cut's own
+``preset.kp_c``, which the numerical kernel runs on.  To compare the two
+routes, build U from ``replace(preset, kp_c=preset.kp_c_collinear)``.
+
+U = tau_g^2 g g^T + w_s^2 b b^T + 2 GAMMA_SINC (l/2)^2 m m^T sums three
+rank-one terms over the gate, beam and phase-matching rows of
+:func:`~modesub.dispersion.kernel_forms`, so it is positive definite exactly
+when their determinant, (k'_c cos rho - k'_s cos(phi - rho)) /
+(cos phi cos rho), is not zero.  k'_c > k'_s keeps it positive while the
+walk-off stays below arccos(k'_s / k'_c), about 15 deg for BBO, whose rho
+is 4 deg; :func:`covariance_schmidt_number` raises :class:`DomainError` on
+a U that is not positive definite.  The q_c diagonal,
+w_s^2 / cos^2 phi + 2 GAMMA_SINC (l/2)^2 (tan phi - tan rho)^2, is positive
+for any crystal, so q_c never drops out of U, not even at phi = rho = 0.
 """
 
 from __future__ import annotations
@@ -38,43 +55,8 @@ _PER_FS_TO_SI = 1e15
 
 
 class DomainError(ValueError):
-    """Input outside the validity domain (non-PD matrix, zero angle, ...)."""
-
-
-@dataclass(frozen=True)
-class GaussianModelParams:
-    """Parameter set of the Gaussian kernel model (internal units)."""
-
-    kp_s: float
-    kp_c: float
-    phi: float
-    rho: float
-    tau_g: float
-    w_s: float
-    l: float
-
-    def __post_init__(self):
-        if not (self.kp_c > self.kp_s > 0):
-            raise DomainError("requires kp_c > kp_s > 0")
-        if min(self.tau_g, self.w_s, self.l) <= 0:
-            raise DomainError("tau_g, w_s and l must be positive")
-
-    @classmethod
-    def from_preset(cls, preset: CrystalPreset, gate: GateSpec,
-                    signal: SignalBeamSpec, *,
-                    collinear: bool = True) -> "GaussianModelParams":
-        """Build from artifact types.
-
-        ``collinear=True`` (default) inserts the collinear-limit up-converted
-        group velocity, the convention under which the closed-form scales
-        reproduce their reference values.  Use ``collinear=False`` to match a
-        numerically built Gaussian-surrogate kernel, which runs on the
-        preset's own cut-dependent value.
-        """
-        return cls(kp_s=preset.kp_s,
-                   kp_c=preset.kp_c_collinear if collinear else preset.kp_c,
-                   phi=preset.phi, rho=preset.rho, tau_g=gate.tau_g,
-                   w_s=signal.waist_s_um, l=preset.length_um)
+    """Input no constructor checks: a matrix that is not positive definite,
+    or a negative photon number."""
 
 
 @dataclass(frozen=True)
@@ -86,121 +68,86 @@ class CharacteristicScales:
     k_min: float
 
 
-def _phi0(kp_s: float, kp_c: float) -> float:
-    """Characteristic non-collinear angle of the small-angle model, rad."""
-    return math.sqrt((kp_c / kp_s - 1.0) / 2.0)
-
-
-def _walk_off_length(kp_s: float, kp_c: float, tau_g: float) -> float:
-    """Temporal walk-off length l0 of gate and up-converted pulse, um."""
-    return tau_g / (math.sqrt(GAMMA_SINC / 2.0) * (kp_c - kp_s))
-
-
-def _angle_margin(kp_s: float, kp_c: float, phi: float, rho: float) -> float:
-    """(phi^2 + |phi (phi - rho)|) / phi0^2; the minimal Schmidt number is 1 + it."""
-    return (phi**2 + abs(phi * (phi - rho))) / _phi0(kp_s, kp_c) ** 2
-
-
-def single_mode_margins(preset: CrystalPreset, tau_g: float) -> tuple[float, float, bool]:
-    """Angle margin, length margin l0/l, and whether the single-mode regime holds.
-
-    Both margins must be well below one; the regime holds "within a factor
-    three" when both are <= 1/3.  Uses the collinear-limit up-converted
-    group velocity and does not depend on the signal beam.
-    """
-    kp_s, kp_c = preset.kp_s, preset.kp_c_collinear
-    angle = _angle_margin(kp_s, kp_c, preset.phi, preset.rho)
-    length = _walk_off_length(kp_s, kp_c, tau_g) / preset.length_um
-    return angle, length, angle <= 1.0 / 3.0 and length <= 1.0 / 3.0
-
-
-def characteristic_scales(p: GaussianModelParams) -> CharacteristicScales:
+def characteristic_scales(preset: CrystalPreset, gate: GateSpec) -> CharacteristicScales:
     """Single-mode-regime scales of the small-angle Gaussian model.
 
-    At phi = 0 the optimum moves to infinite length and waist; those entries
-    come back as ``inf``.
+    phi0 is the characteristic non-collinear angle and l0 the temporal
+    walk-off length of gate and up-converted pulse.  K_min - 1 =
+    (phi^2 + |phi (phi - rho)|) / phi0^2 and l0 / l are the single-mode
+    margins.  At phi = 0 the optimum moves to infinite length and waist;
+    those entries come back as ``inf``.  Reads ``preset.kp_c_collinear``
+    and does not depend on the signal beam.
     """
-    phi0 = _phi0(p.kp_s, p.kp_c)
-    l0 = _walk_off_length(p.kp_s, p.kp_c, p.tau_g)
-    if p.phi == 0.0:
+    kp_s, kp_c, phi, rho = preset.kp_s, preset.kp_c_collinear, preset.phi, preset.rho
+    tau_g = gate.tau_g
+    phi0 = math.sqrt((kp_c / kp_s - 1.0) / 2.0)
+    l0 = tau_g / (math.sqrt(GAMMA_SINC / 2.0) * (kp_c - kp_s))
+    if phi == 0.0:
         l_opt = math.inf
         w_opt = math.inf
     else:
-        l_opt = (p.tau_g / p.kp_s) / (math.sqrt(2.0 * GAMMA_SINC) * phi0 * abs(p.phi))
-        w_opt = (p.tau_g / p.kp_s) * math.sqrt(abs(p.rho / p.phi - 1.0)) / (2.0 * phi0)
-    k_min = 1.0 + _angle_margin(p.kp_s, p.kp_c, p.phi, p.rho)
+        l_opt = (tau_g / kp_s) / (math.sqrt(2.0 * GAMMA_SINC) * phi0 * abs(phi))
+        w_opt = (tau_g / kp_s) * math.sqrt(abs(rho / phi - 1.0)) / (2.0 * phi0)
+    k_min = 1.0 + (phi**2 + abs(phi * (phi - rho))) / phi0**2
     return CharacteristicScales(phi0, l0, l_opt, w_opt, k_min)
 
 
-def schmidt_number_closed_form(p: GaussianModelParams) -> float:
-    """Small-angle closed-form K(l, w_s).
+def schmidt_number_closed_form(preset: CrystalPreset, gate: GateSpec,
+                               signal: SignalBeamSpec) -> float:
+    """Small-angle closed-form K(l, w_s), on ``preset.kp_c_collinear``.
 
     Returned without clamping: a value below one signals a bug, not physics.
     """
-    d_group = p.kp_c - p.kp_s
-    a = 1.0 + 2.0 * p.tau_g**2 / (GAMMA_SINC * d_group**2 * p.l**2)
-    b = (p.phi - p.rho) ** 2 * p.tau_g**2 / d_group**2
-    c = 1.0 + 2.0 * p.phi**4 * GAMMA_SINC * p.kp_s**2 * p.l**2 / p.tau_g**2
-    d = 4.0 * p.phi**2 * p.kp_s**2 / p.tau_g**2
-    return math.sqrt((a * p.w_s**2 + b) * (c / p.w_s**2 + d))
+    kp_s, phi, rho, l = preset.kp_s, preset.phi, preset.rho, preset.length_um
+    tau_g, w_s = gate.tau_g, signal.waist_s_um
+    d_group = preset.kp_c_collinear - kp_s
+    a = 1.0 + 2.0 * tau_g**2 / (GAMMA_SINC * d_group**2 * l**2)
+    b = (phi - rho) ** 2 * tau_g**2 / d_group**2
+    c = 1.0 + 2.0 * phi**4 * GAMMA_SINC * kp_s**2 * l**2 / tau_g**2
+    d = 4.0 * phi**2 * kp_s**2 / tau_g**2
+    return math.sqrt((a * w_s**2 + b) * (c / w_s**2 + d))
 
 
-def build_covariance(p: GaussianModelParams) -> np.ndarray:
+def build_covariance(preset: CrystalPreset, gate: GateSpec,
+                     signal: SignalBeamSpec) -> np.ndarray:
     """Exponent matrix U of the Gaussian-surrogate kernel, 3x3 over
     (Omega_c, q_c, Omega_s): L = exp(-x^T U x / 2) for the order-0 gate.
 
     U is the sum of rank-one contributions from the gate spectrum, the
-    signal transverse profile and the Gaussian-approximated phase matching.
-    It is singular only for degenerate geometries, which
-    :func:`covariance_schmidt_number` detects itself.
+    signal transverse profile and the Gaussian-approximated phase matching,
+    on ``preset.kp_c`` as the numerical kernel is.
     """
-    gate, beam, match = map(np.array, kernel_forms(p.kp_s, p.kp_c, p.phi, p.rho))
-    return (p.tau_g**2 * np.outer(gate, gate)
-            + p.w_s**2 * np.outer(beam, beam)
-            + 2.0 * GAMMA_SINC * (p.l / 2.0) ** 2 * np.outer(match, match))
-
-
-def _schur_schmidt_number(U: np.ndarray) -> float:
-    """K = sqrt(u det A / det U) for U = [[A, b], [b^T, u]] with s last."""
-    return math.sqrt(U[-1, -1] * np.linalg.det(U[:-1, :-1]) / np.linalg.det(U))
+    gate_form, beam, match = map(np.array, kernel_forms(preset.kp_s, preset.kp_c,
+                                                        preset.phi, preset.rho))
+    return (gate.tau_g**2 * np.outer(gate_form, gate_form)
+            + signal.waist_s_um**2 * np.outer(beam, beam)
+            + 2.0 * GAMMA_SINC * (preset.length_um / 2.0) ** 2 * np.outer(match, match))
 
 
 def covariance_schmidt_number(U: np.ndarray) -> float:
     """Exact Schmidt number of a Gaussian kernel from determinants.
 
-    With U = [[A, b], [b^T, u]] over y = (Omega_c, q_c) and s = Omega_s,
-    integrating y out of L(y, s) L(y, s') leaves the signal-side Gram kernel
+    With U = [[A, b], [b^T, u]] over y and s, the signal frequency last and
+    y the n - 1 others (Omega_c, q_c for :func:`build_covariance`, plus the
+    gate's transverse momentum for a finite gate), integrating y out of
+    L(y, s) L(y, s') leaves the signal-side Gram kernel
     G(s, s') ~ exp(-[alpha (s^2 + s'^2) - 2 beta s s'] / 2), with
     beta = b^T A^-1 b / 2 and alpha = u - beta.  Then
     K = (Tr G)^2 / Tr G^2 = sqrt((alpha + beta) / (alpha - beta))
       = sqrt(u / (u - b^T A^-1 b)) = sqrt(u det A / det U),
     the last step because u - b^T A^-1 b = det U / det A is the Schur
-    complement of A.  The same holds for any block A, e.g. 3x3 for a gate
-    with its own transverse momentum.
-
-    For a rank-deficient U whose transverse-momentum coordinate decouples
-    (degenerate collinear geometry), the same formula runs on the coupled
-    2x2 (Omega_c, Omega_s) block.
+    complement of A.  U must be symmetric, n >= 2, and positive definite:
+    its smallest eigenvalue above 1e-12 of its largest.
     """
     U = np.asarray(U, dtype=float)
-    if U.shape != (3, 3) or not np.allclose(U, U.T, rtol=0, atol=1e-10 * max(1.0, np.abs(U).max())):
-        raise DomainError("U must be a symmetric 3x3 matrix")
+    if (U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] < 2
+            or not np.allclose(U, U.T, rtol=0, atol=1e-10 * max(1.0, np.abs(U).max()))):
+        raise DomainError(f"U must be a symmetric n x n matrix with n >= 2, "
+                          f"got shape {U.shape}")
     evals = np.linalg.eigvalsh(U)
-    scale = float(np.abs(U).max())
-    if evals[0] < -1e-12 * max(scale, 1.0):
-        raise DomainError("U must be positive (semi-)definite")
-    if evals[0] <= 1e-12 * max(evals[-1], 1.0):
-        decoupled = max(abs(U[0, 1]), abs(U[1, 2])) <= 1e-12 * scale
-        if not decoupled:
-            raise DomainError("U is singular and its momentum coordinate does "
-                              "not decouple; Schmidt number undefined")
-        reduced = U[np.ix_((0, 2), (0, 2))]
-        if np.linalg.eigvalsh(reduced)[0] <= 1e-12 * scale:
-            raise DomainError("reduced frequency block is not positive definite")
-        return _schur_schmidt_number(reduced)
-    if evals[0] <= 0:
+    if evals[0] <= 1e-12 * evals[-1]:
         raise DomainError("U must be positive definite")
-    return _schur_schmidt_number(U)
+    return math.sqrt(U[-1, -1] * np.linalg.det(U[:-1, :-1]) / np.linalg.det(U))
 
 
 def single_mode_lambda_sq(preset: CrystalPreset) -> float:
@@ -239,15 +186,16 @@ class SingleModeRate:
 
 
 def single_mode_rate(preset: CrystalPreset, gate: GateSpec, n_photons: float,
-                     signal: SignalBeamSpec | None = None) -> SingleModeRate:
+                     signal: SignalBeamSpec) -> SingleModeRate:
     """Subtraction probability and event rate in the single-mode regime.
 
     ``n_photons`` is the mean photon number per pulse in the matched mode.
     ``p_norm_m2_per_j`` is the probability per photon per unit gate
     fluence W_g / (pi w_g^2), which the gate energy and waist drop out of.
     The flags report whether the single-mode conditions hold within a factor
-    three and whether the gate waist dominates the signal waist enough for
-    the plane-wave reduction.
+    three (both margins of :func:`characteristic_scales`, K_min - 1 and
+    l0 / l, at most 1/3) and whether the gate waist dominates the signal
+    waist enough for the plane-wave reduction.
     """
     if n_photons < 0:
         raise DomainError("photon number must be non-negative")
@@ -259,8 +207,9 @@ def single_mode_rate(preset: CrystalPreset, gate: GateSpec, n_photons: float,
     p_norm = weight / fluence
     rate = probability * gate.rep_rate_hz
 
-    _, _, ok = single_mode_margins(preset, gate.tau_g)
-    plane_ok = True if signal is None else bool(gate.waist_g_um >= 5.0 * signal.waist_s_um)
+    scales = characteristic_scales(preset, gate)
+    ok = scales.k_min - 1.0 <= 1.0 / 3.0 and scales.l0_um / preset.length_um <= 1.0 / 3.0
+    plane_ok = bool(gate.waist_g_um >= 5.0 * signal.waist_s_um)
     return SingleModeRate(lambda_sq_per_fs=lam_sq, p_norm_m2_per_j=p_norm,
                           probability=probability, rate_hz=rate,
                           single_mode_ok=ok, plane_wave_ok=plane_ok)

@@ -15,8 +15,9 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, resolve, schema
 from .dispersion import PRESETS
-from .scan import (gaussian_table_rows, run_scan, write_condition_summary,
-                   write_gaussian_table, write_kernel_csv, write_modes_csv)
+from .scan import (gaussian_table_json, gaussian_table_rows, run_scan,
+                   write_condition_summary, write_gaussian_table, write_kernel_csv,
+                   write_modes_csv)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -89,7 +90,7 @@ def cmd_gaussian(args) -> int:
         return EXIT_OK
     rows = gaussian_table_rows(config)
     if args.format == "json":
-        print(json.dumps(rows, indent=2))
+        print(gaussian_table_json(rows))
         return EXIT_OK
     columns = list(rows[0].keys())
     widths = {c: max(len(c), 12) for c in columns}

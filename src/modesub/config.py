@@ -14,11 +14,12 @@ resolved config writes it as null (``comb.fwhm_nm``, ``crystal.preset`` of
 an inline crystal), so a ``run_meta.json`` loads again.  :func:`resolve`
 holds only the rules that span keys: an inline crystal's required keys and
 its exclusion with a named preset, the exclusive ``tau_fs``/``fwhm_nm``
-pairs, ``photons_csv`` for a CSV comb, the scan axes, and k'_c > k'_s > 0,
-which the base-point build reports under both k' keys.  Every given key
-passes its own rule before any cross-key rule runs, so of two errors in one
-config the per-key one is reported: a wrong-typed inline key given alone
-names itself, not the inline keys it lacks.
+pairs, ``photons_csv`` for a CSV comb, the scan axes, and k'_c > k'_s > 0
+at the cut and in the collinear limit, which the base-point build reports
+under the two k' keys it compares.  Every given key passes its own rule
+before any cross-key rule runs, so of two errors in one config the per-key
+one is reported: a wrong-typed inline key given alone names itself, not the
+inline keys it lacks.
 
 A scan point is the crystal, gate and signal beam it solves
 (:class:`ScanPoint`).  What each scan variable sets is written once, in
@@ -443,12 +444,14 @@ def resolve(raw: dict) -> RunConfig:
     resolved = {"crystal": crystal, "gate": gate, "signal": signal, "comb": comb,
                 "grid": grid, "scan": scan, "output_dir": output_dir}
     config = RunConfig(resolved=resolved)
-    # every field passed its own rule; k'_c > k'_s > 0 is the one crystal
-    # rule that spans keys, and only an inline crystal can break it
+    # every field passed its own rule; k'_c > k'_s > 0, at the cut and in
+    # the collinear limit, are the crystal rules that span keys, and only an
+    # inline crystal can break them.  The error names the k'_c field.
     try:
         preset = config.preset()
     except ConfigurationError as exc:
-        raise ConfigError(f"crystal.kp_s_fs_um / crystal.kp_c_fs_um: {exc}") from exc
+        kp_c = "kp_c_collinear" if "kp_c_collinear" in str(exc) else "kp_c"
+        raise ConfigError(f"crystal.kp_s_fs_um / crystal.{kp_c}_fs_um: {exc}") from exc
     base = ScanPoint(preset, config.gate(), config.signal())
     for i, axis in enumerate(norm_axes):
         setter = _SCAN_SETTERS[axis["variable"]]

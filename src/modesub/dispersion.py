@@ -41,8 +41,10 @@ class CrystalPreset:
     (signal travels with the walk-off direction of the up-converted beam),
     opposite signs the counter-propagating one.  ``rho`` is kept positive.
     ``kp_c_collinear`` is the collinear-limit inverse group velocity of the
-    up-converted field, used by the analytic model; ``kp_c`` is the value at
-    the actual cut and feeds the numerical kernel.
+    up-converted field (``kp_c`` when not given), read by the small-angle
+    closed forms; ``kp_c`` is the value at the actual cut and feeds the
+    numerical kernel.  Both exceed ``kp_s`` (normal dispersion), and |phi|
+    stays below :data:`BBO_PHI_MAX_RAD`.
     """
 
     name: str
@@ -58,26 +60,26 @@ class CrystalPreset:
     d_eff_pm_v: float = 2.0     # effective nonlinearity; chi2 = 2 d_eff
     length_um: float = 2000.0
     kp_c_collinear: float | None = None
-    phi_max: float = BBO_PHI_MAX_RAD
 
     def __post_init__(self):
-        if not (self.kp_c > self.kp_s > 0):
-            raise ConfigurationError(
-                f"normal dispersion requires kp_c > kp_s > 0, got "
-                f"kp_s={self.kp_s}, kp_c={self.kp_c}")
+        if self.kp_c_collinear is None:
+            object.__setattr__(self, "kp_c_collinear", self.kp_c)
+        for field in ("kp_c", "kp_c_collinear"):
+            if not (getattr(self, field) > self.kp_s > 0):
+                raise ConfigurationError(
+                    f"normal dispersion requires {field} > kp_s > 0, got "
+                    f"kp_s={self.kp_s}, {field}={getattr(self, field)}")
         if self.length_um <= 0:
             raise ConfigurationError(f"crystal length must be > 0, got {self.length_um}")
         if self.rho < 0:
             raise ConfigurationError("walk-off angle rho is positive by convention; "
                                      "the configuration sign lives on phi")
-        if abs(self.phi) >= self.phi_max:
+        if abs(self.phi) >= BBO_PHI_MAX_RAD:
             raise ConfigurationError(
                 f"|phi|={abs(self.phi):.4f} rad exceeds the maximal "
-                f"phase-matchable angle {self.phi_max:.4f} rad")
+                f"phase-matchable angle {BBO_PHI_MAX_RAD:.4f} rad")
         if min(self.n_s, self.n_g, self.n_c) <= 0 or self.d_eff_pm_v <= 0:
             raise ConfigurationError("refractive indices and d_eff must be positive")
-        if self.kp_c_collinear is None:
-            object.__setattr__(self, "kp_c_collinear", self.kp_c)
 
     @property
     def omega_s0(self) -> float:

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from ._blas import environment
-from .analytic import (GaussianModelParams, characteristic_scales,
-                       schmidt_number_closed_form, single_mode_rate)
+from .analytic import (characteristic_scales, schmidt_number_closed_form,
+                       single_mode_rate)
 from .conditioning import comb_subtraction_experiment
 from .config import RunConfig, ScanPoint
 from .kernel import (GridConfig, KernelResolutionError, KernelSpanError,
@@ -160,9 +160,7 @@ def gaussian_table_rows(config: RunConfig) -> list[dict]:
         geometries.setdefault((p.preset.length_um, p.signal.waist_s_um, p.preset.phi), p)
     rows = []
     for p in geometries.values():
-        params = GaussianModelParams.from_preset(p.preset, p.gate, p.signal,
-                                                 collinear=True)
-        scales = characteristic_scales(params)
+        scales = characteristic_scales(p.preset, p.gate)
         rate = single_mode_rate(p.preset, p.gate, n1, p.signal)
         rows.append({
             "l_um": p.preset.length_um,
@@ -173,12 +171,19 @@ def gaussian_table_rows(config: RunConfig) -> list[dict]:
             "l_opt_um": scales.l_opt_um,
             "w_opt_um": scales.w_opt_um,
             "K_min": scales.k_min,
-            "K": schmidt_number_closed_form(params),
+            "K": schmidt_number_closed_form(p.preset, p.gate, p.signal),
             "lambda_sq_per_fs": rate.lambda_sq_per_fs,
             "p_norm_m2_per_j": rate.p_norm_m2_per_j,
             "rate_hz": rate.rate_hz,
         })
     return rows
+
+
+def gaussian_table_json(rows: list[dict]) -> str:
+    """The table as strict JSON (RFC 8259 has no Infinity): a non-finite
+    value, the l_opt_um and w_opt_um of a phi = 0 row, is written as null."""
+    return json.dumps([{key: value if math.isfinite(value) else None
+                        for key, value in row.items()} for row in rows], indent=2)
 
 
 def write_gaussian_table(config: RunConfig, output_dir: str | Path | None = None,
@@ -188,7 +193,7 @@ def write_gaussian_table(config: RunConfig, output_dir: str | Path | None = None
     columns = list(rows[0].keys())
     if fmt == "json":
         path = directory / "gaussian_table.json"
-        path.write_text(json.dumps(rows, indent=2) + "\n")
+        path.write_text(gaussian_table_json(rows) + "\n")
         return path
     path = directory / "gaussian_table.csv"
     lines = [",".join(columns)]

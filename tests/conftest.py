@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modesub import GateSpec, HermiteGaussSpec, SignalBeamSpec, preset_bbo
+from modesub import CrystalPreset, GateSpec, HermiteGaussSpec, SignalBeamSpec, preset_bbo
 from modesub.dispersion import kernel_forms
 
 # tau of a 6 nm FWHM comb mode at 795 nm; the gate matches it in Sec.-V runs
@@ -13,6 +13,13 @@ def delta_k(preset, omega_c, q_c, omega_s):
     _, _, (d_wc, d_qc, d_ws) = kernel_forms(preset.kp_s, preset.kp_c, preset.phi,
                                             preset.rho)
     return d_wc * omega_c + d_qc * q_c + d_ws * omega_s
+
+
+def collinear_preset(length_um=2000.0):
+    """phi = 0, rho = 0 degenerate geometry; kp_c_collinear defaults to kp_c."""
+    return CrystalPreset(name="collinear", lambda_s_um=0.8,
+                         kp_s=5.6138837221849, kp_c=5.810686538351809,
+                         rho=0.0, phi=0.0, theta_pm=0.0, length_um=length_um)
 
 
 @pytest.fixture(scope="session")

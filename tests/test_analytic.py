@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,52 +10,65 @@ from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
                      build_covariance, build_kernel, characteristic_scales,
                      covariance_schmidt_number, decompose, kernel_gram, preset_bbo,
                      schmidt_number_closed_form, single_mode_rate)
-from modesub.analytic import (DomainError, GaussianModelParams,
-                              conversion_prefactor_fs,
-                              single_mode_lambda_sq, single_mode_margins)
+from modesub.analytic import (DomainError, conversion_prefactor_fs,
+                              single_mode_lambda_sq)
 from modesub.kernel import GAMMA_SINC
+
+from conftest import collinear_preset
+
 
 
 def assemble_two_copy_form(U: np.ndarray) -> np.ndarray:
-    """6x6 exponent matrix of L*(y,s) L(y,s') L(y',s) L*(y',s').
+    """2n x 2n exponent matrix of L*(y,s) L(y,s') L(y',s) L*(y',s').
 
-    Derived from the block partition U = [[A, b], [b^T, u]] over
-    y = (Omega_c, q_c) and s = Omega_s: summing the four single-copy
+    Derived from the block partition U = [[A, b], [b^T, u]] over y, the
+    first n - 1 coordinates, and s, the last: summing the four single-copy
     exponents doubles the diagonal blocks and couples each s to both copies
-    of y through b, with no y-y' or s-s' coupling.
+    of y through b, with no y-y' or s-s' coupling.  The variables are
+    ordered (y, s, y', s').
     """
-    A = U[:2, :2]
-    b = U[:2, 2]
-    u = U[2, 2]
-    V = np.zeros((6, 6))
-    V[:2, :2] = 2.0 * A
-    V[3:5, 3:5] = 2.0 * A
-    V[2, 2] = 2.0 * u
-    V[5, 5] = 2.0 * u
-    for rows, col in (((0, 2), 2), ((0, 2), 5), ((3, 5), 2), ((3, 5), 5)):
-        V[rows[0]:rows[1], col] = b
-        V[col, rows[0]:rows[1]] = b
+    n = U.shape[0]
+    m = n - 1
+    A, b, u = U[:m, :m], U[:m, m], U[m, m]
+    V = np.zeros((2 * n, 2 * n))
+    for y in (0, n):
+        V[y:y + m, y:y + m] = 2.0 * A
+        V[y + m, y + m] = 2.0 * u
+        for s in (m, n + m):
+            V[y:y + m, s] = b
+            V[s, y:y + m] = b
     return V
 
 
 def two_copy_schmidt_number(U: np.ndarray) -> float:
     """Oracle K = (Tr G)^2 / Tr G^2 as two Gaussian integrals over both copies:
-    Tr G^2 integrates exp(-x^T V x / 2) over 6 variables, (Tr G)^2 the
-    product of two 3-variable integrals of exp(-x^T 2U x / 2)."""
+    Tr G^2 integrates exp(-x^T V x / 2) over 2n variables, (Tr G)^2 the
+    product of two n-variable integrals of exp(-x^T 2U x / 2)."""
     return float(np.sqrt(np.linalg.det(assemble_two_copy_form(U)))
                  / np.linalg.det(2.0 * U))
 
 
-def params_for(phi_deg, sign, l_um, w_um, tau_g=94.0, collinear=True):
+def random_positive_definite(rng, n):
+    m = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-2.0, 2.0, n)
+    return m @ m.T + 1e-2 * np.diag(np.diag(m @ m.T))
+
+
+def objects_for(phi_deg, sign, l_um, w_um, tau_g=94.0):
+    """The crystal, order-0 gate and signal beam of one operating point."""
     preset = preset_bbo(phi_deg, sign).with_length(l_um)
     gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=tau_g))
     signal = SignalBeamSpec(waist_s_um=w_um, spectral_tau_fs=tau_g)
-    return GaussianModelParams.from_preset(preset, gate, signal, collinear=collinear)
+    return preset, gate, signal
+
+
+def scales_for(phi_deg, sign, l_um):
+    preset, gate, _ = objects_for(phi_deg, sign, l_um, 107.7)
+    return characteristic_scales(preset, gate)
 
 
 class TestCharacteristicScales:
     def test_reference_values_frozen(self):
-        s = characteristic_scales(params_for(1, "co", 2000.0, 107.7))
+        s = scales_for(1, "co", 2000.0)
         assert s.phi0_rad == pytest.approx(0.13239419704268102, rel=1e-9)
         assert s.l0_um == pytest.approx(1537.5628890076578, rel=1e-9)
         assert s.l_opt_um == pytest.approx(11663.381213612733, rel=1e-9)
@@ -63,44 +77,40 @@ class TestCharacteristicScales:
 
     def test_rounded_reference_anchors(self):
         # quoted in the round numbers 8 deg and 1.6 mm
-        s = characteristic_scales(params_for(1, "co", 2000.0, 107.7))
+        s = scales_for(1, "co", 2000.0)
         assert math.degrees(s.phi0_rad) == pytest.approx(7.6, abs=0.5)
         assert s.l0_um == pytest.approx(1540.0, abs=100.0)
 
     def test_five_degree_configurations(self):
-        co = characteristic_scales(params_for(5, "co", 2000.0, 26.8))
+        co = scales_for(5, "co", 2000.0)
         assert co.k_min == pytest.approx(1.5126711175010337, rel=1e-9)
         assert co.l_opt_um == pytest.approx(2332.6762427225462, rel=1e-9)
-        counter = characteristic_scales(params_for(5, "counter", 2000.0, 26.8))
+        counter = scales_for(5, "counter", 2000.0)
         assert counter.k_min == pytest.approx(2.2251970774177243, rel=1e-9)
         assert counter.l_opt_um == pytest.approx(2332.6762427225462, rel=1e-9)
 
-    def test_collinear_angle_yields_infinite_optima(self):
-        p = GaussianModelParams(kp_s=5.6138837221849, kp_c=5.810686538351809,
-                                phi=0.0, rho=0.0, tau_g=94.0, w_s=100.0, l=2000.0)
-        s = characteristic_scales(p)
+    def test_collinear_angle_yields_infinite_optima(self, gate94):
+        s = characteristic_scales(collinear_preset(), gate94)
         assert math.isinf(s.l_opt_um) and math.isinf(s.w_opt_um)
         assert s.k_min == 1.0
 
 
 class TestClosedForm:
     def test_reference_point_frozen(self):
-        k = schmidt_number_closed_form(params_for(1, "co", 2000.0, 107.7))
+        k = schmidt_number_closed_form(*objects_for(1, "co", 2000.0, 107.7))
         assert k == pytest.approx(1.3133901256578593, rel=1e-9)
 
     @pytest.mark.parametrize("phi_deg,sign,w_guess",
                              [(1, "co", 107.7), (1, "counter", 140.0),
                               (5, "co", 26.8), (5, "counter", 85.3)])
     def test_minimum_attained_at_stated_optimum(self, phi_deg, sign, w_guess):
-        params = params_for(phi_deg, sign, 2000.0, w_guess)
-        scales = characteristic_scales(params)
+        preset, gate, signal = objects_for(phi_deg, sign, 2000.0, w_guess)
+        scales = characteristic_scales(preset, gate)
 
         def objective(x):
-            p = GaussianModelParams(kp_s=params.kp_s, kp_c=params.kp_c,
-                                    phi=params.phi, rho=params.rho,
-                                    tau_g=params.tau_g,
-                                    w_s=math.exp(x[1]), l=math.exp(x[0]))
-            return schmidt_number_closed_form(p)
+            return schmidt_number_closed_form(
+                preset.with_length(math.exp(x[0])), gate,
+                replace(signal, waist_s_um=math.exp(x[1])))
 
         res = minimize(objective, [math.log(scales.l_opt_um), math.log(w_guess)],
                        method="Nelder-Mead",
@@ -109,32 +119,29 @@ class TestClosedForm:
         assert math.exp(res.x[0]) == pytest.approx(scales.l_opt_um, rel=0.02)
         assert math.exp(res.x[1]) == pytest.approx(scales.w_opt_um, rel=0.02)
 
-    def test_walk_off_scaling_at_small_angle(self):
+    def test_walk_off_scaling_at_small_angle(self, gate94):
         # for phi far below the characteristic angle and optimal focusing,
         # K follows sqrt(1 + (l0/l)^2) up to the optimum length
-        preset = preset_bbo(1, "co")
-        phi = math.radians(0.3)
         for l in (2000.0, 4000.0, 8000.0):
-            p = GaussianModelParams(kp_s=preset.kp_s, kp_c=preset.kp_c_collinear,
-                                    phi=phi, rho=preset.rho, tau_g=94.0,
-                                    w_s=1.0, l=l)
-            w_opt = characteristic_scales(p).w_opt_um
-            p = GaussianModelParams(kp_s=p.kp_s, kp_c=p.kp_c, phi=p.phi,
-                                    rho=p.rho, tau_g=p.tau_g, w_s=w_opt, l=l)
-            s = characteristic_scales(p)
+            preset = preset_bbo(1, "co").with_phi(math.radians(0.3)).with_length(l)
+            s = characteristic_scales(preset, gate94)
+            signal = SignalBeamSpec(waist_s_um=s.w_opt_um, spectral_tau_fs=94.0)
             expected = math.sqrt(1.0 + (s.l0_um / l) ** 2)
-            assert schmidt_number_closed_form(p) == pytest.approx(expected, rel=0.05)
+            assert schmidt_number_closed_form(preset, gate94, signal) == pytest.approx(
+                expected, rel=0.05)
 
     def test_against_exact_covariance_route(self):
         # the small-angle closed form sits within ~10% of the exact Gaussian
         # value at 1 deg and within ~40% at 5 deg, where its expansion
-        # discards a first-order walk-off cross term (documented, loose)
+        # discards a first-order walk-off cross term (documented, loose).
+        # Both routes run on the collinear-limit k'_c the closed form reads.
         for phi_deg, sign, bound in ((1, "co", 0.10), (1, "counter", 0.10),
                                      (5, "co", 0.40), (5, "counter", 0.40)):
             for l in (2000.0, 11663.4):
-                params = params_for(phi_deg, sign, l, 107.7)
-                k_cf = schmidt_number_closed_form(params)
-                k_cov = covariance_schmidt_number(build_covariance(params))
+                preset, gate, signal = objects_for(phi_deg, sign, l, 107.7)
+                k_cf = schmidt_number_closed_form(preset, gate, signal)
+                collinear = replace(preset, kp_c=preset.kp_c_collinear)
+                k_cov = covariance_schmidt_number(build_covariance(collinear, gate, signal))
                 assert abs(k_cov - k_cf) / k_cf < bound
 
 
@@ -144,13 +151,13 @@ class TestCovariance:
             1.0, abs=1e-12)
 
     def test_scale_invariance(self):
-        U = build_covariance(params_for(1, "co", 2000.0, 107.7))
+        U = build_covariance(*objects_for(1, "co", 2000.0, 107.7))
         k1 = covariance_schmidt_number(U)
         k2 = covariance_schmidt_number(17.3 * U)
         assert abs(k1 - k2) < 1e-12 * k1
 
     def test_two_copy_form_matches_direct_expansion(self, rng):
-        U = build_covariance(params_for(5, "counter", 3000.0, 60.0))
+        U = build_covariance(*objects_for(5, "counter", 3000.0, 60.0))
         V = assemble_two_copy_form(U)
         for _ in range(20):
             x = rng.normal(size=3)
@@ -187,16 +194,22 @@ class TestCovariance:
         assert sp.simplify(quad - sum(pieces)) == 0
 
     def test_schur_formula_matches_two_copy_oracle(self, rng):
-        cases = []
-        for _ in range(200):
-            m = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-2.0, 2.0, 3)
-            cases.append(m @ m.T + 1e-2 * np.diag(np.diag(m @ m.T)))
+        cases = [random_positive_definite(rng, 3) for _ in range(200)]
         for phi_deg in (1, 5):
             for sign in ("co", "counter"):
                 for l_um in (1000.0, 4000.0, 11663.4):
                     for w_um in (50.0, 200.0):
-                        cases.append(build_covariance(params_for(phi_deg, sign, l_um, w_um)))
+                        cases.append(build_covariance(
+                            *objects_for(phi_deg, sign, l_um, w_um)))
         for U in cases:
+            assert covariance_schmidt_number(U) == pytest.approx(
+                two_copy_schmidt_number(U), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_schur_formula_at_every_block_size(self, rng, n):
+        # A of size n - 1: 1x1 (Omega_c alone), 3x3 (with a gate momentum)
+        for _ in range(200):
+            U = random_positive_definite(rng, n)
             assert covariance_schmidt_number(U) == pytest.approx(
                 two_copy_schmidt_number(U), rel=1e-12)
 
@@ -204,11 +217,12 @@ class TestCovariance:
         for _ in range(25):
             preset = preset_bbo(1 if rng.random() < 0.5 else 5,
                                 "co" if rng.random() < 0.5 else "counter")
-            p = GaussianModelParams(
-                kp_s=preset.kp_s, kp_c=preset.kp_c, phi=preset.phi,
-                rho=preset.rho, tau_g=rng.uniform(40.0, 180.0),
-                w_s=rng.uniform(20.0, 300.0), l=rng.uniform(500.0, 15000.0))
-            k = covariance_schmidt_number(build_covariance(p))
+            tau_g = rng.uniform(40.0, 180.0)
+            gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=tau_g))
+            signal = SignalBeamSpec(waist_s_um=rng.uniform(20.0, 300.0),
+                                    spectral_tau_fs=tau_g)
+            preset = preset.with_length(rng.uniform(500.0, 15000.0))
+            k = covariance_schmidt_number(build_covariance(preset, gate, signal))
             assert k >= 1.0 - 1e-9
 
     def test_non_positive_definite_rejected(self):
@@ -219,29 +233,28 @@ class TestCovariance:
                                                 [0.0, 1.0, 0.0],
                                                 [0.0, 0.0, 1.0]]))
 
-    def test_decoupled_momentum_reduction(self):
-        # momentum row identically zero: Schmidt number of the 2x2 block
+    def test_zero_momentum_row_rejected(self):
+        # a momentum row identically zero makes U singular;
+        # build_covariance never returns one
         tau, s = 94.0, 150.0
         U = np.array([[tau**2 + s**2, 0.0, -tau**2],
                       [0.0, 0.0, 0.0],
                       [-tau**2, 0.0, tau**2]])
-        # K = 1/sqrt(1 - b^2/(a u)) with a = tau^2 + s^2, b = u = tau^2
-        exact = 1.0 / math.sqrt(1.0 - tau**2 / (tau**2 + s**2))
-        assert covariance_schmidt_number(U) == pytest.approx(exact, rel=1e-12)
+        with pytest.raises(DomainError):
+            covariance_schmidt_number(U)
         # fully singular frequency block is rejected
         bad = np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]])
         with pytest.raises(DomainError):
             covariance_schmidt_number(bad)
 
-    def test_collinear_geometry_flags_decoupling_not_deficiency(self):
-        p = GaussianModelParams(kp_s=5.6138837221849, kp_c=5.810686538351809,
-                                phi=0.0, rho=0.0, tau_g=94.0, w_s=107.7, l=2000.0)
-        U = build_covariance(p)
+    def test_collinear_geometry_flags_decoupling_not_deficiency(self, gate94, signal_opt):
+        preset = collinear_preset()
+        U = build_covariance(preset, gate94, signal_opt)
         evals = np.linalg.eigvalsh(U)
         assert evals[0] > 1e-12 * evals[-1]
         # momentum decouples: K reduces to the frequency-block value
         k = covariance_schmidt_number(U)
-        l0 = 94.0 / (math.sqrt(GAMMA_SINC / 2.0) * (p.kp_c - p.kp_s))
+        l0 = 94.0 / (math.sqrt(GAMMA_SINC / 2.0) * (preset.kp_c - preset.kp_s))
         assert k == pytest.approx(math.sqrt(1.0 + (l0 / 2000.0) ** 2), rel=1e-9)
 
     def test_quadratic_form_reproduces_surrogate_kernel(self, rng):
@@ -252,9 +265,7 @@ class TestCovariance:
         cfg = GridConfig(n_omega_c=33, n_q=33, n_omega_s=33,
                          phase_matching="gaussian")
         kernel = build_kernel(preset, gate, signal, cfg)
-        params = GaussianModelParams.from_preset(preset, gate, signal,
-                                                 collinear=False)
-        U = build_covariance(params)
+        U = build_covariance(preset, gate, signal)
         center = kernel.values[16, 16, 16].real
         for _ in range(20):
             i, j, k = rng.integers(4, 29, 3)
@@ -279,43 +290,42 @@ class TestCovariance:
                                     spectral_tau_fs=93.12)
             cfg = GridConfig(n_omega_c=192, span_scale=1.5, phase_matching="gaussian")
             k_num = decompose(kernel_gram(preset, gate, signal, cfg)).schmidt_number
-            params = GaussianModelParams.from_preset(preset, gate, signal,
-                                                     collinear=False)
-            k_cov = covariance_schmidt_number(build_covariance(params))
+            k_cov = covariance_schmidt_number(build_covariance(preset, gate, signal))
             assert abs(k_num - k_cov) / k_cov < 1e-10
 
 
 class TestSingleModeRate:
-    def test_normalized_probability_value(self):
+    def test_normalized_probability_value(self, signal_opt):
         preset = preset_bbo(1, "co").with_length(2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
-        p_norm = single_mode_rate(preset, gate, 1e-3).p_norm_m2_per_j
+        p_norm = single_mode_rate(preset, gate, 1e-3, signal_opt).p_norm_m2_per_j
         assert p_norm == pytest.approx(0.2065117391181664, rel=1e-9)
         # quoted as ~0.2 m^2/J at these parameters
         assert p_norm == pytest.approx(0.21, abs=0.02)
 
-    def test_event_rate(self):
+    def test_event_rate(self, signal_opt):
         preset = preset_bbo(1, "co").with_length(2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0),
                         waist_g_um=1000.0, energy_j=10e-9, rep_rate_hz=80e6)
-        result = single_mode_rate(preset, gate, 6.3154e-3)
+        result = single_mode_rate(preset, gate, 6.3154e-3, signal_opt)
         assert result.rate_hz == pytest.approx(332.1, rel=1e-3)
         # within 30% of the 370/s reference at the default nonlinearity
         assert abs(result.rate_hz - 370.0) / 370.0 < 0.30
 
-    def test_rate_scales_with_nonlinearity_squared(self):
+    def test_rate_scales_with_nonlinearity_squared(self, signal_opt):
         base = preset_bbo(1, "co").with_length(2000.0)
         doubled = preset_bbo(1, "co", d_eff_pm_v=4.0).with_length(2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
-        r1 = single_mode_rate(base, gate, 1e-3)
-        r2 = single_mode_rate(doubled, gate, 1e-3)
+        r1 = single_mode_rate(base, gate, 1e-3, signal_opt)
+        r2 = single_mode_rate(doubled, gate, 1e-3, signal_opt)
         assert r2.rate_hz == pytest.approx(4.0 * r1.rate_hz, rel=1e-12)
 
-    def test_length_scalings(self):
+    def test_length_scalings(self, signal_opt):
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         p1 = preset_bbo(1, "co").with_length(2000.0)
         p2 = preset_bbo(1, "co").with_length(4000.0)
-        r1, r2 = single_mode_rate(p1, gate, 1e-3), single_mode_rate(p2, gate, 1e-3)
+        r1 = single_mode_rate(p1, gate, 1e-3, signal_opt)
+        r2 = single_mode_rate(p2, gate, 1e-3, signal_opt)
         assert r2.p_norm_m2_per_j == pytest.approx(2.0 * r1.p_norm_m2_per_j, rel=1e-12)
         assert r2.lambda_sq_per_fs == pytest.approx(0.5 * r1.lambda_sq_per_fs, rel=1e-12)
 
@@ -336,20 +346,23 @@ class TestSingleModeRate:
                                               (5, "co"), (5, "counter")])
     @pytest.mark.parametrize("l_um", [2000.0, 11663.4])
     def test_flags_agree_across_routes(self, phi_deg, sign, l_um):
-        # the rate and K_min read one definition of the margins
-        preset = preset_bbo(phi_deg, sign).with_length(l_um)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
-        signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=94.0)
+        # the rate's flag reads the margins of the characteristic scales,
+        # each written out here from its small-angle definition
+        preset, gate, signal = objects_for(phi_deg, sign, l_um, 107.7)
         rate = single_mode_rate(preset, gate, 1e-3, signal)
-        angle, _, ok = single_mode_margins(preset, gate.tau_g)
-        assert rate.single_mode_ok == ok
-        k_min = characteristic_scales(params_for(phi_deg, sign, l_um, 107.7)).k_min
-        assert k_min - 1.0 == pytest.approx(angle, rel=1e-12)
+        kp_s, kp_c = preset.kp_s, preset.kp_c_collinear
+        phi, rho = preset.phi, preset.rho
+        angle = (phi**2 + abs(phi * (phi - rho))) / ((kp_c / kp_s - 1.0) / 2.0)
+        length = 94.0 / (math.sqrt(GAMMA_SINC / 2.0) * (kp_c - kp_s)) / l_um
+        assert rate.single_mode_ok == (angle <= 1.0 / 3.0 and length <= 1.0 / 3.0)
+        scales = characteristic_scales(preset, gate)
+        assert scales.k_min - 1.0 == pytest.approx(angle, rel=1e-12)
+        assert scales.l0_um / l_um == pytest.approx(length, rel=1e-12)
 
-    def test_negative_photon_number_rejected(self):
+    def test_negative_photon_number_rejected(self, signal_opt):
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         with pytest.raises(DomainError):
-            single_mode_rate(preset_bbo(1, "co"), gate, -1.0)
+            single_mode_rate(preset_bbo(1, "co"), gate, -1.0, signal_opt)
 
     def test_probability_reduction_symbolic(self):
         # verify the closed-form normalized probability against the raw
@@ -369,10 +382,10 @@ class TestSingleModeRate:
         expected = chi2**2 * ws0 * wc0 * l / (8 * eps0 * ns * nc * ng * c**3 * dk)
         assert sp.simplify(p_norm - expected) == 0
 
-    def test_prefactor_times_lambda_equals_probability(self):
+    def test_prefactor_times_lambda_equals_probability(self, signal_opt):
         preset = preset_bbo(1, "co").with_length(2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         n = 6.3154e-3
-        direct = single_mode_rate(preset, gate, n).probability
+        direct = single_mode_rate(preset, gate, n, signal_opt).probability
         assembled = conversion_prefactor_fs(preset, gate) * single_mode_lambda_sq(preset) * n
         assert assembled == pytest.approx(direct, rel=1e-12)

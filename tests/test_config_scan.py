@@ -482,6 +482,8 @@ class TestCli:
         ({"lambda_s_nm": -800.0}, "crystal.lambda_s_nm"),
         ({"kp_s_fs_um": 5.8107, "kp_c_fs_um": 5.6139},
          "crystal.kp_s_fs_um / crystal.kp_c_fs_um"),
+        ({"kp_c_collinear_fs_um": 5.0},
+         "crystal.kp_s_fs_um / crystal.kp_c_collinear_fs_um"),
     ])
     def test_inline_crystal_error_names_its_field(self, tmp_path, capsys, change, field):
         path = write_config(tmp_path, {"crystal": {**INLINE_CRYSTAL, **change},
@@ -524,6 +526,29 @@ class TestCli:
         assert main(["gaussian", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["K_min"] == pytest.approx(1.06778, abs=1e-4)
+
+    def test_gaussian_json_is_strict_at_zero_angle(self, tmp_path, capsys):
+        # at phi = 0 the optimal length and waist are infinite: JSON has no
+        # Infinity, so both renderings write null; the CSV keeps inf
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        payload = {"scan": {"axes": [{"variable": "phi_deg", "values": [0.0, 1.0]}]}}
+        path = write_config(tmp_path, payload)
+        assert main(["gaussian", "--config", str(path), "--format", "json"]) == 0
+        stdout_rows = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        assert main(["gaussian", "--config", str(path), "--format", "json",
+                     "--output-dir", str(tmp_path)]) == 0
+        file_rows = json.loads((tmp_path / "gaussian_table.json").read_text(),
+                               parse_constant=no_constants)
+        assert file_rows == stdout_rows
+        zero, one = stdout_rows
+        assert zero["l_opt_um"] is None and zero["w_opt_um"] is None
+        assert math.isfinite(one["l_opt_um"]) and math.isfinite(one["w_opt_um"])
+        assert main(["gaussian", "--config", str(path),
+                     "--output-dir", str(tmp_path)]) == 0
+        csv_row = (tmp_path / "gaussian_table.csv").read_text().splitlines()[1]
+        assert ",inf,inf," in csv_row
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()

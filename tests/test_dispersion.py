@@ -67,6 +67,13 @@ class TestPresets:
             CrystalPreset(name="x", lambda_s_um=0.8, kp_s=5.6, kp_c=5.8,
                           rho=0.05, phi=math.radians(25.0), theta_pm=0.5)
 
+    def test_collinear_kp_c_obeys_normal_dispersion(self):
+        args = dict(name="x", lambda_s_um=0.8, kp_s=5.6, kp_c=5.8, rho=0.05,
+                    phi=0.01, theta_pm=0.5)
+        assert CrystalPreset(**args).kp_c_collinear == 5.8
+        with pytest.raises(ConfigurationError, match="kp_c_collinear > kp_s"):
+            CrystalPreset(**args, kp_c_collinear=5.0)
+
 
 def full_conservation_chain(p, omega_c, q_c, omega_s):
     """Independent phase-mismatch oracle: eliminate the signal momentum and

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
-                     SignalBeamSpec, build_kernel, decompose, kernel_gram)
+from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
+                     build_kernel, decompose, kernel_gram)
 from modesub.dispersion import kernel_forms, preset_by_name
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
 from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
@@ -14,7 +14,7 @@ from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
                             _sine_over, derive_grids, sinc)
 from modesub.modes import hermite_gauss_values
 
-from conftest import TAU_COMB_FS, delta_k
+from conftest import TAU_COMB_FS, collinear_preset, delta_k
 
 
 def first_principles(kernel, preset, gate, signal, phase_matching="sinc"):
@@ -37,13 +37,6 @@ def assert_matches_everywhere(values, expected):
     assert np.all(np.isfinite(values))
     tol = np.maximum(1e-12 * np.abs(expected), 1e-15 * np.abs(expected).max())
     assert np.all(np.abs(values - expected) <= tol)
-
-
-def collinear_preset(length_um=2000.0):
-    """phi = 0, rho = 0 degenerate geometry for factorization checks."""
-    return CrystalPreset(name="collinear", lambda_s_um=0.8,
-                         kp_s=5.6138837221849, kp_c=5.810686538351809,
-                         rho=0.0, phi=0.0, theta_pm=0.0, length_um=length_um)
 
 
 class TestSinc:
