@@ -11,15 +11,23 @@ doc.  A rule checks one given value and returns the value to store, an
 ``int`` for a count and any other number as given; defaults are constants
 and are not re-checked.  A key may be null where its default is null or a
 resolved config writes it as null (``comb.fwhm_nm``, ``crystal.preset`` of
-an inline crystal), so a ``run_meta.json`` loads again.  :func:`resolve`
-holds only the rules that span keys: an inline crystal's required keys and
-its exclusion with a named preset, the exclusive ``tau_fs``/``fwhm_nm``
-pairs, ``photons_csv`` for a CSV comb, the scan axes, and k'_c > k'_s > 0
-at the cut and in the collinear limit, which the base-point build reports
-under the two k' keys it compares.  Every given key passes its own rule
-before any cross-key rule runs, so of two errors in one config the per-key
-one is reported: a wrong-typed inline key given alone names itself, not the
-inline keys it lacks.
+an inline crystal, ``comb.n_modes`` and ``comb.squeezing_db`` of a CSV
+comb), so a ``run_meta.json`` loads again.  :func:`resolve` holds only the
+rules that span keys: an inline crystal's required keys and its exclusion
+with a named preset, the exclusive ``tau_fs``/``fwhm_nm`` pairs of the gate
+and the comb, the keys each comb preset reads (``n_modes`` and
+``squeezing_db`` for ``flat-40``, ``photons_csv`` for ``csv``; each is
+required by its own preset and rejected beside the other), the scan axes,
+and k'_c > k'_s > 0 at the cut and in the collinear limit, which the
+base-point build reports under the two k' keys it compares.  Every given
+key passes its own rule before any cross-key rule runs, so of two errors in
+one config the per-key one is reported: a wrong-typed inline key given
+alone names itself, not the inline keys it lacks.
+
+The comb sets the signal's time scale: the signal beam's spectral tau is
+the resolved ``comb.tau_fs``, the tau of the comb's Hermite-Gauss modes, so
+the subtraction modes and the comb modes share one time scale and the Omega
+box is sized from it (:func:`modesub.kernel.derive_grids`).
 
 A scan point is the crystal, gate and signal beam it solves
 (:class:`ScanPoint`).  What each scan variable sets is written once, in
@@ -129,6 +137,9 @@ def _check(path: str, rule, value):
 _OPT_NUMBER = _optional(_number)
 _OPT_POSITIVE = _optional(_positive)
 _GRID_SIZE = _int_at_least(MIN_AXIS_POINTS)
+# the comb presets, each with the comb keys it reads; RunConfig.comb()
+# ignores the others
+_COMB_PRESET_KEYS = {"flat-40": ("n_modes", "squeezing_db"), "csv": ("photons_csv",)}
 
 # (default, rule, description). None defaults mean "derived or optional".
 _SCHEMA: dict[str, Any] = {
@@ -167,21 +178,23 @@ _SCHEMA: dict[str, Any] = {
     },
     "signal": {
         "waist_um": (107.7, _positive, "signal beam waist [um]"),
-        "tau_fs": (None, _OPT_POSITIVE, "comb-mode duration [fs]; default follows comb"),
-        "fwhm_nm": (None, _OPT_POSITIVE,
-                    "comb-mode intensity FWHM [nm]; exclusive with tau_fs"),
     },
     "comb": {
-        "preset": ("flat-40", _one_of("flat-40", "csv"),
+        "preset": ("flat-40", _one_of(*_COMB_PRESET_KEYS),
                    "photon distribution: 'flat-40' or 'csv'"),
-        "n_modes": (40, _int_at_least(1), "number of comb eigenmodes"),
-        "squeezing_db": (4.2, _non_negative, "squeezing of the leading mode [dB]"),
+        "n_modes": (40, _optional(_int_at_least(1)),
+                    "number of comb eigenmodes; preset 'flat-40' only"),
+        "squeezing_db": (4.2, _optional(_non_negative),
+                         "squeezing of the leading mode [dB]; preset 'flat-40' only"),
         "finesse": (40.0, _positive, "cavity finesse (pulses per correlated train)"),
         "center_nm": (795.0, _positive, "comb carrier wavelength [nm]"),
         "fwhm_nm": (6.0, _OPT_POSITIVE,
-                    "comb-mode intensity FWHM [nm]; exclusive with tau_fs"),
+                    "comb-mode intensity FWHM [nm], converted at center_nm; "
+                    "exclusive with tau_fs; also the signal beam's time scale, "
+                    "which sizes the Omega box"),
         "tau_fs": (None, _OPT_POSITIVE,
-                   "comb-mode duration [fs]; resolved configs carry this"),
+                   "comb-mode duration [fs]; resolved configs carry this; also "
+                   "the signal beam's time scale, which sizes the Omega box"),
         "photons_csv": (None, _optional(_string), "CSV path (index, N_comb) for preset 'csv'"),
     },
     "grid": {
@@ -309,8 +322,8 @@ class RunConfig:
             rep_rate_hz=g["rep_rate_mhz"] * 1e6)
 
     def signal(self) -> SignalBeamSpec:
-        s = self.resolved["signal"]
-        return SignalBeamSpec(waist_s_um=s["waist_um"], spectral_tau_fs=s["tau_fs"])
+        return SignalBeamSpec(waist_s_um=self.resolved["signal"]["waist_um"],
+                              spectral_tau_fs=self.resolved["comb"]["tau_fs"])
 
     def comb(self) -> CombState:
         c = self.resolved["comb"]
@@ -387,20 +400,26 @@ def resolve(raw: dict) -> RunConfig:
             if crystal[key] is not None:
                 raise ConfigError(f"crystal.{key}: inline-crystal key given beside "
                                   f"the named preset {crystal['preset']!r}")
-        # carrier wavelength of the nm -> fs conversions of gate and signal
+        # carrier wavelength of the gate's nm -> fs conversion
         carrier_um = PRESETS[crystal["preset"]].lambda_s_um
     else:
         carrier_um = crystal["lambda_s_nm"] * 1e-3
 
     _resolve_width("gate", gate, raw.get("gate") or {}, carrier_um)
-    if comb["preset"] == "csv" and not comb["photons_csv"]:
-        raise ConfigError("comb.photons_csv: required for comb.preset = 'csv'")
-    _resolve_width("comb", comb, raw.get("comb") or {}, comb["center_nm"] * 1e-3)
+    given_comb = raw.get("comb") or {}
+    for preset, keys in _COMB_PRESET_KEYS.items():
+        for key in keys:
+            if preset == comb["preset"]:
+                if comb[key] in (None, ""):
+                    raise ConfigError(f"comb.{key}: required for comb.preset = {preset!r}")
+                continue
+            if given_comb.get(key) is not None:
+                raise ConfigError(f"comb.{key}: read only by comb.preset = {preset!r}, "
+                                  f"not {comb['preset']!r}")
+            comb[key] = None
+    _resolve_width("comb", comb, given_comb, comb["center_nm"] * 1e-3)
     if comb["tau_fs"] is None:
         raise ConfigError("comb.tau_fs / comb.fwhm_nm: give exactly one spectral width")
-    _resolve_width("signal", signal, raw.get("signal") or {}, carrier_um)
-    if signal["tau_fs"] is None:
-        signal["tau_fs"] = comb["tau_fs"]
 
     norm_axes = []
     for i, axis in enumerate(scan["axes"]):

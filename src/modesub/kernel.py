@@ -131,7 +131,13 @@ class GateSpec:
 
 @dataclass(frozen=True)
 class SignalBeamSpec:
-    """Signal beam: transverse Gaussian width and comb-mode time scale."""
+    """Signal beam: transverse Gaussian width and comb-mode time scale.
+
+    ``spectral_tau_fs`` is the tau of the comb's Hermite-Gauss modes (a run
+    config sets it from ``comb.tau_fs``).  It sizes only the Omega box: it is
+    one of the half-spans whose largest :func:`derive_grids` takes, and no
+    kernel sample reads it.
+    """
 
     waist_s_um: float
     spectral_tau_fs: float

@@ -14,7 +14,8 @@ from modesub import GridConfig, _blas, build_kernel, decompose, kernel_gram
 from modesub.analytic import single_mode_rate
 from modesub.cli import build_parser, main
 from modesub.config import _SCHEMA, ConfigError, load_config, resolve, schema
-from modesub.kernel import MAX_Q_DRIFT, MIN_AXIS_POINTS, MIN_MASS_CAPTURED
+from modesub.dispersion import convert_bandwidth
+from modesub.kernel import MAX_Q_DRIFT, MIN_AXIS_POINTS, MIN_MASS_CAPTURED, derive_grids
 from modesub.scan import (run_scan, write_condition_summary, write_gaussian_table,
                           write_kernel_csv, write_modes_csv, write_run_meta)
 
@@ -25,6 +26,70 @@ INLINE_CRYSTAL = {"name": "custom", "lambda_s_nm": 800.0, "kp_s_fs_um": 5.6139,
 SCHEMA_FIELDS = [f"{section}.{key}" if isinstance(body, dict) else section
                  for section, body in _SCHEMA.items()
                  for key in (body if isinstance(body, dict) else [None])]
+
+
+def with_value(raw, field, value):
+    """A copy of the raw config ``raw`` with ``field`` (section.key) set."""
+    section, _, key = field.partition(".")
+    if not key:
+        return {**raw, section: value}
+    return {**raw, section: {**raw.get(section, {}), key: value}}
+
+
+def live_configs(photons_a, photons_b):
+    """For each schema key, a base config and a copy that gives the key one
+    valid non-default value in a context where it applies."""
+    inline = {"crystal": INLINE_CRYSTAL}
+    csv_comb = {"comb": {"preset": "csv", "photons_csv": str(photons_a)}}
+    values = {  # field: (value, base config)
+        "crystal.preset": ("bbo-phi5-counter", {}),
+        "crystal.length_mm": (3.0, {}),
+        "crystal.d_eff_pm_v": (2.5, {}),
+        "crystal.name": ("other", inline),
+        "crystal.lambda_s_nm": (810.0, inline),
+        "crystal.kp_s_fs_um": (5.6, inline),
+        "crystal.kp_c_fs_um": (5.82, inline),
+        "crystal.kp_c_collinear_fs_um": (5.9, inline),
+        "crystal.rho_deg": (4.0, inline),
+        "crystal.phi_deg": (2.0, inline),
+        "crystal.theta_pm_deg": (30.0, inline),
+        "crystal.n_s": (1.7, inline),
+        "crystal.n_g": (1.7, inline),
+        "crystal.n_c": (1.7, inline),
+        "gate.order": (1, {}),
+        "gate.tau_fs": (80.0, {}),
+        "gate.fwhm_nm": (5.0, {}),
+        "gate.waist_mm": (2.0, {}),
+        "gate.energy_nj": (5.0, {}),
+        "gate.rep_rate_mhz": (76.0, {}),
+        "signal.waist_um": (90.0, {}),
+        "comb.n_modes": (12, {}),
+        "comb.squeezing_db": (6.0, {}),
+        "comb.finesse": (50.0, {}),
+        "comb.center_nm": (810.0, {}),
+        "comb.fwhm_nm": (5.0, {}),
+        "comb.tau_fs": (80.0, {}),
+        "comb.photons_csv": (str(photons_b), csv_comb),
+        "grid.n_omega_c": (64, {}),
+        "grid.n_q": (64, {}),
+        "grid.n_omega_s": (64, {}),
+        "grid.span_scale": (1.5, {}),
+        "grid.phase_matching": ("gaussian", {}),
+        "scan.axes": ([{"variable": "l_mm", "values": [1.0, 3.0]}], {}),
+        "output_dir": ("elsewhere", {}),
+    }
+    pairs = {field: (base, with_value(base, field, value))
+             for field, (value, base) in values.items()}
+    pairs["comb.preset"] = ({}, csv_comb)  # a csv comb needs its file too
+    return pairs
+
+
+def what_the_run_builds(config):
+    """Everything a run builds from its config, in comparable form."""
+    comb = config.comb()
+    return (config.preset(), config.gate(), config.signal(),
+            (comb.tau_s_fs, comb.photons_comb.tolist(), comb.finesse),
+            config.grid(), config.scan_points(), config.output_dir)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -137,6 +202,57 @@ class TestResolve:
                 "preset": "bbo-phi1-co", "name": "custom", "lambda_s_nm": 800.0,
                 "kp_s_fs_um": 5.6139, "kp_c_fs_um": 5.8107, "rho_deg": 3.9,
                 "phi_deg": -1.0}})
+
+    def test_comb_tau_sets_the_signal_time_scale(self):
+        config = resolve({"comb": {"tau_fs": 40.0}})
+        assert config.signal().spectral_tau_fs == 40.0
+        # the comb's 5/tau is the widest of the derived Omega half-spans
+        for axis in derive_grids(config.preset(), config.gate(), config.signal(),
+                                 config.grid())[::2]:
+            assert axis.points[-1] == pytest.approx(5.0 / 40.0, rel=1e-12)
+
+    def test_comb_fwhm_sets_the_signal_time_scale(self):
+        # converted at the comb's carrier, not the crystal's 800 nm
+        config = resolve({"comb": {"fwhm_nm": 6.0, "center_nm": 810.0}})
+        assert config.resolved["signal"] == {"waist_um": 107.7}
+        assert config.signal().spectral_tau_fs == config.resolved["comb"]["tau_fs"]
+        assert config.signal().spectral_tau_fs == convert_bandwidth(6.0, 0.81)
+
+    @pytest.mark.parametrize("key,value", [("tau_fs", 40.0), ("fwhm_nm", 6.0)])
+    def test_signal_width_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^signal\.{key}: unknown key"):
+            resolve({"signal": {key: value}})
+
+    def test_run_meta_with_a_signal_width_is_rejected(self, tmp_path):
+        # a run_meta.json written while the signal carried its own width
+        config = resolve({})
+        meta = json.loads(write_run_meta(tmp_path, config, 0.0).read_text())
+        meta["config"]["signal"].update(tau_fs=config.signal().spectral_tau_fs,
+                                        fwhm_nm=None)
+        path = write_config(tmp_path, meta, "run_meta.json")
+        with pytest.raises(ConfigError, match=r"^signal\.(fwhm_nm|tau_fs): unknown key"):
+            load_config(path)
+
+    @pytest.mark.parametrize("comb,field", [
+        ({"preset": "csv", "photons_csv": "x.csv", "n_modes": 7}, "comb.n_modes"),
+        ({"preset": "csv", "photons_csv": "x.csv", "squeezing_db": 9.0},
+         "comb.squeezing_db"),
+        ({"photons_csv": "nowhere.csv"}, "comb.photons_csv"),
+        ({"n_modes": None}, "comb.n_modes"),
+    ])
+    def test_comb_key_the_preset_ignores_rejected(self, comb, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+            resolve({"comb": comb})
+
+    @pytest.mark.parametrize("field", SCHEMA_FIELDS)
+    def test_every_schema_key_is_live(self, tmp_path, field):
+        photons_a, photons_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        photons_a.write_text("0,80.0\n1,3.0\n")
+        photons_b.write_text("0,60.0\n1,3.0\n2,1.0\n")
+        pairs = live_configs(photons_a, photons_b)
+        assert field in pairs, f"{field}: give the new key a value in live_configs"
+        base, changed = pairs[field]
+        assert what_the_run_builds(resolve(changed)) != what_the_run_builds(resolve(base))
 
     def test_preset_run_meta_round_trips(self, tmp_path):
         config = resolve({"crystal": {"preset": "bbo-phi5-counter"}})
@@ -313,8 +429,7 @@ class TestRunScan:
     def test_single_point_matches_direct_call(self, tmp_path, bbo1co, gate94,
                                               signal_opt):
         config = resolve({"grid": SMALL_GRID, "output_dir": str(tmp_path / "single"),
-                          "signal": {"waist_um": 107.7,
-                                     "tau_fs": signal_opt.spectral_tau_fs},
+                          "signal": {"waist_um": 107.7},
                           "gate": {"tau_fs": 94.0}})
         run_scan(config)
         lines = (tmp_path / "single" / "scan_table.csv").read_text().splitlines()
@@ -592,6 +707,25 @@ class TestCli:
                                        "output_dir": str(tmp_path / "out")})
         assert main(["subtract", "--config", str(path)]) == 1
         assert "error: " + str(photons) in capsys.readouterr().err
+
+    def test_csv_comb_run_meta_reproduces_subtract(self, tmp_path, capsys):
+        photons = tmp_path / "photons.csv"
+        photons.write_text("0,80.0\n1,12.0\n2,3.0\n")
+        path = write_config(tmp_path, {"grid": SMALL_GRID,
+                                       "comb": {"preset": "csv",
+                                                "photons_csv": str(photons)}})
+        config = load_config(path)
+        meta = write_run_meta(tmp_path, config, 0.0)
+        comb = json.loads(meta.read_text())["config"]["comb"]
+        assert comb["n_modes"] is None and comb["squeezing_db"] is None
+        assert load_config(meta).resolved == config.resolved
+        outputs = [tmp_path / "first", tmp_path / "replay"]
+        for config_path, out in zip((path, meta), outputs):
+            assert main(["subtract", "--config", str(config_path),
+                         "--output-dir", str(out)]) == 0
+        for artifact in ("condition_summary.json", "overlap_matrix.csv"):
+            first, replay = (out.joinpath(artifact).read_bytes() for out in outputs)
+            assert first == replay
 
     def test_subtract_command(self, tmp_path, capsys):
         payload = {"grid": {"n_omega_c": 64, "n_q": 64, "n_omega_s": 64},
