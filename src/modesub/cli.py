@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical
 failure (every scan point failed), 3 I/O error.
+
+Every solve command (``kernel``, ``schmidt``, ``scan``, ``subtract``) writes
+``run_meta.json`` beside its artifacts; passing that file as ``--config``
+reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
@@ -17,7 +22,7 @@ from .config import ConfigError, RunConfig, load_config, resolve, schema
 from .dispersion import PRESETS
 from .scan import (gaussian_table_json, gaussian_table_rows, run_scan,
                    write_condition_summary, write_gaussian_table, write_kernel_csv,
-                   write_modes_csv)
+                   write_modes_csv, write_run_meta)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -56,18 +61,26 @@ def cmd_config(args) -> int:
     return EXIT_OK
 
 
-def cmd_kernel(args) -> int:
-    config = _load(args)
-    path = write_kernel_csv(config, args.output_dir)
-    print(f"wrote {path}")
+def _report(config: RunConfig, paths: list[Path], t0: float) -> int:
+    """Record a solve command's run in run_meta.json beside its artifacts,
+    as ``scan`` does, so the directory can be re-run from it, and print
+    every path written."""
+    paths.append(write_run_meta(paths[0].parent, config, time.monotonic() - t0))
+    for path in paths:
+        print(f"wrote {path}")
     return EXIT_OK
+
+
+def cmd_kernel(args) -> int:
+    t0 = time.monotonic()
+    config = _load(args)
+    return _report(config, [write_kernel_csv(config, args.output_dir)], t0)
 
 
 def cmd_schmidt(args) -> int:
+    t0 = time.monotonic()
     config = _load(args)
-    path = write_modes_csv(config, args.output_dir)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _report(config, [write_modes_csv(config, args.output_dir)], t0)
 
 
 def cmd_scan(args) -> int:
@@ -101,11 +114,10 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_subtract(args) -> int:
+    t0 = time.monotonic()
     config = _load(args)
     paths = write_condition_summary(config, args.output_dir)
-    for path in paths.values():
-        print(f"wrote {path}")
-    return EXIT_OK
+    return _report(config, list(paths.values()), t0)
 
 
 @functools.cache

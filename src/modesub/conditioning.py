@@ -6,6 +6,13 @@ up-converted photon mixes the subtraction channels with weights given by
 the squared Schmidt coefficients; the purity and probability of the
 conditioned state follow from the overlap matrix between subtraction modes
 and comb modes, which :func:`overlap_matrix` alone computes.
+
+Both sum over every mode :func:`~modesub.schmidt.decompose` keeps, so its
+:data:`~modesub.schmidt.NOISE_FLOOR` is the one cut of the spectrum.  They
+are traces of the Gram operator G times the comb operator
+A = sum_n N_n |HG_n><HG_n|: the weight tr(G A) and the purity
+tr((G A)^2) / tr(G A)^2, evaluated in the comb basis
+(:func:`_weight_and_purity`), where no truncation rule enters.
 """
 
 from __future__ import annotations
@@ -131,22 +138,23 @@ def overlap_matrix(subtraction_modes: np.ndarray, comb: CombState,
     return (modes * grid.weights) @ comb.sample_modes(grid).T
 
 
-def _weight_and_purity(lambdas_sq: np.ndarray, overlap: np.ndarray,
+def _weight_and_purity(lambdas_raw: np.ndarray, overlap: np.ndarray,
                        photons: np.ndarray) -> tuple[float, float]:
-    """sum_m lambda_m^2 C_mm and the purity, from C = O diag(N) O^T.
+    """The weight tr(G A) and the purity tr((G A)^2) / tr(G A)^2 in the comb basis.
 
-    The modes and overlaps are real, so C is real symmetric; C[m, m] is
-    the photon number subtraction channel m draws on.  The purity is
-    degree-zero homogeneous in both the Schmidt weights and the photon
+    G_hat = O^T diag(lambda_raw) O is the Gram operator on the comb modes,
+    n_comb x n_comb; with N_n the photon numbers, weight = sum_n N_n
+    G_hat[n, n] and purity = sum_nn' N_n N_n' G_hat[n, n']^2 / weight^2.
+    The modes and overlaps are real, so G_hat is real symmetric.  The purity
+    is degree-zero homogeneous in both the Schmidt weights and the photon
     numbers, so any consistent normalization works.
     """
-    channels = (overlap * photons) @ overlap.T
-    weight = float(np.sum(lambdas_sq * np.diag(channels)))
+    gram_comb = (overlap.T * lambdas_raw) @ overlap
+    weight = float(photons @ np.diag(gram_comb))
     if weight <= 0:
         raise ConditioningError("subtraction probability vanishes: no photon-bearing "
                                 "comb mode couples to any subtraction mode")
-    num = float(np.sum(np.outer(lambdas_sq, lambdas_sq) * channels ** 2))
-    return weight, num / weight**2
+    return weight, float(photons @ np.square(gram_comb) @ photons) / weight**2
 
 
 @dataclass(frozen=True)
@@ -165,18 +173,17 @@ def conditioned_state(schmidt: SchmidtResult, comb: CombState,
                       preset: CrystalPreset, gate: GateSpec) -> ConditionResult:
     """Evaluate subtraction probability, rate and purity for one decomposition.
 
-    Schmidt sums run over the leading modes that hold
-    :data:`~modesub.schmidt.KEPT_WEIGHT` of the normalized spectrum; comb sums
-    run over every photon-bearing mode, with the overlaps from :func:`overlap_matrix`.
+    The sums run over every subtraction mode the decomposition kept and
+    every comb mode, with no truncation of their own: the traces of
+    :func:`_weight_and_purity` on the overlaps of :func:`overlap_matrix`.
+    The result's ``overlap`` holds a row for every kept mode.
     """
     photons = comb.photons_pulse
     if float(photons.sum()) <= 0.0:
         raise ConditioningError("all comb modes are vacuum; conditioning undefined")
-    m_keep = schmidt.n_effective()
-    lam_raw = schmidt.lambdas_sq_raw[:m_keep]
-    overlap = overlap_matrix(schmidt.modes[:m_keep], comb, schmidt.omega_s)
+    overlap = overlap_matrix(schmidt.modes, comb, schmidt.omega_s)
 
-    weight, purity = _weight_and_purity(lam_raw, overlap, photons)
+    weight, purity = _weight_and_purity(schmidt.lambdas_sq_raw, overlap, photons)
     probability = conversion_prefactor_fs(preset, gate) * weight
     return ConditionResult(overlap=overlap, probability=probability, purity=purity,
                            rate_hz=probability * gate.rep_rate_hz,

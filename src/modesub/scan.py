@@ -34,7 +34,8 @@ from .kernel import (GridConfig, KernelResolutionError, KernelSpanError,
 from .schmidt import DecompositionError, decompose, schmidt_number_and_lead
 
 SCAN_HEADER = "l_um,w_um,phi_deg,gate_order,K,lambda1_frac,status"
-N_LEADING_MODES = 6  # modes in modes.csv, Schmidt weights in condition_summary.json
+# modes in modes.csv and overlap_matrix.csv, Schmidt weights in condition_summary.json
+N_LEADING_MODES = 6
 
 
 def _fmt(value) -> str:
@@ -205,7 +206,14 @@ def write_gaussian_table(config: RunConfig, output_dir: str | Path | None = None
 
 def write_condition_summary(config: RunConfig, output_dir: str | Path | None = None
                             ) -> dict[str, Path]:
-    """Single-order conditioning artifacts: |O|^2 matrix CSV + summary JSON."""
+    """Single-order conditioning artifacts: |O|^2 matrix CSV + summary JSON.
+
+    The matrix has one row per leading subtraction mode, the
+    :data:`N_LEADING_MODES` that modes.csv and ``lambda_sq`` report, and
+    one column per comb mode.  Purity and probability sum over every kept
+    mode (:func:`~modesub.conditioning.conditioned_state`), whatever the
+    rows shown.
+    """
     directory = _output_directory(config, output_dir)
     preset = config.preset()
     gate = config.gate()
@@ -223,7 +231,7 @@ def write_condition_summary(config: RunConfig, output_dir: str | Path | None = N
                                                 for n in range(n_comb)) + "\n")
         # pow(|v|, 2), rounded as a Python v ** 2 is; np.square's v * v
         # differs in the last bit for about 1 value in 1000
-        weights = np.float_power(np.abs(cond.overlap), 2).tolist()
+        weights = np.float_power(np.abs(cond.overlap[:N_LEADING_MODES]), 2).tolist()
         for m, row in enumerate(weights, start=1):
             fh.write(f"{m}," + ",".join(map(repr, row)) + "\n")
 

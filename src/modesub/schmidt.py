@@ -34,10 +34,9 @@ from ._blas import one_blas_thread
 from .kernel import KernelGram, KernelGrid
 from .modes import QuadGrid
 
-# eigenvalues below this fraction of the leading one are numerical noise
+# eigenvalues below this fraction of the leading one are numerical noise;
+# the one cut of the spectrum: conditioning sums over every mode above it
 NOISE_FLOOR = 1e-12
-# cumulative share of the unit-sum spectrum the leading kept modes hold
-KEPT_WEIGHT = 1.0 - 1e-6
 # components within this relative distance of a mode's largest |.| tie as its pivot
 PIVOT_TIE = 1e-6
 # largest max |G - J G J| a decomposed Gram may hold, relative to max |G|;
@@ -59,7 +58,8 @@ class SchmidtResult:
     ``schmidt_number`` is (tr A)^2 / ||A||_F^2 of the weighted Gram A, equal
     to rounding to 1 / sum lambda^2 over the whole unit-sum spectrum.  Modes
     are rows, sampled on ``omega_s`` and orthonormal under its quadrature
-    weights.
+    weights.  Spectrum and modes hold every mode above :data:`NOISE_FLOOR`,
+    and conditioning sums over all of them.
     """
 
     lambdas_sq: np.ndarray
@@ -71,11 +71,6 @@ class SchmidtResult:
     @property
     def lambdas_sq_raw(self) -> np.ndarray:
         return self.lambdas_sq * self.norm_sq
-
-    def n_effective(self) -> int:
-        """Number of leading modes holding :data:`KEPT_WEIGHT` of the spectrum."""
-        filled = np.cumsum(self.lambdas_sq)
-        return int(np.searchsorted(filled, KEPT_WEIGHT) + 1)
 
 
 def gram_matrix(kernel: KernelGrid) -> np.ndarray:

@@ -5,10 +5,13 @@ import pytest
 
 from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
                      build_kernel, comb_subtraction_experiment, conditioned_state,
-                     decompose, flat_comb, overlap_matrix, photons_from_squeezing,
-                     preset_bbo, uniform_grid)
+                     decompose, flat_comb, kernel_gram, overlap_matrix,
+                     photons_from_squeezing, preset_bbo, uniform_grid)
+from modesub.analytic import build_covariance, conversion_prefactor_fs
 from modesub.conditioning import (CombState, ConditioningError, _weight_and_purity,
                                   comb_from_csv)
+from modesub.config import resolve
+from modesub.kernel import derive_grids
 from modesub.schmidt import SchmidtResult
 
 TAU_S = 93.11618228642854
@@ -234,6 +237,90 @@ def fock_purity_oracle(lambdas_sq, overlap, mode_states):
         rho += lambdas_sq[m] * np.outer(branch, branch.conj())
     rho /= np.trace(rho).real
     return float(np.trace(rho @ rho).real)
+
+
+def gaussian_comb_oracle(preset, gate, signal, comb, ratio):
+    """Closed-form purity and probability per pulse of the conditioned state,
+    for the Gaussian-surrogate kernel, an order-0 gate and a geometric comb
+    N_n = N_0 ratio^n.
+
+    With U = [[A, b], [b^T, u]] of :func:`build_covariance`, the Gram kernel
+    is G(s, s') = c0^2 2 pi / sqrt(det 2A) exp(-z^T P z / 2), z = (s, s'),
+    P = [[alpha, -beta], [-beta, alpha]], beta = b^T A^-1 b / 2 and
+    alpha = u - beta; c0^2 = tau_g w_s / pi is the squared amplitude of the
+    unit-norm gate and beam factors.  Mehler's formula sums the comb
+    operator to A(s, s') = N_0 tau / sqrt(pi (1 - r^2)) exp(-z^T R z / 2),
+    R = tau^2 / (1 - r^2) [[1 + r^2, -2r], [-2r, 1 + r^2]].  Then
+    tr(G A) is a 2-D Gaussian integral over P + R, and tr((G A)^2) a 4-D
+    one over M, the cyclic sum P(s1, s2) + R(s2, s3) + P(s3, s4) + R(s4, s1),
+    so purity = det(P + R) / sqrt(det M).
+    """
+    U = build_covariance(preset, gate, signal)
+    A, b, u = U[:2, :2], U[:2, 2], U[2, 2]
+    beta = b @ np.linalg.solve(A, b) / 2.0
+    P = np.array([[u - beta, -beta], [-beta, u - beta]])
+    tau, r = comb.tau_s_fs, ratio
+    R = tau**2 / (1.0 - r**2) * np.array([[1.0 + r**2, -2.0 * r], [-2.0 * r, 1.0 + r**2]])
+    M = np.zeros((4, 4))
+    for k, block in enumerate((P, R, P, R)):
+        pair = [k, (k + 1) % 4]
+        M[np.ix_(pair, pair)] += block
+    purity = np.linalg.det(P + R) / math.sqrt(np.linalg.det(M))
+    gram_scale = gate.tau_g * signal.waist_s_um / math.pi * 2.0 * math.pi / math.sqrt(
+        np.linalg.det(2.0 * A))
+    comb_scale = comb.photons_pulse[0] * tau / math.sqrt(math.pi * (1.0 - r**2))
+    weight = gram_scale * comb_scale * 2.0 * math.pi / math.sqrt(np.linalg.det(P + R))
+    return purity, conversion_prefactor_fs(preset, gate) * weight
+
+
+class TestClosedFormOracle:
+    """conditioned_state against :func:`gaussian_comb_oracle`, at twice the
+    derived Omega half-spans, where the box holds the kernel and the comb
+    to far below the tolerance."""
+
+    @pytest.mark.parametrize("l_mm,w_um,ratio", [(2.0, 107.7, 0.7), (1.0, 50.0, 0.5),
+                                                 (4.0, 200.0, 0.85), (1.0, 200.0, 0.9)])
+    def test_purity_and_probability(self, l_mm, w_um, ratio):
+        config = resolve({"crystal": {"length_mm": l_mm}, "signal": {"waist_um": w_um}})
+        preset, gate, signal = config.preset(), config.gate(), config.signal()
+        assert gate.order == 0
+        # 300 modes: the dropped tail holds ratio^300 <= 2e-14 of the photons
+        comb = CombState(tau_s_fs=signal.spectral_tau_fs,
+                         photons_comb=0.1 * ratio ** np.arange(300))
+        span = derive_grids(preset, gate, signal,
+                            GridConfig(phase_matching="gaussian"))[0].points[-1]
+        grid = GridConfig(n_omega_c=257, n_omega_s=257, span_omega_c=2.0 * span,
+                          span_omega_s=2.0 * span, phase_matching="gaussian")
+        out = conditioned_state(decompose(kernel_gram(preset, gate, signal, grid)),
+                                comb, preset, gate)
+        purity, probability = gaussian_comb_oracle(preset, gate, signal, comb, ratio)
+        assert out.purity == pytest.approx(purity, rel=0, abs=1e-10)
+        assert out.probability == pytest.approx(probability, rel=1e-10)
+
+
+class TestGramRoute:
+    """conditioned_state's sums over the kept modes against the traces built
+    from the Gram matrix itself, G_hat = (H W) G (H W)^T with H the sampled
+    comb modes and W the signal-axis weights: no eigenvector enters."""
+
+    @pytest.mark.parametrize("l_mm,w_um", [(2.0, 107.7), (1.0, 50.0), (1.0, 200.0),
+                                           (4.0, 50.0), (4.0, 200.0)])
+    def test_matches_the_trace_form(self, l_mm, w_um):
+        config = resolve({"crystal": {"length_mm": l_mm}, "signal": {"waist_um": w_um}})
+        preset, gate, comb = config.preset(), config.gate(), config.comb()
+        gram = kernel_gram(preset, gate, config.signal(), config.grid())
+        schmidt = decompose(gram)
+        out = conditioned_state(schmidt, comb, preset, gate)
+        # every kept mode enters, and the overlap keeps them all
+        assert out.overlap.shape == (schmidt.modes.shape[0], comb.n_modes)
+        comb_rows = comb.sample_modes(gram.omega_s) * gram.omega_s.weights
+        gram_comb = comb_rows @ gram.gram @ comb_rows.T
+        photons = comb.photons_pulse
+        weight = photons @ np.diag(gram_comb)
+        assert out.purity == pytest.approx(photons @ gram_comb**2 @ photons / weight**2,
+                                           rel=0, abs=1e-12)
+        assert out.probability == pytest.approx(
+            conversion_prefactor_fs(preset, gate) * weight, rel=1e-12)
 
 
 class TestFockOracle:

@@ -16,8 +16,9 @@ from modesub.cli import build_parser, main
 from modesub.config import _SCHEMA, ConfigError, load_config, resolve, schema
 from modesub.dispersion import convert_bandwidth
 from modesub.kernel import MAX_Q_DRIFT, MIN_AXIS_POINTS, MIN_MASS_CAPTURED, derive_grids
-from modesub.scan import (run_scan, write_condition_summary, write_gaussian_table,
-                          write_kernel_csv, write_modes_csv, write_run_meta)
+from modesub.scan import (N_LEADING_MODES, run_scan, write_condition_summary,
+                          write_gaussian_table, write_kernel_csv, write_modes_csv,
+                          write_run_meta)
 
 SMALL_GRID = {"n_omega_c": 48, "n_q": 48, "n_omega_s": 48}
 INLINE_CRYSTAL = {"name": "custom", "lambda_s_nm": 800.0, "kp_s_fs_um": 5.6139,
@@ -530,6 +531,9 @@ class TestArtifacts:
         assert summary["rate_hz"] > 0
         overlap_lines = paths["overlap_matrix"].read_text().splitlines()
         assert overlap_lines[0].startswith("subtraction_mode,comb_1")
+        # one row per leading mode of lambda_sq, one column per comb mode
+        assert len(overlap_lines) == 1 + len(summary["lambda_sq"]) == 1 + N_LEADING_MODES
+        assert overlap_lines[0].split(",")[-1] == "comb_12"
         values = [float(x) for x in overlap_lines[1].split(",")[1:]]
         assert max(values) <= 1.0 + 1e-8
 
@@ -714,18 +718,37 @@ class TestCli:
         path = write_config(tmp_path, {"grid": SMALL_GRID,
                                        "comb": {"preset": "csv",
                                                 "photons_csv": str(photons)}})
-        config = load_config(path)
-        meta = write_run_meta(tmp_path, config, 0.0)
-        comb = json.loads(meta.read_text())["config"]["comb"]
-        assert comb["n_modes"] is None and comb["squeezing_db"] is None
-        assert load_config(meta).resolved == config.resolved
         outputs = [tmp_path / "first", tmp_path / "replay"]
+        meta = outputs[0] / "run_meta.json"
         for config_path, out in zip((path, meta), outputs):
             assert main(["subtract", "--config", str(config_path),
                          "--output-dir", str(out)]) == 0
+        comb = json.loads(meta.read_text())["config"]["comb"]
+        assert comb["n_modes"] is None and comb["squeezing_db"] is None
+        assert load_config(meta).resolved == load_config(path).resolved
         for artifact in ("condition_summary.json", "overlap_matrix.csv"):
             first, replay = (out.joinpath(artifact).read_bytes() for out in outputs)
             assert first == replay
+
+    @pytest.mark.parametrize("command,payload,artifacts", [
+        ("kernel", {"grid": {"n_omega_c": 16, "n_q": 12, "n_omega_s": 10},
+                    "crystal": {"length_mm": 0.2}}, ("kernel.csv",)),
+        ("schmidt", {"grid": SMALL_GRID}, ("modes.csv",)),
+        ("subtract", {"grid": SMALL_GRID, "comb": {"n_modes": 10}},
+         ("condition_summary.json", "overlap_matrix.csv")),
+    ], ids=["kernel", "schmidt", "subtract"])
+    def test_solve_command_reruns_from_its_run_meta(self, tmp_path, capsys, command,
+                                                    payload, artifacts):
+        path = write_config(tmp_path, payload)
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main([command, "--config", str(path), "--output-dir", str(first)]) == 0
+        meta = first / "run_meta.json"
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {meta}"
+        assert load_config(meta).resolved == load_config(path).resolved
+        assert main([command, "--config", str(meta), "--output-dir", str(replay)]) == 0
+        for artifact in artifacts:
+            assert (first.joinpath(artifact).read_bytes()
+                    == replay.joinpath(artifact).read_bytes())
 
     def test_subtract_command(self, tmp_path, capsys):
         payload = {"grid": {"n_omega_c": 64, "n_q": 64, "n_omega_s": 64},
