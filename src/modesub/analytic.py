@@ -19,7 +19,8 @@ describes, whose constructors check them: the crystal
   the Gaussian-surrogate kernel (:func:`build_covariance`) and the Schmidt
   number of any positive-definite U with the signal frequency last,
   K = sqrt(u det A / det U) (:func:`covariance_schmidt_number`),
-* the single-mode rate.
+* the single-mode rate, and the flags of the single-mode regime
+  (:func:`single_mode_ok`) and of the plane-wave gate (:func:`plane_wave_ok`).
 
 The up-converted inverse group velocity k'_c is read in one convention per
 route.  The small-angle functions read the collinear-limit
@@ -181,21 +182,16 @@ class SingleModeRate:
     p_norm_m2_per_j: float
     probability: float
     rate_hz: float
-    single_mode_ok: bool
-    plane_wave_ok: bool
 
 
-def single_mode_rate(preset: CrystalPreset, gate: GateSpec, n_photons: float,
-                     signal: SignalBeamSpec) -> SingleModeRate:
+def single_mode_rate(preset: CrystalPreset, gate: GateSpec,
+                     n_photons: float) -> SingleModeRate:
     """Subtraction probability and event rate in the single-mode regime.
 
     ``n_photons`` is the mean photon number per pulse in the matched mode.
     ``p_norm_m2_per_j`` is the probability per photon per unit gate
     fluence W_g / (pi w_g^2), which the gate energy and waist drop out of.
-    The flags report whether the single-mode conditions hold within a factor
-    three (both margins of :func:`characteristic_scales`, K_min - 1 and
-    l0 / l, at most 1/3) and whether the gate waist dominates the signal
-    waist enough for the plane-wave reduction.
+    Whether the regime holds is :func:`single_mode_ok`.
     """
     if n_photons < 0:
         raise DomainError("photon number must be non-negative")
@@ -204,12 +200,19 @@ def single_mode_rate(preset: CrystalPreset, gate: GateSpec, n_photons: float,
     w_g_m = gate.waist_g_um * 1e-6
     fluence = gate.energy_j / (math.pi * w_g_m**2)
     probability = weight * n_photons
-    p_norm = weight / fluence
-    rate = probability * gate.rep_rate_hz
+    return SingleModeRate(lambda_sq_per_fs=lam_sq, p_norm_m2_per_j=weight / fluence,
+                          probability=probability,
+                          rate_hz=probability * gate.rep_rate_hz)
 
-    scales = characteristic_scales(preset, gate)
-    ok = scales.k_min - 1.0 <= 1.0 / 3.0 and scales.l0_um / preset.length_um <= 1.0 / 3.0
-    plane_ok = bool(gate.waist_g_um >= 5.0 * signal.waist_s_um)
-    return SingleModeRate(lambda_sq_per_fs=lam_sq, p_norm_m2_per_j=p_norm,
-                          probability=probability, rate_hz=rate,
-                          single_mode_ok=ok, plane_wave_ok=plane_ok)
+
+def single_mode_ok(scales: CharacteristicScales, preset: CrystalPreset) -> bool:
+    """Whether the single-mode conditions hold within a factor three: both
+    margins of :func:`characteristic_scales`, K_min - 1 and l0 / l, at
+    most 1/3."""
+    return scales.k_min - 1.0 <= 1.0 / 3.0 and scales.l0_um / preset.length_um <= 1.0 / 3.0
+
+
+def plane_wave_ok(gate: GateSpec, signal: SignalBeamSpec) -> bool:
+    """Whether the gate waist dominates the signal waist enough for the
+    plane-wave reduction: w_g >= 5 w_s."""
+    return gate.waist_g_um >= 5.0 * signal.waist_s_um

@@ -3,9 +3,12 @@
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical
 failure (every scan point failed), 3 I/O error.
 
-Every solve command (``kernel``, ``schmidt``, ``scan``, ``subtract``) writes
-``run_meta.json`` beside its artifacts; passing that file as ``--config``
-reproduces them byte for byte.
+Every command that writes a directory (``kernel``, ``schmidt``, ``scan``,
+``subtract``, and ``gaussian`` given ``--output-dir``) runs one path
+(:func:`cmd_write`): it writes ``run_meta.json`` beside its artifacts, also
+when every scan point failed, and passing that file as ``--config``
+reproduces them byte for byte.  ``gaussian`` without ``--output-dir``
+prints the text its file would hold.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, resolve, schema
 from .dispersion import PRESETS
-from .scan import (gaussian_table_json, gaussian_table_rows, run_scan,
-                   write_condition_summary, write_gaussian_table, write_kernel_csv,
-                   write_modes_csv, write_run_meta)
+from .scan import (ScanFailed, gaussian_table_text, run_scan, write_condition_summary,
+                   write_gaussian_table, write_kernel_csv, write_modes_csv,
+                   write_run_meta)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -61,63 +64,38 @@ def cmd_config(args) -> int:
     return EXIT_OK
 
 
-def _report(config: RunConfig, paths: list[Path], t0: float) -> int:
-    """Record a solve command's run in run_meta.json beside its artifacts,
-    as ``scan`` does, so the directory can be re-run from it, and print
-    every path written."""
-    paths.append(write_run_meta(paths[0].parent, config, time.monotonic() - t0))
+def cmd_write(args, **options) -> int:
+    """Create the output directory, run the command's writer there, record
+    the run in run_meta.json and print every path written.
+
+    The writers are looked up here, when the command runs, not bound at
+    import, so a caller that replaces one in this module (a tracer) sees
+    the call.
+    """
+    t0 = time.monotonic()
+    config = _load(args)
+    directory = Path(args.output_dir or config.output_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    writer = {"kernel": write_kernel_csv, "schmidt": write_modes_csv,
+              "scan": run_scan, "subtract": write_condition_summary,
+              "gaussian": write_gaussian_table}[args.command]
+    code = EXIT_OK
+    try:
+        paths = writer(config, directory, **options)
+    except ScanFailed as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        code, paths = EXIT_NUMERICAL, []
+    paths.append(write_run_meta(directory, config, time.monotonic() - t0))
     for path in paths:
         print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_kernel(args) -> int:
-    t0 = time.monotonic()
-    config = _load(args)
-    return _report(config, [write_kernel_csv(config, args.output_dir)], t0)
-
-
-def cmd_schmidt(args) -> int:
-    t0 = time.monotonic()
-    config = _load(args)
-    return _report(config, [write_modes_csv(config, args.output_dir)], t0)
-
-
-def cmd_scan(args) -> int:
-    config = _load(args)
-    try:
-        paths = run_scan(config, args.output_dir)
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    for path in paths.values():
-        print(f"wrote {path}")
-    return EXIT_OK
+    return code
 
 
 def cmd_gaussian(args) -> int:
-    config = _load(args)
     if args.output_dir is not None:
-        path = write_gaussian_table(config, args.output_dir, fmt=args.format)
-        print(f"wrote {path}")
-        return EXIT_OK
-    rows = gaussian_table_rows(config)
-    if args.format == "json":
-        print(gaussian_table_json(rows))
-        return EXIT_OK
-    columns = list(rows[0].keys())
-    widths = {c: max(len(c), 12) for c in columns}
-    print("  ".join(c.ljust(widths[c]) for c in columns))
-    for row in rows:
-        print("  ".join(f"{row[c]:<{widths[c]}.6g}" for c in columns))
+        return cmd_write(args, fmt=args.format)
+    print(gaussian_table_text(_load(args), args.format), end="")
     return EXIT_OK
-
-
-def cmd_subtract(args) -> int:
-    t0 = time.monotonic()
-    config = _load(args)
-    paths = write_condition_summary(config, args.output_dir)
-    return _report(config, list(paths.values()), t0)
 
 
 @functools.cache
@@ -146,15 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.set_defaults(func=cmd_config)
 
-    for name, func, help_text in (
-            ("kernel", cmd_kernel, "build the transfer kernel and dump it as CSV"),
-            ("schmidt", cmd_schmidt, "decompose the kernel and dump subtraction modes"),
-            ("scan", cmd_scan, "run the configured Schmidt-number sweep"),
-            ("gaussian", cmd_gaussian, "analytic-model summary table"),
-            ("subtract", cmd_subtract, "conditioned-state summary and overlap matrix")):
+    for name, help_text in (
+            ("kernel", "build the transfer kernel and dump it as CSV"),
+            ("schmidt", "decompose the kernel and dump subtraction modes"),
+            ("scan", "run the configured Schmidt-number sweep"),
+            ("gaussian", "analytic-model summary table"),
+            ("subtract", "conditioned-state summary and overlap matrix")):
         p = sub.add_parser(name, help=help_text)
         _common_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_gaussian if name == "gaussian" else cmd_write)
         if name == "gaussian":
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="table output format")

@@ -206,7 +206,9 @@ _SCHEMA: dict[str, Any] = {
                 f"and under 1/{MIN_LOBE_POINTS:g} of the phase-matching lobe, "
                 "over a span that holds the beam's drift"),
         "n_omega_s": (128, _GRID_SIZE, "points on the signal frequency axis"),
-        "span_scale": (1.0, _positive, "multiplier on the auto-derived half-spans"),
+        "span_scale": (1.0, _positive,
+                       "multiplier on the auto-derived Omega half-spans; the "
+                       "q_c span holds the beam and its drift over them"),
         "phase_matching": ("sinc", _one_of("sinc", "gaussian"),
                            "'sinc' or 'gaussian' surrogate"),
     },

@@ -151,9 +151,10 @@ class SignalBeamSpec:
 class GridConfig:
     """Axis sizes, span scaling, optional explicit half-spans, sinc treatment.
 
-    Derived half-spans (:func:`derive_grids`) are scaled by ``span_scale``;
-    the ``span_*`` fields replace them per axis.  A derived q_c half-span
-    holds the beam centre's drift over the Omega box.  ``n_q = None``
+    Derived Omega half-spans (:func:`derive_grids`) are scaled by
+    ``span_scale``; the ``span_*`` fields replace them per axis.  A derived
+    q_c half-span is not scaled: it holds the beam and the beam centre's
+    drift over the Omega box, so it follows the Omega spans.  ``n_q = None``
     derives the q_c size from the bandwidth of the beam and of the phase
     matching (:func:`q_axis_size`): the largest step whose trapezoid aliases
     stay under :data:`Q_ALIAS_TOL` and under 1/:data:`MIN_LOBE_POINTS` of the
@@ -315,8 +316,9 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     the second.  The q_c size is :func:`q_axis_size`'s for that span, and
     ``q_drift_ratio`` reports d / span_q.
 
-    ``span_scale`` scales the derived half-spans (the drift bound follows
-    the Omega spans); an explicit ``span_*`` or ``n_q`` is used as given.
+    ``span_scale`` scales the derived Omega half-spans only; the q_c span
+    follows them through the drift.  An explicit ``span_*`` or ``n_q`` is
+    used as given.
     """
     l = preset.length_um
     w_s = signal.waist_s_um
@@ -337,8 +339,7 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
         s_q = config.span_q
     else:
         # the margin keeps drift / s_q at or under MAX_Q_DRIFT after rounding
-        s_q = max(default_half_span(w_s) * config.span_scale,
-                  drift / MAX_Q_DRIFT * (1.0 + 1e-9))
+        s_q = max(default_half_span(w_s), drift / MAX_Q_DRIFT * (1.0 + 1e-9))
     n_q = (config.n_q if config.n_q is not None
            else q_axis_size(forms, l, w_s, s_q, config.phase_matching))
     grids = (uniform_grid(s_wc, config.n_omega_c, label="omega_c"),

@@ -4,9 +4,14 @@ The scan loop (:func:`schmidt_number_scan`) solves each configured
 :class:`~modesub.config.ScanPoint` for K and lambda_1 in input order.  A
 point whose grid cannot hold its kernel, or whose eigensolve fails, becomes
 a row with an ``error:`` status and the scan goes on; any other exception
-is a bug and stops it.  :func:`run_scan` raises when every point failed,
-which the CLI reports as a numerical failure.
+is a bug and stops it.  :func:`run_scan` raises :class:`ScanFailed` when
+every point failed, which the CLI reports as a numerical failure.
 
+Each writer (:func:`run_scan`, :func:`write_kernel_csv`,
+:func:`write_modes_csv`, :func:`write_gaussian_table`,
+:func:`write_condition_summary`) takes the config and an existing output
+directory and returns the paths it wrote there; the CLI creates the
+directory and records the run in ``run_meta.json`` (:func:`write_run_meta`).
 All numeric CSV output uses ``repr`` (shortest round-trip) formatting and a
 fixed column order, so identical configurations reproduce byte-identical
 files.
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from ._blas import environment
-from .analytic import (characteristic_scales, schmidt_number_closed_form,
-                       single_mode_rate)
+from .analytic import (characteristic_scales, plane_wave_ok, schmidt_number_closed_form,
+                       single_mode_ok, single_mode_rate)
 from .conditioning import comb_subtraction_experiment
 from .config import RunConfig, ScanPoint
 from .kernel import (GridConfig, KernelResolutionError, KernelSpanError,
@@ -46,13 +50,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _output_directory(config: RunConfig, output_dir: str | Path | None) -> Path:
-    """``output_dir``, or the configured one when it is None, created if missing."""
-    directory = Path(output_dir if output_dir is not None else config.output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
 def write_run_meta(directory: Path, config: RunConfig, wall_s: float) -> Path:
     meta = {"tool": "modesub", "version": __version__,
             "wall_time_s": wall_s, "config": config.resolved,
@@ -60,6 +57,10 @@ def write_run_meta(directory: Path, config: RunConfig, wall_s: float) -> Path:
     path = directory / "run_meta.json"
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return path
+
+
+class ScanFailed(RuntimeError):
+    """Every scan point failed; the table holds each point's error."""
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,13 @@ def schmidt_number_scan(points: Sequence[ScanPoint],
     return rows
 
 
-def run_scan(config: RunConfig, output_dir: str | Path | None = None) -> dict[str, Path]:
-    """Evaluate the configured sweep and emit scan_table.csv + run_meta.json.
+def run_scan(config: RunConfig, directory: Path) -> list[Path]:
+    """Evaluate the configured sweep into ``directory``/scan_table.csv.
 
-    Returns the emitted paths; numerical failures are carried in-row with
-    status != ok.  Raises RuntimeError when every point failed.
+    Numerical failures are carried in-row with status != ok; when every
+    point failed the table is still written, then :class:`ScanFailed` is
+    raised.
     """
-    t0 = time.monotonic()
-    directory = _output_directory(config, output_dir)
-
     rows = schmidt_number_scan(config.scan_points(), config.grid())
     lines = [SCAN_HEADER]
     for row in rows:
@@ -111,16 +110,13 @@ def run_scan(config: RunConfig, output_dir: str | Path | None = None) -> dict[st
         ]))
     table = directory / "scan_table.csv"
     table.write_text("\n".join(lines) + "\n")
-    paths = {"scan_table": table,
-             "run_meta": write_run_meta(directory, config, time.monotonic() - t0)}
     if all(row.status != "ok" for row in rows):
-        raise RuntimeError(f"all {len(rows)} scan points failed; see {table}")
-    return paths
+        raise ScanFailed(f"all {len(rows)} scan points failed; see {table}")
+    return [table]
 
 
-def write_kernel_csv(config: RunConfig, output_dir: str | Path | None = None) -> Path:
+def write_kernel_csv(config: RunConfig, directory: Path) -> list[Path]:
     """Dump the kernel samples, row-major over (omega_c, q_c, omega_s)."""
-    directory = _output_directory(config, output_dir)
     kernel = build_kernel(config.preset(), config.gate(), config.signal(), config.grid())
     path = directory / "kernel.csv"
     q_cells = [_fmt(qc) + "," for qc in kernel.q_c.points]
@@ -133,12 +129,11 @@ def write_kernel_csv(config: RunConfig, output_dir: str | Path | None = None) ->
             fh.write("".join(f"{head}{qc}{ws}{v!r},0.0\n"
                              for qc, row in zip(q_cells, plane.tolist())
                              for ws, v in zip(s_cells, row)))
-    return path
+    return [path]
 
 
-def write_modes_csv(config: RunConfig, output_dir: str | Path | None = None) -> Path:
+def write_modes_csv(config: RunConfig, directory: Path) -> list[Path]:
     """Dump the leading subtraction modes with their normalized weights."""
-    directory = _output_directory(config, output_dir)
     result = decompose(kernel_gram(config.preset(), config.gate(),
                                    config.signal(), config.grid()))
     m = min(N_LEADING_MODES, result.modes.shape[0])
@@ -150,11 +145,12 @@ def write_modes_csv(config: RunConfig, output_dir: str | Path | None = None) -> 
         for k, ws in enumerate(result.omega_s.points):
             row = [_fmt(ws)] + [_fmt(result.modes[i, k]) for i in range(m)]
             fh.write(",".join(row) + "\n")
-    return path
+    return [path]
 
 
 def gaussian_table_rows(config: RunConfig) -> list[dict]:
-    """The order-0 closed form, one row per distinct (l, w_s, phi) in scan order."""
+    """The order-0 closed form, one row per distinct (l, w_s, phi) in scan
+    order, with the single-mode and plane-wave flags last."""
     n1 = float(config.comb().photons_pulse[0])
     geometries = {}
     for p in config.scan_points():
@@ -162,7 +158,7 @@ def gaussian_table_rows(config: RunConfig) -> list[dict]:
     rows = []
     for p in geometries.values():
         scales = characteristic_scales(p.preset, p.gate)
-        rate = single_mode_rate(p.preset, p.gate, n1, p.signal)
+        rate = single_mode_rate(p.preset, p.gate, n1)
         rows.append({
             "l_um": p.preset.length_um,
             "w_um": p.signal.waist_s_um,
@@ -176,36 +172,35 @@ def gaussian_table_rows(config: RunConfig) -> list[dict]:
             "lambda_sq_per_fs": rate.lambda_sq_per_fs,
             "p_norm_m2_per_j": rate.p_norm_m2_per_j,
             "rate_hz": rate.rate_hz,
+            "single_mode_ok": single_mode_ok(scales, p.preset),
+            "plane_wave_ok": plane_wave_ok(p.gate, p.signal),
         })
     return rows
 
 
-def gaussian_table_json(rows: list[dict]) -> str:
-    """The table as strict JSON (RFC 8259 has no Infinity): a non-finite
-    value, the l_opt_um and w_opt_um of a phi = 0 row, is written as null."""
-    return json.dumps([{key: value if math.isfinite(value) else None
-                        for key, value in row.items()} for row in rows], indent=2)
-
-
-def write_gaussian_table(config: RunConfig, output_dir: str | Path | None = None,
-                         fmt: str = "csv") -> Path:
-    directory = _output_directory(config, output_dir)
+def gaussian_table_text(config: RunConfig, fmt: str) -> str:
+    """The table as the text of its file, CSV or JSON.  The JSON is strict
+    (RFC 8259 has no Infinity): a non-finite value, the l_opt_um and
+    w_opt_um of a phi = 0 row, is written as null; the CSV keeps inf.  The
+    CSV writes a flag as 1 or 0."""
     rows = gaussian_table_rows(config)
-    columns = list(rows[0].keys())
     if fmt == "json":
-        path = directory / "gaussian_table.json"
-        path.write_text(gaussian_table_json(rows) + "\n")
-        return path
-    path = directory / "gaussian_table.csv"
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+        return json.dumps([{key: value if math.isfinite(value) else None
+                            for key, value in row.items()} for row in rows],
+                          indent=2) + "\n"
+    lines = [",".join(rows[0])]
+    lines += [",".join(map(_fmt, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def write_condition_summary(config: RunConfig, output_dir: str | Path | None = None
-                            ) -> dict[str, Path]:
+def write_gaussian_table(config: RunConfig, directory: Path,
+                         fmt: str = "csv") -> list[Path]:
+    path = directory / f"gaussian_table.{fmt}"
+    path.write_text(gaussian_table_text(config, fmt))
+    return [path]
+
+
+def write_condition_summary(config: RunConfig, directory: Path) -> list[Path]:
     """Single-order conditioning artifacts: |O|^2 matrix CSV + summary JSON.
 
     The matrix has one row per leading subtraction mode, the
@@ -214,7 +209,6 @@ def write_condition_summary(config: RunConfig, output_dir: str | Path | None = N
     mode (:func:`~modesub.conditioning.conditioned_state`), whatever the
     rows shown.
     """
-    directory = _output_directory(config, output_dir)
     preset = config.preset()
     gate = config.gate()
     results = comb_subtraction_experiment(preset, gate, config.signal(),
@@ -245,4 +239,4 @@ def write_condition_summary(config: RunConfig, output_dir: str | Path | None = N
     }
     summary_path = directory / "condition_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    return {"overlap_matrix": overlap_path, "condition_summary": summary_path}
+    return [overlap_path, summary_path]

@@ -10,8 +10,8 @@ from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
                      build_covariance, build_kernel, characteristic_scales,
                      covariance_schmidt_number, decompose, kernel_gram, preset_bbo,
                      schmidt_number_closed_form, single_mode_rate)
-from modesub.analytic import (DomainError, conversion_prefactor_fs,
-                              single_mode_lambda_sq)
+from modesub.analytic import (DomainError, conversion_prefactor_fs, plane_wave_ok,
+                              single_mode_lambda_sq, single_mode_ok)
 from modesub.kernel import GAMMA_SINC
 
 from conftest import collinear_preset
@@ -295,37 +295,37 @@ class TestCovariance:
 
 
 class TestSingleModeRate:
-    def test_normalized_probability_value(self, signal_opt):
+    def test_normalized_probability_value(self):
         preset = preset_bbo(1, "co").with_length(2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
-        p_norm = single_mode_rate(preset, gate, 1e-3, signal_opt).p_norm_m2_per_j
+        p_norm = single_mode_rate(preset, gate, 1e-3).p_norm_m2_per_j
         assert p_norm == pytest.approx(0.2065117391181664, rel=1e-9)
         # quoted as ~0.2 m^2/J at these parameters
         assert p_norm == pytest.approx(0.21, abs=0.02)
 
-    def test_event_rate(self, signal_opt):
+    def test_event_rate(self):
         preset = preset_bbo(1, "co").with_length(2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0),
                         waist_g_um=1000.0, energy_j=10e-9, rep_rate_hz=80e6)
-        result = single_mode_rate(preset, gate, 6.3154e-3, signal_opt)
+        result = single_mode_rate(preset, gate, 6.3154e-3)
         assert result.rate_hz == pytest.approx(332.1, rel=1e-3)
         # within 30% of the 370/s reference at the default nonlinearity
         assert abs(result.rate_hz - 370.0) / 370.0 < 0.30
 
-    def test_rate_scales_with_nonlinearity_squared(self, signal_opt):
+    def test_rate_scales_with_nonlinearity_squared(self):
         base = preset_bbo(1, "co").with_length(2000.0)
         doubled = preset_bbo(1, "co", d_eff_pm_v=4.0).with_length(2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
-        r1 = single_mode_rate(base, gate, 1e-3, signal_opt)
-        r2 = single_mode_rate(doubled, gate, 1e-3, signal_opt)
+        r1 = single_mode_rate(base, gate, 1e-3)
+        r2 = single_mode_rate(doubled, gate, 1e-3)
         assert r2.rate_hz == pytest.approx(4.0 * r1.rate_hz, rel=1e-12)
 
-    def test_length_scalings(self, signal_opt):
+    def test_length_scalings(self):
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         p1 = preset_bbo(1, "co").with_length(2000.0)
         p2 = preset_bbo(1, "co").with_length(4000.0)
-        r1 = single_mode_rate(p1, gate, 1e-3, signal_opt)
-        r2 = single_mode_rate(p2, gate, 1e-3, signal_opt)
+        r1 = single_mode_rate(p1, gate, 1e-3)
+        r2 = single_mode_rate(p2, gate, 1e-3)
         assert r2.p_norm_m2_per_j == pytest.approx(2.0 * r1.p_norm_m2_per_j, rel=1e-12)
         assert r2.lambda_sq_per_fs == pytest.approx(0.5 * r1.lambda_sq_per_fs, rel=1e-12)
 
@@ -333,36 +333,34 @@ class TestSingleModeRate:
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0),
                         waist_g_um=300.0)
         signal = SignalBeamSpec(waist_s_um=100.0, spectral_tau_fs=94.0)
-        short = single_mode_rate(preset_bbo(1, "co").with_length(2000.0), gate,
-                                 1e-3, signal)
-        assert not short.single_mode_ok          # l is below 3 l0
-        assert not short.plane_wave_ok           # waist ratio only 3x
-        long = single_mode_rate(preset_bbo(1, "co").with_length(11663.4),
-                                GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0)),
-                                1e-3, signal)
-        assert long.single_mode_ok and long.plane_wave_ok
+        short = preset_bbo(1, "co").with_length(2000.0)
+        assert not single_mode_ok(characteristic_scales(short, gate), short)  # l < 3 l0
+        assert not plane_wave_ok(gate, signal)   # waist ratio only 3x
+        long = preset_bbo(1, "co").with_length(11663.4)
+        wide_gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+        assert single_mode_ok(characteristic_scales(long, wide_gate), long)
+        assert plane_wave_ok(wide_gate, signal)
 
     @pytest.mark.parametrize("phi_deg,sign", [(1, "co"), (1, "counter"),
                                               (5, "co"), (5, "counter")])
     @pytest.mark.parametrize("l_um", [2000.0, 11663.4])
     def test_flags_agree_across_routes(self, phi_deg, sign, l_um):
-        # the rate's flag reads the margins of the characteristic scales,
-        # each written out here from its small-angle definition
+        # the flag reads the margins of the characteristic scales, each
+        # written out here from its small-angle definition
         preset, gate, signal = objects_for(phi_deg, sign, l_um, 107.7)
-        rate = single_mode_rate(preset, gate, 1e-3, signal)
+        scales = characteristic_scales(preset, gate)
         kp_s, kp_c = preset.kp_s, preset.kp_c_collinear
         phi, rho = preset.phi, preset.rho
         angle = (phi**2 + abs(phi * (phi - rho))) / ((kp_c / kp_s - 1.0) / 2.0)
         length = 94.0 / (math.sqrt(GAMMA_SINC / 2.0) * (kp_c - kp_s)) / l_um
-        assert rate.single_mode_ok == (angle <= 1.0 / 3.0 and length <= 1.0 / 3.0)
-        scales = characteristic_scales(preset, gate)
+        assert single_mode_ok(scales, preset) == (angle <= 1.0 / 3.0 and length <= 1.0 / 3.0)
         assert scales.k_min - 1.0 == pytest.approx(angle, rel=1e-12)
         assert scales.l0_um / l_um == pytest.approx(length, rel=1e-12)
 
-    def test_negative_photon_number_rejected(self, signal_opt):
+    def test_negative_photon_number_rejected(self):
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         with pytest.raises(DomainError):
-            single_mode_rate(preset_bbo(1, "co"), gate, -1.0, signal_opt)
+            single_mode_rate(preset_bbo(1, "co"), gate, -1.0)
 
     def test_probability_reduction_symbolic(self):
         # verify the closed-form normalized probability against the raw
@@ -382,10 +380,10 @@ class TestSingleModeRate:
         expected = chi2**2 * ws0 * wc0 * l / (8 * eps0 * ns * nc * ng * c**3 * dk)
         assert sp.simplify(p_norm - expected) == 0
 
-    def test_prefactor_times_lambda_equals_probability(self, signal_opt):
+    def test_prefactor_times_lambda_equals_probability(self):
         preset = preset_bbo(1, "co").with_length(2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         n = 6.3154e-3
-        direct = single_mode_rate(preset, gate, n, signal_opt).probability
+        direct = single_mode_rate(preset, gate, n).probability
         assembled = conversion_prefactor_fs(preset, gate) * single_mode_lambda_sq(preset) * n
         assert assembled == pytest.approx(direct, rel=1e-12)

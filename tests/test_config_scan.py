@@ -16,7 +16,7 @@ from modesub.cli import build_parser, main
 from modesub.config import _SCHEMA, ConfigError, load_config, resolve, schema
 from modesub.dispersion import convert_bandwidth
 from modesub.kernel import MAX_Q_DRIFT, MIN_AXIS_POINTS, MIN_MASS_CAPTURED, derive_grids
-from modesub.scan import (N_LEADING_MODES, run_scan, write_condition_summary,
+from modesub.scan import (N_LEADING_MODES, ScanFailed, run_scan, write_condition_summary,
                           write_gaussian_table, write_kernel_csv, write_modes_csv,
                           write_run_meta)
 
@@ -362,19 +362,23 @@ class TestResolve:
 
 
 class TestRunScan:
-    def scan_config(self, tmp_path, out_name="out"):
-        return resolve({
-            "grid": SMALL_GRID,
+    SCAN = {"grid": SMALL_GRID,
             "scan": {"axes": [{"variable": "l_mm", "min": 1.5, "max": 3.0,
-                               "count": 3, "spacing": "log"}]},
-            "output_dir": str(tmp_path / out_name)})
+                               "count": 3, "spacing": "log"}]}}
+
+    def scan_into(self, tmp_path, name):
+        """Run the ``scan`` command into ``tmp_path / name``; that directory."""
+        out = tmp_path / name
+        path = write_config(tmp_path, self.SCAN)
+        assert main(["scan", "--config", str(path), "--output-dir", str(out)]) == 0
+        return out
 
     def test_deterministic_across_runs_and_threads(self, tmp_path):
-        c1 = self.scan_config(tmp_path, "a")
-        run_scan(c1)
+        config = resolve(self.SCAN)
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            assert run_scan(config, tmp_path / name) == [tmp_path / name / "scan_table.csv"]
         body1 = (tmp_path / "a" / "scan_table.csv").read_bytes()
-        c2 = self.scan_config(tmp_path, "b")
-        run_scan(c2)
         body2 = (tmp_path / "b" / "scan_table.csv").read_bytes()
         assert body1 == body2
 
@@ -393,17 +397,17 @@ class TestRunScan:
         assert helper_on == [False, _blas._openblas() is not None]
 
     def test_header_and_roundtrip_floats(self, tmp_path):
-        config = self.scan_config(tmp_path)
-        run_scan(config)
-        lines = (tmp_path / "out" / "scan_table.csv").read_text().splitlines()
+        run_scan(resolve(self.SCAN), tmp_path)
+        lines = (tmp_path / "scan_table.csv").read_text().splitlines()
         assert lines[0] == "l_um,w_um,phi_deg,gate_order,K,lambda1_frac,status"
         cells = lines[1].split(",")
         assert float(cells[0]) == 1500.0
         assert cells[-1] == "ok"
         assert repr(float(cells[4])) == cells[4]  # shortest round-trip format
 
-    def test_run_meta_records_the_environment(self, tmp_path):
-        meta = json.loads(run_scan(self.scan_config(tmp_path))["run_meta"].read_text())
+    def test_run_meta_records_the_environment(self, tmp_path, capsys):
+        out = self.scan_into(tmp_path, "out")
+        meta = json.loads((out / "run_meta.json").read_text())
         env = meta["environment"]
         assert set(env) == {"numpy", "blas", "blas_threads", "solve_single_thread",
                             "nproc"}
@@ -415,25 +419,24 @@ class TestRunScan:
             assert env["solve_single_thread"]
             assert env["blas_threads"] == _blas.blas_threads()
 
-    def test_run_meta_reproduces_the_run(self, tmp_path):
-        config = self.scan_config(tmp_path)
-        paths = run_scan(config)
-        meta = json.loads(paths["run_meta"].read_text())
-        assert meta["tool"] == "modesub"
-        replayed = load_config(paths["run_meta"])
-        assert replayed.resolved == config.resolved
+    def test_run_meta_reproduces_the_run(self, tmp_path, capsys):
+        out = self.scan_into(tmp_path, "out")
+        meta_path = out / "run_meta.json"
+        assert json.loads(meta_path.read_text())["tool"] == "modesub"
+        replayed = load_config(meta_path)
+        assert replayed.resolved == resolve(self.SCAN).resolved
         out2 = tmp_path / "replay"
+        out2.mkdir()
         run_scan(replayed, out2)
-        assert ((tmp_path / "out" / "scan_table.csv").read_bytes()
+        assert ((out / "scan_table.csv").read_bytes()
                 == (out2 / "scan_table.csv").read_bytes())
 
     def test_single_point_matches_direct_call(self, tmp_path, bbo1co, gate94,
                                               signal_opt):
-        config = resolve({"grid": SMALL_GRID, "output_dir": str(tmp_path / "single"),
-                          "signal": {"waist_um": 107.7},
+        config = resolve({"grid": SMALL_GRID, "signal": {"waist_um": 107.7},
                           "gate": {"tau_fs": 94.0}})
-        run_scan(config)
-        lines = (tmp_path / "single" / "scan_table.csv").read_text().splitlines()
+        run_scan(config, tmp_path)
+        lines = (tmp_path / "scan_table.csv").read_text().splitlines()
         assert len(lines) == 2
         direct = decompose(kernel_gram(bbo1co.with_length(2000.0), gate94,
                                        signal_opt, GridConfig(**SMALL_GRID)))
@@ -443,11 +446,10 @@ class TestRunScan:
         config = resolve({
             "grid": SMALL_GRID,
             # spans far too small: every point fails the span guard
-            "crystal": {"preset": "bbo-phi1-co", "length_mm": 40.0},
-            "output_dir": str(tmp_path / "fail")})
-        with pytest.raises(RuntimeError):
-            run_scan(config)
-        lines = (tmp_path / "fail" / "scan_table.csv").read_text().splitlines()
+            "crystal": {"preset": "bbo-phi1-co", "length_mm": 40.0}})
+        with pytest.raises(ScanFailed):
+            run_scan(config, tmp_path)
+        lines = (tmp_path / "scan_table.csv").read_text().splitlines()
         assert "error" in lines[1]
 
 
@@ -455,9 +457,8 @@ class TestArtifacts:
     def test_kernel_dump_layout(self, tmp_path):
         # thin crystal keeps the phase-matching lobe resolvable on a tiny grid
         config = resolve({"grid": {"n_omega_c": 12, "n_q": 10, "n_omega_s": 8},
-                          "crystal": {"preset": "bbo-phi1-co", "length_mm": 0.2},
-                          "output_dir": str(tmp_path)})
-        path = write_kernel_csv(config)
+                          "crystal": {"preset": "bbo-phi1-co", "length_mm": 0.2}})
+        (path,) = write_kernel_csv(config, tmp_path)
         lines = path.read_text().splitlines()
         assert lines[0] == "omega_c,q_c,omega_s,re,im"
         assert len(lines) == 1 + 12 * 10 * 8
@@ -469,9 +470,9 @@ class TestArtifacts:
 
     def test_kernel_dump_reads_back_exactly(self, tmp_path):
         config = resolve({"grid": {"n_omega_c": 12, "n_q": 10, "n_omega_s": 9},
-                          "crystal": {"preset": "bbo-phi1-co", "length_mm": 0.2},
-                          "output_dir": str(tmp_path)})
-        data = np.loadtxt(write_kernel_csv(config), delimiter=",", skiprows=1)
+                          "crystal": {"preset": "bbo-phi1-co", "length_mm": 0.2}})
+        (path,) = write_kernel_csv(config, tmp_path)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
         kernel = build_kernel(config.preset(), config.gate(), config.signal(),
                               config.grid())
         axes = np.meshgrid(kernel.omega_c.points, kernel.q_c.points,
@@ -481,8 +482,8 @@ class TestArtifacts:
         assert np.all(data[:, 4] == 0.0)
 
     def test_modes_dump_layout(self, tmp_path):
-        config = resolve({"grid": SMALL_GRID, "output_dir": str(tmp_path)})
-        path = write_modes_csv(config)
+        config = resolve({"grid": SMALL_GRID})
+        (path,) = write_modes_csv(config, tmp_path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("omega_s,mode_1")
         assert lines[1].startswith("lambda_sq,")
@@ -491,13 +492,15 @@ class TestArtifacts:
         assert len(lines) == 2 + 48
 
     def test_gaussian_table(self, tmp_path):
-        config = resolve({"output_dir": str(tmp_path)})
-        path = write_gaussian_table(config)
+        (path,) = write_gaussian_table(resolve({}), tmp_path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("l_um,w_um,phi_deg,phi0_deg")
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["K_min"]) == pytest.approx(1.06778, abs=1e-4)
         assert float(row["rate_hz"]) == pytest.approx(332.1, rel=1e-3)
+        # the flags come last: l = 2 mm is under 3 l0, w_g = 1 mm over 5 w_s
+        assert lines[0].endswith(",rate_hz,single_mode_ok,plane_wave_ok")
+        assert (row["single_mode_ok"], row["plane_wave_ok"]) == ("0", "1")
 
     @pytest.mark.parametrize("command,artifact", [("subtract", "condition_summary.json"),
                                                   ("schmidt", "modes.csv")])
@@ -515,10 +518,9 @@ class TestArtifacts:
     def test_condition_summary(self, tmp_path):
         config = resolve({"grid": {"n_omega_c": 64, "n_q": 64, "n_omega_s": 64},
                           "comb": {"n_modes": 12},
-                          "signal": {"waist_um": 107.7},
-                          "output_dir": str(tmp_path)})
-        paths = write_condition_summary(config)
-        summary = json.loads(paths["condition_summary"].read_text())
+                          "signal": {"waist_um": 107.7}})
+        overlap_path, summary_path = write_condition_summary(config, tmp_path)
+        summary = json.loads(summary_path.read_text())
         assert set(summary) == {"K", "purity", "probability_per_pulse",
                                 "rate_hz", "lambda_sq", "grid"}
         grid = summary["grid"]
@@ -529,7 +531,7 @@ class TestArtifacts:
         assert MIN_MASS_CAPTURED <= grid["mass_captured"] < 1.0
         assert 0.0 < summary["purity"] <= 1.0
         assert summary["rate_hz"] > 0
-        overlap_lines = paths["overlap_matrix"].read_text().splitlines()
+        overlap_lines = overlap_path.read_text().splitlines()
         assert overlap_lines[0].startswith("subtraction_mode,comb_1")
         # one row per leading mode of lambda_sq, one column per comb mode
         assert len(overlap_lines) == 1 + len(summary["lambda_sq"]) == 1 + N_LEADING_MODES
@@ -676,7 +678,8 @@ class TestCli:
         assert main(["gaussian", "--format", "json"]) == 0
         json.loads(capsys.readouterr().out)
         assert main(["gaussian", "--output-dir", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == f"wrote {tmp_path / 'gaussian_table.csv'}\n"
+        assert capsys.readouterr().out == (f"wrote {tmp_path / 'gaussian_table.csv'}\n"
+                                           f"wrote {tmp_path / 'run_meta.json'}\n")
         assert not (tmp_path / "gaussian_table.json").exists()
 
     def test_gaussian_table_one_row_per_geometry(self, tmp_path, capsys):
@@ -699,8 +702,7 @@ class TestCli:
         config = load_config(path)
         n1 = 80.0 / config.comb().finesse
         preset = config.preset().with_length(row["l_um"])
-        signal = replace(config.signal(), waist_s_um=row["w_um"])
-        expected = single_mode_rate(preset, config.gate(), n1, signal).rate_hz
+        expected = single_mode_rate(preset, config.gate(), n1).rate_hz
         assert row["rate_hz"] == pytest.approx(expected, rel=1e-12)
 
     def test_malformed_photons_csv_names_the_file(self, tmp_path, capsys):
@@ -736,7 +738,12 @@ class TestCli:
         ("schmidt", {"grid": SMALL_GRID}, ("modes.csv",)),
         ("subtract", {"grid": SMALL_GRID, "comb": {"n_modes": 10}},
          ("condition_summary.json", "overlap_matrix.csv")),
-    ], ids=["kernel", "schmidt", "subtract"])
+        ("scan", {"grid": SMALL_GRID,
+                  "scan": {"axes": [{"variable": "w_um", "values": [80.0, 140.0]}]}},
+         ("scan_table.csv",)),
+        ("gaussian", {"scan": {"axes": [{"variable": "phi_deg", "values": [0.0, 1.0]}]}},
+         ("gaussian_table.csv",)),
+    ], ids=["kernel", "schmidt", "subtract", "scan", "gaussian"])
     def test_solve_command_reruns_from_its_run_meta(self, tmp_path, capsys, command,
                                                     payload, artifacts):
         path = write_config(tmp_path, payload)
@@ -749,6 +756,51 @@ class TestCli:
         for artifact in artifacts:
             assert (first.joinpath(artifact).read_bytes()
                     == replay.joinpath(artifact).read_bytes())
+
+    def test_all_failed_scan_still_records_its_run(self, tmp_path, capsys):
+        # every point fails the span guard: exit 2, and the directory still
+        # holds the table of errors and the run_meta.json to re-run it from
+        payload = {"grid": SMALL_GRID,
+                   "crystal": {"preset": "bbo-phi1-co", "length_mm": 40.0},
+                   "scan": {"axes": [{"variable": "w_um", "values": [80.0, 140.0]}]}}
+        path = write_config(tmp_path, payload)
+        assert main(["scan", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "numerical failure: all 2 scan points failed" in captured.err
+        assert captured.out == f"wrote {tmp_path / 'run_meta.json'}\n"
+        table = (tmp_path / "scan_table.csv").read_text().splitlines()
+        assert len(table) == 3 and all(",error: " in row for row in table[1:])
+        assert load_config(tmp_path / "run_meta.json").resolved == load_config(path).resolved
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_gaussian_stdout_is_the_file_text(self, tmp_path, capsys, fmt):
+        payload = {"scan": {"axes": [{"variable": "phi_deg", "values": [0.0, 1.0]}]}}
+        path = write_config(tmp_path, payload)
+        assert main(["gaussian", "--config", str(path), "--format", fmt]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main(["gaussian", "--config", str(path), "--format", fmt,
+                     "--output-dir", str(out)]) == 0
+        assert stdout == (out / f"gaussian_table.{fmt}").read_text()
+
+    @pytest.mark.parametrize("command,writer", [
+        ("scan", "run_scan"), ("subtract", "write_condition_summary"),
+        ("kernel", "write_kernel_csv"), ("schmidt", "write_modes_csv"),
+        ("gaussian", "write_gaussian_table")])
+    def test_command_calls_the_writer_named_in_cli(self, tmp_path, capsys, monkeypatch,
+                                                   command, writer):
+        # bench/layers.py traces a writer by replacing its name in
+        # modesub.cli; the command must look the name up when it runs
+        calls = []
+
+        def stand_in(config, directory, **options):
+            calls.append(directory)
+            return []
+
+        monkeypatch.setattr(f"modesub.cli.{writer}", stand_in)
+        assert main([command, "--output-dir", str(tmp_path)]) == 0
+        assert calls == [tmp_path]
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'run_meta.json'}\n"
 
     def test_subtract_command(self, tmp_path, capsys):
         payload = {"grid": {"n_omega_c": 64, "n_q": 64, "n_omega_s": 64},

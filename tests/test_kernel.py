@@ -158,10 +158,13 @@ class TestBuildKernel:
     @pytest.mark.parametrize("l_um", [1000.0, 2000.0])
     def test_surrogate_box_holds_the_continuum_norm(self, signal_opt, order, l_um):
         # the surrogate's Gaussian tails are negligible past 1.5 x the spans,
-        # so the box norm is the closed form to rounding, for any gate order
+        # so the box norm is the closed form to rounding, for any gate order;
+        # span_scale widens the Omega spans, span_q the q_c span
         preset = preset_by_name("bbo-phi1-co").with_length(l_um)
         gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
-        cfg = GridConfig(span_scale=1.5, phase_matching="gaussian")
+        s_q = derive_grids(preset, gate, signal_opt,
+                           GridConfig(phase_matching="gaussian"))[1].points[-1]
+        cfg = GridConfig(span_scale=1.5, span_q=1.5 * s_q, phase_matching="gaussian")
         captured = kernel_gram(preset, gate, signal_opt, cfg).diagnostics["mass_captured"]
         assert captured == pytest.approx(1.0, abs=1e-12)
 
@@ -208,6 +211,12 @@ class TestBuildKernel:
         g2 = derive_grids(bbo1co, gate94, signal_opt, GridConfig(span_scale=2.0))
         assert g2[0].points[-1] - g2[0].points[0] == pytest.approx(
             2.0 * (g1[0].points[-1] - g1[0].points[0]), rel=1e-12)
+        # span_scale widens the Omega spans only: the q_c axis holds the
+        # beam, and at this point the drift over the wider box fits in it
+        for scale in (0.8, 2.0):
+            gx = derive_grids(bbo1co, gate94, signal_opt, GridConfig(span_scale=scale))
+            assert gx[1].size == g1[1].size
+            assert gx[1].points[-1] == g1[1].points[-1]
         g3 = derive_grids(bbo1co, gate94, signal_opt,
                           GridConfig(span_q=0.123))
         assert g3[1].points[-1] == pytest.approx(0.123, rel=1e-12)
