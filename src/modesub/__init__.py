@@ -15,8 +15,7 @@ from .conditioning import (CombState, ConditionResult, comb_subtraction_experime
                            conditioned_state, flat_comb, overlap_matrix,
                            photons_from_squeezing)
 from .config import ScanPoint
-from .dispersion import (C_UM_PER_FS, PRESETS, CrystalPreset, bandwidth_from_tau,
-                         convert_bandwidth, preset_bbo, preset_by_name)
+from .dispersion import C_UM_PER_FS, PRESETS, CrystalPreset, convert_bandwidth
 from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid, SignalBeamSpec,
                      build_kernel, kernel_gram)
 from .modes import HermiteGaussSpec, QuadGrid, uniform_grid
@@ -39,7 +38,6 @@ __all__ = [
     "ScanPoint",
     "SchmidtResult",
     "SignalBeamSpec",
-    "bandwidth_from_tau",
     "build_covariance",
     "build_kernel",
     "characteristic_scales",
@@ -53,8 +51,6 @@ __all__ = [
     "kernel_gram",
     "overlap_matrix",
     "photons_from_squeezing",
-    "preset_bbo",
-    "preset_by_name",
     "schmidt_number_closed_form",
     "schmidt_number_scan",
     "single_mode_rate",

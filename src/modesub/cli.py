@@ -84,7 +84,7 @@ def cmd_write(args, **options) -> int:
         paths = writer(config, directory, **options)
     except ScanFailed as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        code, paths = EXIT_NUMERICAL, []
+        code, paths = EXIT_NUMERICAL, exc.paths
     paths.append(write_run_meta(directory, config, time.monotonic() - t0))
     for path in paths:
         print(f"wrote {path}")

@@ -52,8 +52,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .conditioning import CombState, comb_from_csv, flat_comb
-from .dispersion import (BBO_PHI_MAX_RAD, PRESETS, ConfigurationError, CrystalPreset,
-                         convert_bandwidth)
+from .dispersion import BBO_PHI_MAX_RAD, PRESETS, CrystalPreset, convert_bandwidth
 from .kernel import (MIN_AXIS_POINTS, MIN_LOBE_POINTS, Q_ALIAS_TOL, GateSpec,
                      GridConfig, SignalBeamSpec)
 from .modes import HermiteGaussSpec
@@ -213,7 +212,9 @@ _SCHEMA: dict[str, Any] = {
                            "'sinc' or 'gaussian' surrogate"),
     },
     "scan": {
-        "axes": ([], _axis_list, "swept axes: {variable, min, max, count, spacing}"),
+        "axes": ([], _axis_list, "swept axes (at most 3), each {variable, values} or "
+                 "{variable, min, max, count = 1, spacing = 'linear' | 'log'}; "
+                 "values, a list, excludes the ranged keys"),
     },
     "output_dir": ("out", _string, "directory for emitted artifacts"),
 }
@@ -232,13 +233,14 @@ class ScanPoint:
 
 # what one scan-axis value, in lab units, sets on a point
 _SCAN_SETTERS: dict[str, Callable[[ScanPoint, float], ScanPoint]] = {
-    "l_mm": lambda p, v: replace(p, preset=p.preset.with_length(v * 1e3)),
+    "l_mm": lambda p, v: replace(p, preset=replace(p.preset, length_um=v * 1e3)),
     "w_um": lambda p, v: replace(p, signal=replace(p.signal, waist_s_um=v)),
-    "phi_deg": lambda p, v: replace(p, preset=p.preset.with_phi(math.radians(v))),
+    "phi_deg": lambda p, v: replace(p, preset=replace(p.preset, phi=math.radians(v))),
     "gate_order": lambda p, v: replace(p, gate=replace(
         p.gate, spectral=replace(p.gate.spectral, order=v))),
 }
 _SCAN_VARIABLES = tuple(_SCAN_SETTERS)
+_AXIS_KEYS = ("variable", "values", "min", "max", "count", "spacing")
 _INLINE_REQUIRED = ("name", "lambda_s_nm", "kp_s_fs_um", "kp_c_fs_um",
                     "rho_deg", "phi_deg")
 _INDICES = ("n_s", "n_g", "n_c")
@@ -428,7 +430,7 @@ def resolve(raw: dict) -> RunConfig:
         path = f"scan.axes[{i}]"
         if not isinstance(axis, dict):
             raise ConfigError(f"{path}: expected an object")
-        unknown = set(axis) - {"variable", "min", "max", "count", "spacing", "values"}
+        unknown = set(axis) - set(_AXIS_KEYS)
         if unknown:
             raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
         var = axis.get("variable")
@@ -470,7 +472,7 @@ def resolve(raw: dict) -> RunConfig:
     # inline crystal can break them.  The error names the k'_c field.
     try:
         preset = config.preset()
-    except ConfigurationError as exc:
+    except ValueError as exc:
         kp_c = "kp_c_collinear" if "kp_c_collinear" in str(exc) else "kp_c"
         raise ConfigError(f"crystal.kp_s_fs_um / crystal.{kp_c}_fs_um: {exc}") from exc
     base = ScanPoint(preset, config.gate(), config.signal())

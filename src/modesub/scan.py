@@ -60,7 +60,12 @@ def write_run_meta(directory: Path, config: RunConfig, wall_s: float) -> Path:
 
 
 class ScanFailed(RuntimeError):
-    """Every scan point failed; the table holds each point's error."""
+    """Every scan point failed; the table holds each point's error, and
+    ``paths`` lists the files written."""
+
+    def __init__(self, message: str, paths: list[Path]):
+        super().__init__(message)
+        self.paths = paths
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ def run_scan(config: RunConfig, directory: Path) -> list[Path]:
     table = directory / "scan_table.csv"
     table.write_text("\n".join(lines) + "\n")
     if all(row.status != "ok" for row in rows):
-        raise ScanFailed(f"all {len(rows)} scan points failed; see {table}")
+        raise ScanFailed(f"all {len(rows)} scan points failed; see {table}", [table])
     return [table]
 
 

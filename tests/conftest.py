@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modesub import CrystalPreset, GateSpec, HermiteGaussSpec, SignalBeamSpec, preset_bbo
+from modesub import PRESETS, CrystalPreset, GateSpec, HermiteGaussSpec, SignalBeamSpec
 from modesub.dispersion import kernel_forms
 
 # tau of a 6 nm FWHM comb mode at 795 nm; the gate matches it in Sec.-V runs
@@ -24,7 +24,7 @@ def collinear_preset(length_um=2000.0):
 
 @pytest.fixture(scope="session")
 def bbo1co():
-    return preset_bbo(1, "co")
+    return PRESETS["bbo-phi1-co"]
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,9 @@ import pytest
 import sympy as sp
 from scipy.optimize import minimize
 
-from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
+from modesub import (PRESETS, GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
                      build_covariance, build_kernel, characteristic_scales,
-                     covariance_schmidt_number, decompose, kernel_gram, preset_bbo,
+                     covariance_schmidt_number, decompose, kernel_gram,
                      schmidt_number_closed_form, single_mode_rate)
 from modesub.analytic import (DomainError, conversion_prefactor_fs, plane_wave_ok,
                               single_mode_lambda_sq, single_mode_ok)
@@ -55,7 +55,7 @@ def random_positive_definite(rng, n):
 
 def objects_for(phi_deg, sign, l_um, w_um, tau_g=94.0):
     """The crystal, order-0 gate and signal beam of one operating point."""
-    preset = preset_bbo(phi_deg, sign).with_length(l_um)
+    preset = replace(PRESETS[f"bbo-phi{phi_deg}-{sign}"], length_um=l_um)
     gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=tau_g))
     signal = SignalBeamSpec(waist_s_um=w_um, spectral_tau_fs=tau_g)
     return preset, gate, signal
@@ -109,7 +109,7 @@ class TestClosedForm:
 
         def objective(x):
             return schmidt_number_closed_form(
-                preset.with_length(math.exp(x[0])), gate,
+                replace(preset, length_um=math.exp(x[0])), gate,
                 replace(signal, waist_s_um=math.exp(x[1])))
 
         res = minimize(objective, [math.log(scales.l_opt_um), math.log(w_guess)],
@@ -123,7 +123,7 @@ class TestClosedForm:
         # for phi far below the characteristic angle and optimal focusing,
         # K follows sqrt(1 + (l0/l)^2) up to the optimum length
         for l in (2000.0, 4000.0, 8000.0):
-            preset = preset_bbo(1, "co").with_phi(math.radians(0.3)).with_length(l)
+            preset = replace(PRESETS["bbo-phi1-co"], phi=math.radians(0.3), length_um=l)
             s = characteristic_scales(preset, gate94)
             signal = SignalBeamSpec(waist_s_um=s.w_opt_um, spectral_tau_fs=94.0)
             expected = math.sqrt(1.0 + (s.l0_um / l) ** 2)
@@ -215,13 +215,14 @@ class TestCovariance:
 
     def test_randomized_sweep_stays_above_one(self, rng):
         for _ in range(25):
-            preset = preset_bbo(1 if rng.random() < 0.5 else 5,
-                                "co" if rng.random() < 0.5 else "counter")
+            deg = 1 if rng.random() < 0.5 else 5
+            sign = "co" if rng.random() < 0.5 else "counter"
+            preset = PRESETS[f"bbo-phi{deg}-{sign}"]
             tau_g = rng.uniform(40.0, 180.0)
             gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=tau_g))
             signal = SignalBeamSpec(waist_s_um=rng.uniform(20.0, 300.0),
                                     spectral_tau_fs=tau_g)
-            preset = preset.with_length(rng.uniform(500.0, 15000.0))
+            preset = replace(preset, length_um=rng.uniform(500.0, 15000.0))
             k = covariance_schmidt_number(build_covariance(preset, gate, signal))
             assert k >= 1.0 - 1e-9
 
@@ -259,7 +260,7 @@ class TestCovariance:
 
     def test_quadratic_form_reproduces_surrogate_kernel(self, rng):
         # -2 log(L(x)/L(0)) equals the quadratic form at sampled grid points
-        preset = preset_bbo(1, "co").with_length(2000.0)
+        preset = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=93.12)
         cfg = GridConfig(n_omega_c=33, n_q=33, n_omega_s=33,
@@ -283,7 +284,7 @@ class TestCovariance:
         # 1.5x span needs 164 Omega_c points for the lobe check; the q_c
         # size is derived.
         for _ in range(3):
-            preset = preset_bbo(1, "co").with_length(rng.uniform(1500.0, 6000.0))
+            preset = replace(PRESETS["bbo-phi1-co"], length_um=rng.uniform(1500.0, 6000.0))
             gate = GateSpec(spectral=HermiteGaussSpec(
                 order=0, scale=rng.uniform(70.0, 120.0)))
             signal = SignalBeamSpec(waist_s_um=rng.uniform(60.0, 200.0),
@@ -296,7 +297,7 @@ class TestCovariance:
 
 class TestSingleModeRate:
     def test_normalized_probability_value(self):
-        preset = preset_bbo(1, "co").with_length(2000.0)
+        preset = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         p_norm = single_mode_rate(preset, gate, 1e-3).p_norm_m2_per_j
         assert p_norm == pytest.approx(0.2065117391181664, rel=1e-9)
@@ -304,7 +305,7 @@ class TestSingleModeRate:
         assert p_norm == pytest.approx(0.21, abs=0.02)
 
     def test_event_rate(self):
-        preset = preset_bbo(1, "co").with_length(2000.0)
+        preset = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0),
                         waist_g_um=1000.0, energy_j=10e-9, rep_rate_hz=80e6)
         result = single_mode_rate(preset, gate, 6.3154e-3)
@@ -313,8 +314,8 @@ class TestSingleModeRate:
         assert abs(result.rate_hz - 370.0) / 370.0 < 0.30
 
     def test_rate_scales_with_nonlinearity_squared(self):
-        base = preset_bbo(1, "co").with_length(2000.0)
-        doubled = preset_bbo(1, "co", d_eff_pm_v=4.0).with_length(2000.0)
+        base = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
+        doubled = replace(PRESETS["bbo-phi1-co"], d_eff_pm_v=4.0, length_um=2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         r1 = single_mode_rate(base, gate, 1e-3)
         r2 = single_mode_rate(doubled, gate, 1e-3)
@@ -322,8 +323,8 @@ class TestSingleModeRate:
 
     def test_length_scalings(self):
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
-        p1 = preset_bbo(1, "co").with_length(2000.0)
-        p2 = preset_bbo(1, "co").with_length(4000.0)
+        p1 = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
+        p2 = replace(PRESETS["bbo-phi1-co"], length_um=4000.0)
         r1 = single_mode_rate(p1, gate, 1e-3)
         r2 = single_mode_rate(p2, gate, 1e-3)
         assert r2.p_norm_m2_per_j == pytest.approx(2.0 * r1.p_norm_m2_per_j, rel=1e-12)
@@ -333,10 +334,10 @@ class TestSingleModeRate:
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0),
                         waist_g_um=300.0)
         signal = SignalBeamSpec(waist_s_um=100.0, spectral_tau_fs=94.0)
-        short = preset_bbo(1, "co").with_length(2000.0)
+        short = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
         assert not single_mode_ok(characteristic_scales(short, gate), short)  # l < 3 l0
         assert not plane_wave_ok(gate, signal)   # waist ratio only 3x
-        long = preset_bbo(1, "co").with_length(11663.4)
+        long = replace(PRESETS["bbo-phi1-co"], length_um=11663.4)
         wide_gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         assert single_mode_ok(characteristic_scales(long, wide_gate), long)
         assert plane_wave_ok(wide_gate, signal)
@@ -360,7 +361,7 @@ class TestSingleModeRate:
     def test_negative_photon_number_rejected(self):
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         with pytest.raises(DomainError):
-            single_mode_rate(preset_bbo(1, "co"), gate, -1.0)
+            single_mode_rate(PRESETS["bbo-phi1-co"], gate, -1.0)
 
     def test_probability_reduction_symbolic(self):
         # verify the closed-form normalized probability against the raw
@@ -381,7 +382,7 @@ class TestSingleModeRate:
         assert sp.simplify(p_norm - expected) == 0
 
     def test_prefactor_times_lambda_equals_probability(self):
-        preset = preset_bbo(1, "co").with_length(2000.0)
+        preset = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
         n = 6.3154e-3
         direct = single_mode_rate(preset, gate, n).probability

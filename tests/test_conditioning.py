@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
+from modesub import (PRESETS, GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
                      build_kernel, comb_subtraction_experiment, conditioned_state,
                      decompose, flat_comb, kernel_gram, overlap_matrix,
-                     photons_from_squeezing, preset_bbo, uniform_grid)
+                     photons_from_squeezing, uniform_grid)
 from modesub.analytic import build_covariance, conversion_prefactor_fs
 from modesub.conditioning import (CombState, ConditioningError, _weight_and_purity,
                                   comb_from_csv)
@@ -90,7 +91,7 @@ class TestOverlapMatrix:
 
     def test_row_norms_bounded(self, bbo1co, signal_opt):
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=TAU_S))
-        result = decompose(build_kernel(bbo1co.with_length(2000.0), gate, signal_opt))
+        result = decompose(build_kernel(replace(bbo1co, length_um=2000.0), gate, signal_opt))
         comb = flat_comb(tau_s_fs=TAU_S)
         overlap = overlap_matrix(result.modes[:8], comb, result.omega_s)
         norms = np.sum(np.abs(overlap) ** 2, axis=1)
@@ -99,7 +100,7 @@ class TestOverlapMatrix:
     def test_matched_gate_targets_the_matched_mode(self, signal_opt):
         # deep in the single-mode regime the first subtraction mode is the
         # gate spectrum, hence overlaps only the matched comb mode
-        preset = preset_bbo(1, "co").with_length(11663.4)
+        preset = replace(PRESETS["bbo-phi1-co"], length_um=11663.4)
         gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=TAU_S))
         cfg = GridConfig(n_omega_c=384)
         result = decompose(build_kernel(preset, gate, signal_opt, cfg))
@@ -116,7 +117,7 @@ class TestOverlapMatrix:
         leaks = {}
         for label, tau_g in (("matched", TAU_S), ("broader", TAU_S / 2.0)):
             gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=tau_g))
-            result = decompose(build_kernel(bbo1co.with_length(2000.0), gate,
+            result = decompose(build_kernel(replace(bbo1co, length_um=2000.0), gate,
                                             signal_opt))
             row = np.abs(overlap_matrix(result.modes[:1], comb,
                                         result.omega_s)[0]) ** 2
@@ -366,7 +367,7 @@ class TestExperiment:
                         waist_g_um=1000.0, energy_j=10e-9, rep_rate_hz=80e6)
         comb = flat_comb(tau_s_fs=TAU_S)
         cfg = GridConfig(n_omega_c=96, n_q=96, n_omega_s=96)
-        results = comb_subtraction_experiment(bbo1co.with_length(2000.0), gate,
+        results = comb_subtraction_experiment(replace(bbo1co, length_um=2000.0), gate,
                                               signal, comb, gate_orders=(0, 1, 2),
                                               config=cfg)
         purities = [r.condition.purity for r in results]
@@ -399,7 +400,7 @@ class TestExperiment:
                         waist_g_um=1000.0)
         comb = flat_comb(n_modes=8, tau_s_fs=TAU_S)
         cfg = GridConfig(n_omega_c=64, n_q=64, n_omega_s=64)
-        results = comb_subtraction_experiment(bbo1co.with_length(2000.0), gate,
+        results = comb_subtraction_experiment(replace(bbo1co, length_um=2000.0), gate,
                                               signal, comb, gate_orders=(0,),
                                               config=cfg)
         assert results[0].condition.purity > 0

@@ -13,7 +13,7 @@ import pytest
 from modesub import GridConfig, _blas, build_kernel, decompose, kernel_gram
 from modesub.analytic import single_mode_rate
 from modesub.cli import build_parser, main
-from modesub.config import _SCHEMA, ConfigError, load_config, resolve, schema
+from modesub.config import _AXIS_KEYS, _SCHEMA, ConfigError, load_config, resolve, schema
 from modesub.dispersion import convert_bandwidth
 from modesub.kernel import MAX_Q_DRIFT, MIN_AXIS_POINTS, MIN_MASS_CAPTURED, derive_grids
 from modesub.scan import (N_LEADING_MODES, ScanFailed, run_scan, write_condition_summary,
@@ -261,6 +261,16 @@ class TestResolve:
         assert json.loads(meta.read_text())["config"]["crystal"]["n_s"] is None
         assert load_config(meta).resolved == config.resolved
 
+    def test_inline_run_meta_round_trips(self, tmp_path):
+        config = resolve({"crystal": {**INLINE_CRYSTAL, "n_g": 1.7},
+                          "scan": {"axes": [{"variable": "phi_deg", "min": -2.0,
+                                             "max": 2.0, "count": 3}]}})
+        loaded = load_config(write_run_meta(tmp_path, config, 0.0))
+        assert loaded.resolved == config.resolved
+        assert loaded.preset() == config.preset()
+        assert loaded.preset().n_g == 1.7
+        assert loaded.scan_points() == config.scan_points()
+
     def test_scan_axis_validation(self):
         with pytest.raises(ConfigError, match="scan.axes"):
             resolve({"scan": {"axes": [{"variable": "l_mm", "min": 1, "max": 2,
@@ -359,6 +369,10 @@ class TestResolve:
         assert dump["gate"]["tau_fs"]["default"] == 94.0
         assert set(dump["scan"]["axes"]["variables"]) == {
             "l_mm", "w_um", "phi_deg", "gate_order"}
+        axis_doc = dump["scan"]["axes"]["doc"]
+        for key in _AXIS_KEYS:
+            assert re.search(rf"\b{key}\b", axis_doc), key
+        assert "'linear'" in axis_doc and "'log'" in axis_doc
 
 
 class TestRunScan:
@@ -438,7 +452,7 @@ class TestRunScan:
         run_scan(config, tmp_path)
         lines = (tmp_path / "scan_table.csv").read_text().splitlines()
         assert len(lines) == 2
-        direct = decompose(kernel_gram(bbo1co.with_length(2000.0), gate94,
+        direct = decompose(kernel_gram(replace(bbo1co, length_um=2000.0), gate94,
                                        signal_opt, GridConfig(**SMALL_GRID)))
         assert float(lines[1].split(",")[4]) == direct.schmidt_number
 
@@ -701,7 +715,7 @@ class TestCli:
         (row,) = json.loads(capsys.readouterr().out)
         config = load_config(path)
         n1 = 80.0 / config.comb().finesse
-        preset = config.preset().with_length(row["l_um"])
+        preset = replace(config.preset(), length_um=row["l_um"])
         expected = single_mode_rate(preset, config.gate(), n1).rate_hz
         assert row["rate_hz"] == pytest.approx(expected, rel=1e-12)
 
@@ -767,7 +781,8 @@ class TestCli:
         assert main(["scan", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert "numerical failure: all 2 scan points failed" in captured.err
-        assert captured.out == f"wrote {tmp_path / 'run_meta.json'}\n"
+        assert captured.out == (f"wrote {tmp_path / 'scan_table.csv'}\n"
+                                f"wrote {tmp_path / 'run_meta.json'}\n")
         table = (tmp_path / "scan_table.csv").read_text().splitlines()
         assert len(table) == 3 and all(",error: " in row for row in table[1:])
         assert load_config(tmp_path / "run_meta.json").resolved == load_config(path).resolved

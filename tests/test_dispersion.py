@@ -1,18 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from modesub import (C_UM_PER_FS, PRESETS, CrystalPreset, bandwidth_from_tau,
-                     convert_bandwidth, preset_bbo, preset_by_name)
-from modesub.dispersion import ConfigurationError
+from modesub import C_UM_PER_FS, PRESETS, CrystalPreset, convert_bandwidth
 
 from conftest import delta_k
 
 
 class TestPresets:
     def test_bbo_phi1_co_values(self):
-        p = preset_bbo(1, "co")
+        p = PRESETS["bbo-phi1-co"]
         assert p.kp_s == pytest.approx(1.683 / C_UM_PER_FS, rel=1e-12)
         assert p.kp_s == pytest.approx(5.6139, abs=1e-4)
         assert p.kp_c == pytest.approx(5.8107, abs=1e-4)
@@ -23,47 +22,39 @@ class TestPresets:
         assert p.d_eff_pm_v == 2.0
 
     def test_bbo_phi5_values(self):
-        p = preset_bbo(5, "co")
+        p = PRESETS["bbo-phi5-co"]
         assert p.kp_c == pytest.approx(5.7873, abs=1e-4)
         assert p.theta_pm == pytest.approx(math.radians(32.4), rel=1e-12)
         assert p.rho == pytest.approx(math.radians(4.1), rel=1e-12)
 
     def test_counter_flips_only_phi_sign(self):
-        co = preset_bbo(1, "co")
-        ct = preset_bbo(1, "counter")
+        co = PRESETS["bbo-phi1-co"]
+        ct = PRESETS["bbo-phi1-counter"]
         assert ct.phi == -co.phi
         assert ct.rho == co.rho
         assert (ct.kp_s, ct.kp_c, ct.theta_pm) == (co.kp_s, co.kp_c, co.theta_pm)
         assert np.sign(ct.phi) == -np.sign(ct.rho)
 
     def test_collinear_group_velocity_shared_by_both_cuts(self):
-        assert preset_bbo(1, "co").kp_c_collinear == preset_bbo(5, "co").kp_c_collinear
-        assert preset_bbo(1, "co").kp_c_collinear == pytest.approx(
-            1.742 / C_UM_PER_FS, rel=1e-12)
+        p1, p5 = PRESETS["bbo-phi1-co"], PRESETS["bbo-phi5-co"]
+        assert p1.kp_c_collinear == p5.kp_c_collinear
+        assert p1.kp_c_collinear == pytest.approx(1.742 / C_UM_PER_FS, rel=1e-12)
 
-    def test_untabulated_configuration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            preset_bbo(3, "co")
-        with pytest.raises(ConfigurationError):
-            preset_bbo(1, "sideways")
-
-    def test_preset_by_name(self):
-        assert preset_by_name("bbo-phi5-counter").phi < 0
+    def test_presets_keyed_by_name(self):
+        assert PRESETS["bbo-phi5-counter"].phi == -math.radians(5.0)
         assert list(PRESETS) == ["bbo-phi1-co", "bbo-phi1-counter", "bbo-phi5-co",
                                  "bbo-phi5-counter"]
         for name, preset in PRESETS.items():
-            assert preset_by_name(name) is preset and preset.name == name
-        assert PRESETS["bbo-phi5-counter"] == preset_bbo(5, "counter")
-        with pytest.raises(ConfigurationError, match="available"):
-            preset_by_name("ktp-phi1-co")
+            assert preset.name == name
+            assert (preset.length_um, preset.d_eff_pm_v) == (2000.0, 2.0)
 
     def test_invariants_enforced(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             CrystalPreset(name="x", lambda_s_um=0.8, kp_s=5.8, kp_c=5.6,
                           rho=0.05, phi=0.01, theta_pm=0.5)
-        with pytest.raises(ConfigurationError):
-            preset_bbo(1, "co").with_length(-1.0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
+            replace(PRESETS["bbo-phi1-co"], length_um=-1.0)
+        with pytest.raises(ValueError):
             CrystalPreset(name="x", lambda_s_um=0.8, kp_s=5.6, kp_c=5.8,
                           rho=0.05, phi=math.radians(25.0), theta_pm=0.5)
 
@@ -71,7 +62,7 @@ class TestPresets:
         args = dict(name="x", lambda_s_um=0.8, kp_s=5.6, kp_c=5.8, rho=0.05,
                     phi=0.01, theta_pm=0.5)
         assert CrystalPreset(**args).kp_c_collinear == 5.8
-        with pytest.raises(ConfigurationError, match="kp_c_collinear > kp_s"):
+        with pytest.raises(ValueError, match="kp_c_collinear > kp_s"):
             CrystalPreset(**args, kp_c_collinear=5.0)
 
 
@@ -95,11 +86,11 @@ class TestDeltaK:
     @pytest.mark.parametrize("preset_args", [(1, "co"), (1, "counter"),
                                              (5, "co"), (5, "counter")])
     def test_zero_at_carrier(self, preset_args):
-        p = preset_bbo(*preset_args)
+        p = PRESETS["bbo-phi{}-{}".format(*preset_args)]
         assert delta_k(p, 0.0, 0.0, 0.0) == 0.0
 
     def test_hand_evaluated_slope(self):
-        p = preset_bbo(1, "co")
+        p = PRESETS["bbo-phi1-co"]
         expected = (p.kp_c - p.kp_s * math.cos(p.phi)
                     + p.kp_s * math.tan(p.phi) * math.sin(p.phi)) * 0.02
         assert delta_k(p, 0.02, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
@@ -108,7 +99,7 @@ class TestDeltaK:
     def test_matches_conservation_chain_up_to_sign(self, preset_args, rng):
         # the returned value follows the sinc-argument convention, which is
         # the negative of the raw conservation-law mismatch; sinc is even
-        p = preset_bbo(*preset_args)
+        p = PRESETS["bbo-phi{}-{}".format(*preset_args)]
         for _ in range(20):
             wc, ws = rng.normal(0, 0.05, 2)
             qc = rng.normal(0, 0.04)
@@ -116,7 +107,7 @@ class TestDeltaK:
             assert delta_k(p, wc, qc, ws) == pytest.approx(-chain, rel=1e-10)
 
     def test_linear_in_each_argument(self, rng):
-        p = preset_bbo(5, "co")
+        p = PRESETS["bbo-phi5-co"]
         base = np.array([0.013, -0.021, 0.008])
         for axis in range(3):
             steps = rng.uniform(0.5, 2.0, 4)
@@ -140,13 +131,7 @@ class TestBandwidth:
         assert convert_bandwidth(3.0, 0.795) == pytest.approx(
             2.0 * convert_bandwidth(6.0, 0.795), rel=1e-12)
 
-    def test_round_trip(self):
-        tau = convert_bandwidth(6.0, 0.795)
-        assert bandwidth_from_tau(tau, 0.795) == pytest.approx(6.0, rel=1e-12)
-
     @pytest.mark.parametrize("bad", [0.0, -3.0])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             convert_bandwidth(bad, 0.795)
-        with pytest.raises(ValueError):
-            bandwidth_from_tau(bad, 0.795)

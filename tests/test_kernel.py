@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
                      build_kernel, decompose, kernel_gram)
-from modesub.dispersion import kernel_forms, preset_by_name
+from modesub.dispersion import PRESETS, kernel_forms
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
 from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
                             MIN_MASS_CAPTURED, Q_ALIAS_TOL, SINC_SERIES_BELOW,
@@ -143,7 +144,7 @@ class TestBuildKernel:
         assert np.array_equal(grams[0].gram, grams[1].gram)
 
     def test_resolution_guard(self, bbo1co, gate94, signal_opt):
-        long_crystal = bbo1co.with_length(11663.4)
+        long_crystal = replace(bbo1co, length_um=11663.4)
         with pytest.raises(KernelResolutionError):
             build_kernel(long_crystal, gate94, signal_opt,
                          GridConfig(n_omega_c=64, n_q=48, n_omega_s=48))
@@ -160,7 +161,7 @@ class TestBuildKernel:
         # the surrogate's Gaussian tails are negligible past 1.5 x the spans,
         # so the box norm is the closed form to rounding, for any gate order;
         # span_scale widens the Omega spans, span_q the q_c span
-        preset = preset_by_name("bbo-phi1-co").with_length(l_um)
+        preset = replace(PRESETS["bbo-phi1-co"], length_um=l_um)
         gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
         s_q = derive_grids(preset, gate, signal_opt,
                            GridConfig(phase_matching="gaussian"))[1].points[-1]
@@ -171,7 +172,7 @@ class TestBuildKernel:
     def test_sinc_mass_outside_the_box_falls_as_one_over_span(self, gate94, signal_opt):
         # the sinc^2 tails past X x the spans hold a share ~ 1/X of the norm
         # (l = 1 mm: 0.0662 and 0.0329 at X = 1 and 2, same step)
-        preset = preset_by_name("bbo-phi1-co").with_length(1000.0)
+        preset = replace(PRESETS["bbo-phi1-co"], length_um=1000.0)
         outside = [(1.0 - kernel_gram(preset, gate94, signal_opt,
                                       GridConfig(n_omega_c=n, n_omega_s=n, span_scale=x)
                                       ).diagnostics["mass_captured"]) * x
@@ -180,7 +181,7 @@ class TestBuildKernel:
 
     def test_mass_captured_does_not_depend_on_the_step(self, gate94):
         # one box at two steps holds one share of the norm
-        preset = preset_by_name("bbo-phi1-co").with_length(1000.0)
+        preset = replace(PRESETS["bbo-phi1-co"], length_um=1000.0)
         signal = SignalBeamSpec(waist_s_um=200.0, spectral_tau_fs=TAU_COMB_FS)
         coarse, fine = (kernel_gram(preset, gate94, signal, GridConfig(n, n, n))
                         .diagnostics["mass_captured"] for n in (64, 128))
@@ -246,7 +247,7 @@ class TestDerivedQAxis:
         # l and w_s corners, gate orders 0 and 2: the derived axis moves no
         # number by more than 1e-8 and raises where 128 points raise
         for l_um in (1000.0, 4000.0):
-            preset = preset_by_name(preset_name).with_length(l_um)
+            preset = replace(PRESETS[preset_name], length_um=l_um)
             for w_s in (50.0, 200.0):
                 for order in (0, 2):
                     derived = conditioned(preset, order, w_s, phase_matching, None)
@@ -278,7 +279,7 @@ class TestDerivedQAxis:
         # the largest step that fits: one point fewer aliases
         assert band_and_lobe(bbo1co, g_q, g_q.size - 1)[0] < 1.0
         # a long crystal's q lobe, not the beam, sets the step
-        long = bbo1co.with_length(11663.4)
+        long = replace(bbo1co, length_um=11663.4)
         g_long = derive_grids(long, gate94, signal_opt, GridConfig())[1]
         alias, lobe = band_and_lobe(long, g_long, g_long.size)
         assert alias > 1.0 and lobe >= MIN_LOBE_POINTS
@@ -289,14 +290,14 @@ class TestDerivedQAxis:
     @pytest.mark.parametrize("w_s", [50.0, 200.0])
     def test_lattice_corners_take_at_most_29_points(self, gate94, l_um, w_s):
         # the aliasing bound, not a fixed step per waist, sizes the axis
-        preset = preset_by_name("bbo-phi1-co").with_length(l_um)
+        preset = replace(PRESETS["bbo-phi1-co"], length_um=l_um)
         signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
         assert derive_grids(preset, gate94, signal, GridConfig())[1].size <= 29
 
     def test_span_holds_the_beam_drift(self, gate94):
         # phi = 5 deg co, w_s = 200 um: the beam centre drifts 3.2 of the
         # beam's own 5 / w_s over the Omega box, so the drift sets the span
-        preset = preset_by_name("bbo-phi5-co").with_length(4000.0)
+        preset = replace(PRESETS["bbo-phi5-co"], length_um=4000.0)
         signal = SignalBeamSpec(waist_s_um=200.0, spectral_tau_fs=TAU_COMB_FS)
         gram = kernel_gram(preset, gate94, signal)
         assert gram.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
@@ -328,7 +329,7 @@ class TestFirstPrinciples:
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_every_sample_matches(self, signal_opt, order, preset_name,
                                   phase_matching, shape):
-        preset = preset_by_name(preset_name)
+        preset = PRESETS[preset_name]
         gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
         cfg = GridConfig(*shape, phase_matching=phase_matching)
         k = build_kernel(preset, gate, signal_opt, cfg, check=False)
@@ -354,7 +355,7 @@ class TestWideSignalBeam:
     def test_span_error_without_a_warning(self, gate94, preset_name):
         # the q_c span holds the beam's drift, so no span error either;
         # filterwarnings = error turns any overflow warning into a failure
-        preset = preset_by_name(preset_name)
+        preset = PRESETS[preset_name]
         for build in (kernel_gram, build_kernel):
             kernel = build(preset, gate94, self.WIDE)
             assert kernel.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
@@ -362,7 +363,7 @@ class TestWideSignalBeam:
 
     @pytest.mark.parametrize("preset_name", ["bbo-phi5-co", "bbo-phi5-counter"])
     def test_unchecked_values_match_first_principles(self, gate94, preset_name):
-        preset = preset_by_name(preset_name)
+        preset = PRESETS[preset_name]
         k = build_kernel(preset, gate94, self.WIDE, GridConfig(64, 64, 64), check=False)
         expected, _ = first_principles(k, preset, gate94, self.WIDE)
         assert_matches_everywhere(k.values, expected)
@@ -407,7 +408,7 @@ class TestPointSymmetry:
         cfg = GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41,
                          phase_matching=phase_matching)
         # the symmetry is algebraic; coarse spans need not pass the checks
-        k = build_kernel(preset_by_name(preset_name), gate, signal_opt, cfg,
+        k = build_kernel(PRESETS[preset_name], gate, signal_opt, cfg,
                          check=False)
         for grid in (k.omega_c, k.q_c, k.omega_s):
             assert np.array_equal(grid.points, -grid.points[::-1])

@@ -6,9 +6,9 @@ import pytest
 
 from modesub import _blas
 from modesub import kernel as kernel_mod
-from modesub import (CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
+from modesub import (PRESETS, CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
                      KernelGrid, ScanPoint, SignalBeamSpec, build_kernel,
-                     decompose, gram_matrix, kernel_gram, preset_bbo,
+                     decompose, gram_matrix, kernel_gram,
                      schmidt_number_scan, uniform_grid)
 from modesub.config import resolve
 from modesub.kernel import (BLOCK_SAMPLES, GAMMA_SINC, KernelGram,
@@ -247,7 +247,7 @@ class TestStreamedGram:
         elif case == "gaussian":
             cfg = replace(cfg, phase_matching="gaussian")
         elif case == "counter":
-            preset = preset_bbo(5, "counter")
+            preset = PRESETS["bbo-phi5-counter"]
             cfg = GridConfig(n_omega_c=128, n_q=96, n_omega_s=96)
         elif case == "partial-block":
             # the last block of whole q_c planes holds fewer than the others
@@ -276,7 +276,7 @@ class TestStreamedGram:
     ])
     def test_same_errors_as_dense_oracle(self, bbo1co, gate94, signal_opt,
                                          length_um, cfg, error):
-        preset = bbo1co.with_length(length_um)
+        preset = replace(bbo1co, length_um=length_um)
         with pytest.raises(error) as dense:
             build_kernel(preset, gate94, signal_opt, cfg)
         with pytest.raises(error) as streamed:
@@ -295,7 +295,7 @@ class TestScan:
     def test_longer_crystal_less_multimode_along_optimal_focus(self, bbo1co, gate94):
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=93.12)
         lengths = [2000.0, 4000.0, 8000.0, 16000.0]
-        points = [ScanPoint(bbo1co.with_length(l), gate94, signal) for l in lengths]
+        points = [ScanPoint(replace(bbo1co, length_um=l), gate94, signal) for l in lengths]
         cfg = GridConfig(n_omega_c=256, n_q=64, n_omega_s=64)
         rows = schmidt_number_scan(points, cfg)
         ks = [r.schmidt_number for r in rows]
@@ -318,7 +318,7 @@ class TestScan:
     def test_failures_recorded_in_row(self, bbo1co, gate94, signal_opt):
         # the long crystal's lobe is too narrow for 48 Omega_c points
         points = [ScanPoint(bbo1co, gate94, signal_opt),
-                  ScanPoint(bbo1co.with_length(11663.4), gate94, signal_opt)]
+                  ScanPoint(replace(bbo1co, length_um=11663.4), gate94, signal_opt)]
         cfg = GridConfig(n_omega_c=48, n_q=48, n_omega_s=48)
         with pytest.raises(KernelResolutionError) as raised:
             kernel_gram(points[1].preset, gate94, signal_opt, cfg)
