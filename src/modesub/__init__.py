@@ -18,7 +18,7 @@ from .config import ScanPoint
 from .dispersion import C_UM_PER_FS, PRESETS, CrystalPreset, convert_bandwidth
 from .kernel import (GateSpec, GridConfig, KernelGram, KernelGrid, SignalBeamSpec,
                      build_kernel, kernel_gram)
-from .modes import HermiteGaussSpec, QuadGrid, uniform_grid
+from .modes import QuadGrid, uniform_grid
 from .scan import schmidt_number_scan
 from .schmidt import SchmidtResult, decompose, gram_matrix
 
@@ -30,7 +30,6 @@ __all__ = [
     "CrystalPreset",
     "GateSpec",
     "GridConfig",
-    "HermiteGaussSpec",
     "KernelGram",
     "KernelGrid",
     "PRESETS",

@@ -3,12 +3,13 @@
 The solve path (:func:`~modesub.kernel.kernel_gram`, and
 :func:`~modesub.schmidt.decompose` or the scan's eigenvalue-only solve)
 hands BLAS only small problems: a syrk per block of about 500 x 128
-samples and one ``eigh`` or ``eigvalsh`` call per parity block of about
-64 x 64.  A second OpenBLAS thread does not pay for itself there, and after
-each call it spin-waits on the other core, which slows the numpy passes
-that follow (the sampler's and the solve's) by up to 3.5x on a
-two-core machine.  :func:`one_blas_thread` runs a call at one thread and
-puts the count back afterwards.
+samples and one ``eigh`` per parity block of about 64 x 64, or for the
+scan one ``eigvalsh`` where the blocks' traces allow.  A second OpenBLAS
+thread does not pay for itself there, and after each call it spin-waits
+on the other core, which slows the numpy passes that follow (the
+sampler's and the solve's) by up to 3.5x on a two-core machine.
+:func:`one_blas_thread` runs a call at one thread and puts the count back
+afterwards.
 
 The thread count is set through the OpenBLAS that numpy's wheels bundle in
 ``numpy.libs`` (``libscipy_openblas*``), found on first use, so importing
@@ -26,6 +27,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+# the variables that set BLAS and OpenMP thread counts at library load
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @functools.cache
@@ -79,7 +83,8 @@ def one_blas_thread():
 @functools.cache
 def environment() -> dict:
     """numpy, its BLAS, the BLAS threads outside the solve, whether the
-    solve ran at one thread, and the CPU count; read once per process."""
+    solve ran at one thread, the CPU count and each of
+    :data:`THREAD_VARIABLES` (None when unset); read once per process."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):   # numpy < 1.26 has no "dicts" mode
@@ -88,4 +93,5 @@ def environment() -> dict:
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "blas_threads": blas_threads(),
             "solve_single_thread": _openblas() is not None,
-            "nproc": os.cpu_count()}
+            "nproc": os.cpu_count(),
+            **{name: os.environ.get(name) for name in THREAD_VARIABLES}}

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 numerical
-failure (every scan point failed), 3 I/O error.
+failure (a grid that cannot resolve or hold the kernel, a failed
+eigensolve, or every scan point failed), 3 I/O error.
 
 Every command that writes a directory (``kernel``, ``schmidt``, ``scan``,
 ``subtract``, and ``gaussian`` given ``--output-dir``) runs one path
@@ -23,9 +24,9 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, resolve, schema
 from .dispersion import PRESETS
-from .scan import (ScanFailed, gaussian_table_text, run_scan, write_condition_summary,
-                   write_gaussian_table, write_kernel_csv, write_modes_csv,
-                   write_run_meta)
+from .scan import (NUMERICAL_FAILURES, ScanFailed, gaussian_table_text, run_scan,
+                   write_condition_summary, write_gaussian_table, write_kernel_csv,
+                   write_modes_csv, write_run_meta)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -68,6 +69,10 @@ def cmd_write(args, **options) -> int:
     """Create the output directory, run the command's writer there, record
     the run in run_meta.json and print every path written.
 
+    A numerical failure (:data:`~modesub.scan.NUMERICAL_FAILURES`, or a
+    scan whose every point failed) exits 2, and run_meta.json is still
+    written.
+
     The writers are looked up here, when the command runs, not bound at
     import, so a caller that replaces one in this module (a tracer) sees
     the call.
@@ -82,9 +87,9 @@ def cmd_write(args, **options) -> int:
     code = EXIT_OK
     try:
         paths = writer(config, directory, **options)
-    except ScanFailed as exc:
+    except (ScanFailed, *NUMERICAL_FAILURES) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        code, paths = EXIT_NUMERICAL, exc.paths
+        code, paths = EXIT_NUMERICAL, getattr(exc, "paths", [])
     paths.append(write_run_meta(directory, config, time.monotonic() - t0))
     for path in paths:
         print(f"wrote {path}")

@@ -27,7 +27,7 @@ import numpy as np
 from .analytic import conversion_prefactor_fs
 from .dispersion import CrystalPreset
 from .kernel import GateSpec, GridConfig, SignalBeamSpec, kernel_gram
-from .modes import HermiteGaussSpec, QuadGrid, hermite_gauss_table
+from .modes import QuadGrid, hermite_gauss_table
 from .schmidt import SchmidtResult, decompose
 
 
@@ -214,8 +214,7 @@ def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
     config = config or GridConfig()
     results = []
     for order in gate_orders:
-        spectral = HermiteGaussSpec(order=order, scale=gate.tau_g)
-        gate_o = dc_replace(gate, spectral=spectral)
+        gate_o = dc_replace(gate, order=order)
         gram = kernel_gram(preset, gate_o, signal, config)
         schmidt = decompose(gram)
         results.append(ExperimentResult(

@@ -55,7 +55,6 @@ from .conditioning import CombState, comb_from_csv, flat_comb
 from .dispersion import BBO_PHI_MAX_RAD, PRESETS, CrystalPreset, convert_bandwidth
 from .kernel import (MIN_AXIS_POINTS, MIN_LOBE_POINTS, Q_ALIAS_TOL, GateSpec,
                      GridConfig, SignalBeamSpec)
-from .modes import HermiteGaussSpec
 
 
 class ConfigError(ValueError):
@@ -236,8 +235,7 @@ _SCAN_SETTERS: dict[str, Callable[[ScanPoint, float], ScanPoint]] = {
     "l_mm": lambda p, v: replace(p, preset=replace(p.preset, length_um=v * 1e3)),
     "w_um": lambda p, v: replace(p, signal=replace(p.signal, waist_s_um=v)),
     "phi_deg": lambda p, v: replace(p, preset=replace(p.preset, phi=math.radians(v))),
-    "gate_order": lambda p, v: replace(p, gate=replace(
-        p.gate, spectral=replace(p.gate.spectral, order=v))),
+    "gate_order": lambda p, v: replace(p, gate=replace(p.gate, order=v)),
 }
 _SCAN_VARIABLES = tuple(_SCAN_SETTERS)
 _AXIS_KEYS = ("variable", "values", "min", "max", "count", "spacing")
@@ -319,11 +317,9 @@ class RunConfig:
 
     def gate(self) -> GateSpec:
         g = self.resolved["gate"]
-        return GateSpec(
-            spectral=HermiteGaussSpec(order=g["order"], scale=g["tau_fs"]),
-            waist_g_um=g["waist_mm"] * 1e3,
-            energy_j=g["energy_nj"] * 1e-9,
-            rep_rate_hz=g["rep_rate_mhz"] * 1e6)
+        return GateSpec(order=g["order"], tau_g=g["tau_fs"],
+                        waist_g_um=g["waist_mm"] * 1e3, energy_j=g["energy_nj"] * 1e-9,
+                        rep_rate_hz=g["rep_rate_mhz"] * 1e6)
 
     def signal(self) -> SignalBeamSpec:
         return SignalBeamSpec(waist_s_um=self.resolved["signal"]["waist_um"],

@@ -27,11 +27,10 @@ continuum ||L||^2 (:func:`continuum_norm_sq`) in the box, whatever the step.
 The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
 (-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
 form with no constant term, the gate is carrier-centred (a
-:class:`~modesub.modes.HermiteGaussSpec` has no centre) and the HG mode has
-parity (-1)^order, and the :func:`~modesub.modes.uniform_grid` axes are
-antisymmetric to the last bit, so the identity holds bit for bit on the
-sampled array.  The Gram matrix only sees products of two samples, so the
-sign drops out: :func:`kernel_gram`, and only it, samples the Omega_c rows
+:class:`GateSpec` has no centre) and the HG mode has parity (-1)^order,
+and the :func:`~modesub.modes.uniform_grid` axes are antisymmetric to the
+last bit, so the identity holds bit for bit on the sampled array.  The
+Gram matrix only sees products of two samples, so the sign drops out: :func:`kernel_gram`, and only it, samples the Omega_c rows
 [0, ceil(n_c/2)) and completes its sum by reflection, the centre row of an
 odd axis, which mirrors onto itself, entering at half weight.
 
@@ -64,6 +63,7 @@ absolute probability scale of the conditioning stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -71,8 +71,8 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .dispersion import CrystalPreset, kernel_forms
-from .modes import (SPAN_SIGMAS, HermiteGaussSpec, QuadGrid, default_half_span,
-                    hermite_gauss_values, uniform_grid)
+from .modes import (SPAN_SIGMAS, QuadGrid, default_half_span, hermite_gauss_values,
+                    uniform_grid)
 
 # sinc(x) ~ exp(-GAMMA_SINC x^2) matches the full width at half maximum
 GAMMA_SINC = 0.193
@@ -109,24 +109,25 @@ class KernelSpanError(ValueError):
 
 @dataclass(frozen=True)
 class GateSpec:
-    """Gate pulse: HG spectral profile, transverse waist, pulse energy."""
+    """Gate pulse: carrier-centred HG spectral profile of order ``order`` and
+    time scale ``tau_g`` (fs), transverse waist, pulse energy."""
 
-    spectral: HermiteGaussSpec                  # tau_g in fs
+    order: int
+    tau_g: float
     waist_g_um: float = 1000.0
     energy_j: float = 10e-9
     rep_rate_hz: float = 80e6
 
     def __post_init__(self):
+        if not (math.isfinite(self.order) and self.order >= 0
+                and int(self.order) == self.order):
+            raise ValueError(f"order must be a non-negative integer, got {self.order}")
+        if self.tau_g <= 0:
+            raise ValueError(f"tau_g must be positive, got {self.tau_g}")
         if self.waist_g_um <= 0 or self.energy_j < 0 or self.rep_rate_hz <= 0:
             raise ValueError("gate waist, energy and repetition rate must be positive")
-
-    @property
-    def tau_g(self) -> float:
-        return self.spectral.scale
-
-    @property
-    def order(self) -> int:
-        return self.spectral.order
+        # an integral float order (a scan-axis value) becomes the recurrence's int
+        object.__setattr__(self, "order", int(self.order))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ lambda_1, purity and probability by at most 2e-9.  In the worst case found
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,23 +71,6 @@ def uniform_grid(half_span: float, n: int, label: str = "") -> QuadGrid:
     weights = np.full(n, dx)
     weights[0] = weights[-1] = dx / 2.0
     return QuadGrid(points, weights, label)
-
-
-@dataclass(frozen=True)
-class HermiteGaussSpec:
-    """Order and scale of one carrier-centred Hermite-Gauss mode function."""
-
-    order: int
-    scale: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.order) and self.order >= 0
-                and int(self.order) == self.order):
-            raise ValueError(f"order must be a non-negative integer, got {self.order}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        # an integral float order (a scan-axis value) becomes the recurrence's int
-        object.__setattr__(self, "order", int(self.order))
 
 
 def _hermite_functions(order: int, u: np.ndarray):

@@ -38,6 +38,9 @@ from .kernel import (GridConfig, KernelResolutionError, KernelSpanError,
 from .schmidt import DecompositionError, decompose, schmidt_number_and_lead
 
 SCAN_HEADER = "l_um,w_um,phi_deg,gate_order,K,lambda1_frac,status"
+# a grid that cannot resolve or hold the kernel, or a failed eigensolve: a scan
+# records them per point, and a single-point command exits with them
+NUMERICAL_FAILURES = (KernelResolutionError, KernelSpanError, DecompositionError)
 # modes in modes.csv and overlap_matrix.csv, Schmidt weights in condition_summary.json
 N_LEADING_MODES = 6
 
@@ -90,8 +93,7 @@ def schmidt_number_scan(points: Sequence[ScanPoint],
         try:
             gram = kernel_gram(point.preset, point.gate, point.signal, config)
             rows.append(ScanRow(point, *schmidt_number_and_lead(gram)))
-        except (KernelResolutionError, KernelSpanError,
-                DecompositionError) as exc:  # recorded per point, scan continues
+        except NUMERICAL_FAILURES as exc:  # recorded per point, scan continues
             rows.append(ScanRow(point, None, None, status=f"error: {exc}"))
     return rows
 

@@ -16,7 +16,7 @@ like the Hermite-Gauss comb modes it is matched against.
 :func:`decompose` solves the two parities as separate blocks of half the
 size and builds each mode from its half; a Gram that is not point-symmetric
 is an error, not an input to symmetrize.  :func:`schmidt_number_and_lead`
-solves the same blocks for their eigenvalues alone, for a caller that
+solves the same blocks for their top eigenvalue alone, for a caller that
 reads only K and lambda_1.  Both take K = (tr A)^2 / ||A||_F^2 of the
 weighted Gram A, which is (sum lambda)^2 / sum lambda^2 to rounding, so
 the two report the same K to the last bit.  The solve runs at one
@@ -137,11 +137,11 @@ def _parity_vectors(even: np.ndarray, odd: np.ndarray, n: int) -> np.ndarray:
 
 
 def _parity_solve(kernel: KernelGrid | KernelGram, solve):
-    """The weighted Gram of :func:`decompose`, and ``solve`` run on each of
-    its parity blocks (:func:`_parity_blocks`), even then odd.
+    """The weighted Gram of :func:`decompose`, and ``solve`` run on its
+    parity blocks (:func:`_parity_blocks`), passed even then odd.
 
     Returns the square roots of the signal-axis weights, the weighted
-    matrix W^(1/2) G W^(1/2) and the two blocks' results.  Raises
+    matrix W^(1/2) G W^(1/2) and what ``solve`` returned.  Raises
     :class:`DecompositionError` when the Gram is not point-symmetric or
     the solver fails.
     """
@@ -155,7 +155,7 @@ def _parity_solve(kernel: KernelGrid | KernelGram, solve):
     sqrt_w = np.sqrt(kernel.omega_s.weights)
     weighted = sqrt_w[:, None] * gram * sqrt_w[None, :]
     try:
-        solved = tuple(map(solve, _parity_blocks(weighted)))
+        solved = solve(*_parity_blocks(weighted))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(
             f"eigensolver failed on a {weighted.shape[0]}x{weighted.shape[0]} "
@@ -174,12 +174,19 @@ def _schmidt_number(weighted: np.ndarray) -> float:
     return float(np.trace(weighted) ** 2 / np.sum(np.square(weighted)))
 
 
-def _descending(even_vals: np.ndarray, odd_vals: np.ndarray):
-    """The order that sorts the two blocks' eigenvalues descending, and the
-    sorted eigenvalues clipped at zero."""
-    evals = np.concatenate([even_vals, odd_vals])
-    order = np.argsort(-evals, kind="stable")
-    return order, np.clip(evals[order], 0.0, None)
+def _top_eigenvalue(even: np.ndarray, odd: np.ndarray) -> float:
+    """The largest eigenvalue of the two parity blocks, from one ``eigvalsh``
+    where their traces allow.
+
+    Every eigenvalue of a positive-semidefinite block is at most its trace,
+    so the block with the smaller trace is solved only when its trace
+    exceeds the top eigenvalue of the other.
+    """
+    first, second = sorted((even, odd), key=np.trace, reverse=True)
+    top = np.linalg.eigvalsh(first)[-1]
+    if np.trace(second) > top:
+        top = max(top, np.linalg.eigvalsh(second)[-1])
+    return float(top)
 
 
 @one_blas_thread()
@@ -208,8 +215,10 @@ def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
     thread slows their ``eigh`` by its spin-wait and speeds up nothing.
     """
     sqrt_w, weighted, ((even_vals, even_vecs), (odd_vals, odd_vecs)) = _parity_solve(
-        kernel, np.linalg.eigh)
-    order, evals = _descending(even_vals, odd_vals)
+        kernel, lambda even, odd: (np.linalg.eigh(even), np.linalg.eigh(odd)))
+    evals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(-evals, kind="stable")
+    evals = np.clip(evals[order], 0.0, None)
     evecs = _parity_vectors(even_vecs, odd_vecs, weighted.shape[0])[:, order]
     keep = evals > NOISE_FLOOR * (evals[0] if evals[0] > 0 else 1.0)
     keep[0] = True
@@ -223,9 +232,10 @@ def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
 
 @one_blas_thread()
 def schmidt_number_and_lead(kernel: KernelGram) -> tuple[float, float]:
-    """K and lambda_1 / sum lambda of :func:`decompose`, from the eigenvalues
-    alone: one ``eigvalsh`` per parity block, at one OpenBLAS thread.  K is
-    :func:`decompose`'s to the last bit; lambda_1 matches it to rounding."""
-    _, weighted, spectra = _parity_solve(kernel, np.linalg.eigvalsh)
-    _, evals = _descending(*spectra)
-    return _schmidt_number(weighted), float(evals[0] / evals.sum())
+    """K and lambda_1 / sum lambda of :func:`decompose`, from the top
+    eigenvalue alone (:func:`_top_eigenvalue`: one ``eigvalsh`` where the
+    block traces allow) over the weighted Gram's trace, at one OpenBLAS
+    thread.  K is :func:`decompose`'s to the last bit; lambda_1 matches it
+    to rounding."""
+    _, weighted, top = _parity_solve(kernel, _top_eigenvalue)
+    return _schmidt_number(weighted), top / float(np.trace(weighted))

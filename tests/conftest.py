@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modesub import PRESETS, CrystalPreset, GateSpec, HermiteGaussSpec, SignalBeamSpec
+from modesub import PRESETS, CrystalPreset, GateSpec, SignalBeamSpec
 from modesub.dispersion import kernel_forms
 
 # tau of a 6 nm FWHM comb mode at 795 nm; the gate matches it in Sec.-V runs
@@ -29,7 +29,7 @@ def bbo1co():
 
 @pytest.fixture(scope="session")
 def gate94():
-    return GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+    return GateSpec(order=0, tau_g=94.0)
 
 
 @pytest.fixture(scope="session")

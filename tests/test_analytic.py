@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 from scipy.optimize import minimize
 
-from modesub import (PRESETS, GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
+from modesub import (PRESETS, GateSpec, GridConfig, SignalBeamSpec,
                      build_covariance, build_kernel, characteristic_scales,
                      covariance_schmidt_number, decompose, kernel_gram,
                      schmidt_number_closed_form, single_mode_rate)
@@ -56,7 +56,7 @@ def random_positive_definite(rng, n):
 def objects_for(phi_deg, sign, l_um, w_um, tau_g=94.0):
     """The crystal, order-0 gate and signal beam of one operating point."""
     preset = replace(PRESETS[f"bbo-phi{phi_deg}-{sign}"], length_um=l_um)
-    gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=tau_g))
+    gate = GateSpec(order=0, tau_g=tau_g)
     signal = SignalBeamSpec(waist_s_um=w_um, spectral_tau_fs=tau_g)
     return preset, gate, signal
 
@@ -219,7 +219,7 @@ class TestCovariance:
             sign = "co" if rng.random() < 0.5 else "counter"
             preset = PRESETS[f"bbo-phi{deg}-{sign}"]
             tau_g = rng.uniform(40.0, 180.0)
-            gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=tau_g))
+            gate = GateSpec(order=0, tau_g=tau_g)
             signal = SignalBeamSpec(waist_s_um=rng.uniform(20.0, 300.0),
                                     spectral_tau_fs=tau_g)
             preset = replace(preset, length_um=rng.uniform(500.0, 15000.0))
@@ -261,7 +261,7 @@ class TestCovariance:
     def test_quadratic_form_reproduces_surrogate_kernel(self, rng):
         # -2 log(L(x)/L(0)) equals the quadratic form at sampled grid points
         preset = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+        gate = GateSpec(order=0, tau_g=94.0)
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=93.12)
         cfg = GridConfig(n_omega_c=33, n_q=33, n_omega_s=33,
                          phase_matching="gaussian")
@@ -285,8 +285,7 @@ class TestCovariance:
         # size is derived.
         for _ in range(3):
             preset = replace(PRESETS["bbo-phi1-co"], length_um=rng.uniform(1500.0, 6000.0))
-            gate = GateSpec(spectral=HermiteGaussSpec(
-                order=0, scale=rng.uniform(70.0, 120.0)))
+            gate = GateSpec(order=0, tau_g=rng.uniform(70.0, 120.0))
             signal = SignalBeamSpec(waist_s_um=rng.uniform(60.0, 200.0),
                                     spectral_tau_fs=93.12)
             cfg = GridConfig(n_omega_c=192, span_scale=1.5, phase_matching="gaussian")
@@ -298,7 +297,7 @@ class TestCovariance:
 class TestSingleModeRate:
     def test_normalized_probability_value(self):
         preset = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+        gate = GateSpec(order=0, tau_g=94.0)
         p_norm = single_mode_rate(preset, gate, 1e-3).p_norm_m2_per_j
         assert p_norm == pytest.approx(0.2065117391181664, rel=1e-9)
         # quoted as ~0.2 m^2/J at these parameters
@@ -306,7 +305,7 @@ class TestSingleModeRate:
 
     def test_event_rate(self):
         preset = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0),
+        gate = GateSpec(order=0, tau_g=94.0,
                         waist_g_um=1000.0, energy_j=10e-9, rep_rate_hz=80e6)
         result = single_mode_rate(preset, gate, 6.3154e-3)
         assert result.rate_hz == pytest.approx(332.1, rel=1e-3)
@@ -316,13 +315,13 @@ class TestSingleModeRate:
     def test_rate_scales_with_nonlinearity_squared(self):
         base = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
         doubled = replace(PRESETS["bbo-phi1-co"], d_eff_pm_v=4.0, length_um=2000.0)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+        gate = GateSpec(order=0, tau_g=94.0)
         r1 = single_mode_rate(base, gate, 1e-3)
         r2 = single_mode_rate(doubled, gate, 1e-3)
         assert r2.rate_hz == pytest.approx(4.0 * r1.rate_hz, rel=1e-12)
 
     def test_length_scalings(self):
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+        gate = GateSpec(order=0, tau_g=94.0)
         p1 = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
         p2 = replace(PRESETS["bbo-phi1-co"], length_um=4000.0)
         r1 = single_mode_rate(p1, gate, 1e-3)
@@ -331,14 +330,14 @@ class TestSingleModeRate:
         assert r2.lambda_sq_per_fs == pytest.approx(0.5 * r1.lambda_sq_per_fs, rel=1e-12)
 
     def test_flags(self):
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0),
+        gate = GateSpec(order=0, tau_g=94.0,
                         waist_g_um=300.0)
         signal = SignalBeamSpec(waist_s_um=100.0, spectral_tau_fs=94.0)
         short = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
         assert not single_mode_ok(characteristic_scales(short, gate), short)  # l < 3 l0
         assert not plane_wave_ok(gate, signal)   # waist ratio only 3x
         long = replace(PRESETS["bbo-phi1-co"], length_um=11663.4)
-        wide_gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+        wide_gate = GateSpec(order=0, tau_g=94.0)
         assert single_mode_ok(characteristic_scales(long, wide_gate), long)
         assert plane_wave_ok(wide_gate, signal)
 
@@ -359,7 +358,7 @@ class TestSingleModeRate:
         assert scales.l0_um / l_um == pytest.approx(length, rel=1e-12)
 
     def test_negative_photon_number_rejected(self):
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+        gate = GateSpec(order=0, tau_g=94.0)
         with pytest.raises(DomainError):
             single_mode_rate(PRESETS["bbo-phi1-co"], gate, -1.0)
 
@@ -383,7 +382,7 @@ class TestSingleModeRate:
 
     def test_prefactor_times_lambda_equals_probability(self):
         preset = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+        gate = GateSpec(order=0, tau_g=94.0)
         n = 6.3154e-3
         direct = single_mode_rate(preset, gate, n).probability
         assembled = conversion_prefactor_fs(preset, gate) * single_mode_lambda_sq(preset) * n

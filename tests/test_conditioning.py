@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modesub import (PRESETS, GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
+from modesub import (PRESETS, GateSpec, GridConfig, SignalBeamSpec,
                      build_kernel, comb_subtraction_experiment, conditioned_state,
                      decompose, flat_comb, kernel_gram, overlap_matrix,
                      photons_from_squeezing, uniform_grid)
@@ -90,7 +90,7 @@ class TestOverlapMatrix:
         assert np.allclose(overlap, np.eye(6), atol=1e-8)
 
     def test_row_norms_bounded(self, bbo1co, signal_opt):
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=TAU_S))
+        gate = GateSpec(order=0, tau_g=TAU_S)
         result = decompose(build_kernel(replace(bbo1co, length_um=2000.0), gate, signal_opt))
         comb = flat_comb(tau_s_fs=TAU_S)
         overlap = overlap_matrix(result.modes[:8], comb, result.omega_s)
@@ -101,7 +101,7 @@ class TestOverlapMatrix:
         # deep in the single-mode regime the first subtraction mode is the
         # gate spectrum, hence overlaps only the matched comb mode
         preset = replace(PRESETS["bbo-phi1-co"], length_um=11663.4)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=TAU_S))
+        gate = GateSpec(order=0, tau_g=TAU_S)
         cfg = GridConfig(n_omega_c=384)
         result = decompose(build_kernel(preset, gate, signal_opt, cfg))
         comb = flat_comb(tau_s_fs=TAU_S)
@@ -116,7 +116,7 @@ class TestOverlapMatrix:
         comb = flat_comb(tau_s_fs=TAU_S)
         leaks = {}
         for label, tau_g in (("matched", TAU_S), ("broader", TAU_S / 2.0)):
-            gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=tau_g))
+            gate = GateSpec(order=0, tau_g=tau_g)
             result = decompose(build_kernel(replace(bbo1co, length_um=2000.0), gate,
                                             signal_opt))
             row = np.abs(overlap_matrix(result.modes[:1], comb,
@@ -274,15 +274,26 @@ def gaussian_comb_oracle(preset, gate, signal, comb, ratio):
     return purity, conversion_prefactor_fs(preset, gate) * weight
 
 
+# (l_mm, w_um, ratio) on the default preset, and two of them on every other
+ORACLE_POINTS = [(2.0, 107.7, 0.7), (1.0, 50.0, 0.5), (4.0, 200.0, 0.85), (1.0, 200.0, 0.9)]
+ORACLE_CASES = ([("bbo-phi1-co", *point) for point in ORACLE_POINTS]
+                + [(name, *point) for name in ("bbo-phi1-counter", "bbo-phi5-co",
+                                               "bbo-phi5-counter")
+                   for point in ORACLE_POINTS[::2]])
+
+
 class TestClosedFormOracle:
     """conditioned_state against :func:`gaussian_comb_oracle`, at twice the
     derived Omega half-spans, where the box holds the kernel and the comb
     to far below the tolerance."""
 
-    @pytest.mark.parametrize("l_mm,w_um,ratio", [(2.0, 107.7, 0.7), (1.0, 50.0, 0.5),
-                                                 (4.0, 200.0, 0.85), (1.0, 200.0, 0.9)])
-    def test_purity_and_probability(self, l_mm, w_um, ratio):
-        config = resolve({"crystal": {"length_mm": l_mm}, "signal": {"waist_um": w_um}})
+    # the default preset's cases are named by their point alone
+    @pytest.mark.parametrize("preset_name,l_mm,w_um,ratio", ORACLE_CASES, ids=[
+        "-".join(map(str, case[1:] if case[0] == "bbo-phi1-co" else case))
+        for case in ORACLE_CASES])
+    def test_purity_and_probability(self, preset_name, l_mm, w_um, ratio):
+        config = resolve({"crystal": {"preset": preset_name, "length_mm": l_mm},
+                          "signal": {"waist_um": w_um}})
         preset, gate, signal = config.preset(), config.gate(), config.signal()
         assert gate.order == 0
         # 300 modes: the dropped tail holds ratio^300 <= 2e-14 of the photons
@@ -363,7 +374,7 @@ class TestFockOracle:
 class TestExperiment:
     def test_purity_order_and_rate_stability(self, bbo1co):
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=TAU_S)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=TAU_S),
+        gate = GateSpec(order=0, tau_g=TAU_S,
                         waist_g_um=1000.0, energy_j=10e-9, rep_rate_hz=80e6)
         comb = flat_comb(tau_s_fs=TAU_S)
         cfg = GridConfig(n_omega_c=96, n_q=96, n_omega_s=96)
@@ -377,7 +388,7 @@ class TestExperiment:
 
     def test_comb_sampled_once_per_order(self, bbo1co, monkeypatch):
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=TAU_S)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=TAU_S))
+        gate = GateSpec(order=0, tau_g=TAU_S)
         comb = flat_comb(tau_s_fs=TAU_S)
         calls = []
         sample_modes = CombState.sample_modes
@@ -396,7 +407,7 @@ class TestExperiment:
         # gate narrower than 5x the signal waist is allowed at kernel level;
         # the rate helper flags it (covered in analytic tests)
         signal = SignalBeamSpec(waist_s_um=300.0, spectral_tau_fs=TAU_S)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=TAU_S),
+        gate = GateSpec(order=0, tau_g=TAU_S,
                         waist_g_um=1000.0)
         comb = flat_comb(n_modes=8, tau_s_fs=TAU_S)
         cfg = GridConfig(n_omega_c=64, n_q=64, n_omega_s=64)

@@ -339,8 +339,7 @@ class TestResolve:
         for point, (phi_deg, order) in zip(points, [(p, o) for p in (-1.3, 2.0)
                                                     for o in (0, 1, 2)]):
             assert point.preset == replace(base_preset, phi=math.radians(phi_deg))
-            assert point.gate == replace(base_gate, spectral=replace(
-                base_gate.spectral, order=order))
+            assert point.gate == replace(base_gate, order=order)
             assert point.signal == base_signal
             assert type(point.gate.order) is int
 
@@ -405,10 +404,13 @@ class TestRunScan:
         tables = [out.joinpath("scan_table.csv").read_bytes() for out in outputs]
         assert tables[0] == tables[1]
         assert tables[0].count(b",ok\n") == 6
-        # the default side's solve ran without the one-thread helper
-        helper_on = [json.loads(out.joinpath("run_meta.json").read_text())
-                     ["environment"]["solve_single_thread"] for out in outputs]
-        assert helper_on == [False, _blas._openblas() is not None]
+        # the default side's solve ran without the one-thread helper, and
+        # each side recorded its own OPENBLAS_NUM_THREADS
+        envs = [json.loads(out.joinpath("run_meta.json").read_text())["environment"]
+                for out in outputs]
+        assert [env["solve_single_thread"] for env in envs] == [
+            False, _blas._openblas() is not None]
+        assert [env["OPENBLAS_NUM_THREADS"] for env in envs] == [None, "1"]
 
     def test_header_and_roundtrip_floats(self, tmp_path):
         run_scan(resolve(self.SCAN), tmp_path)
@@ -423,9 +425,12 @@ class TestRunScan:
         out = self.scan_into(tmp_path, "out")
         meta = json.loads((out / "run_meta.json").read_text())
         env = meta["environment"]
+        thread_variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         assert set(env) == {"numpy", "blas", "blas_threads", "solve_single_thread",
-                            "nproc"}
+                            "nproc", *thread_variables}
         assert env["numpy"] == np.__version__
+        for name in thread_variables:   # as set, or None when unset
+            assert env[name] == os.environ.get(name)
         assert env["nproc"] == os.cpu_count()
         if _blas._openblas() is None:
             assert env["blas_threads"] is None and not env["solve_single_thread"]
@@ -643,12 +648,28 @@ class TestCli:
         table = (tmp_path / "cli_out" / "scan_table.csv").read_text().splitlines()
         assert len(table) == 3
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["scan", "subtract", "schmidt", "kernel"])
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, command):
+        # 48 Omega_c points cannot resolve a 40 mm crystal's lobe
         payload = {"grid": SMALL_GRID,
                    "crystal": {"preset": "bbo-phi1-co", "length_mm": 40.0},
                    "output_dir": str(tmp_path / "nf")}
         path = write_config(tmp_path, payload)
-        assert main(["scan", "--config", str(path)]) == 2
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        meta = tmp_path / "nf" / "run_meta.json"
+        assert load_config(meta).resolved == load_config(path).resolved
+
+    def test_eigensolver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        path = write_config(tmp_path, {"grid": SMALL_GRID})
+        assert main(["schmidt", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: eigensolver failed")
+        assert (tmp_path / "out" / "run_meta.json").exists()
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

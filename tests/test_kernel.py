@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modesub import (GateSpec, GridConfig, HermiteGaussSpec, SignalBeamSpec,
-                     build_kernel, decompose, kernel_gram)
+from modesub import (GateSpec, GridConfig, SignalBeamSpec, build_kernel, decompose,
+                     kernel_gram)
 from modesub.dispersion import PRESETS, kernel_forms
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
 from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
@@ -38,6 +38,29 @@ def assert_matches_everywhere(values, expected):
     assert np.all(np.isfinite(values))
     tol = np.maximum(1e-12 * np.abs(expected), 1e-15 * np.abs(expected).max())
     assert np.all(np.abs(values - expected) <= tol)
+
+
+class TestGateSpec:
+    def test_spec_validation(self):
+        with pytest.raises(ValueError):
+            GateSpec(order=-1, tau_g=1.0)
+        with pytest.raises(ValueError):
+            GateSpec(order=0, tau_g=0.0)
+
+    @pytest.mark.parametrize("order", [float("inf"), float("nan")])
+    def test_non_finite_order_is_a_value_error(self, order):
+        with pytest.raises(ValueError, match="order"):
+            GateSpec(order=order, tau_g=1.0)
+
+    def test_integral_float_order_stored_as_int(self):
+        gate = GateSpec(order=2.0, tau_g=1.0)
+        assert type(gate.order) is int and gate.order == 2
+
+    @pytest.mark.parametrize("field, value", [("waist_g_um", 0.0), ("energy_j", -1e-9),
+                                              ("rep_rate_hz", 0.0)])
+    def test_beam_fields_are_checked(self, field, value):
+        with pytest.raises(ValueError, match="waist, energy and repetition rate"):
+            GateSpec(order=0, tau_g=94.0, **{field: value})
 
 
 class TestSinc:
@@ -139,7 +162,7 @@ class TestBuildKernel:
         assert np.all(np.isfinite(k.values.real))
 
     def test_float_gate_order_is_the_integer_order(self, bbo1co, signal_opt):
-        grams = [kernel_gram(bbo1co, GateSpec(spectral=HermiteGaussSpec(order, 94.0)),
+        grams = [kernel_gram(bbo1co, GateSpec(order=order, tau_g=94.0),
                              signal_opt) for order in (2, 2.0)]
         assert np.array_equal(grams[0].gram, grams[1].gram)
 
@@ -162,7 +185,7 @@ class TestBuildKernel:
         # so the box norm is the closed form to rounding, for any gate order;
         # span_scale widens the Omega spans, span_q the q_c span
         preset = replace(PRESETS["bbo-phi1-co"], length_um=l_um)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        gate = GateSpec(order=order, tau_g=94.0)
         s_q = derive_grids(preset, gate, signal_opt,
                            GridConfig(phase_matching="gaussian"))[1].points[-1]
         cfg = GridConfig(span_scale=1.5, span_q=1.5 * s_q, phase_matching="gaussian")
@@ -193,7 +216,7 @@ class TestBuildKernel:
         # the gate bandwidth and the kernel's frequency dependence on the
         # centered slice reduces to the gate intensity profile
         preset = collinear_preset(length_um=50.0)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=200.0))
+        gate = GateSpec(order=0, tau_g=200.0)
         cfg = GridConfig(n_omega_c=193, n_q=48, n_omega_s=33,
                          span_omega_c=0.03, span_omega_s=0.004)
         # the narrow omega_s slab intentionally does not contain the kernel;
@@ -225,7 +248,7 @@ class TestBuildKernel:
 
 def conditioned(preset, order, w_s, phase_matching, n_q):
     """(K, lambda_1, purity, probability) at one point, or the error type."""
-    gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=94.0))
+    gate = GateSpec(order=0, tau_g=94.0)
     signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
     config = GridConfig(n_q=n_q, phase_matching=phase_matching)
     try:
@@ -330,7 +353,7 @@ class TestFirstPrinciples:
     def test_every_sample_matches(self, signal_opt, order, preset_name,
                                   phase_matching, shape):
         preset = PRESETS[preset_name]
-        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        gate = GateSpec(order=order, tau_g=94.0)
         cfg = GridConfig(*shape, phase_matching=phase_matching)
         k = build_kernel(preset, gate, signal_opt, cfg, check=False)
         expected, _ = first_principles(k, preset, gate, signal_opt, phase_matching)
@@ -404,7 +427,7 @@ class TestPointSymmetry:
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_kernel_is_point_symmetric(self, signal_opt, preset_name, phase_matching,
                                        n_c, order):
-        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        gate = GateSpec(order=order, tau_g=94.0)
         cfg = GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41,
                          phase_matching=phase_matching)
         # the symmetry is algebraic; coarse spans need not pass the checks

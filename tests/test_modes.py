@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modesub import HermiteGaussSpec, QuadGrid, uniform_grid
+from modesub import QuadGrid, uniform_grid
 from modesub.modes import default_half_span, hermite_gauss_table, hermite_gauss_values
 
 
@@ -77,21 +77,6 @@ class TestHermiteGauss:
         assert table.shape == (61, x.size)
         for n in range(61):
             assert np.array_equal(table[n], hermite_gauss_values(n, 93.12, x))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            HermiteGaussSpec(order=-1, scale=1.0)
-        with pytest.raises(ValueError):
-            HermiteGaussSpec(order=0, scale=0.0)
-
-    @pytest.mark.parametrize("order", [float("inf"), float("nan")])
-    def test_non_finite_order_is_a_value_error(self, order):
-        with pytest.raises(ValueError, match="order"):
-            HermiteGaussSpec(order=order, scale=1.0)
-
-    def test_integral_float_order_stored_as_int(self):
-        spec = HermiteGaussSpec(order=2.0, scale=1.0)
-        assert type(spec.order) is int and spec.order == 2
 
 
 class TestInnerProduct:

@@ -6,14 +6,13 @@ import pytest
 
 from modesub import _blas
 from modesub import kernel as kernel_mod
-from modesub import (PRESETS, CrystalPreset, GateSpec, GridConfig, HermiteGaussSpec,
-                     KernelGrid, ScanPoint, SignalBeamSpec, build_kernel,
-                     decompose, gram_matrix, kernel_gram,
-                     schmidt_number_scan, uniform_grid)
+from modesub import (PRESETS, CrystalPreset, GateSpec, GridConfig, KernelGrid,
+                     ScanPoint, SignalBeamSpec, build_kernel, decompose,
+                     gram_matrix, kernel_gram, schmidt_number_scan, uniform_grid)
 from modesub.config import resolve
 from modesub.kernel import (BLOCK_SAMPLES, GAMMA_SINC, KernelGram,
                             KernelResolutionError, KernelSpanError)
-from modesub.schmidt import PIVOT_TIE, DecompositionError
+from modesub.schmidt import PIVOT_TIE, DecompositionError, schmidt_number_and_lead
 
 
 def separable_kernel():
@@ -37,7 +36,7 @@ def multimode_kernel():
     preset = CrystalPreset(name="bbo5", lambda_s_um=0.8, kp_s=5.6138837221849,
                            kp_c=5.787303285966586, rho=math.radians(4.1),
                            phi=math.radians(5.0), theta_pm=0.0, length_um=2000.0)
-    gate = GateSpec(spectral=HermiteGaussSpec(order=2, scale=94.0))
+    gate = GateSpec(order=2, tau_g=94.0)
     signal = SignalBeamSpec(waist_s_um=30.0, spectral_tau_fs=93.12)
     cfg = GridConfig(n_omega_c=96, n_q=96, n_omega_s=96)
     return build_kernel(preset, gate, signal, cfg)
@@ -78,7 +77,7 @@ class TestDecompose:
         preset = CrystalPreset(name="collinear", lambda_s_um=0.8, kp_s=kp_s,
                                kp_c=kp_c, rho=0.0, phi=0.0, theta_pm=0.0,
                                length_um=length)
-        gate = GateSpec(spectral=HermiteGaussSpec(order=0, scale=tau))
+        gate = GateSpec(order=0, tau_g=tau)
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=tau)
         pm_sigma = 1.0 / (math.sqrt(2.0 * GAMMA_SINC) * (kp_c - kp_s) * length / 2.0)
         cfg = GridConfig(n_omega_c=96, n_q=32, n_omega_s=128,
@@ -188,7 +187,7 @@ class TestParitySplit:
     @pytest.mark.parametrize("n_s", [64, 65])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_matches_plain_eigh(self, bbo1co, signal_opt, order, n_s):
-        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        gate = GateSpec(order=order, tau_g=94.0)
         gram = kernel_gram(bbo1co, gate, signal_opt, GridConfig(n_omega_s=n_s))
         result = decompose(gram)
         lambdas, modes = weighted_gram_eigh(gram)
@@ -211,7 +210,7 @@ class TestParitySplit:
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_scan_eigenvalues_match_plain_eigh(self, bbo1co, signal_opt, order, n_s):
         # the scan solves for eigenvalues only; its K is decompose's to the bit
-        gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+        gate = GateSpec(order=order, tau_g=94.0)
         cfg = GridConfig(n_omega_s=n_s)
         [row] = schmidt_number_scan([ScanPoint(bbo1co, gate, signal_opt)], cfg)
         gram = kernel_gram(bbo1co, gate, signal_opt, cfg)
@@ -219,6 +218,28 @@ class TestParitySplit:
         assert row.schmidt_number == pytest.approx(1.0 / np.sum(lambdas**2), rel=1e-12)
         assert row.lambda1_frac == pytest.approx(lambdas[0], rel=1e-12)
         assert row.schmidt_number == decompose(gram).schmidt_number
+
+    def test_lead_in_the_smaller_trace_block(self, rng, monkeypatch):
+        # a centrosymmetric weighted Gram built from its parity blocks: the
+        # even block holds the larger trace (3.4), the odd one the top
+        # eigenvalue (2.0 > 1.0), so the second eigvalsh must run
+        m = 4
+        rotations = [np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in range(2)]
+        even, odd = (q @ np.diag(d) @ q.T for q, d in zip(
+            rotations, ([1.0, 0.9, 0.8, 0.7], [2.0, 0.1, 0.1, 0.05])))
+        top, mirror = (even + odd) / 2.0, (even - odd) / 2.0
+        weighted = np.block([[top, mirror[:, ::-1]], [mirror[::-1], top[::-1, ::-1]]])
+        omega_s = uniform_grid(1.0, 2 * m)
+        sqrt_w = np.sqrt(omega_s.weights)
+        gram = KernelGram(gram=weighted / np.outer(sqrt_w, sqrt_w), omega_s=omega_s)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda block: calls.append(block) or eigvalsh(block))
+        _, lead = schmidt_number_and_lead(gram)
+        assert len(calls) == 2
+        assert lead == pytest.approx(decompose(gram).lambdas_sq[0], rel=1e-12)
+        assert lead == pytest.approx(2.0 / 5.65, rel=1e-12)
 
     def test_not_point_symmetric_gram_raises(self):
         kernel = separable_kernel()   # sig(Omega_s) is not even
@@ -237,12 +258,12 @@ class TestStreamedGram:
         preset, gate = bbo1co, gate94
         cfg = GridConfig(n_omega_c=64, n_q=64, n_omega_s=64)
         if case == "gate-order-2":
-            gate = GateSpec(spectral=HermiteGaussSpec(order=2, scale=94.0))
+            gate = GateSpec(order=2, tau_g=94.0)
         elif case.startswith("odd-"):
             # odd Omega_c (a self-mirrored centre row) and Omega_s axes, or an
             # odd q_c axis, at both gate parities
             order = 1 if case.endswith("order-1") else 0
-            gate = GateSpec(spectral=HermiteGaussSpec(order=order, scale=94.0))
+            gate = GateSpec(order=order, tau_g=94.0)
             cfg = GridConfig(*((64, 63, 64) if case.startswith("odd-q") else (45, 40, 41)))
         elif case == "gaussian":
             cfg = replace(cfg, phase_matching="gaussian")
@@ -308,7 +329,7 @@ class TestScan:
                                kp_c=5.787303285966586, rho=math.radians(4.1),
                                phi=math.radians(5.0), theta_pm=0.0)
         signal = SignalBeamSpec(waist_s_um=26.8, spectral_tau_fs=93.12)
-        points = [ScanPoint(preset, GateSpec(spectral=HermiteGaussSpec(order, 94.0)),
+        points = [ScanPoint(preset, GateSpec(order=order, tau_g=94.0),
                             signal) for order in (0, 1, 2)]
         cfg = GridConfig(n_omega_c=96, n_q=96, n_omega_s=96)
         rows = schmidt_number_scan(points, cfg)
@@ -406,7 +427,8 @@ class TestOneBlasThread:
         seen = self.record_blas_threads(monkeypatch)
         [row] = schmidt_number_scan([ScanPoint(bbo1co, gate94, signal_opt)])
         assert row.status == "ok"
-        assert seen == [("_folded_gram", 1), ("eigvalsh", 1), ("eigvalsh", 1)]
+        # the larger-trace block's top eigenvalue bounds the other block's trace
+        assert seen == [("_folded_gram", 1), ("eigvalsh", 1)]
 
     def test_no_library_found_leaves_the_count(self, monkeypatch):
         get, _ = _blas._openblas()
