@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 numerical
-failure (a grid that cannot resolve or hold the kernel, a failed
-eigensolve, or every scan point failed), 3 I/O error.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure (a grid
+that cannot resolve or hold the kernel, a failed eigensolve, undefined
+conditioning, where no photon-bearing comb mode couples, or every scan
+point failed), 3 I/O error.  A config that resolves builds every object a
+command builds (:func:`~modesub.config.resolve`), so any other exception
+is a bug and prints a traceback.
 
 Every command that writes a directory (``kernel``, ``schmidt``, ``scan``,
 ``subtract``, and ``gaussian`` given ``--output-dir``) runs one path
@@ -154,9 +157,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -52,10 +52,10 @@ class CombState:
         photons = np.asarray(self.photons_comb, dtype=float)
         if photons.ndim != 1 or photons.size == 0:
             raise ValueError("photons_comb must be a non-empty 1-D array")
-        if np.any(photons < 0):
-            raise ValueError("photon numbers must be non-negative")
-        if self.finesse <= 0 or self.tau_s_fs <= 0:
-            raise ValueError("finesse and tau_s must be positive")
+        if not np.all((photons >= 0) & (photons < np.inf)):
+            raise ValueError("photon numbers must be non-negative and finite")
+        if not (0 < self.finesse < math.inf and 0 < self.tau_s_fs < math.inf):
+            raise ValueError("finesse and tau_s must be positive and finite")
         object.__setattr__(self, "photons_comb", photons)
 
     @property
@@ -87,10 +87,10 @@ def photons_from_squeezing(squeezing_db: float, finesse: float) -> float:
     r = dB * ln(10)/20; the comb mode carries sinh(r)^2 photons, a single
     pulse of the train 1/finesse of that.
     """
-    if squeezing_db < 0:
-        raise ValueError("squeezing level must be non-negative")
-    if finesse <= 0:
-        raise ValueError("finesse must be positive")
+    if not 0 <= squeezing_db < math.inf:
+        raise ValueError("squeezing level must be non-negative and finite")
+    if not 0 < finesse < math.inf:
+        raise ValueError("finesse must be positive and finite")
     r = squeezing_db * math.log(10.0) / 20.0
     return math.sinh(r) ** 2 / finesse
 

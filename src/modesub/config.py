@@ -19,7 +19,7 @@ and the comb, the keys each comb preset reads (``n_modes`` and
 ``squeezing_db`` for ``flat-40``, ``photons_csv`` for ``csv``; each is
 required by its own preset and rejected beside the other), the scan axes,
 and k'_c > k'_s > 0 at the cut and in the collinear limit, which the
-base-point build reports under the two k' keys it compares.  Every given
+crystal build reports under the two k' keys it compares.  Every given
 key passes its own rule before any cross-key rule runs, so of two errors in
 one config the per-key one is reported: a wrong-typed inline key given
 alone names itself, not the inline keys it lacks.
@@ -32,17 +32,21 @@ box is sized from it (:func:`modesub.kernel.derive_grids`).
 A scan point is the crystal, gate and signal beam it solves
 (:class:`ScanPoint`).  What each scan variable sets is written once, in
 :data:`_SCAN_SETTERS`: one value in lab units, set on one field of one of
-the three objects, whose constructor checks it.  :func:`resolve` runs every
-axis value through its setter on the base point, and
-:meth:`RunConfig.scan_points` folds the setters over the row-major product
-of the axes.  Checking one value at a time is enough: each setter changes
-one field, and no constructor check reads two scanned fields, so values
-that each pass on the base point pass in every combination.
+the three objects, whose constructor checks it.  A resolved axis lists its
+values: a ranged axis (``min``/``max``/``count``/``spacing``) resolves to
+the points it samples, and :meth:`RunConfig.scan_points` folds the setters
+over the row-major product of the axes.
+
+:func:`resolve` checks a config by building what a command builds: the
+crystal, every scan point and the comb.  A CSV comb's file is read then,
+so a missing or malformed file is a :class:`ConfigError` naming
+``comb.photons_csv`` before any output exists, and the resolved config
+stores the file as an absolute path, so a ``run_meta.json`` replays from
+any working directory.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -193,7 +197,9 @@ _SCHEMA: dict[str, Any] = {
         "tau_fs": (None, _OPT_POSITIVE,
                    "comb-mode duration [fs]; resolved configs carry this; also "
                    "the signal beam's time scale, which sizes the Omega box"),
-        "photons_csv": (None, _optional(_string), "CSV path (index, N_comb) for preset 'csv'"),
+        "photons_csv": (None, _optional(_string),
+                        "CSV path (index, N_comb) for preset 'csv'; a resolved "
+                        "config stores it absolute"),
     },
     "grid": {
         "n_omega_c": (128, _GRID_SIZE, "points on the up-converted frequency axis"),
@@ -213,7 +219,8 @@ _SCHEMA: dict[str, Any] = {
     "scan": {
         "axes": ([], _axis_list, "swept axes (at most 3), each {variable, values} or "
                  "{variable, min, max, count = 1, spacing = 'linear' | 'log'}; "
-                 "values, a list, excludes the ranged keys"),
+                 "values, a list, excludes the ranged keys; a resolved axis "
+                 "lists its values"),
     },
     "output_dir": ("out", _string, "directory for emitted artifacts"),
 }
@@ -329,8 +336,11 @@ class RunConfig:
         c = self.resolved["comb"]
         tau_s = c["tau_fs"]
         if c["preset"] == "csv":
-            return comb_from_csv(c["photons_csv"], tau_s_fs=tau_s,
-                                 finesse=c["finesse"])
+            try:
+                return comb_from_csv(c["photons_csv"], tau_s_fs=tau_s,
+                                     finesse=c["finesse"])
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"comb.photons_csv: {exc}") from exc
         return flat_comb(n_modes=c["n_modes"], squeezing_db=c["squeezing_db"],
                          finesse=c["finesse"], tau_s_fs=tau_s)
 
@@ -342,16 +352,15 @@ class RunConfig:
 
     def scan_points(self) -> list[ScanPoint]:
         """The base point with each combination of axis values set on it,
-        row-major over the listed axes (the last axis varies fastest)."""
-        base = ScanPoint(self.preset(), self.gate(), self.signal())
-        axes = self.resolved["scan"]["axes"]
-        setters = [_SCAN_SETTERS[axis["variable"]] for axis in axes]
-        points = []
-        for values in itertools.product(*map(_axis_values, axes)):
-            point = base
-            for setter, value in zip(setters, values):
-                point = setter(point, value)
-            points.append(point)
+        row-major over the listed axes (the last axis varies fastest).  A
+        value its field rejects is a :class:`ConfigError` naming its axis."""
+        points = [ScanPoint(self.preset(), self.gate(), self.signal())]
+        for i, axis in enumerate(self.resolved["scan"]["axes"]):
+            setter = _SCAN_SETTERS[axis["variable"]]
+            try:
+                points = [setter(p, v) for p in points for v in axis["values"]]
+            except ValueError as exc:
+                raise ConfigError(f"scan.axes[{i}] ({axis['variable']}): {exc}") from exc
         return points
 
     @property
@@ -359,16 +368,10 @@ class RunConfig:
         return self.resolved["output_dir"]
 
 
-def _axis_values(axis: dict) -> list[float]:
-    """The values a normalized scan axis takes, in sweep order."""
-    if axis.get("values") is not None:
-        return list(axis["values"])
-    sample = np.geomspace if axis["spacing"] == "log" else np.linspace
-    return [float(v) for v in sample(axis["min"], axis["max"], axis["count"])]
-
-
 def resolve(raw: dict) -> RunConfig:
-    """Validate a parsed config dict and fill documented defaults."""
+    """Validate a parsed config dict, fill documented defaults and build
+    what a command builds (the crystal, every scan point and the comb), so
+    a config that resolves can run."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
     for key in raw:
@@ -420,6 +423,8 @@ def resolve(raw: dict) -> RunConfig:
     _resolve_width("comb", comb, given_comb, comb["center_nm"] * 1e-3)
     if comb["tau_fs"] is None:
         raise ConfigError("comb.tau_fs / comb.fwhm_nm: give exactly one spectral width")
+    if comb["preset"] == "csv":  # still read from the working directory
+        comb["photons_csv"] = str(Path(comb["photons_csv"]).absolute())
 
     norm_axes = []
     for i, axis in enumerate(scan["axes"]):
@@ -443,21 +448,21 @@ def resolve(raw: dict) -> RunConfig:
                                   f"not both (got values and {ranged[0]})")
             if not isinstance(axis["values"], list) or not axis["values"]:
                 raise ConfigError(f"{path}.values: expected a non-empty list")
-            norm_axes.append({"variable": var, "values": [
-                float(_check(f"{path}.values[{j}]", _number, v))
-                for j, v in enumerate(axis["values"])]})
-            continue
-        count = _check(f"{path}.count", _int_at_least(1), axis.get("count", 1))
-        lo = float(_check(f"{path}.min", _number, axis.get("min")))
-        hi = float(_check(f"{path}.max", _number, axis.get("max")))
-        if count > 1 and not lo < hi:
-            raise ConfigError(f"{path}: min must be < max for a swept axis")
-        spacing = _check(f"{path}.spacing", _one_of("linear", "log"),
-                         axis.get("spacing", "linear"))
-        if spacing == "log" and lo <= 0:
-            raise ConfigError(f"{path}.min: log spacing needs positive bounds")
-        norm_axes.append({"variable": var, "min": lo, "max": hi,
-                          "count": count, "spacing": spacing})
+            values = [float(_check(f"{path}.values[{j}]", _number, v))
+                      for j, v in enumerate(axis["values"])]
+        else:
+            count = _check(f"{path}.count", _int_at_least(1), axis.get("count", 1))
+            lo = float(_check(f"{path}.min", _number, axis.get("min")))
+            hi = float(_check(f"{path}.max", _number, axis.get("max")))
+            if count > 1 and not lo < hi:
+                raise ConfigError(f"{path}: min must be < max for a swept axis")
+            spacing = _check(f"{path}.spacing", _one_of("linear", "log"),
+                             axis.get("spacing", "linear"))
+            if spacing == "log" and lo <= 0:
+                raise ConfigError(f"{path}.min: log spacing needs positive bounds")
+            sample = np.geomspace if spacing == "log" else np.linspace
+            values = [float(v) for v in sample(lo, hi, count)]
+        norm_axes.append({"variable": var, "values": values})
     scan["axes"] = norm_axes
 
     resolved = {"crystal": crystal, "gate": gate, "signal": signal, "comb": comb,
@@ -467,18 +472,13 @@ def resolve(raw: dict) -> RunConfig:
     # the collinear limit, are the crystal rules that span keys, and only an
     # inline crystal can break them.  The error names the k'_c field.
     try:
-        preset = config.preset()
+        config.preset()
     except ValueError as exc:
         kp_c = "kp_c_collinear" if "kp_c_collinear" in str(exc) else "kp_c"
         raise ConfigError(f"crystal.kp_s_fs_um / crystal.{kp_c}_fs_um: {exc}") from exc
-    base = ScanPoint(preset, config.gate(), config.signal())
-    for i, axis in enumerate(norm_axes):
-        setter = _SCAN_SETTERS[axis["variable"]]
-        try:
-            for value in _axis_values(axis):
-                setter(base, value)
-        except ValueError as exc:
-            raise ConfigError(f"scan.axes[{i}] ({axis['variable']}): {exc}") from exc
+    # each builder names the key that fails it: its scan axis, comb.photons_csv
+    config.scan_points()
+    config.comb()
     return config
 
 

@@ -61,21 +61,23 @@ class CrystalPreset:
         if self.kp_c_collinear is None:
             object.__setattr__(self, "kp_c_collinear", self.kp_c)
         for field in ("kp_c", "kp_c_collinear"):
-            if not (getattr(self, field) > self.kp_s > 0):
+            if not math.inf > getattr(self, field) > self.kp_s > 0:
                 raise ValueError(
                     f"normal dispersion requires {field} > kp_s > 0, got "
                     f"kp_s={self.kp_s}, {field}={getattr(self, field)}")
-        if self.length_um <= 0:
-            raise ValueError(f"crystal length must be > 0, got {self.length_um}")
-        if self.rho < 0:
-            raise ValueError("walk-off angle rho is positive by convention; "
+        if not 0 < self.length_um < math.inf:
+            raise ValueError("crystal length must be > 0 and finite, "
+                             f"got {self.length_um}")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError("walk-off angle rho is positive and finite by convention; "
                              "the configuration sign lives on phi")
-        if abs(self.phi) >= BBO_PHI_MAX_RAD:
+        if not abs(self.phi) < BBO_PHI_MAX_RAD:
             raise ValueError(
                 f"|phi|={abs(self.phi):.4f} rad exceeds the maximal "
                 f"phase-matchable angle {BBO_PHI_MAX_RAD:.4f} rad")
-        if min(self.n_s, self.n_g, self.n_c) <= 0 or self.d_eff_pm_v <= 0:
-            raise ValueError("refractive indices and d_eff must be positive")
+        if not all(0 < v < math.inf for v in (self.n_s, self.n_g, self.n_c,
+                                                self.d_eff_pm_v)):
+            raise ValueError("refractive indices and d_eff must be positive and finite")
 
     @property
     def omega_s0(self) -> float:
@@ -133,7 +135,7 @@ def convert_bandwidth(fwhm_nm: float, lambda_um: float) -> float:
     Uses the amplitude convention exp(-tau^2 Omega^2 / 2), for which the
     intensity FWHM in angular frequency is 2 sqrt(ln 2)/tau.
     """
-    if fwhm_nm <= 0 or lambda_um <= 0:
-        raise ValueError("bandwidth and wavelength must be positive")
+    if not (0 < fwhm_nm < math.inf and 0 < lambda_um < math.inf):
+        raise ValueError("bandwidth and wavelength must be positive and finite")
     d_omega = 2.0 * math.pi * C_UM_PER_FS * (fwhm_nm * 1e-3) / lambda_um**2
     return 2.0 * math.sqrt(math.log(2.0)) / d_omega

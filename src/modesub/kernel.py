@@ -122,10 +122,12 @@ class GateSpec:
         if not (math.isfinite(self.order) and self.order >= 0
                 and int(self.order) == self.order):
             raise ValueError(f"order must be a non-negative integer, got {self.order}")
-        if self.tau_g <= 0:
-            raise ValueError(f"tau_g must be positive, got {self.tau_g}")
-        if self.waist_g_um <= 0 or self.energy_j < 0 or self.rep_rate_hz <= 0:
-            raise ValueError("gate waist, energy and repetition rate must be positive")
+        if not 0 < self.tau_g < math.inf:
+            raise ValueError(f"tau_g must be positive and finite, got {self.tau_g}")
+        if not (0 < self.waist_g_um < math.inf and 0 <= self.energy_j < math.inf
+                and 0 < self.rep_rate_hz < math.inf):
+            raise ValueError("gate waist, energy and repetition rate must be positive "
+                             "and finite")
         # an integral float order (a scan-axis value) becomes the recurrence's int
         object.__setattr__(self, "order", int(self.order))
 
@@ -144,8 +146,8 @@ class SignalBeamSpec:
     spectral_tau_fs: float
 
     def __post_init__(self):
-        if self.waist_s_um <= 0 or self.spectral_tau_fs <= 0:
-            raise ValueError("signal waist and spectral tau must be positive")
+        if not (0 < self.waist_s_um < math.inf and 0 < self.spectral_tau_fs < math.inf):
+            raise ValueError("signal waist and spectral tau must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,8 @@ class GridConfig:
         if min(n for n in (self.n_omega_c, self.n_q, self.n_omega_s)
                if n is not None) < MIN_AXIS_POINTS:
             raise ValueError(f"each axis needs at least {MIN_AXIS_POINTS} points")
-        if self.span_scale <= 0:
-            raise ValueError("span_scale must be positive")
+        if not 0 < self.span_scale < math.inf:
+            raise ValueError("span_scale must be positive and finite")
         if self.phase_matching not in ("sinc", "gaussian"):
             raise ValueError("phase_matching must be 'sinc' or 'gaussian'")
 

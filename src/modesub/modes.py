@@ -45,10 +45,10 @@ class QuadGrid:
         wts = np.asarray(self.weights, dtype=float)
         if pts.ndim != 1 or pts.shape != wts.shape:
             raise ValueError("points and weights must be 1-D arrays of equal length")
-        if pts.size < 2 or np.any(np.diff(pts) <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        if np.any(wts <= 0):
-            raise ValueError("quadrature weights must be strictly positive")
+        if pts.size < 2 or not (np.all(np.isfinite(pts)) and np.all(np.diff(pts) > 0)):
+            raise ValueError("grid points must be finite and strictly increasing")
+        if not np.all((wts > 0) & (wts < np.inf)):
+            raise ValueError("quadrature weights must be strictly positive and finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
 

@@ -31,16 +31,18 @@ from . import __version__
 from ._blas import environment
 from .analytic import (characteristic_scales, plane_wave_ok, schmidt_number_closed_form,
                        single_mode_ok, single_mode_rate)
-from .conditioning import comb_subtraction_experiment
+from .conditioning import ConditioningError, comb_subtraction_experiment
 from .config import RunConfig, ScanPoint
 from .kernel import (GridConfig, KernelResolutionError, KernelSpanError,
                      build_kernel, kernel_gram)
 from .schmidt import DecompositionError, decompose, schmidt_number_and_lead
 
 SCAN_HEADER = "l_um,w_um,phi_deg,gate_order,K,lambda1_frac,status"
-# a grid that cannot resolve or hold the kernel, or a failed eigensolve: a scan
-# records them per point, and a single-point command exits with them
-NUMERICAL_FAILURES = (KernelResolutionError, KernelSpanError, DecompositionError)
+# a grid that cannot resolve or hold the kernel, a failed eigensolve, or
+# undefined conditioning: a scan records them per point, and a single-point
+# command exits with them
+NUMERICAL_FAILURES = (KernelResolutionError, KernelSpanError, DecompositionError,
+                      ConditioningError)
 # modes in modes.csv and overlap_matrix.csv, Schmidt weights in condition_summary.json
 N_LEADING_MODES = 6
 

@@ -39,6 +39,9 @@ class TestPhotonsFromSqueezing:
             photons_from_squeezing(-1.0, 40.0)
         with pytest.raises(ValueError):
             photons_from_squeezing(4.2, 0.0)
+        for squeezing_db, finesse in ((math.nan, 40.0), (4.2, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                photons_from_squeezing(squeezing_db, finesse)
 
 
 class TestCombState:
@@ -79,6 +82,14 @@ class TestCombState:
             CombState(tau_s_fs=TAU_S, photons_comb=np.array([0.1, -0.2]))
         with pytest.raises(ValueError):
             CombState(tau_s_fs=TAU_S, photons_comb=np.array([0.1]), finesse=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau_s_fs", math.nan), ("finesse", math.nan), ("finesse", math.inf),
+        ("photons_comb", [0.1, math.nan]), ("photons_comb", [math.inf])])
+    def test_non_finite_field_is_a_value_error(self, field, value):
+        # nan < 0 is false: NaN photons or finesse would give a NaN purity
+        with pytest.raises(ValueError, match="finite"):
+            replace(flat_comb(n_modes=2, tau_s_fs=TAU_S), **{field: value})
 
 
 class TestOverlapMatrix:

@@ -317,6 +317,27 @@ class TestResolve:
                                        {"variable": "w_um", "values": [80.0]},
                                        {"variable": "l_mm", "values": [2.5, 3.0]}]}})
 
+    @pytest.mark.parametrize("spacing,sample", [("linear", np.linspace),
+                                                ("log", np.geomspace)])
+    def test_ranged_axis_resolves_to_its_values(self, tmp_path, capsys, spacing, sample):
+        axis = {"variable": "l_mm", "min": 1.5, "max": 3.0, "count": 4,
+                "spacing": spacing}
+        resolved_axis = {"variable": "l_mm",
+                         "values": [float(v) for v in sample(1.5, 3.0, 4)]}
+        path = write_config(tmp_path, {"scan": {"axes": [axis]}})
+        assert main(["config", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["scan"]["axes"] == [resolved_axis]
+        # an axis in the older resolved form, all four ranged keys, loads
+        # from a run_meta.json to the same points
+        config = load_config(path)
+        resolved = {**config.resolved, "scan": {"axes": [axis]}}
+        meta = write_config(tmp_path, {"tool": "modesub", "config": resolved},
+                            "run_meta.json")
+        assert load_config(meta).resolved == config.resolved
+        assert load_config(meta).scan_points() == config.scan_points()
+        assert [p.preset.length_um for p in config.scan_points()] == [
+            v * 1e3 for v in resolved_axis["values"]]
+
     def test_scan_points_row_major(self):
         config = resolve({"scan": {"axes": [
             {"variable": "l_mm", "values": [1.0, 2.0]},
@@ -747,7 +768,67 @@ class TestCli:
                                                 "photons_csv": str(photons)},
                                        "output_dir": str(tmp_path / "out")})
         assert main(["subtract", "--config", str(path)]) == 1
-        assert "error: " + str(photons) in capsys.readouterr().err
+        assert ("configuration error: comb.photons_csv: " + str(photons)
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", ["0.1\n0.2\n", None], ids=["malformed", "missing"])
+    def test_bad_photons_csv_fails_before_any_output(self, tmp_path, capsys, text):
+        photons = tmp_path / "photons.csv"
+        if text is not None:
+            photons.write_text(text)
+        path = write_config(tmp_path, {"comb": {"preset": "csv",
+                                                "photons_csv": str(photons)}})
+        message = f"configuration error: comb.photons_csv: {photons}"
+        assert main(["config", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["subtract", "--config", str(path), "--output-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("comb", [{"squeezing_db": 0}, "0,0.0\n1,0.0\n"],
+                             ids=["flat", "csv"])
+    def test_vacuum_comb_is_a_numerical_failure(self, tmp_path, capsys, comb):
+        if isinstance(comb, str):
+            photons = tmp_path / "zeros.csv"
+            photons.write_text(comb)
+            comb = {"preset": "csv", "photons_csv": str(photons)}
+        path = write_config(tmp_path, {"grid": SMALL_GRID, "comb": comb})
+        out = tmp_path / "subtract"
+        assert main(["subtract", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert ("numerical failure: all comb modes are vacuum"
+                in capsys.readouterr().err)
+        assert load_config(out / "run_meta.json").resolved == load_config(path).resolved
+        for command in ("gaussian", "scan"):
+            assert main([command, "--config", str(path),
+                         "--output-dir", str(tmp_path / command)]) == 0
+
+    def test_a_bug_propagates_out_of_main(self, tmp_path, monkeypatch):
+        # a ValueError past resolve is no configuration error: no exit 1
+        def broken_writer(config, directory):
+            raise ValueError("a bug in a writer")
+
+        monkeypatch.setattr("modesub.cli.write_modes_csv", broken_writer)
+        with pytest.raises(ValueError, match="a bug in a writer"):
+            main(["schmidt", "--output-dir", str(tmp_path / "out")])
+
+    def test_csv_comb_run_meta_replays_from_another_directory(self, tmp_path, capsys,
+                                                              monkeypatch):
+        run = tmp_path / "rel"
+        run.mkdir()
+        (run / "photons.csv").write_text("0,80.0\n1,12.0\n2,3.0\n")
+        write_config(run, {"grid": SMALL_GRID, "output_dir": "out",
+                           "comb": {"preset": "csv", "photons_csv": "photons.csv"}})
+        monkeypatch.chdir(run)
+        assert main(["subtract", "--config", "config.json"]) == 0
+        meta = json.loads((run / "out" / "run_meta.json").read_text())
+        assert meta["config"]["comb"]["photons_csv"] == str(run / "photons.csv")
+        monkeypatch.chdir(tmp_path)
+        assert main(["subtract", "--config", "rel/out/run_meta.json",
+                     "--output-dir", "replay"]) == 0
+        for artifact in ("condition_summary.json", "overlap_matrix.csv"):
+            assert (run.joinpath("out", artifact).read_bytes()
+                    == tmp_path.joinpath("replay", artifact).read_bytes())
 
     def test_csv_comb_run_meta_reproduces_subtract(self, tmp_path, capsys):
         photons = tmp_path / "photons.csv"

@@ -58,6 +58,15 @@ class TestPresets:
             CrystalPreset(name="x", lambda_s_um=0.8, kp_s=5.6, kp_c=5.8,
                           rho=0.05, phi=math.radians(25.0), theta_pm=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("length_um", math.nan), ("rho", math.nan), ("phi", math.nan),
+        ("n_s", math.nan), ("n_g", math.nan), ("n_c", math.nan),
+        ("d_eff_pm_v", math.nan), ("kp_c", math.inf), ("length_um", math.inf)])
+    def test_non_finite_field_is_a_value_error(self, field, value):
+        # nan <= 0 is false, so a sign check alone would accept NaN
+        with pytest.raises(ValueError):
+            replace(PRESETS["bbo-phi1-co"], **{field: value})
+
     def test_collinear_kp_c_obeys_normal_dispersion(self):
         args = dict(name="x", lambda_s_um=0.8, kp_s=5.6, kp_c=5.8, rho=0.05,
                     phi=0.01, theta_pm=0.5)
@@ -131,7 +140,7 @@ class TestBandwidth:
         assert convert_bandwidth(3.0, 0.795) == pytest.approx(
             2.0 * convert_bandwidth(6.0, 0.795), rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [0.0, -3.0])
+    @pytest.mark.parametrize("bad", [0.0, -3.0, math.nan, math.inf])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             convert_bandwidth(bad, 0.795)

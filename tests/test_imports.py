@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, every private name
 the package defines is read by the package, no module imports another
-module's private name, and every f-string has a placeholder.
+module's private name, every f-string has a placeholder, and no handler
+swallows a broad exception.
 
 No linter ships with the project, so this walks each module's syntax tree:
 an import binds names, and a name that is never loaded afterwards is dead.
@@ -10,7 +11,11 @@ load it, as a name, an attribute or an import; one that only tests read is
 dead code.  Nor may one module import another's ``_name``: what a module
 lends to another is its interface and carries a public name.  An f-string
 with nothing to format is a plain string written misleadingly; the rule
-covers the package, the tests and the benchmark.
+covers the package, the tests and the benchmark.  A package handler that
+catches ``ValueError``, ``Exception`` or ``BaseException``, or everything,
+must end in a ``raise`` (wrapping into a named error counts): otherwise a
+bug raising one of them turns into a result or an exit code.  Handlers of
+narrower classes, such as ``OSError`` at the I/O boundaries, are left alone.
 """
 
 import ast
@@ -25,6 +30,7 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 EXEMPT = {"annotations"}
+BROAD = {"ValueError", "Exception", "BaseException"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,6 +86,16 @@ def placeholder_free_fstrings(source: str) -> list[int]:
             and not any(isinstance(v, ast.FormattedValue) for v in node.values)]
 
 
+def swallowing_handlers(source: str) -> list[int]:
+    """Lines of the ``except`` clauses that catch a :data:`BROAD` class, or
+    everything, and do not end in a ``raise``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler)
+            and (node.type is None or any(isinstance(n, ast.Name) and n.id in BROAD
+                                          for n in ast.walk(node.type)))
+            and not isinstance(node.body[-1], ast.Raise)]
+
+
 def test_detects_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import math\nimport numpy as np\nfrom os import path, sep\n"
@@ -111,6 +127,17 @@ def test_detects_an_fstring_without_placeholders():
     assert placeholder_free_fstrings(source) == [2, 5]
 
 
+def test_detects_a_swallowing_handler():
+    source = ("try:\n    f()\nexcept ValueError as exc:\n    print(exc)\n"
+              "try:\n    f()\nexcept (KeyError, Exception):\n    pass\n"
+              "try:\n    f()\nexcept:\n    x = 1\n"
+              "try:\n    f()\nexcept ValueError as exc:\n    log(exc)\n"
+              "    raise RuntimeError('wrapped') from exc\n"
+              "try:\n    f()\nexcept OSError:\n    pass\n"
+              "try:\n    f()\nexcept BaseException:\n    raise\n")
+    assert swallowing_handlers(source) == [3, 7, 11]
+
+
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
@@ -129,3 +156,8 @@ def test_no_imported_private_names(module):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_fstring_without_placeholders(path):
     assert placeholder_free_fstrings(path.read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_handler_swallows_a_broad_exception(module):
+    assert swallowing_handlers(module.read_text()) == []

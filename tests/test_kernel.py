@@ -62,6 +62,29 @@ class TestGateSpec:
         with pytest.raises(ValueError, match="waist, energy and repetition rate"):
             GateSpec(order=0, tau_g=94.0, **{field: value})
 
+    # nan <= 0 is false, so a sign check alone lets NaN through to a NaN result
+    @pytest.mark.parametrize("field, value", [
+        ("tau_g", math.nan), ("waist_g_um", math.nan), ("energy_j", math.nan),
+        ("rep_rate_hz", math.nan), ("energy_j", math.inf)])
+    def test_non_finite_field_is_a_value_error(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            replace(GateSpec(order=0, tau_g=94.0), **{field: value})
+
+
+class TestSignalAndGridSpecs:
+    @pytest.mark.parametrize("field, value", [
+        ("waist_s_um", math.nan), ("spectral_tau_fs", math.nan),
+        ("waist_s_um", math.inf)])
+    def test_non_finite_signal_field_is_a_value_error(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            replace(SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=TAU_COMB_FS),
+                    **{field: value})
+
+    @pytest.mark.parametrize("span_scale", [math.nan, math.inf])
+    def test_non_finite_span_scale_is_a_value_error(self, span_scale):
+        with pytest.raises(ValueError, match="span_scale"):
+            GridConfig(span_scale=span_scale)
+
 
 class TestSinc:
     def test_values(self):

@@ -28,6 +28,15 @@ class TestQuadGrid:
         with pytest.raises(ValueError):
             uniform_grid(-1.0, 16)
 
+    @pytest.mark.parametrize("points, weights", [
+        ([0.0, np.nan], [1.0, 1.0]), ([0.0, np.inf], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, np.nan]), ([0.0, 1.0], [np.inf, 1.0])],
+        ids=["nan-point", "inf-point", "nan-weight", "inf-weight"])
+    def test_non_finite_grid_rejected(self, points, weights):
+        # nan <= 0 is false, so an order or sign check alone accepts NaN
+        with pytest.raises(ValueError, match="finite"):
+            QuadGrid(points=np.array(points), weights=np.array(weights))
+
 
 class TestHermiteGauss:
     def test_gaussian_normalization_and_peak(self):
