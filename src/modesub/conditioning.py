@@ -92,7 +92,10 @@ def photons_from_squeezing(squeezing_db: float, finesse: float) -> float:
     if not 0 < finesse < math.inf:
         raise ValueError("finesse must be positive and finite")
     r = squeezing_db * math.log(10.0) / 20.0
-    return math.sinh(r) ** 2 / finesse
+    try:
+        return math.sinh(r) ** 2 / finesse
+    except OverflowError:
+        raise ValueError(f"{squeezing_db!r} dB overflows the photon number") from None
 
 
 def flat_comb(n_modes: int = 40, squeezing_db: float = 4.2, finesse: float = 40.0,

@@ -9,10 +9,14 @@ be reproduced from its own metadata file.
 Each key is written once, in :data:`_SCHEMA`: its default, its rule and its
 doc.  A rule checks one given value and returns the value to store, an
 ``int`` for a count and any other number as given; defaults are constants
-and are not re-checked.  A key may be null where its default is null or a
-resolved config writes it as null (``comb.fwhm_nm``, ``crystal.preset`` of
-an inline crystal, ``comb.n_modes`` and ``comb.squeezing_db`` of a CSV
-comb), so a ``run_meta.json`` loads again.  :func:`resolve` holds only the
+and are not re-checked.  A lab value's rule also checks that it stays
+finite in internal units (``length_mm``, ``waist_mm``, ``rep_rate_mhz``,
+and the photon number of ``squeezing_db``), so a value that would
+overflow names its own key.  A key may be null where its default is null
+or a resolved config writes it as null (``comb.fwhm_nm``,
+``crystal.preset`` of an inline crystal, ``comb.n_modes`` and
+``comb.squeezing_db`` of a CSV comb), so a ``run_meta.json`` loads
+again.  :func:`resolve` holds only the
 rules that span keys: an inline crystal's required keys and its exclusion
 with a named preset, the exclusive ``tau_fs``/``fwhm_nm`` pairs of the gate
 and the comb, the keys each comb preset reads (``n_modes`` and
@@ -55,7 +59,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .conditioning import CombState, comb_from_csv, flat_comb
+from .conditioning import CombState, comb_from_csv, flat_comb, photons_from_squeezing
 from .dispersion import BBO_PHI_MAX_RAD, PRESETS, CrystalPreset, convert_bandwidth
 from .kernel import (MIN_AXIS_POINTS, MIN_LOBE_POINTS, Q_ALIAS_TOL, GateSpec,
                      GridConfig, SignalBeamSpec)
@@ -83,6 +87,21 @@ def _positive(value):
 def _non_negative(value):
     if _number(value) < 0:
         raise ValueError(f"must be >= 0, got {value!r}")
+    return value
+
+
+def _positive_times(factor: float):
+    """A positive lab value that stays finite times ``factor``, its
+    conversion to internal units."""
+    def rule(value):
+        if not math.isfinite(_positive(value) * factor):
+            raise ValueError(f"{value!r} overflows in internal units (x {factor:g})")
+        return value
+    return rule
+
+
+def _squeezing(value):
+    photons_from_squeezing(_non_negative(value), finesse=1.0)  # rejects an overflow
     return value
 
 
@@ -148,7 +167,7 @@ _SCHEMA: dict[str, Any] = {
     "crystal": {
         "preset": ("bbo-phi1-co", _optional(_one_of(*PRESETS)),
                    "named preset; see `modesub preset list`"),
-        "length_mm": (2.0, _positive, "crystal length [mm]"),
+        "length_mm": (2.0, _positive_times(1e3), "crystal length [mm]"),
         "d_eff_pm_v": (2.0, _positive, "effective nonlinearity [pm/V], chi2 = 2 d_eff"),
         "name": (None, _optional(_string), "inline crystal: identifier"),
         "lambda_s_nm": (None, _OPT_POSITIVE, "inline crystal: signal/gate carrier [nm]"),
@@ -174,9 +193,9 @@ _SCHEMA: dict[str, Any] = {
                    "gate amplitude duration [fs]; exclusive with fwhm_nm"),
         "fwhm_nm": (None, _OPT_POSITIVE,
                     "gate spectral intensity FWHM [nm]; exclusive with tau_fs"),
-        "waist_mm": (1.0, _positive, "gate beam waist [mm]"),
+        "waist_mm": (1.0, _positive_times(1e3), "gate beam waist [mm]"),
         "energy_nj": (10.0, _positive, "gate pulse energy [nJ]"),
-        "rep_rate_mhz": (80.0, _positive, "pulse repetition rate [MHz]"),
+        "rep_rate_mhz": (80.0, _positive_times(1e6), "pulse repetition rate [MHz]"),
     },
     "signal": {
         "waist_um": (107.7, _positive, "signal beam waist [um]"),
@@ -186,7 +205,7 @@ _SCHEMA: dict[str, Any] = {
                    "photon distribution: 'flat-40' or 'csv'"),
         "n_modes": (40, _optional(_int_at_least(1)),
                     "number of comb eigenmodes; preset 'flat-40' only"),
-        "squeezing_db": (4.2, _optional(_non_negative),
+        "squeezing_db": (4.2, _optional(_squeezing),
                          "squeezing of the leading mode [dB]; preset 'flat-40' only"),
         "finesse": (40.0, _positive, "cavity finesse (pulses per correlated train)"),
         "center_nm": (795.0, _positive, "comb carrier wavelength [nm]"),
@@ -202,14 +221,21 @@ _SCHEMA: dict[str, Any] = {
                         "config stores it absolute"),
     },
     "grid": {
-        "n_omega_c": (128, _GRID_SIZE, "points on the up-converted frequency axis"),
+        "n_omega_c": (None, _optional(_GRID_SIZE),
+                      "points on the up-converted frequency axis; null derives "
+                      "Gauss-Legendre nodes, as many as the fastest factor on "
+                      "the axis needs (the phase matching, the gate, the beam "
+                      "or the comb's top mode); a number gives uniform "
+                      "trapezoid points"),
         "n_q": (None, _optional(_GRID_SIZE),
                 "points on the transverse momentum axis; null derives them "
                 "from the beam's and the phase matching's bandwidth: the "
                 f"largest step whose trapezoid aliases stay under {Q_ALIAS_TOL:g} "
                 f"and under 1/{MIN_LOBE_POINTS:g} of the phase-matching lobe, "
                 "over a span that holds the beam's drift"),
-        "n_omega_s": (128, _GRID_SIZE, "points on the signal frequency axis"),
+        "n_omega_s": (None, _optional(_GRID_SIZE),
+                      "points on the signal frequency axis; null derives "
+                      "Gauss-Legendre nodes, as for n_omega_c"),
         "span_scale": (1.0, _positive,
                        "multiplier on the auto-derived Omega half-spans; the "
                        "q_c span holds the beam and its drift over them"),
@@ -329,8 +355,9 @@ class RunConfig:
                         rep_rate_hz=g["rep_rate_mhz"] * 1e6)
 
     def signal(self) -> SignalBeamSpec:
+        comb = self.comb()
         return SignalBeamSpec(waist_s_um=self.resolved["signal"]["waist_um"],
-                              spectral_tau_fs=self.resolved["comb"]["tau_fs"])
+                              spectral_tau_fs=comb.tau_s_fs, comb_modes=comb.n_modes)
 
     def comb(self) -> CombState:
         c = self.resolved["comb"]

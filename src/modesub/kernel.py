@@ -28,8 +28,9 @@ The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
 (-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
 form with no constant term, the gate is carrier-centred (a
 :class:`GateSpec` has no centre) and the HG mode has parity (-1)^order,
-and the :func:`~modesub.modes.uniform_grid` axes are antisymmetric to the
-last bit, so the identity holds bit for bit on the sampled array.  The
+and the axes, :func:`~modesub.modes.uniform_grid` or
+:func:`~modesub.modes.gauss_legendre_grid`, are antisymmetric to the last
+bit, so the identity holds bit for bit on the sampled array.  The
 Gram matrix only sees products of two samples, so the sign drops out: :func:`kernel_gram`, and only it, samples the Omega_c rows
 [0, ceil(n_c/2)) and completes its sum by reflection, the centre row of an
 odd axis, which mirrors onto itself, entering at half weight.
@@ -71,8 +72,8 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .dispersion import CrystalPreset, kernel_forms
-from .modes import (SPAN_SIGMAS, QuadGrid, default_half_span, hermite_gauss_values,
-                    uniform_grid)
+from .modes import (SPAN_SIGMAS, QuadGrid, default_half_span, gauss_legendre_grid,
+                    hermite_gauss_values, uniform_grid)
 
 # sinc(x) ~ exp(-GAMMA_SINC x^2) matches the full width at half maximum
 GAMMA_SINC = 0.193
@@ -82,6 +83,9 @@ MIN_MASS_CAPTURED = 0.9
 MIN_LOBE_POINTS = 8.0
 # fewest points on any axis
 MIN_AXIS_POINTS = 8
+# Gauss-Legendre nodes on a derived Omega axis per radian its fastest factor
+# turns through over the half-span, by phase matching (:func:`omega_axis_size`)
+OMEGA_NODES_PER_RADIAN = {"sinc": 1.35, "gaussian": 1.7}
 # largest relative size of the aliases the trapezoid rule adds on a derived
 # q_c axis (:func:`q_axis_size`)
 Q_ALIAS_TOL = 1e-12
@@ -134,27 +138,39 @@ class GateSpec:
 
 @dataclass(frozen=True)
 class SignalBeamSpec:
-    """Signal beam: transverse Gaussian width and comb-mode time scale.
+    """Signal beam: transverse Gaussian width, comb-mode time scale and count.
 
     ``spectral_tau_fs`` is the tau of the comb's Hermite-Gauss modes (a run
     config sets it from ``comb.tau_fs``).  It sizes only the Omega box: it is
     one of the half-spans whose largest :func:`derive_grids` takes, and no
-    kernel sample reads it.
+    kernel sample reads it.  ``comb_modes`` is the comb's mode count (a run
+    config sets it from the comb it builds; 40 is the ``flat-40`` default).
+    It sizes only the derived Omega axes, whose nodes must resolve the top
+    comb mode the subtraction modes are matched against
+    (:func:`omega_axis_size`).
     """
 
     waist_s_um: float
     spectral_tau_fs: float
+    comb_modes: int = 40
 
     def __post_init__(self):
         if not (0 < self.waist_s_um < math.inf and 0 < self.spectral_tau_fs < math.inf):
             raise ValueError("signal waist and spectral tau must be positive and finite")
+        if not (isinstance(self.comb_modes, int) and self.comb_modes >= 1):
+            raise ValueError("comb_modes must be a positive integer, "
+                             f"got {self.comb_modes!r}")
 
 
 @dataclass(frozen=True)
 class GridConfig:
     """Axis sizes, span scaling, optional explicit half-spans, sinc treatment.
 
-    Derived Omega half-spans (:func:`derive_grids`) are scaled by
+    ``n_omega_c = None`` and ``n_omega_s = None`` derive Gauss-Legendre
+    nodes on the Omega axes, as many as :func:`omega_axis_size` takes for
+    the fastest factor on the axis; an explicit size gives a uniform
+    trapezoid axis of that many points, checked against the phase-matching
+    lobe.  Derived Omega half-spans (:func:`derive_grids`) are scaled by
     ``span_scale``; the ``span_*`` fields replace them per axis.  A derived
     q_c half-span is not scaled: it holds the beam and the beam centre's
     drift over the Omega box, so it follows the Omega spans.  ``n_q = None``
@@ -164,9 +180,9 @@ class GridConfig:
     phase-matching lobe along q_c.  An explicit ``n_q`` is used as given.
     """
 
-    n_omega_c: int = 128
+    n_omega_c: int | None = None
     n_q: int | None = None
-    n_omega_s: int = 128
+    n_omega_s: int | None = None
     span_scale: float = 1.0
     span_omega_c: float | None = None   # half-span overrides, internal units
     span_q: float | None = None
@@ -174,8 +190,8 @@ class GridConfig:
     phase_matching: PhaseMatching = "sinc"
 
     def __post_init__(self):
-        if min(n for n in (self.n_omega_c, self.n_q, self.n_omega_s)
-               if n is not None) < MIN_AXIS_POINTS:
+        if min((n for n in (self.n_omega_c, self.n_q, self.n_omega_s) if n is not None),
+               default=MIN_AXIS_POINTS) < MIN_AXIS_POINTS:
             raise ValueError(f"each axis needs at least {MIN_AXIS_POINTS} points")
         if not 0 < self.span_scale < math.inf:
             raise ValueError("span_scale must be positive and finite")
@@ -256,15 +272,17 @@ def q_axis_size(forms, length_um: float, w_s: float, span_q: float,
     lobe_q / :data:`MIN_LOBE_POINTS`, lobe_q = 2 pi / |m_q l/2|, so the
     resolution check never fires on rounding.
 
-    The aliasing is then negligible; what remains is the O(h^2) endpoint
-    term of the beam tail at the box edge, which :func:`_axes` keeps at
-    least 1.5 beam widths past the beam's farthest drift.  Against 128
-    points over the same span the derived axis moved K, lambda_1, purity
+    The aliasing is then negligible; what remains is the q_c trapezoid's
+    O(h^2) endpoint term of the beam tail at the box edge, which
+    :func:`_axes` keeps at least 1.5 beam widths past the beam's farthest
+    drift (the derived Omega axes' Gauss-Legendre error falls
+    exponentially instead).  Against 128 points over the same span (256
+    where 128 miss the lobe) the derived axis moved K, lambda_1, purity
     and probability by at most 1.75e-9 (all four presets, l = 1, 2.5 and
-    4 mm, w_s = 50, 110 and 200 um, gate orders 0-2, sinc and surrogate),
-    a shift that falls as h^2.  It takes 19-27 points on the default
-    configuration's 1-4 mm x 50-200 um lattice, and up to 181 where the
-    drift widens the span (phi = 5 deg).
+    4 mm, w_s = 50, 110 and 200 um, gate orders 0-2, sinc and surrogate,
+    on derived Omega axes), a shift that falls as h^2.  It takes 19-27
+    points on the default configuration's 1-4 mm x 50-200 um lattice, and
+    up to 181 where the drift widens the span (phi = 5 deg).
     """
     _, beam, match = forms
     log_tol = np.log(2.0 / Q_ALIAS_TOL)
@@ -278,6 +296,28 @@ def q_axis_size(forms, length_um: float, w_s: float, span_q: float,
         # the margin keeps lobe / step clear of MIN_LOBE_POINTS after rounding
         step = min(step, 2.0 * np.pi / match_q / MIN_LOBE_POINTS * (1.0 - 1e-9))
     return max(MIN_AXIS_POINTS, int(np.ceil(2.0 * span_q / step)) + 1)
+
+
+def omega_axis_size(half_span: float, rates, phase_matching: PhaseMatching) -> int:
+    """Gauss-Legendre nodes on a derived Omega axis of half-span ``half_span``.
+
+    The least odd n >= c half_span max(rates), with c the
+    :data:`OMEGA_NODES_PER_RADIAN` of ``phase_matching``, and at least
+    :data:`MIN_AXIS_POINTS`.  ``rates`` (fs) are how fast the factors on
+    the axis turn (:func:`_axes`), so half_span max(rates) is the phase
+    the fastest one turns through over the half-span.  An odd n puts a
+    node at Omega = 0.
+
+    c was calibrated on 4 presets x l = 1, 2.5, 4 mm x w_s = 50, 110,
+    200 um x gate orders 0-2, with the 40-mode comb: the least c whose n
+    matched n at c = 4 within 5e-13 on K, lambda_1, purity and
+    probability.  The sinc needed c <= 1.35 (41-61 nodes at order 0,
+    81-119 at order 2), the Gaussian surrogate up to 1.7 (phi = 1 deg co,
+    l = 4 mm, w_s = 200 um).  At the calibrated c the rule's n is within
+    4.3e-13 of the 2n solve there and at 120 random points of that range.
+    """
+    n = math.ceil(OMEGA_NODES_PER_RADIAN[phase_matching] * half_span * max(rates))
+    return max(n, MIN_AXIS_POINTS) | 1
 
 
 def continuum_norm_sq(forms, length_um: float, phase_matching: PhaseMatching) -> float:
@@ -310,6 +350,14 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     instead of the sinc main lobe, since the surrogate has no side lobes to
     truncate but a wider central peak.
 
+    A derived Omega axis holds :func:`omega_axis_size`'s Gauss-Legendre
+    nodes for the fastest of the factors on it: the phase matching, at
+    |m| l/2 along the axis (m its coefficient in the match row of
+    ``forms``); the beam, at w_s |b|; the gate's top HG order, at
+    tau_g sqrt(2 order + 1); and the comb's top mode, at
+    tau_s sqrt(2 N - 1) for N comb modes, which sets the size at the
+    default point.  An explicit size gives a uniform trapezoid axis.
+
     The q_c span holds the signal beam where the Omega box puts it.  Over
     the box the beam centre q* = -(b_c Omega_c + b_s Omega_s) / b_q (b the
     beam row of ``forms``) drifts by up to d = (|b_c| S_c + |b_s| S_s) /
@@ -320,7 +368,7 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     ``q_drift_ratio`` reports d / span_q.
 
     ``span_scale`` scales the derived Omega half-spans only; the q_c span
-    follows them through the drift.  An explicit ``span_*`` or ``n_q`` is
+    follows them through the drift.  An explicit ``span_*`` or ``n_*`` is
     used as given.
     """
     l = preset.length_um
@@ -336,7 +384,18 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     s_wc = config.span_omega_c if config.span_omega_c is not None else span_omega
     s_ws = config.span_omega_s if config.span_omega_s is not None else span_omega
 
-    _, beam, _ = forms
+    _, beam, match = forms
+    # the rates every Omega axis shares: the gate's top HG order and the comb's
+    shared = (gate.tau_g * math.sqrt(2 * gate.order + 1),
+              signal.spectral_tau_fs * math.sqrt(2 * signal.comb_modes - 1))
+
+    def omega_axis(span: float, n: int | None, k: int, label: str) -> QuadGrid:
+        if n is not None:
+            return uniform_grid(span, n, label=label)
+        rates = (abs(match[k]) * l / 2.0, w_s * abs(beam[k]), *shared)
+        n = omega_axis_size(span, rates, config.phase_matching)
+        return gauss_legendre_grid(span, n, label=label)
+
     drift = (abs(beam[0]) * s_wc + abs(beam[2]) * s_ws) / abs(beam[1])
     if config.span_q is not None:
         s_q = config.span_q
@@ -345,11 +404,11 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
         s_q = max(default_half_span(w_s), drift / MAX_Q_DRIFT * (1.0 + 1e-9))
     n_q = (config.n_q if config.n_q is not None
            else q_axis_size(forms, l, w_s, s_q, config.phase_matching))
-    grids = (uniform_grid(s_wc, config.n_omega_c, label="omega_c"),
+    grids = (omega_axis(s_wc, config.n_omega_c, 0, "omega_c"),
              uniform_grid(s_q, n_q, label="q_c"),
-             uniform_grid(s_ws, config.n_omega_s, label="omega_s"))
-    return grids, {"n_omega_c": config.n_omega_c, "n_q": n_q,
-                   "n_omega_s": config.n_omega_s, "q_drift_ratio": drift / s_q}
+             omega_axis(s_ws, config.n_omega_s, 2, "omega_s"))
+    return grids, {"n_omega_c": grids[0].size, "n_q": n_q,
+                   "n_omega_s": grids[2].size, "q_drift_ratio": drift / s_q}
 
 
 def _outer_part(coeffs, omega_c, omega_s):
@@ -363,10 +422,10 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     """The kernel's quadrature axes, a plane-block writer, the continuum norm^2
     and, as diagnostics, the axis sizes and q_c drift ratio (:func:`_axes`).
 
-    The main-lobe resolution check runs on the axes before any sample is
-    taken.  ``blocks(w_c, w_q)`` writes the samples times sqrt(w_c w_q),
-    ``w_c`` the weights of the Omega_c rows [0, len(w_c)) it samples and
-    ``w_q`` those of every q_c plane.  It evaluates the 2-D
+    The main-lobe resolution check runs on the uniform axes before any
+    sample is taken.  ``blocks(w_c, w_q)`` writes the samples times
+    sqrt(w_c w_q), ``w_c`` the weights of the Omega_c rows [0, len(w_c))
+    it samples and ``w_q`` those of every q_c plane.  It evaluates the 2-D
     (Omega_c, Omega_s) parts of the forms (module docstring) on those rows
     once, with their sin and cos and their gate amplitude, which takes
     sqrt(w_c) row by row.  It then yields ``(start, block)``: the q_c planes
@@ -394,8 +453,11 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     pm_form = tuple(c * half_l for c in match_form)
 
     if check:
-        for grid, c in zip((g_wc, g_q, g_ws), pm_form):
-            if c == 0.0:
+        # a derived Omega axis holds Gauss-Legendre nodes, whose spacing
+        # varies; its node rule (:func:`omega_axis_size`) is its guard
+        uniform = (config.n_omega_c is not None, True, config.n_omega_s is not None)
+        for grid, c, checked in zip((g_wc, g_q, g_ws), pm_form, uniform):
+            if c == 0.0 or not checked:
                 continue
             dx = grid.points[1] - grid.points[0]
             lobe_points = (2.0 * np.pi / abs(c)) / dx
@@ -508,7 +570,7 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
 
     The whole call runs at one OpenBLAS thread and restores the count on
     return (:func:`~modesub._blas.one_blas_thread`).  Each block's syrk is
-    about 500 x 128; a second thread gains nothing on it and spin-waits
+    about 600 x 61 at the defaults; a second thread gains nothing on it and spin-waits
     through the next plane's numpy passes, which then run slower.  The
     thread count does not change a sample or a Gram entry.
     """
@@ -527,7 +589,8 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
 
     Raises :class:`KernelResolutionError` when fewer than
     :data:`MIN_LOBE_POINTS` grid points fall across the phase-matching main
-    lobe along any coupled axis, and :class:`KernelSpanError` when the box
+    lobe along any coupled uniform axis (a derived Omega axis is sized by
+    its node rule instead), and :class:`KernelSpanError` when the box
     holds under :data:`MIN_MASS_CAPTURED` of the continuum norm^2, the share
     ``diagnostics["mass_captured"]`` reports (:func:`_checked_mass`).
     """

@@ -211,7 +211,7 @@ def decompose(kernel: KernelGrid | KernelGram) -> SchmidtResult:
     1 / sum lambda^2 of the whole unit-sum spectrum to rounding.
 
     The call runs at one OpenBLAS thread and restores the count on return,
-    also when it raises.  The parity blocks are about 64 x 64: a second
+    also when it raises.  The parity blocks are about 31 x 31: a second
     thread slows their ``eigh`` by its spin-wait and speeds up nothing.
     """
     sqrt_w, weighted, ((even_vals, even_vecs), (odd_vals, odd_vecs)) = _parity_solve(

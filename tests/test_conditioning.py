@@ -311,7 +311,7 @@ class TestClosedFormOracle:
         comb = CombState(tau_s_fs=signal.spectral_tau_fs,
                          photons_comb=0.1 * ratio ** np.arange(300))
         span = derive_grids(preset, gate, signal,
-                            GridConfig(phase_matching="gaussian"))[0].points[-1]
+                            GridConfig(phase_matching="gaussian"))[0].weights.sum() / 2.0
         grid = GridConfig(n_omega_c=257, n_omega_s=257, span_omega_c=2.0 * span,
                           span_omega_s=2.0 * span, phase_matching="gaussian")
         out = conditioned_state(decompose(kernel_gram(preset, gate, signal, grid)),

@@ -16,6 +16,7 @@ from modesub.cli import build_parser, main
 from modesub.config import _AXIS_KEYS, _SCHEMA, ConfigError, load_config, resolve, schema
 from modesub.dispersion import convert_bandwidth
 from modesub.kernel import MAX_Q_DRIFT, MIN_AXIS_POINTS, MIN_MASS_CAPTURED, derive_grids
+from modesub.modes import uniform_grid
 from modesub.scan import (N_LEADING_MODES, ScanFailed, run_scan, write_condition_summary,
                           write_gaussian_table, write_kernel_csv, write_modes_csv,
                           write_run_meta)
@@ -131,7 +132,8 @@ class TestResolve:
     def test_minimal_config_fills_documented_defaults(self):
         config = resolve({"crystal": {"preset": "bbo-phi1-co"}})
         assert config.resolved["gate"]["tau_fs"] == 94.0
-        assert config.resolved["grid"]["n_omega_c"] == 128
+        assert config.resolved["grid"]["n_omega_c"] is None
+        assert config.resolved["grid"]["n_omega_s"] is None
         assert config.resolved["comb"]["preset"] == "flat-40"
         assert config.comb().n_modes == 40
         # comb tau derived from 6 nm at 795 nm
@@ -207,10 +209,11 @@ class TestResolve:
     def test_comb_tau_sets_the_signal_time_scale(self):
         config = resolve({"comb": {"tau_fs": 40.0}})
         assert config.signal().spectral_tau_fs == 40.0
-        # the comb's 5/tau is the widest of the derived Omega half-spans
+        # the comb's 5/tau is the widest of the derived Omega half-spans; the
+        # Gauss-Legendre weights sum to the box width
         for axis in derive_grids(config.preset(), config.gate(), config.signal(),
                                  config.grid())[::2]:
-            assert axis.points[-1] == pytest.approx(5.0 / 40.0, rel=1e-12)
+            assert axis.weights.sum() / 2.0 == pytest.approx(5.0 / 40.0, rel=1e-12)
 
     def test_comb_fwhm_sets_the_signal_time_scale(self):
         # converted at the comb's carrier, not the crystal's 800 nm
@@ -218,6 +221,18 @@ class TestResolve:
         assert config.resolved["signal"] == {"waist_um": 107.7}
         assert config.signal().spectral_tau_fs == config.resolved["comb"]["tau_fs"]
         assert config.signal().spectral_tau_fs == convert_bandwidth(6.0, 0.81)
+
+    def test_comb_mode_count_sizes_the_omega_nodes(self, tmp_path):
+        # the comb's top mode sets the derived node count; a csv comb's
+        # count is its row count
+        photons = tmp_path / "photons.csv"
+        photons.write_text("".join(f"{n},0.1\n" for n in range(10)))
+        configs = [resolve({}), resolve({"comb": {"n_modes": 60}}),
+                   resolve({"comb": {"preset": "csv", "photons_csv": str(photons)}})]
+        assert [c.signal().comb_modes for c in configs] == [40, 60, 10]
+        sizes = [derive_grids(c.preset(), c.gate(), c.signal(), c.grid())[2].size
+                 for c in configs]
+        assert sizes[2] < sizes[0] < sizes[1]
 
     @pytest.mark.parametrize("key,value", [("tau_fs", 40.0), ("fwhm_nm", 6.0)])
     def test_signal_width_keys_rejected(self, key, value):
@@ -597,6 +612,18 @@ class TestCli:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["crystal"]["preset"] == "bbo-phi5-co"
 
+    @pytest.mark.parametrize("payload,field", [
+        ({"gate": {"waist_mm": 1e306}}, "gate.waist_mm"),
+        ({"gate": {"rep_rate_mhz": 1e306}}, "gate.rep_rate_mhz"),
+        ({"comb": {"squeezing_db": 1e4}}, "comb.squeezing_db"),
+        ({"crystal": {"length_mm": 1e306}}, "crystal.length_mm"),
+    ])
+    def test_value_overflowing_in_internal_units_names_its_key(self, tmp_path, capsys,
+                                                               payload, field):
+        path = write_config(tmp_path, payload)
+        assert main(["config", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"crystal": {"length_mm": -2}})
         assert main(["scan", "--config", str(path)]) == 1
@@ -872,6 +899,34 @@ class TestCli:
         for artifact in artifacts:
             assert (first.joinpath(artifact).read_bytes()
                     == replay.joinpath(artifact).read_bytes())
+
+    def test_run_meta_pinning_128_omega_points_replays_on_the_uniform_grid(
+            self, tmp_path, capsys):
+        # a default run_meta.json written while 128 uniform points were the
+        # Omega default: its explicit sizes keep the trapezoid, so it
+        # replays the K it recorded, and its own replay byte for byte
+        grid = {"n_omega_c": 128, "n_omega_s": 128, "n_q": None,
+                "phase_matching": "sinc", "span_scale": 1.0}
+        old = {"tool": "modesub", "version": "0.1.0", "wall_time_s": 0.0073,
+               "config": {**resolve({}).resolved, "grid": grid},
+               "environment": {"numpy": "2.4.6", "solve_single_thread": True}}
+        path = write_config(tmp_path, old, name="run_meta.json")
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        for command in ("subtract", "schmidt"):
+            assert main([command, "--config", str(path), "--output-dir", str(first)]) == 0
+        assert load_config(first / "run_meta.json").resolved["grid"] == grid
+        for command in ("subtract", "schmidt"):
+            assert main([command, "--config", str(first / "run_meta.json"),
+                         "--output-dir", str(replay)]) == 0
+        for artifact in ("condition_summary.json", "overlap_matrix.csv", "modes.csv"):
+            assert (first.joinpath(artifact).read_bytes()
+                    == replay.joinpath(artifact).read_bytes())
+        summary = json.loads((first / "condition_summary.json").read_text())
+        assert summary["grid"]["n_omega_c"] == summary["grid"]["n_omega_s"] == 128
+        # the 128-point trapezoid's K; the derived nodes give 1.5147695
+        assert summary["K"] == pytest.approx(1.5147682678764327, rel=1e-12)
+        omega_s = np.loadtxt(first / "modes.csv", delimiter=",", skiprows=2, usecols=0)
+        assert np.array_equal(omega_s, uniform_grid(omega_s[-1], 128).points)
 
     def test_all_failed_scan_still_records_its_run(self, tmp_path, capsys):
         # every point fails the span guard: exit 2, and the directory still

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from modesub import QuadGrid, uniform_grid
-from modesub.modes import default_half_span, hermite_gauss_table, hermite_gauss_values
+from modesub.modes import (default_half_span, gauss_legendre_grid, hermite_gauss_table,
+                           hermite_gauss_values)
 
 
 class TestQuadGrid:
@@ -19,6 +20,31 @@ class TestQuadGrid:
             g = uniform_grid(3.7, n)
             assert np.array_equal(g.points, -g.points[::-1])
             assert np.array_equal(g.weights, g.weights[::-1])
+
+    @pytest.mark.parametrize("n", [9, 48, 67])
+    def test_gauss_legendre_symmetric_to_the_bit(self, n):
+        g = gauss_legendre_grid(3.7, n)
+        assert g.size == n
+        assert np.array_equal(g.points, -g.points[::-1])
+        assert np.array_equal(g.weights, g.weights[::-1])
+        assert np.all(np.abs(g.points) < 3.7)
+        if n % 2:
+            assert g.points[n // 2] == 0.0
+
+    def test_gauss_legendre_exact_to_degree_2n_minus_1(self):
+        n, half = 12, 0.8
+        g = gauss_legendre_grid(half, n)
+        for k in range(0, 2 * n, 2):   # odd powers vanish by symmetry
+            exact = 2.0 * half ** (k + 1) / (k + 1)
+            assert np.sum(g.weights * g.points ** k) == pytest.approx(exact, rel=1e-13)
+        assert np.sum(g.weights * g.points ** (2 * n)) != pytest.approx(
+            2.0 * half ** (2 * n + 1) / (2 * n + 1), rel=1e-6)
+
+    def test_gauss_legendre_scales_one_rule_per_n(self):
+        a, b = gauss_legendre_grid(1.0, 33), gauss_legendre_grid(2.0, 33)
+        assert np.array_equal(2.0 * a.points, b.points)
+        with pytest.raises(ValueError):
+            gauss_legendre_grid(0.0, 33)
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(ValueError):
