@@ -2,8 +2,8 @@
 
 The solve path (:func:`~modesub.kernel.kernel_gram`, and
 :func:`~modesub.schmidt.decompose` or the scan's eigenvalue-only solve)
-hands BLAS only small problems: a syrk per block of about 600 x 61
-samples and one ``eigh`` per parity block of about 31 x 31, or for the
+hands BLAS only small problems: a syrk per block of about 420 x 49
+samples and one ``eigh`` per parity block of about 25 x 25, or for the
 scan one ``eigvalsh`` where the blocks' traces allow.  A second OpenBLAS
 thread does not pay for itself there, and after each call it spin-waits
 on the other core, which slows the numpy passes that follow (the

@@ -93,9 +93,12 @@ def photons_from_squeezing(squeezing_db: float, finesse: float) -> float:
         raise ValueError("finesse must be positive and finite")
     r = squeezing_db * math.log(10.0) / 20.0
     try:
-        return math.sinh(r) ** 2 / finesse
+        photons = math.sinh(r) ** 2 / finesse
     except OverflowError:
-        raise ValueError(f"{squeezing_db!r} dB overflows the photon number") from None
+        photons = math.inf
+    if photons == math.inf:
+        raise ValueError(f"{squeezing_db!r} dB overflows the photon number")
+    return photons
 
 
 def flat_comb(n_modes: int = 40, squeezing_db: float = 4.2, finesse: float = 40.0,
@@ -213,8 +216,11 @@ def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
     eigenmode shape (same order, gate's own time scale), the kernel is
     rebuilt and decomposed, and the conditioned state evaluated against the
     full comb; only that state's figures and the kernel's grid diagnostics are kept.
+    The signal's ``comb_modes`` is set from ``comb``, so a derived Omega_s
+    axis resolves its top mode (:func:`~modesub.kernel.omega_axis_size`).
     """
     config = config or GridConfig()
+    signal = dc_replace(signal, comb_modes=comb.n_modes)
     results = []
     for order in gate_orders:
         gate_o = dc_replace(gate, order=order)

@@ -11,8 +11,10 @@ doc.  A rule checks one given value and returns the value to store, an
 ``int`` for a count and any other number as given; defaults are constants
 and are not re-checked.  A lab value's rule also checks that it stays
 finite in internal units (``length_mm``, ``waist_mm``, ``rep_rate_mhz``,
-and the photon number of ``squeezing_db``), so a value that would
-overflow names its own key.  A key may be null where its default is null
+the photon number of ``squeezing_db`` and the per-pulse share 1 /
+``finesse``), so a value that would overflow names its own key; a width
+whose nm -> fs conversion has no finite duration names its ``fwhm_nm``,
+or the carrier it converts at (:func:`_resolve_width`).  A key may be null where its default is null
 or a resolved config writes it as null (``comb.fwhm_nm``,
 ``crystal.preset`` of an inline crystal, ``comb.n_modes`` and
 ``comb.squeezing_db`` of a CSV comb), so a ``run_meta.json`` loads
@@ -31,7 +33,10 @@ alone names itself, not the inline keys it lacks.
 The comb sets the signal's time scale: the signal beam's spectral tau is
 the resolved ``comb.tau_fs``, the tau of the comb's Hermite-Gauss modes, so
 the subtraction modes and the comb modes share one time scale and the Omega
-box is sized from it (:func:`modesub.kernel.derive_grids`).
+box is sized from it (:func:`modesub.kernel.derive_grids`).  The signal
+beam carries no comb count: only ``subtract`` samples the comb, and
+:func:`~modesub.conditioning.comb_subtraction_experiment` takes the count
+from the comb it is handed.
 
 A scan point is the crystal, gate and signal beam it solves
 (:class:`ScanPoint`).  What each scan variable sets is written once, in
@@ -102,6 +107,13 @@ def _positive_times(factor: float):
 
 def _squeezing(value):
     photons_from_squeezing(_non_negative(value), finesse=1.0)  # rejects an overflow
+    return value
+
+
+def _finesse(value):
+    """A positive finesse whose reciprocal, the per-pulse share, is finite."""
+    if not math.isfinite(1.0 / _positive(value)):
+        raise ValueError(f"1 / {value!r} overflows the per-pulse photon number")
     return value
 
 
@@ -207,7 +219,7 @@ _SCHEMA: dict[str, Any] = {
                     "number of comb eigenmodes; preset 'flat-40' only"),
         "squeezing_db": (4.2, _optional(_squeezing),
                          "squeezing of the leading mode [dB]; preset 'flat-40' only"),
-        "finesse": (40.0, _positive, "cavity finesse (pulses per correlated train)"),
+        "finesse": (40.0, _finesse, "cavity finesse (pulses per correlated train)"),
         "center_nm": (795.0, _positive, "comb carrier wavelength [nm]"),
         "fwhm_nm": (6.0, _OPT_POSITIVE,
                     "comb-mode intensity FWHM [nm], converted at center_nm; "
@@ -223,10 +235,9 @@ _SCHEMA: dict[str, Any] = {
     "grid": {
         "n_omega_c": (None, _optional(_GRID_SIZE),
                       "points on the up-converted frequency axis; null derives "
-                      "Gauss-Legendre nodes, as many as the fastest factor on "
-                      "the axis needs (the phase matching, the gate, the beam "
-                      "or the comb's top mode); a number gives uniform "
-                      "trapezoid points"),
+                      "Gauss-Legendre nodes, as many as the factors sampled on "
+                      "the axis need (the phase matching, the gate and the "
+                      "beam); a number gives uniform trapezoid points"),
         "n_q": (None, _optional(_GRID_SIZE),
                 "points on the transverse momentum axis; null derives them "
                 "from the beam's and the phase matching's bandwidth: the "
@@ -235,7 +246,8 @@ _SCHEMA: dict[str, Any] = {
                 "over a span that holds the beam's drift"),
         "n_omega_s": (None, _optional(_GRID_SIZE),
                       "points on the signal frequency axis; null derives "
-                      "Gauss-Legendre nodes, as for n_omega_c"),
+                      "Gauss-Legendre nodes, as for n_omega_c, and for the "
+                      "comb's top mode too where `subtract` samples the comb"),
         "span_scale": (1.0, _positive,
                        "multiplier on the auto-derived Omega half-spans; the "
                        "q_c span holds the beam and its drift over them"),
@@ -292,19 +304,27 @@ def schema() -> dict:
     return out
 
 
-def _resolve_width(name: str, section: dict, given: dict, carrier_um: float) -> None:
+def _resolve_width(name: str, section: dict, given: dict, carrier_um: float,
+                   carrier_key: str) -> None:
     """Resolve a section's spectral width to tau_fs, in place.
 
     ``given`` is the section as written and ``section`` its merged copy.
-    An fwhm_nm (given, or the default) converts at ``carrier_um`` unless a
-    tau_fs was given.  fwhm_nm is then cleared: the canonical width is
+    An fwhm_nm (given, or the default) converts at ``carrier_um``, read
+    from ``carrier_key``, unless a tau_fs was given.  A conversion with no
+    finite duration names the carrier when its square leaves the float
+    range, else fwhm_nm.  fwhm_nm is then cleared: the canonical width is
     tau_fs in resolved configs.
     """
     if given.get("tau_fs") is not None and given.get("fwhm_nm") is not None:
         raise ConfigError(f"{name}.tau_fs / {name}.fwhm_nm: give exactly one "
                           "spectral width")
     if given.get("tau_fs") is None and section["fwhm_nm"] is not None:
-        section["tau_fs"] = convert_bandwidth(section["fwhm_nm"], carrier_um)
+        try:
+            section["tau_fs"] = convert_bandwidth(section["fwhm_nm"], carrier_um)
+        except ValueError as exc:
+            key = (carrier_key if not 0 < carrier_um * carrier_um < math.inf
+                   else f"{name}.fwhm_nm")
+            raise ConfigError(f"{key}: {exc}") from None
     section["fwhm_nm"] = None
 
 
@@ -355,9 +375,8 @@ class RunConfig:
                         rep_rate_hz=g["rep_rate_mhz"] * 1e6)
 
     def signal(self) -> SignalBeamSpec:
-        comb = self.comb()
         return SignalBeamSpec(waist_s_um=self.resolved["signal"]["waist_um"],
-                              spectral_tau_fs=comb.tau_s_fs, comb_modes=comb.n_modes)
+                              spectral_tau_fs=self.resolved["comb"]["tau_fs"])
 
     def comb(self) -> CombState:
         c = self.resolved["comb"]
@@ -368,8 +387,11 @@ class RunConfig:
                                      finesse=c["finesse"])
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"comb.photons_csv: {exc}") from exc
-        return flat_comb(n_modes=c["n_modes"], squeezing_db=c["squeezing_db"],
-                         finesse=c["finesse"], tau_s_fs=tau_s)
+        try:
+            return flat_comb(n_modes=c["n_modes"], squeezing_db=c["squeezing_db"],
+                             finesse=c["finesse"], tau_s_fs=tau_s)
+        except ValueError as exc:   # each passed its rule; their quotient overflowed
+            raise ConfigError(f"comb.squeezing_db / comb.finesse: {exc}") from exc
 
     def grid(self) -> GridConfig:
         g = self.resolved["grid"]
@@ -431,11 +453,11 @@ def resolve(raw: dict) -> RunConfig:
                 raise ConfigError(f"crystal.{key}: inline-crystal key given beside "
                                   f"the named preset {crystal['preset']!r}")
         # carrier wavelength of the gate's nm -> fs conversion
-        carrier_um = PRESETS[crystal["preset"]].lambda_s_um
+        carrier_um, carrier_key = PRESETS[crystal["preset"]].lambda_s_um, "crystal.preset"
     else:
-        carrier_um = crystal["lambda_s_nm"] * 1e-3
+        carrier_um, carrier_key = crystal["lambda_s_nm"] * 1e-3, "crystal.lambda_s_nm"
 
-    _resolve_width("gate", gate, raw.get("gate") or {}, carrier_um)
+    _resolve_width("gate", gate, raw.get("gate") or {}, carrier_um, carrier_key)
     given_comb = raw.get("comb") or {}
     for preset, keys in _COMB_PRESET_KEYS.items():
         for key in keys:
@@ -447,7 +469,7 @@ def resolve(raw: dict) -> RunConfig:
                 raise ConfigError(f"comb.{key}: read only by comb.preset = {preset!r}, "
                                   f"not {comb['preset']!r}")
             comb[key] = None
-    _resolve_width("comb", comb, given_comb, comb["center_nm"] * 1e-3)
+    _resolve_width("comb", comb, given_comb, comb["center_nm"] * 1e-3, "comb.center_nm")
     if comb["tau_fs"] is None:
         raise ConfigError("comb.tau_fs / comb.fwhm_nm: give exactly one spectral width")
     if comb["preset"] == "csv":  # still read from the working directory

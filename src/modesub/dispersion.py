@@ -137,5 +137,12 @@ def convert_bandwidth(fwhm_nm: float, lambda_um: float) -> float:
     """
     if not (0 < fwhm_nm < math.inf and 0 < lambda_um < math.inf):
         raise ValueError("bandwidth and wavelength must be positive and finite")
-    d_omega = 2.0 * math.pi * C_UM_PER_FS * (fwhm_nm * 1e-3) / lambda_um**2
-    return 2.0 * math.sqrt(math.log(2.0)) / d_omega
+    try:
+        d_omega = 2.0 * math.pi * C_UM_PER_FS * (fwhm_nm * 1e-3) / lambda_um**2
+        tau = 2.0 * math.sqrt(math.log(2.0)) / d_omega
+    except ArithmeticError:   # lambda^2 or d_omega overflowed or underflowed
+        tau = math.nan
+    if not 0 < tau < math.inf:
+        raise ValueError(f"{fwhm_nm!r} nm at {lambda_um!r} um has no finite positive "
+                         "duration")
+    return tau

@@ -8,10 +8,10 @@ a plane wave (valid for a gate beam much wider than the signal), which is
 what reduces the problem to these three variables.  Every factor is real,
 so the kernel is real.
 
-One sampler writes the kernel one q_c plane at a time: a contiguous
-[Omega_c, Omega_s] array on which every q_c part is a scalar.
-:func:`kernel_gram` has it write a few whole planes at a time into a reused
-block and folds each block straight into the real symmetric signal-side
+One sampler writes the kernel a block of whole q_c planes at a time: a
+contiguous [q_c, Omega_c, Omega_s] array on whose planes every q_c part is
+a scalar.  :func:`kernel_gram` has it write the blocks into one reused
+array and folds each block straight into the real symmetric signal-side
 Gram matrix, never forming the 3-D array; that is the solve path, and it
 runs at one OpenBLAS thread (:func:`kernel_gram` says why).  The Gram
 sums the samples times sqrt(w_c w_q), the quadrature weights of the
@@ -23,6 +23,14 @@ reference: its norm and :func:`~modesub.schmidt.gram_matrix` over it are
 unfolded sums over every row, which the tests hold the streamed route to.
 Both measure truncation as ``mass_captured``: the share of the closed-form
 continuum ||L||^2 (:func:`continuum_norm_sq`) in the box, whatever the step.
+
+:func:`_axes` sizes every axis.  A derived Omega axis holds Gauss-Legendre
+nodes for the factors sampled on it (:func:`omega_axis_size`): the kernel's
+own phase matching, beam and gate size Omega_c, which the Gram integrates
+out before any comb mode is sampled, and Omega_s, which adds the comb's top
+mode only for a solve conditioned on a comb
+(:attr:`SignalBeamSpec.comb_modes`).  A derived q_c axis is a uniform
+trapezoid sized by the beam and the phase matching (:func:`q_axis_size`).
 
 The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
 (-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
@@ -48,7 +56,7 @@ x = 0, so :func:`sinc`'s series takes over below |x| = 1e-2, where it is
 accurate to rounding; the divide and the series are written once, in
 :func:`_sine_over`.  The beam Gaussian is exp(-(beta + gamma)^2) with beta
 and gamma the 2-D and 1-D parts of the momentum, pre-scaled by w_s/sqrt(2):
-one 3-D add, square, subtract and exp, the subtract from the plane's
+one 3-D add, square, subtract and exp, the subtract from each plane's
 log sqrt(w_q), which is 0 for the unweighted dense array.  Its exponent
 never exceeds log sqrt(w_q), so it cannot overflow, unlike the factored
 exp(-beta gamma) exp(-beta^2/2) exp(-gamma^2/2), whose middle factor
@@ -83,9 +91,14 @@ MIN_MASS_CAPTURED = 0.9
 MIN_LOBE_POINTS = 8.0
 # fewest points on any axis
 MIN_AXIS_POINTS = 8
-# Gauss-Legendre nodes on a derived Omega axis per radian its fastest factor
-# turns through over the half-span, by phase matching (:func:`omega_axis_size`)
-OMEGA_NODES_PER_RADIAN = {"sinc": 1.35, "gaussian": 1.7}
+# Gauss-Legendre nodes on a derived Omega axis, by phase matching: a floor,
+# plus nodes per radian each factor turns through over the half-span
+# (:func:`omega_axis_size`, which gives the calibration)
+OMEGA_NODE_FLOOR = {"sinc": 18.4, "gaussian": 33.7}
+OMEGA_NODES_PER_RADIAN = {
+    "sinc": {"match": 0.66, "beam": 1.84, "gate": 2.85, "comb": 0.30},
+    "gaussian": {"match": 2.13, "beam": 1.50, "gate": 1.68, "comb": 0.37},
+}
 # largest relative size of the aliases the trapezoid rule adds on a derived
 # q_c axis (:func:`q_axis_size`)
 Q_ALIAS_TOL = 1e-12
@@ -138,26 +151,29 @@ class GateSpec:
 
 @dataclass(frozen=True)
 class SignalBeamSpec:
-    """Signal beam: transverse Gaussian width, comb-mode time scale and count.
+    """Signal beam: transverse Gaussian width, comb-mode time scale and,
+    for a solve conditioned on a comb, its mode count.
 
     ``spectral_tau_fs`` is the tau of the comb's Hermite-Gauss modes (a run
     config sets it from ``comb.tau_fs``).  It sizes only the Omega box: it is
     one of the half-spans whose largest :func:`derive_grids` takes, and no
-    kernel sample reads it.  ``comb_modes`` is the comb's mode count (a run
-    config sets it from the comb it builds; 40 is the ``flat-40`` default).
-    It sizes only the derived Omega axes, whose nodes must resolve the top
-    comb mode the subtraction modes are matched against
-    (:func:`omega_axis_size`).
+    kernel sample reads it.  ``comb_modes`` is None unless the solve is
+    matched against a comb:
+    :func:`~modesub.conditioning.comb_subtraction_experiment` sets it from
+    the comb it is handed.  It sizes only a derived Omega_s axis, whose
+    nodes must then resolve the top comb mode too (:func:`_axes`); a scan,
+    a mode dump or a kernel dump samples no comb mode and leaves it None.
     """
 
     waist_s_um: float
     spectral_tau_fs: float
-    comb_modes: int = 40
+    comb_modes: int | None = None
 
     def __post_init__(self):
         if not (0 < self.waist_s_um < math.inf and 0 < self.spectral_tau_fs < math.inf):
             raise ValueError("signal waist and spectral tau must be positive and finite")
-        if not (isinstance(self.comb_modes, int) and self.comb_modes >= 1):
+        if self.comb_modes is not None and not (isinstance(self.comb_modes, int)
+                                                and self.comb_modes >= 1):
             raise ValueError("comb_modes must be a positive integer, "
                              f"got {self.comb_modes!r}")
 
@@ -168,16 +184,17 @@ class GridConfig:
 
     ``n_omega_c = None`` and ``n_omega_s = None`` derive Gauss-Legendre
     nodes on the Omega axes, as many as :func:`omega_axis_size` takes for
-    the fastest factor on the axis; an explicit size gives a uniform
-    trapezoid axis of that many points, checked against the phase-matching
-    lobe.  Derived Omega half-spans (:func:`derive_grids`) are scaled by
-    ``span_scale``; the ``span_*`` fields replace them per axis.  A derived
-    q_c half-span is not scaled: it holds the beam and the beam centre's
-    drift over the Omega box, so it follows the Omega spans.  ``n_q = None``
-    derives the q_c size from the bandwidth of the beam and of the phase
-    matching (:func:`q_axis_size`): the largest step whose trapezoid aliases
-    stay under :data:`Q_ALIAS_TOL` and under 1/:data:`MIN_LOBE_POINTS` of the
-    phase-matching lobe along q_c.  An explicit ``n_q`` is used as given.
+    the factors sampled on the axis (:func:`_axes`); an explicit size gives
+    a uniform trapezoid axis of that many points, checked against the
+    phase-matching lobe.  Derived Omega half-spans (:func:`derive_grids`)
+    are scaled by ``span_scale``; the ``span_*`` fields replace them per
+    axis.  A derived q_c half-span is not scaled: it holds the beam and the
+    beam centre's drift over the Omega box, so it follows the Omega spans.
+    ``n_q = None`` derives the q_c size from the bandwidth of the beam and
+    of the phase matching (:func:`q_axis_size`): the largest step whose
+    trapezoid aliases stay under :data:`Q_ALIAS_TOL` and under
+    1/:data:`MIN_LOBE_POINTS` of the phase-matching lobe along q_c.  An
+    explicit ``n_q`` is used as given.
     """
 
     n_omega_c: int | None = None
@@ -241,9 +258,11 @@ def _sine_over(sine: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     with np.errstate(invalid="ignore"):   # 0/0 at x = 0 is replaced below
         np.divide(sine, x, out=sine)
-    # flat indices, taken once; most q_c planes miss the ridge and have none.
-    # np.put writes through a strided ``sine``, where sine.ravel() would copy
-    small = np.flatnonzero(np.abs(x) < SINC_SERIES_BELOW)
+    # flat indices, taken once; few samples lie near the ridge.  Two
+    # comparisons make byte-sized masks where |x| would take a float
+    # temporary the size of x.  np.put writes through a strided ``sine``,
+    # where sine.ravel() would copy
+    small = np.flatnonzero((x < SINC_SERIES_BELOW) & (x > -SINC_SERIES_BELOW))
     if small.size:
         x2 = np.square(np.take(x, small))
         np.put(sine, small, 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0))
@@ -298,25 +317,52 @@ def q_axis_size(forms, length_um: float, w_s: float, span_q: float,
     return max(MIN_AXIS_POINTS, int(np.ceil(2.0 * span_q / step)) + 1)
 
 
-def omega_axis_size(half_span: float, rates, phase_matching: PhaseMatching) -> int:
+def omega_axis_size(half_span: float, rates: dict[str, float],
+                    phase_matching: PhaseMatching) -> int:
     """Gauss-Legendre nodes on a derived Omega axis of half-span ``half_span``.
 
-    The least odd n >= c half_span max(rates), with c the
-    :data:`OMEGA_NODES_PER_RADIAN` of ``phase_matching``, and at least
-    :data:`MIN_AXIS_POINTS`.  ``rates`` (fs) are how fast the factors on
-    the axis turn (:func:`_axes`), so half_span max(rates) is the phase
-    the fastest one turns through over the half-span.  An odd n puts a
-    node at Omega = 0.
+    The least odd n >= n_0 + half_span sum_i c_i r_i, and at least
+    :data:`MIN_AXIS_POINTS`, with n_0 the :data:`OMEGA_NODE_FLOOR` and c_i
+    the :data:`OMEGA_NODES_PER_RADIAN` of ``phase_matching``.  ``rates``
+    maps each factor sampled on the axis to the rate r_i (fs) it turns at
+    along it (:func:`_axes`): ``match`` the phase matching, ``beam`` the
+    beam Gaussian, ``gate`` the gate's top HG order and, on the Omega_s
+    axis of a solve conditioned on a comb, ``comb`` the top comb mode.  The
+    factors multiply, so their bandwidths, and the node counts they take,
+    add; a single c max(r_i) over-resolves one factor to reach another.  An
+    odd n puts a node at Omega = 0.
 
-    c was calibrated on 4 presets x l = 1, 2.5, 4 mm x w_s = 50, 110,
-    200 um x gate orders 0-2, with the 40-mode comb: the least c whose n
-    matched n at c = 4 within 5e-13 on K, lambda_1, purity and
-    probability.  The sinc needed c <= 1.35 (41-61 nodes at order 0,
-    81-119 at order 2), the Gaussian surrogate up to 1.7 (phi = 1 deg co,
-    l = 4 mm, w_s = 200 um).  At the calibrated c the rule's n is within
-    4.3e-13 of the 2n solve there and at 120 random points of that range.
+    n_0 and the c_i are a linear-programme fit of the least n per axis
+    within 2e-13 of a converged solve (K, lambda_1, purity and probability)
+    on the sweep of ``tests/test_calibration.py``: 4 presets x l = 1, 2.5,
+    4 mm x w_s = 50, 110, 200 um x gate orders 0-2 x sinc and surrogate at
+    tau_g = 94 fs, and 120 seeded random points that also vary l up to
+    6 mm, tau_g over 60-130 fs and span_scale over 1-1.5.  The fit keeps
+    each axis 2 nodes over its least n, minimizes the sum of n over the
+    sweep and, for the sinc, over the benchmark's phi = 1 deg order-0
+    lattice, and fits ``comb`` last, the kernel terms held.  The errors of
+    the two axes do not add: with Omega_c near its least n, the Omega_c
+    rule's error oscillates in Omega_s, and a coarse Omega_s aliases it.
+    The surrogate's floor carries 4 nodes more for that (phi = 5 deg
+    counter, l = 5.1 mm, span_scale 1.42 read 8.3e-13 without them).  On
+    the sweep the rule is within 6.9e-14 (sinc) and 3.5e-13 (surrogate) of
+    the solve on twice its nodes.  On the grid it takes:
+
+        phase      order  Omega_c   Omega_s   Omega_s with the 40-mode comb
+        sinc       0      37-61     35-59     49-73
+        sinc       1      63-95     57-95     77-115
+        sinc       2      91-135    85-133    111-161
+        surrogate  0      65-105    45-85     61-113
+        surrogate  1      75-149    59-109    83-133
+        surrogate  2      95-195    75-143    107-175
+
+    On the benchmark's lattice (phi = 1 deg co, order 0, l = 1-4 mm,
+    w_s = 50-200 um) that is 37-49 nodes on Omega_c, 35-37 on a scan's
+    Omega_s and 49-51 on a conditioned Omega_s.
     """
-    n = math.ceil(OMEGA_NODES_PER_RADIAN[phase_matching] * half_span * max(rates))
+    per_radian = OMEGA_NODES_PER_RADIAN[phase_matching]
+    phase = half_span * sum(per_radian[factor] * rate for factor, rate in rates.items())
+    n = math.ceil(OMEGA_NODE_FLOOR[phase_matching] + phase)
     return max(n, MIN_AXIS_POINTS) | 1
 
 
@@ -351,12 +397,16 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     truncate but a wider central peak.
 
     A derived Omega axis holds :func:`omega_axis_size`'s Gauss-Legendre
-    nodes for the fastest of the factors on it: the phase matching, at
-    |m| l/2 along the axis (m its coefficient in the match row of
-    ``forms``); the beam, at w_s |b|; the gate's top HG order, at
-    tau_g sqrt(2 order + 1); and the comb's top mode, at
-    tau_s sqrt(2 N - 1) for N comb modes, which sets the size at the
-    default point.  An explicit size gives a uniform trapezoid axis.
+    nodes for the factors sampled on it, each at the rate it turns along
+    the axis: the phase matching, at |m| l/2 (m its coefficient in the
+    match row of ``forms``); the beam, at w_s |b| (b likewise, of the beam
+    row); and the gate's top HG order, at tau_g sqrt(2 order + 1).  Those
+    are the kernel's own factors, and they alone size Omega_c, which the
+    Gram integrates out before any comb mode is sampled.  Omega_s adds the
+    comb's top mode, at tau_s sqrt(2 N - 1), only when ``signal`` carries a
+    comb count N: a solve conditioned on a comb samples its modes on
+    Omega_s, and a scan or a dump samples none.  An explicit size gives a
+    uniform trapezoid axis.
 
     The q_c span holds the signal beam where the Omega box puts it.  Over
     the box the beam centre q* = -(b_c Omega_c + b_s Omega_s) / b_q (b the
@@ -385,16 +435,19 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     s_ws = config.span_omega_s if config.span_omega_s is not None else span_omega
 
     _, beam, match = forms
-    # the rates every Omega axis shares: the gate's top HG order and the comb's
-    shared = (gate.tau_g * math.sqrt(2 * gate.order + 1),
-              signal.spectral_tau_fs * math.sqrt(2 * signal.comb_modes - 1))
+    gate_rate = gate.tau_g * math.sqrt(2 * gate.order + 1)
 
-    def omega_axis(span: float, n: int | None, k: int, label: str) -> QuadGrid:
+    def omega_axis(span: float, n: int | None, k: int, label: str, **comb) -> QuadGrid:
         if n is not None:
             return uniform_grid(span, n, label=label)
-        rates = (abs(match[k]) * l / 2.0, w_s * abs(beam[k]), *shared)
+        rates = {"match": abs(match[k]) * l / 2.0, "beam": w_s * abs(beam[k]),
+                 "gate": gate_rate, **comb}
         n = omega_axis_size(span, rates, config.phase_matching)
         return gauss_legendre_grid(span, n, label=label)
+
+    # only a solve conditioned on a comb samples its modes, on Omega_s
+    comb = ({} if signal.comb_modes is None else
+            {"comb": signal.spectral_tau_fs * math.sqrt(2 * signal.comb_modes - 1)})
 
     drift = (abs(beam[0]) * s_wc + abs(beam[2]) * s_ws) / abs(beam[1])
     if config.span_q is not None:
@@ -406,7 +459,7 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
            else q_axis_size(forms, l, w_s, s_q, config.phase_matching))
     grids = (omega_axis(s_wc, config.n_omega_c, 0, "omega_c"),
              uniform_grid(s_q, n_q, label="q_c"),
-             omega_axis(s_ws, config.n_omega_s, 2, "omega_s"))
+             omega_axis(s_ws, config.n_omega_s, 2, "omega_s", **comb))
     return grids, {"n_omega_c": grids[0].size, "n_q": n_q,
                    "n_omega_s": grids[2].size, "q_drift_ratio": drift / s_q}
 
@@ -431,19 +484,22 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     sqrt(w_c) row by row.  It then yields ``(start, block)``: the q_c planes
     [start, start + len(block)), written into one reused contiguous block
     ([planes, rows, n_s], real float64) of about :data:`BLOCK_SAMPLES`
-    samples.  On a plane the 1-D q_c parts are scalars, so every 3-D op is a
-    contiguous pass over a plane and a scalar or a 2-D part, in place or
-    into one plane-sized temporary.  Per plane the sinc takes two multiplies,
-    an add, the add u + v, the divide and the |x| mask of
-    :func:`_sine_over`; the surrogate an add, a square, a scale and an exp.
-    The beam then takes an add, a square, the subtract from
-    log sqrt(w_q[k]) that puts the plane weight in its exponent, and an exp,
-    and two multiplies apply the beam and the gate.  Only the exps of the
-    beam and of the Gaussian phase matching see every sample.  With unit
-    weights (:func:`build_kernel`) sqrt 1 = 1 and log 1 = 0, so the samples
-    are the unweighted kernel's to the last bit.  The ops run in one order
-    on every plane, so every sample is the same to the last bit whatever
-    the block shape.
+    samples.  On a plane the 1-D q_c parts are scalars, so every 3-D op is
+    one contiguous pass over the block, a 2-D part and the planes' scalars
+    broadcast along each plane, in place or into one block-sized temporary;
+    a derived grid's planes are small (735 samples at the default scan
+    point), and one numpy call per op and block, not per plane, keeps the
+    call overhead off them.  Per block the sinc takes two multiplies, an
+    add, the add u + v, the divide and the |x| mask of :func:`_sine_over`;
+    the surrogate an add, a square, a scale and an exp.  The beam then
+    takes an add, a square, the subtract from log sqrt(w_q[k]) that puts
+    plane k's weight in its exponent, and an exp, and two multiplies apply
+    the beam and the gate.  Only the exps of the beam and of the Gaussian
+    phase matching see every sample.  With unit weights
+    (:func:`build_kernel`) sqrt 1 = 1 and log 1 = 0, so the samples are the
+    unweighted kernel's to the last bit.  Every sample takes the same ops
+    in the same order, so it is the same to the last bit whatever the block
+    shape.
     """
     forms = kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho)
     (g_wc, g_q, g_ws), diagnostics = _axes(preset, gate, signal, config, forms)
@@ -489,26 +545,28 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
         u = _outer_part(pm_form, wc, ws)
         if sinc_pm:
             sin_u, cos_u = np.sin(u), np.cos(u)
-        temp = np.empty_like(u)
         per_block = max(1, BLOCK_SAMPLES // u.size)
         block = np.empty((min(per_block, g_q.size), *u.shape))
+        temp = np.empty_like(block)
         for start in range(0, g_q.size, per_block):
-            part = block[:min(per_block, g_q.size - start)]
-            for k, plane in enumerate(part, start):
-                if sinc_pm:
-                    np.multiply(sin_u, cos_v[k], out=plane)
-                    plane += np.multiply(cos_u, sin_v[k], out=temp)
-                    _sine_over(plane, np.add(u, v[k], out=temp))
-                else:   # the surrogate's exp(-GAMMA_SINC x^2), in place
-                    np.add(u, v[k], out=plane)
-                    np.square(plane, out=plane)
-                    plane *= -GAMMA_SINC
-                    np.exp(plane, out=plane)
-                np.add(beta, gamma[k], out=temp)
-                np.square(temp, out=temp)
-                np.subtract(log_sqrt_w_q[k], temp, out=temp)
-                plane *= np.exp(temp, out=temp)
-                plane *= gate_amp
+            stop = min(start + per_block, g_q.size)
+            part, tmp = block[:stop - start], temp[:stop - start]
+            # the 1-D parts of the block's planes, broadcast along each plane
+            planes = (slice(start, stop), None, None)
+            if sinc_pm:
+                np.multiply(sin_u, cos_v[planes], out=part)
+                part += np.multiply(cos_u, sin_v[planes], out=tmp)
+                _sine_over(part, np.add(u, v[planes], out=tmp))
+            else:   # the surrogate's exp(-GAMMA_SINC x^2), in place
+                np.add(u, v[planes], out=part)
+                np.square(part, out=part)
+                part *= -GAMMA_SINC
+                np.exp(part, out=part)
+            np.add(beta, gamma[planes], out=tmp)
+            np.square(tmp, out=tmp)
+            np.subtract(log_sqrt_w_q[planes], tmp, out=tmp)
+            part *= np.exp(tmp, out=tmp)
+            part *= gate_amp
             yield start, part
 
     return (g_wc, g_q, g_ws), blocks, continuum, diagnostics
@@ -570,9 +628,10 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
 
     The whole call runs at one OpenBLAS thread and restores the count on
     return (:func:`~modesub._blas.one_blas_thread`).  Each block's syrk is
-    about 600 x 61 at the defaults; a second thread gains nothing on it and spin-waits
-    through the next plane's numpy passes, which then run slower.  The
-    thread count does not change a sample or a Gram entry.
+    420 x 35 for a scan and 420 x 49 for ``subtract`` at the defaults; a
+    second thread gains nothing on it and spin-waits through the next
+    block's numpy passes, which then run slower.  The thread count does not
+    change a sample or a Gram entry.
     """
     config = config or GridConfig()
     grids, blocks, continuum, diagnostics = _sample(preset, gate, signal, config, check=True)

@@ -7,7 +7,10 @@ transverse ones).  They are sampled as they are, never renormalized to a
 grid, so a grid that cuts one off shows it as a grid norm under 1.
 Integrals are quadrature sums.  A derived Omega axis holds Gauss-Legendre
 nodes (:func:`gauss_legendre_grid`), sized by
-:func:`~modesub.kernel.omega_axis_size`.  The kernel is entire in Omega_c
+:func:`~modesub.kernel.omega_axis_size` for the factors sampled on it: the
+kernel's phase matching, beam and gate on Omega_c and on a scan's Omega_s,
+and the comb's top mode besides on the Omega_s of a solve conditioned on a
+comb, where the comb modes are sampled.  The kernel is entire in Omega_c
 and Omega_s, so their error falls exponentially in the node count even
 where the box cuts the sinc tails (Trefethen, SIAM Rev. 50, 2008).  An
 Omega axis of a given size, and every q_c axis, is a uniform trapezoid

@@ -397,6 +397,15 @@ class TestExperiment:
         assert purities[0] > purities[1] > purities[2]
         assert (max(rates) - min(rates)) / min(rates) < 0.05
 
+    def test_omega_s_is_sized_for_the_comb_it_is_handed(self, bbo1co, gate94):
+        # the signal carries no comb count; the experiment takes it from the comb
+        signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=TAU_S)
+        comb = flat_comb(n_modes=100, tau_s_fs=TAU_S)
+        (result,) = comb_subtraction_experiment(bbo1co, gate94, signal, comb, (0,))
+        sizes = {n: derive_grids(bbo1co, gate94, replace(signal, comb_modes=n),
+                                 GridConfig())[2].size for n in (None, 40, 100)}
+        assert result.grid["n_omega_s"] == sizes[100] > sizes[40] > sizes[None]
+
     def test_comb_sampled_once_per_order(self, bbo1co, monkeypatch):
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=TAU_S)
         gate = GateSpec(order=0, tau_g=TAU_S)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modesub import GridConfig, _blas, build_kernel, decompose, kernel_gram
+from modesub import (GridConfig, _blas, build_kernel, comb_subtraction_experiment,
+                     decompose, kernel_gram)
 from modesub.analytic import single_mode_rate
 from modesub.cli import build_parser, main
 from modesub.config import _AXIS_KEYS, _SCHEMA, ConfigError, load_config, resolve, schema
@@ -223,15 +224,20 @@ class TestResolve:
         assert config.signal().spectral_tau_fs == convert_bandwidth(6.0, 0.81)
 
     def test_comb_mode_count_sizes_the_omega_nodes(self, tmp_path):
-        # the comb's top mode sets the derived node count; a csv comb's
-        # count is its row count
+        # the subtract solve adds the comb's top mode to the Omega_s node
+        # count; a csv comb's count is its row count.  The signal beam, and
+        # so the scan and the kernel dump, carries no comb count
         photons = tmp_path / "photons.csv"
         photons.write_text("".join(f"{n},0.1\n" for n in range(10)))
         configs = [resolve({}), resolve({"comb": {"n_modes": 60}}),
                    resolve({"comb": {"preset": "csv", "photons_csv": str(photons)}})]
-        assert [c.signal().comb_modes for c in configs] == [40, 60, 10]
-        sizes = [derive_grids(c.preset(), c.gate(), c.signal(), c.grid())[2].size
+        assert all(c.signal().comb_modes is None for c in configs)
+        sizes = [comb_subtraction_experiment(c.preset(), c.gate(), c.signal(), c.comb(),
+                                             (0,), c.grid())[0].grid["n_omega_s"]
                  for c in configs]
+        assert sizes == [derive_grids(c.preset(), c.gate(),
+                                      replace(c.signal(), comb_modes=n), c.grid())[2].size
+                         for c, n in zip(configs, (40, 60, 10))]
         assert sizes[2] < sizes[0] < sizes[1]
 
     @pytest.mark.parametrize("key,value", [("tau_fs", 40.0), ("fwhm_nm", 6.0)])
@@ -617,6 +623,12 @@ class TestCli:
         ({"gate": {"rep_rate_mhz": 1e306}}, "gate.rep_rate_mhz"),
         ({"comb": {"squeezing_db": 1e4}}, "comb.squeezing_db"),
         ({"crystal": {"length_mm": 1e306}}, "crystal.length_mm"),
+        ({"comb": {"center_nm": 1e-200}}, "comb.center_nm"),
+        ({"comb": {"fwhm_nm": 1e-320}}, "comb.fwhm_nm"),
+        ({"comb": {"finesse": 1e-320}}, "comb.finesse"),
+        ({"gate": {"fwhm_nm": 1e-320}}, "gate.fwhm_nm"),
+        ({"comb": {"squeezing_db": 3000.0, "finesse": 1e-10}},
+         "comb.squeezing_db / comb.finesse"),
     ])
     def test_value_overflowing_in_internal_units_names_its_key(self, tmp_path, capsys,
                                                                payload, field):
@@ -981,6 +993,23 @@ class TestCli:
         path = write_config(tmp_path, payload)
         assert main(["subtract", "--config", str(path)]) == 0
         assert (tmp_path / "sub_out" / "condition_summary.json").exists()
+
+    @pytest.mark.parametrize("l_mm,w_um", [(2.0, 107.7), (1.0, 200.0), (4.0, 50.0)])
+    def test_scan_row_matches_subtract_at_the_same_point(self, tmp_path, l_mm, w_um):
+        # the scan solves on Omega_s nodes sized for the kernel, subtract on
+        # nodes sized for the comb too; both are converged, so K and
+        # lambda_1 agree
+        point = {"crystal": {"length_mm": l_mm}, "signal": {"waist_um": w_um}}
+        for command in ("scan", "subtract"):
+            path = write_config(tmp_path, {**point, "output_dir": str(tmp_path / command)},
+                                f"{command}.json")
+            assert main([command, "--config", str(path)]) == 0
+        header, line = (tmp_path / "scan" / "scan_table.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        summary = json.loads((tmp_path / "subtract" / "condition_summary.json").read_text())
+        assert float(row["K"]) == pytest.approx(summary["K"], rel=1e-11, abs=0)
+        assert float(row["lambda1_frac"]) == pytest.approx(summary["lambda_sq"][0],
+                                                           rel=1e-11, abs=0)
 
     def test_subtract_where_the_beam_drifts(self, tmp_path, capsys):
         # phi = 5 deg co, w_s = 200 um: the q_c span must hold the beam's

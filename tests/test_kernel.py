@@ -9,15 +9,14 @@ from modesub import (GateSpec, GridConfig, SignalBeamSpec, build_kernel, decompo
                      kernel_gram)
 from modesub.dispersion import PRESETS, kernel_forms
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
-import modesub.kernel
 from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
-                            MIN_MASS_CAPTURED, OMEGA_NODES_PER_RADIAN, Q_ALIAS_TOL,
+                            MIN_MASS_CAPTURED, Q_ALIAS_TOL,
                             SINC_SERIES_BELOW, KernelResolutionError, KernelSpanError,
                             _sample, _sine_over, derive_grids, omega_axis_size, sinc)
 from modesub.modes import (default_half_span, gauss_legendre_grid, hermite_gauss_values,
                            uniform_grid)
 
-from conftest import TAU_COMB_FS, collinear_preset, delta_k
+from conftest import TAU_COMB_FS, collinear_preset, delta_k, omega_rule_shifts
 
 
 def first_principles(kernel, preset, gate, signal, phase_matching="sinc"):
@@ -518,31 +517,47 @@ class TestKernelGram:
 
 class TestOmegaNodeRule:
     """A derived Omega axis holds Gauss-Legendre nodes, as many as
-    :func:`omega_axis_size` takes for the fastest factor on it."""
+    :func:`omega_axis_size` takes for the factors sampled on it."""
 
     # phi = 5 deg, l = 4 mm, gate order 2: the order-2 gate doubles the box,
     # and 128 uniform points hold 7.9 points across the Omega_c lobe
     HARD = dict(preset="bbo-phi5-counter", length_um=4000.0, order=2)
 
-    def test_default_axes_are_gauss_legendre_sized_by_the_comb(self, bbo1co, gate94,
-                                                                signal_opt):
-        g_wc, g_q, g_ws = derive_grids(bbo1co, gate94, signal_opt, GridConfig())
-        # the comb's 5 / tau_s is the widest half-span, and its 40th mode
-        # turns fastest: tau_s sqrt(79)
+    def test_omega_c_is_kernel_sized_and_omega_s_takes_the_comb_when_conditioned(
+            self, bbo1co, gate94, signal_opt):
+        _, beam, match = kernel_forms(bbo1co.kp_s, bbo1co.kp_c, bbo1co.phi, bbo1co.rho)
+        # the comb's 5 / tau_s is the widest half-span
         span = default_half_span(signal_opt.spectral_tau_fs)
-        rate = signal_opt.spectral_tau_fs * math.sqrt(2 * signal_opt.comb_modes - 1)
-        n = math.ceil(OMEGA_NODES_PER_RADIAN["sinc"] * span * rate) | 1
-        for axis in (g_wc, g_ws):
-            expected = gauss_legendre_grid(span, n)
-            assert axis.size == n and n % 2 == 1
+
+        def size(k, **comb):
+            rates = {"match": abs(match[k]) * bbo1co.length_um / 2.0,
+                     "beam": signal_opt.waist_s_um * abs(beam[k]), "gate": gate94.tau_g}
+            return omega_axis_size(span, {**rates, **comb}, "sinc")
+
+        g_wc, g_q, g_ws = derive_grids(bbo1co, gate94, signal_opt, GridConfig())
+        conditioned = replace(signal_opt, comb_modes=40)
+        c_wc, c_q, c_ws = derive_grids(bbo1co, gate94, conditioned, GridConfig())
+        # the comb's 40th mode turns at tau_s sqrt(79), on Omega_s alone
+        comb_rate = signal_opt.spectral_tau_fs * math.sqrt(79)
+        assert g_wc.size == c_wc.size == size(0)
+        assert g_ws.size == size(2) < c_ws.size == size(2, comb=comb_rate)
+        for axis in (g_wc, g_ws, c_wc, c_ws):
+            expected = gauss_legendre_grid(span, axis.size)
+            assert axis.size % 2 == 1
             assert np.array_equal(axis.points, expected.points)
             assert np.array_equal(axis.weights, expected.weights)
+        assert np.array_equal(g_q.points, c_q.points)
         assert np.allclose(np.diff(g_q.points), g_q.points[1] - g_q.points[0])
 
-    def test_size_follows_the_fastest_rate(self):
-        assert omega_axis_size(0.05, (100.0, 800.0, 10.0), "sinc") == 55
-        assert omega_axis_size(0.05, (800.0,), "gaussian") == 69
-        assert omega_axis_size(1e-6, (1.0,), "sinc") == 9
+    def test_size_adds_each_factors_nodes(self):
+        # the floor, rounded up to odd
+        assert omega_axis_size(1e-6, {"gate": 1.0}, "sinc") == 19
+        assert omega_axis_size(1e-6, {"gate": 1.0}, "gaussian") == 35
+        # sinc: 18.4 + 0.05 (0.66 200 + 1.84 20 + 2.85 94) = 40.2 -> 41
+        rates = {"match": 200.0, "beam": 20.0, "gate": 94.0}
+        assert omega_axis_size(0.05, rates, "sinc") == 41
+        # the comb's top mode adds 0.30 x 0.05 x 800 = 12 nodes
+        assert omega_axis_size(0.05, {**rates, "comb": 800.0}, "sinc") == 53
 
     def test_explicit_size_keeps_the_uniform_trapezoid(self, bbo1co, gate94, signal_opt):
         g_wc, _, g_ws = derive_grids(bbo1co, gate94, signal_opt,
@@ -568,23 +583,16 @@ class TestOmegaNodeRule:
                         GridConfig(n_omega_c=128, n_omega_s=128,
                                    phase_matching=phase_matching))
 
-    def test_rule_matches_the_2n_solve(self, gate94, monkeypatch):
-        # the worst case of the calibration sweep: w_s = 200 um
-        preset = replace(PRESETS[self.HARD["preset"]], length_um=self.HARD["length_um"])
-        signal = SignalBeamSpec(waist_s_um=200.0, spectral_tau_fs=TAU_COMB_FS)
-
-        def figures():
-            (result,) = comb_subtraction_experiment(preset, gate94, signal,
-                                                    flat_comb(tau_s_fs=TAU_COMB_FS),
-                                                    (self.HARD["order"],))
-            cond = result.condition
-            return result.grid, np.array([cond.schmidt_number, cond.lambdas_sq[0],
-                                          cond.purity, cond.probability])
-
-        grid, rule = figures()
-        rule_size = omega_axis_size
-        monkeypatch.setattr(modesub.kernel, "omega_axis_size",
-                            lambda *args: 2 * rule_size(*args))
-        grid_2n, doubled = figures()
-        assert grid_2n["n_omega_s"] == 2 * grid["n_omega_s"]
-        assert np.all(np.abs(rule - doubled) <= 1e-12 * np.abs(doubled))
+    def test_rule_matches_the_2n_solve(self):
+        # the sweep's largest sinc solve (phi = 5 deg, l = 4 mm,
+        # w_s = 200 um, order 2) and the corners of the benchmark's
+        # phi = 1 deg, order-0 lattice; the scan path's K and lambda_1 and
+        # the subtract path's K, lambda_1, purity and probability
+        hard = (self.HARD["preset"], self.HARD["length_um"], 200.0, self.HARD["order"])
+        corners = [("bbo-phi1-co", l_um, w_s, 0)
+                   for l_um in (1000.0, 4000.0) for w_s in (50.0, 200.0)]
+        for case in [hard, *corners]:
+            sizes, shifts = omega_rule_shifts(*case, "sinc")
+            assert np.all(shifts <= 1e-12), (case, shifts)
+            # the scan's n_omega_c and n_omega_s at the corners
+            assert case is hard or max(sizes[:2]) <= 49
