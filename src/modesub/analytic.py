@@ -1,10 +1,12 @@
 """Closed-form Gaussian model of the up-conversion Schmidt spectrum.
 
-Approximating the phase-matching sinc by a Gaussian of equal FWHM
-(exp(-GAMMA_SINC x^2), GAMMA_SINC = 0.193) makes the transfer kernel an exact
-three-variable Gaussian, for which the Schmidt number follows from
-covariance-matrix determinants.  Each function reads the objects it
-describes, whose constructors check them: the crystal
+The paper's closed-form model replaces the phase-matching sinc by the
+Gaussian of equal FWHM, exp(-GAMMA_SINC x^2) with :data:`GAMMA_SINC` =
+0.193.  The transfer kernel is then an exact three-variable Gaussian, and
+its Schmidt number follows from covariance-matrix determinants.  The
+numerical kernel (:mod:`modesub.kernel`) samples the sinc itself; this
+module is the only reader of the Gaussian.  Each function reads the
+objects it describes, whose constructors check them: the crystal
 (:class:`~modesub.dispersion.CrystalPreset`), the gate
 (:class:`~modesub.kernel.GateSpec`) and the signal beam
 (:class:`~modesub.kernel.SignalBeamSpec`).  This module provides
@@ -14,11 +16,13 @@ describes, whose constructors check them: the crystal
   minimal Schmidt number) in the small-angle expansion, which also hold the
   single-mode margins (:func:`characteristic_scales`),
 * the small-angle closed-form K(l, w_s),
-* the exact covariance-matrix route, valid for any Gaussian kernel and used
-  as the oracle for the numerical decomposition: the exponent matrix U of
-  the Gaussian-surrogate kernel (:func:`build_covariance`) and the Schmidt
-  number of any positive-definite U with the signal frequency last,
-  K = sqrt(u det A / det U) (:func:`covariance_schmidt_number`),
+* the exact covariance-matrix route, valid for any Gaussian kernel: the
+  exponent matrix U of the Gaussian model (:func:`build_covariance`) and
+  the Schmidt number of any positive-definite U with the signal frequency
+  last, K = sqrt(u det A / det U) (:func:`covariance_schmidt_number`).
+  The tests hold the numerical decomposition to box-free oracles of the
+  sinc kernel itself, and this route is their Gaussian limit: swapping
+  each sinc for its Gaussian must give the determinant K,
 * the single-mode rate, and the flags of the single-mode regime
   (:func:`single_mode_ok`) and of the plane-wave gate (:func:`plane_wave_ok`).
 
@@ -49,8 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import C_M_PER_S, EPS0_F_PER_M, CrystalPreset, kernel_forms
-from .kernel import GAMMA_SINC, GateSpec, SignalBeamSpec
+from .kernel import GateSpec, SignalBeamSpec
 
+# sinc(x) ~ exp(-GAMMA_SINC x^2) matches the full width at half maximum
+GAMMA_SINC = 0.193
 # 1/fs -> 1/s
 _PER_FS_TO_SI = 1e15
 
@@ -111,7 +117,7 @@ def schmidt_number_closed_form(preset: CrystalPreset, gate: GateSpec,
 
 def build_covariance(preset: CrystalPreset, gate: GateSpec,
                      signal: SignalBeamSpec) -> np.ndarray:
-    """Exponent matrix U of the Gaussian-surrogate kernel, 3x3 over
+    """Exponent matrix U of the Gaussian-model kernel, 3x3 over
     (Omega_c, q_c, Omega_s): L = exp(-x^T U x / 2) for the order-0 gate.
 
     U is the sum of rank-one contributions from the gate spectrum, the

@@ -236,8 +236,8 @@ _SCHEMA: dict[str, Any] = {
         "n_omega_c": (None, _optional(_GRID_SIZE),
                       "points on the up-converted frequency axis; null derives "
                       "Gauss-Legendre nodes, as many as the factors sampled on "
-                      "the axis need (the phase matching, the gate and the "
-                      "beam); a number gives uniform trapezoid points"),
+                      "the axis need (the sinc phase matching, the gate and "
+                      "the beam); a number gives uniform trapezoid points"),
         "n_q": (None, _optional(_GRID_SIZE),
                 "points on the transverse momentum axis; null derives them "
                 "from the beam's and the phase matching's bandwidth: the "
@@ -251,8 +251,6 @@ _SCHEMA: dict[str, Any] = {
         "span_scale": (1.0, _positive,
                        "multiplier on the auto-derived Omega half-spans; the "
                        "q_c span holds the beam and its drift over them"),
-        "phase_matching": ("sinc", _one_of("sinc", "gaussian"),
-                           "'sinc' or 'gaussian' surrogate"),
     },
     "scan": {
         "axes": ([], _axis_list, "swept axes (at most 3), each {variable, values} or "
@@ -396,8 +394,7 @@ class RunConfig:
     def grid(self) -> GridConfig:
         g = self.resolved["grid"]
         return GridConfig(n_omega_c=g["n_omega_c"], n_q=g["n_q"],
-                          n_omega_s=g["n_omega_s"], span_scale=g["span_scale"],
-                          phase_matching=g["phase_matching"])
+                          n_omega_s=g["n_omega_s"], span_scale=g["span_scale"])
 
     def scan_points(self) -> list[ScanPoint]:
         """The base point with each combination of axis values set on it,

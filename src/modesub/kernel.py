@@ -74,31 +74,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
 from ._blas import one_blas_thread
 from .dispersion import CrystalPreset, kernel_forms
-from .modes import (SPAN_SIGMAS, QuadGrid, default_half_span, gauss_legendre_grid,
+from .modes import (QuadGrid, default_half_span, gauss_legendre_grid,
                     hermite_gauss_values, uniform_grid)
 
-# sinc(x) ~ exp(-GAMMA_SINC x^2) matches the full width at half maximum
-GAMMA_SINC = 0.193
 # smallest share of the continuum norm^2 a checked grid box must hold
 MIN_MASS_CAPTURED = 0.9
 # fewest grid points across the phase-matching main lobe on a coupled axis
 MIN_LOBE_POINTS = 8.0
 # fewest points on any axis
 MIN_AXIS_POINTS = 8
-# Gauss-Legendre nodes on a derived Omega axis, by phase matching: a floor,
-# plus nodes per radian each factor turns through over the half-span
+# Gauss-Legendre nodes on a derived Omega axis: a floor, plus nodes per
+# radian each factor turns through over the half-span
 # (:func:`omega_axis_size`, which gives the calibration)
-OMEGA_NODE_FLOOR = {"sinc": 18.4, "gaussian": 33.7}
-OMEGA_NODES_PER_RADIAN = {
-    "sinc": {"match": 0.66, "beam": 1.84, "gate": 2.85, "comb": 0.30},
-    "gaussian": {"match": 2.13, "beam": 1.50, "gate": 1.68, "comb": 0.37},
-}
+OMEGA_NODE_FLOOR = 18.4
+OMEGA_NODES_PER_RADIAN = {"match": 0.66, "beam": 1.84, "gate": 2.85, "comb": 0.30}
 # largest relative size of the aliases the trapezoid rule adds on a derived
 # q_c axis (:func:`q_axis_size`)
 Q_ALIAS_TOL = 1e-12
@@ -112,8 +106,6 @@ BLOCK_SAMPLES = 1 << 16
 # sinc uses its series below this |x|: the truncation error x^6/5040 and the
 # angle-addition quotient's 2e-16/|x| both stay under 3e-14 relative
 SINC_SERIES_BELOW = 1e-2
-
-PhaseMatching = Literal["sinc", "gaussian"]
 
 
 class KernelResolutionError(ValueError):
@@ -180,7 +172,7 @@ class SignalBeamSpec:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Axis sizes, span scaling, optional explicit half-spans, sinc treatment.
+    """Axis sizes, span scaling and optional explicit half-spans.
 
     ``n_omega_c = None`` and ``n_omega_s = None`` derive Gauss-Legendre
     nodes on the Omega axes, as many as :func:`omega_axis_size` takes for
@@ -204,7 +196,6 @@ class GridConfig:
     span_omega_c: float | None = None   # half-span overrides, internal units
     span_q: float | None = None
     span_omega_s: float | None = None
-    phase_matching: PhaseMatching = "sinc"
 
     def __post_init__(self):
         if min((n for n in (self.n_omega_c, self.n_q, self.n_omega_s) if n is not None),
@@ -212,8 +203,6 @@ class GridConfig:
             raise ValueError(f"each axis needs at least {MIN_AXIS_POINTS} points")
         if not 0 < self.span_scale < math.inf:
             raise ValueError("span_scale must be positive and finite")
-        if self.phase_matching not in ("sinc", "gaussian"):
-            raise ValueError("phase_matching must be 'sinc' or 'gaussian'")
 
 
 @dataclass(frozen=True)
@@ -269,8 +258,7 @@ def _sine_over(sine: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sine
 
 
-def q_axis_size(forms, length_um: float, w_s: float, span_q: float,
-                phase_matching: PhaseMatching) -> int:
+def q_axis_size(forms, length_um: float, w_s: float, span_q: float) -> int:
     """Points on a derived q_c axis of half-span ``span_q``.
 
     ``forms`` are :func:`~modesub.dispersion.kernel_forms` (b the beam
@@ -284,12 +272,9 @@ def q_axis_size(forms, length_um: float, w_s: float, span_q: float,
 
         2 pi / h >= 2 |m_q l/2| + 2 w_s |b_q| sqrt(ln(2 / eps)).
 
-    The Gaussian surrogate's S S' is not band-limited but Gaussian too,
-    with exponent -2 GAMMA_SINC (m_q l/2)^2 q^2, so B B' S S' is one Gaussian
-    and 2 pi / h >= 2 sqrt(ln(2 / eps) (w_s^2 b_q^2 + 2 GAMMA_SINC
-    (m_q l/2)^2)) bounds it exactly.  h also stays a factor 1 - 1e-9 under
-    lobe_q / :data:`MIN_LOBE_POINTS`, lobe_q = 2 pi / |m_q l/2|, so the
-    resolution check never fires on rounding.
+    h also stays a factor 1 - 1e-9 under lobe_q / :data:`MIN_LOBE_POINTS`,
+    lobe_q = 2 pi / |m_q l/2|, so the resolution check never fires on
+    rounding.
 
     The aliasing is then negligible; what remains is the q_c trapezoid's
     O(h^2) endpoint term of the beam tail at the box edge, which
@@ -298,84 +283,77 @@ def q_axis_size(forms, length_um: float, w_s: float, span_q: float,
     exponentially instead).  Against 128 points over the same span (256
     where 128 miss the lobe) the derived axis moved K, lambda_1, purity
     and probability by at most 1.75e-9 (all four presets, l = 1, 2.5 and
-    4 mm, w_s = 50, 110 and 200 um, gate orders 0-2, sinc and surrogate,
-    on derived Omega axes), a shift that falls as h^2.  It takes 19-27
-    points on the default configuration's 1-4 mm x 50-200 um lattice, and
-    up to 181 where the drift widens the span (phi = 5 deg).
+    4 mm, w_s = 50, 110 and 200 um, gate orders 0-2, on derived Omega
+    axes), a shift that falls as h^2.  It takes 19-27 points on the
+    default configuration's 1-4 mm x 50-200 um lattice, and up to 181
+    where the drift widens the span (phi = 5 deg).
     """
     _, beam, match = forms
     log_tol = np.log(2.0 / Q_ALIAS_TOL)
     beam_q, match_q = w_s * abs(beam[1]), abs(match[1] * length_um / 2.0)
-    if phase_matching == "gaussian":
-        band = 2.0 * np.sqrt(log_tol * (beam_q**2 + 2.0 * GAMMA_SINC * match_q**2))
-    else:
-        band = 2.0 * match_q + 2.0 * beam_q * np.sqrt(log_tol)
-    step = 2.0 * np.pi / band
+    step = 2.0 * np.pi / (2.0 * match_q + 2.0 * beam_q * np.sqrt(log_tol))
     if match_q != 0.0:
         # the margin keeps lobe / step clear of MIN_LOBE_POINTS after rounding
         step = min(step, 2.0 * np.pi / match_q / MIN_LOBE_POINTS * (1.0 - 1e-9))
     return max(MIN_AXIS_POINTS, int(np.ceil(2.0 * span_q / step)) + 1)
 
 
-def omega_axis_size(half_span: float, rates: dict[str, float],
-                    phase_matching: PhaseMatching) -> int:
+def omega_axis_size(half_span: float, rates: dict[str, float]) -> int:
     """Gauss-Legendre nodes on a derived Omega axis of half-span ``half_span``.
 
     The least odd n >= n_0 + half_span sum_i c_i r_i, and at least
     :data:`MIN_AXIS_POINTS`, with n_0 the :data:`OMEGA_NODE_FLOOR` and c_i
-    the :data:`OMEGA_NODES_PER_RADIAN` of ``phase_matching``.  ``rates``
-    maps each factor sampled on the axis to the rate r_i (fs) it turns at
-    along it (:func:`_axes`): ``match`` the phase matching, ``beam`` the
-    beam Gaussian, ``gate`` the gate's top HG order and, on the Omega_s
-    axis of a solve conditioned on a comb, ``comb`` the top comb mode.  The
-    factors multiply, so their bandwidths, and the node counts they take,
-    add; a single c max(r_i) over-resolves one factor to reach another.  An
-    odd n puts a node at Omega = 0.
+    the :data:`OMEGA_NODES_PER_RADIAN`.  ``rates`` maps each factor sampled
+    on the axis to the rate r_i (fs) it turns at along it (:func:`_axes`):
+    ``match`` the phase matching, ``beam`` the beam Gaussian, ``gate`` the
+    gate's top HG order and, on the Omega_s axis of a solve conditioned on
+    a comb, ``comb`` the top comb mode.  The factors multiply, so their
+    bandwidths, and the node counts they take, add; a single c max(r_i)
+    over-resolves one factor to reach another.  An odd n puts a node at
+    Omega = 0.
 
     n_0 and the c_i are a linear-programme fit of the least n per axis
     within 2e-13 of a converged solve (K, lambda_1, purity and probability)
     on the sweep of ``tests/test_calibration.py``: 4 presets x l = 1, 2.5,
-    4 mm x w_s = 50, 110, 200 um x gate orders 0-2 x sinc and surrogate at
-    tau_g = 94 fs, and 120 seeded random points that also vary l up to
-    6 mm, tau_g over 60-130 fs and span_scale over 1-1.5.  The fit keeps
-    each axis 2 nodes over its least n, minimizes the sum of n over the
-    sweep and, for the sinc, over the benchmark's phi = 1 deg order-0
-    lattice, and fits ``comb`` last, the kernel terms held.  The errors of
-    the two axes do not add: with Omega_c near its least n, the Omega_c
-    rule's error oscillates in Omega_s, and a coarse Omega_s aliases it.
-    The surrogate's floor carries 4 nodes more for that (phi = 5 deg
-    counter, l = 5.1 mm, span_scale 1.42 read 8.3e-13 without them).  On
-    the sweep the rule is within 6.9e-14 (sinc) and 3.5e-13 (surrogate) of
-    the solve on twice its nodes.  On the grid it takes:
+    4 mm x w_s = 50, 110, 200 um x gate orders 0-2 at tau_g = 94 fs, and
+    seeded random points that also vary l up to 6 mm, tau_g over
+    60-130 fs and span_scale over 1-1.5.  The fit keeps each axis 2 nodes
+    over its least n, minimizes the sum of n over the sweep and over the
+    benchmark's phi = 1 deg order-0 lattice, and fits ``comb`` last, the
+    kernel terms held.  The errors of the two axes do not add: with
+    Omega_c near its least n, the Omega_c rule's error oscillates in
+    Omega_s, and a coarse Omega_s aliases it.  On the sweep the rule is
+    within 6.9e-14 of the solve on twice its nodes.  Past the sweep the fit
+    does not hold: a Gauss-Legendre rule needs about one node per radian
+    the sinc turns through, and ``match`` gives 0.66, so where that term
+    outgrows the floor the axis aliases (a collinear 15.4 mm crystal at
+    span_scale 3: 221 Omega_c nodes read mass_captured 1.165, and 331 are
+    converged).  On the grid it takes:
 
-        phase      order  Omega_c   Omega_s   Omega_s with the 40-mode comb
-        sinc       0      37-61     35-59     49-73
-        sinc       1      63-95     57-95     77-115
-        sinc       2      91-135    85-133    111-161
-        surrogate  0      65-105    45-85     61-113
-        surrogate  1      75-149    59-109    83-133
-        surrogate  2      95-195    75-143    107-175
+        order  Omega_c   Omega_s   Omega_s with the 40-mode comb
+        0      37-61     35-59     49-73
+        1      63-95     57-95     77-115
+        2      91-135    85-133    111-161
 
     On the benchmark's lattice (phi = 1 deg co, order 0, l = 1-4 mm,
     w_s = 50-200 um) that is 37-49 nodes on Omega_c, 35-37 on a scan's
     Omega_s and 49-51 on a conditioned Omega_s.
     """
-    per_radian = OMEGA_NODES_PER_RADIAN[phase_matching]
-    phase = half_span * sum(per_radian[factor] * rate for factor, rate in rates.items())
-    n = math.ceil(OMEGA_NODE_FLOOR[phase_matching] + phase)
+    phase = half_span * sum(OMEGA_NODES_PER_RADIAN[factor] * rate
+                            for factor, rate in rates.items())
+    n = math.ceil(OMEGA_NODE_FLOOR + phase)
     return max(n, MIN_AXIS_POINTS) | 1
 
 
-def continuum_norm_sq(forms, length_um: float, phase_matching: PhaseMatching) -> float:
-    """||L||^2 over all of (Omega_c, q_c, Omega_s): pi / |det M| for the sinc,
-    sqrt(pi / (2 GAMMA_SINC)) / |det M| for the surrogate, M the rows of
-    ``forms`` (:func:`~modesub.dispersion.kernel_forms`) with the match row
-    times l/2.  In y = M x, L is a product of one factor per y_k, and the HG
-    gate and the beam Gaussian have unit norm for every gate order."""
+def continuum_norm_sq(forms, length_um: float) -> float:
+    """||L||^2 over all of (Omega_c, q_c, Omega_s): pi / |det M|, M the rows
+    of ``forms`` (:func:`~modesub.dispersion.kernel_forms`) with the match
+    row times l/2.  In y = M x, L is a product of one factor per y_k, the
+    sinc^2 integrates to pi, and the HG gate and the beam Gaussian have unit
+    norm for every gate order."""
     gate, beam, match = forms
     det = np.linalg.det([gate, beam, [c * length_um / 2.0 for c in match]])
-    pm_sq = np.pi if phase_matching == "sinc" else np.sqrt(np.pi / (2.0 * GAMMA_SINC))
-    return float(pm_sq / abs(det))
+    return float(np.pi / abs(det))
 
 
 def derive_grids(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
@@ -391,10 +369,8 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     ratio as diagnostics; the one place an axis is sized.
 
     Omega spans come from the gate and comb time scales and from the
-    phase-matching bandwidth 2 pi / (k'_c - k'_s) l (widest wins).  For the
-    Gaussian surrogate the phase-matching contribution is its 5-sigma width
-    instead of the sinc main lobe, since the surrogate has no side lobes to
-    truncate but a wider central peak.
+    phase-matching bandwidth 2 pi / (k'_c - k'_s) l, the sinc's main lobe
+    (widest wins).
 
     A derived Omega axis holds :func:`omega_axis_size`'s Gauss-Legendre
     nodes for the factors sampled on it, each at the rate it turns along
@@ -423,14 +399,9 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     """
     l = preset.length_um
     w_s = signal.waist_s_um
-    d_group = preset.kp_c - preset.kp_s
-    if config.phase_matching == "gaussian":
-        pm_halfwidth = SPAN_SIGMAS / (np.sqrt(2.0 * GAMMA_SINC) * d_group * l / 2.0)
-    else:
-        pm_halfwidth = 2.0 * np.pi / (d_group * l)
     span_omega = max(default_half_span(gate.tau_g, gate.order),
                      default_half_span(signal.spectral_tau_fs),
-                     pm_halfwidth) * config.span_scale
+                     2.0 * np.pi / ((preset.kp_c - preset.kp_s) * l)) * config.span_scale
     s_wc = config.span_omega_c if config.span_omega_c is not None else span_omega
     s_ws = config.span_omega_s if config.span_omega_s is not None else span_omega
 
@@ -442,7 +413,7 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
             return uniform_grid(span, n, label=label)
         rates = {"match": abs(match[k]) * l / 2.0, "beam": w_s * abs(beam[k]),
                  "gate": gate_rate, **comb}
-        n = omega_axis_size(span, rates, config.phase_matching)
+        n = omega_axis_size(span, rates)
         return gauss_legendre_grid(span, n, label=label)
 
     # only a solve conditioned on a comb samples its modes, on Omega_s
@@ -455,8 +426,7 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     else:
         # the margin keeps drift / s_q at or under MAX_Q_DRIFT after rounding
         s_q = max(default_half_span(w_s), drift / MAX_Q_DRIFT * (1.0 + 1e-9))
-    n_q = (config.n_q if config.n_q is not None
-           else q_axis_size(forms, l, w_s, s_q, config.phase_matching))
+    n_q = config.n_q if config.n_q is not None else q_axis_size(forms, l, w_s, s_q)
     grids = (omega_axis(s_wc, config.n_omega_c, 0, "omega_c"),
              uniform_grid(s_q, n_q, label="q_c"),
              omega_axis(s_ws, config.n_omega_s, 2, "omega_s", **comb))
@@ -490,12 +460,11 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     a derived grid's planes are small (735 samples at the default scan
     point), and one numpy call per op and block, not per plane, keeps the
     call overhead off them.  Per block the sinc takes two multiplies, an
-    add, the add u + v, the divide and the |x| mask of :func:`_sine_over`;
-    the surrogate an add, a square, a scale and an exp.  The beam then
-    takes an add, a square, the subtract from log sqrt(w_q[k]) that puts
-    plane k's weight in its exponent, and an exp, and two multiplies apply
-    the beam and the gate.  Only the exps of the beam and of the Gaussian
-    phase matching see every sample.  With unit weights
+    add, the add u + v, the divide and the |x| mask of :func:`_sine_over`.
+    The beam then takes an add, a square, the subtract from log sqrt(w_q[k])
+    that puts plane k's weight in its exponent, and an exp, and two
+    multiplies apply the beam and the gate.  Only the beam's exp sees every
+    sample.  With unit weights
     (:func:`build_kernel`) sqrt 1 = 1 and log 1 = 0, so the samples are the
     unweighted kernel's to the last bit.  Every sample takes the same ops
     in the same order, so it is the same to the last bit whatever the block
@@ -503,7 +472,7 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     """
     forms = kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho)
     (g_wc, g_q, g_ws), diagnostics = _axes(preset, gate, signal, config, forms)
-    continuum = continuum_norm_sq(forms, preset.length_um, config.phase_matching)
+    continuum = continuum_norm_sq(forms, preset.length_um)
     gate_form, beam_form, match_form = forms
     half_l = preset.length_um / 2.0
     pm_form = tuple(c * half_l for c in match_form)
@@ -525,11 +494,9 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     w_s = signal.waist_s_um
     amp = np.sqrt(w_s) / np.pi**0.25
     beam_form = tuple(w_s * np.sqrt(0.5) * c for c in beam_form)
-    sinc_pm = config.phase_matching == "sinc"
     # the 1-D parts, one scalar per q_c plane
     gamma, v = beam_form[1] * g_q.points, pm_form[1] * g_q.points
-    if sinc_pm:
-        sin_v, cos_v = np.sin(v), np.cos(v)
+    sin_v, cos_v = np.sin(v), np.cos(v)
 
     def blocks(w_c: np.ndarray, w_q: np.ndarray):
         rows = w_c.size
@@ -543,8 +510,7 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
         log_sqrt_w_q = 0.5 * np.log(w_q)
         beta = _outer_part(beam_form, wc, ws)
         u = _outer_part(pm_form, wc, ws)
-        if sinc_pm:
-            sin_u, cos_u = np.sin(u), np.cos(u)
+        sin_u, cos_u = np.sin(u), np.cos(u)
         per_block = max(1, BLOCK_SAMPLES // u.size)
         block = np.empty((min(per_block, g_q.size), *u.shape))
         temp = np.empty_like(block)
@@ -553,15 +519,9 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
             part, tmp = block[:stop - start], temp[:stop - start]
             # the 1-D parts of the block's planes, broadcast along each plane
             planes = (slice(start, stop), None, None)
-            if sinc_pm:
-                np.multiply(sin_u, cos_v[planes], out=part)
-                part += np.multiply(cos_u, sin_v[planes], out=tmp)
-                _sine_over(part, np.add(u, v[planes], out=tmp))
-            else:   # the surrogate's exp(-GAMMA_SINC x^2), in place
-                np.add(u, v[planes], out=part)
-                np.square(part, out=part)
-                part *= -GAMMA_SINC
-                np.exp(part, out=part)
+            np.multiply(sin_u, cos_v[planes], out=part)
+            part += np.multiply(cos_u, sin_v[planes], out=tmp)
+            _sine_over(part, np.add(u, v[planes], out=tmp))
             np.add(beta, gamma[planes], out=tmp)
             np.square(tmp, out=tmp)
             np.subtract(log_sqrt_w_q[planes], tmp, out=tmp)

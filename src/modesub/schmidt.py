@@ -110,17 +110,20 @@ def _parity_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     [v; -J v] / sqrt 2 when v is one of H - M.  On an odd axis the even
     vector is [v / sqrt 2; c; J v / sqrt 2], and the even block gains the
     centre row and column, the off-diagonal part scaled by sqrt 2.  Only the
-    first ceil(n/2) rows of h are read.
+    first ceil(n/2) rows of h are read, and the even block is filled into
+    one new array.
     """
     n = h.shape[0]
     m = n // 2
     top, mirror = h[:m, :m], h[:m, ::-1][:, :m]
-    even, odd = top + mirror, top - mirror
+    even = np.empty((n - m, n - m))
+    np.add(top, mirror, out=even[:m, :m])
     if n % 2:
         root2 = np.sqrt(2.0)
-        even = np.block([[even, root2 * h[:m, m:m + 1]],
-                         [root2 * h[m:m + 1, :m], h[m:m + 1, m:m + 1]]])
-    return even, odd
+        np.multiply(root2, h[:m, m], out=even[:m, m])
+        np.multiply(root2, h[m, :m], out=even[m, :m])
+        even[m, m] = h[m, m]
+    return even, top - mirror
 
 
 def _parity_vectors(even: np.ndarray, odd: np.ndarray, n: int) -> np.ndarray:

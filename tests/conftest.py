@@ -48,8 +48,7 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def omega_rule_shifts(preset_name, length_um, w_s, order, phase_matching,
-                      tau_g=94.0, span_scale=1.0):
+def omega_rule_shifts(preset_name, length_um, w_s, order, tau_g=94.0, span_scale=1.0):
     """The derived Omega node counts (:func:`modesub.kernel.omega_axis_size`)
     of the scan path's and the subtract path's solves, and the relative
     shifts between those solves and ones on twice the nodes: the scan
@@ -58,7 +57,7 @@ def omega_rule_shifts(preset_name, length_um, w_s, order, phase_matching,
     preset = replace(PRESETS[preset_name], length_um=length_um)
     gate = GateSpec(order=order, tau_g=tau_g)
     signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
-    config = GridConfig(span_scale=span_scale, phase_matching=phase_matching)
+    config = GridConfig(span_scale=span_scale)
 
     def solve():
         gram = kernel_gram(preset, gate, signal, config)

@@ -7,14 +7,16 @@ import sympy as sp
 from scipy.optimize import minimize
 
 from modesub import (PRESETS, GateSpec, GridConfig, SignalBeamSpec,
-                     build_covariance, build_kernel, characteristic_scales,
-                     covariance_schmidt_number, decompose, kernel_gram,
-                     schmidt_number_closed_form, single_mode_rate)
-from modesub.analytic import (DomainError, conversion_prefactor_fs, plane_wave_ok,
-                              single_mode_lambda_sq, single_mode_ok)
-from modesub.kernel import GAMMA_SINC
+                     build_covariance, characteristic_scales,
+                     covariance_schmidt_number, schmidt_number_closed_form,
+                     single_mode_rate)
+from modesub.analytic import (GAMMA_SINC, DomainError, conversion_prefactor_fs,
+                              plane_wave_ok, single_mode_lambda_sq, single_mode_ok)
+from modesub.kernel import derive_grids
+from modesub.modes import hermite_gauss_values
 
-from conftest import collinear_preset
+from conftest import collinear_preset, delta_k
+from oracles import schmidt_number_oracle
 
 
 
@@ -259,39 +261,44 @@ class TestCovariance:
         assert k == pytest.approx(math.sqrt(1.0 + (l0 / 2000.0) ** 2), rel=1e-9)
 
     def test_quadratic_form_reproduces_surrogate_kernel(self, rng):
-        # -2 log(L(x)/L(0)) equals the quadratic form at sampled grid points
+        # -2 log(L(x)/L(0)) of the Gaussian-model kernel, the product of the
+        # gate, the beam and exp(-GAMMA_SINC x^2) each written from its own
+        # formula, equals the quadratic form at points across the box
         preset = replace(PRESETS["bbo-phi1-co"], length_um=2000.0)
         gate = GateSpec(order=0, tau_g=94.0)
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=93.12)
-        cfg = GridConfig(n_omega_c=33, n_q=33, n_omega_s=33,
-                         phase_matching="gaussian")
-        kernel = build_kernel(preset, gate, signal, cfg)
         U = build_covariance(preset, gate, signal)
-        center = kernel.values[16, 16, 16].real
+        phi, kp_s = preset.phi, preset.kp_s
+
+        def model(wc, qc, ws):
+            beam_arg = qc / math.cos(phi) + kp_s * math.tan(phi) * (wc - 2 * ws)
+            x = delta_k(preset, wc, qc, ws) * preset.length_um / 2.0
+            return (hermite_gauss_values(0, gate.tau_g, wc - ws)
+                    * math.exp(-0.5 * (signal.waist_s_um * beam_arg) ** 2)
+                    * math.exp(-GAMMA_SINC * x**2))
+
+        spans = np.array([grid.points[-1] for grid in
+                          derive_grids(preset, gate, signal, GridConfig())])
         for _ in range(20):
-            i, j, k = rng.integers(4, 29, 3)
-            x = np.array([kernel.omega_c.points[i], kernel.q_c.points[j],
-                          kernel.omega_s.points[k]])
-            val = kernel.values[i, j, k].real
-            assert -2.0 * math.log(val / center) == pytest.approx(
+            x = rng.uniform(-0.7, 0.7, 3) * spans
+            assert -2.0 * math.log(model(*x) / model(0.0, 0.0, 0.0)) == pytest.approx(
                 x @ U @ x, rel=1e-9, abs=1e-12)
 
-    def test_surrogate_kernel_matches_covariance(self, rng):
-        # numerical decomposition of the Gaussian-surrogate kernel against
-        # the determinant formula.  At 1.5x the derived spans the box holds
-        # the whole Gaussian and the trapezoid rule reaches rounding (a few
-        # 1e-15 at most draws, 2e-13 at the worst seen).  A 6 mm crystal at
-        # 1.5x span needs 164 Omega_c points for the lobe check; the q_c
-        # size is derived.
-        for _ in range(3):
-            preset = replace(PRESETS["bbo-phi1-co"], length_um=rng.uniform(1500.0, 6000.0))
-            gate = GateSpec(order=0, tau_g=rng.uniform(70.0, 120.0))
-            signal = SignalBeamSpec(waist_s_um=rng.uniform(60.0, 200.0),
-                                    spectral_tau_fs=93.12)
-            cfg = GridConfig(n_omega_c=192, span_scale=1.5, phase_matching="gaussian")
-            k_num = decompose(kernel_gram(preset, gate, signal, cfg)).schmidt_number
+    def test_schmidt_number_oracle_gaussian_limit(self, rng):
+        # the sinc kernel's K oracle with each sinc swapped for its Gaussian
+        # (tests/oracles.py) against the determinant formula: the lattice of
+        # the oracle's own test and random draws of l, tau_g and w_s
+        cases = [(replace(PRESETS[name], length_um=l_um), 94.0, w_um)
+                 for name in sorted(PRESETS) for l_um in (1000.0, 4000.0)
+                 for w_um in (50.0, 200.0)]
+        cases += [(replace(PRESETS["bbo-phi1-co"], length_um=rng.uniform(1500.0, 6000.0)),
+                   rng.uniform(70.0, 120.0), rng.uniform(60.0, 200.0)) for _ in range(3)]
+        for preset, tau_g, w_um in cases:
+            gate = GateSpec(order=0, tau_g=tau_g)
+            signal = SignalBeamSpec(waist_s_um=w_um, spectral_tau_fs=93.12)
             k_cov = covariance_schmidt_number(build_covariance(preset, gate, signal))
-            assert abs(k_num - k_cov) / k_cov < 1e-10
+            assert schmidt_number_oracle(preset, gate, signal, gaussian=True) == \
+                pytest.approx(k_cov, rel=1e-10)
 
 
 class TestSingleModeRate:

@@ -15,6 +15,8 @@ from modesub.config import resolve
 from modesub.kernel import derive_grids
 from modesub.schmidt import SchmidtResult
 
+from oracles import comb_oracle
+
 TAU_S = 93.11618228642854
 
 
@@ -253,8 +255,9 @@ def fock_purity_oracle(lambdas_sq, overlap, mode_states):
 
 def gaussian_comb_oracle(preset, gate, signal, comb, ratio):
     """Closed-form purity and probability per pulse of the conditioned state,
-    for the Gaussian-surrogate kernel, an order-0 gate and a geometric comb
-    N_n = N_0 ratio^n.
+    for the Gaussian-model kernel (phase matching exp(-GAMMA_SINC x^2)), an
+    order-0 gate and a geometric comb N_n = N_0 ratio^n: the Gaussian limit
+    the sinc kernel's comb oracle must reproduce.
 
     With U = [[A, b], [b^T, u]] of :func:`build_covariance`, the Gram kernel
     is G(s, s') = c0^2 2 pi / sqrt(det 2A) exp(-z^T P z / 2), z = (s, s'),
@@ -293,32 +296,46 @@ ORACLE_CASES = ([("bbo-phi1-co", *point) for point in ORACLE_POINTS]
                    for point in ORACLE_POINTS[::2]])
 
 
-class TestClosedFormOracle:
-    """conditioned_state against :func:`gaussian_comb_oracle`, at twice the
-    derived Omega half-spans, where the box holds the kernel and the comb
-    to far below the tolerance."""
+def oracle_case(preset_name, l_mm, w_um, ratio):
+    """The crystal, gate and signal of a config at one oracle point, and
+    its geometric comb of 300 modes, whose dropped tail holds
+    ratio^300 <= 2e-14 of the photons."""
+    config = resolve({"crystal": {"preset": preset_name, "length_mm": l_mm},
+                      "signal": {"waist_um": w_um}})
+    preset, gate, signal = config.preset(), config.gate(), config.signal()
+    assert gate.order == 0
+    comb = CombState(tau_s_fs=signal.spectral_tau_fs,
+                     photons_comb=0.1 * ratio ** np.arange(300))
+    return preset, gate, signal, comb
 
-    # the default preset's cases are named by their point alone
-    @pytest.mark.parametrize("preset_name,l_mm,w_um,ratio", ORACLE_CASES, ids=[
-        "-".join(map(str, case[1:] if case[0] == "bbo-phi1-co" else case))
-        for case in ORACLE_CASES])
+
+# the default preset's cases are named by their point alone
+ORACLE_IDS = ["-".join(map(str, case[1:] if case[0] == "bbo-phi1-co" else case))
+              for case in ORACLE_CASES]
+
+
+class TestClosedFormOracle:
+    """conditioned_state against the box-free comb oracle of the sinc kernel
+    (``tests/oracles.py``), whose Gaussian limit is
+    :func:`gaussian_comb_oracle`."""
+
+    @pytest.mark.parametrize("preset_name,l_mm,w_um,ratio", ORACLE_CASES, ids=ORACLE_IDS)
     def test_purity_and_probability(self, preset_name, l_mm, w_um, ratio):
-        config = resolve({"crystal": {"preset": preset_name, "length_mm": l_mm},
-                          "signal": {"waist_um": w_um}})
-        preset, gate, signal = config.preset(), config.gate(), config.signal()
-        assert gate.order == 0
-        # 300 modes: the dropped tail holds ratio^300 <= 2e-14 of the photons
-        comb = CombState(tau_s_fs=signal.spectral_tau_fs,
-                         photons_comb=0.1 * ratio ** np.arange(300))
-        span = derive_grids(preset, gate, signal,
-                            GridConfig(phase_matching="gaussian"))[0].weights.sum() / 2.0
-        grid = GridConfig(n_omega_c=257, n_omega_s=257, span_omega_c=2.0 * span,
-                          span_omega_s=2.0 * span, phase_matching="gaussian")
-        out = conditioned_state(decompose(kernel_gram(preset, gate, signal, grid)),
-                                comb, preset, gate)
-        purity, probability = gaussian_comb_oracle(preset, gate, signal, comb, ratio)
-        assert out.purity == pytest.approx(purity, rel=0, abs=1e-10)
-        assert out.probability == pytest.approx(probability, rel=1e-10)
+        # at span_scale 4 the box cuts the sinc's tails off the conditioned
+        # state by at most 9.2e-10; each solve takes 30-700 ms
+        preset, gate, signal, comb = oracle_case(preset_name, l_mm, w_um, ratio)
+        (result,) = comb_subtraction_experiment(preset, gate, signal, comb, (0,),
+                                                GridConfig(span_scale=4.0))
+        purity, probability = comb_oracle(preset, gate, signal, comb, ratio)
+        assert result.condition.purity == pytest.approx(purity, rel=1e-8)
+        assert result.condition.probability == pytest.approx(probability, rel=1e-8)
+
+    @pytest.mark.parametrize("preset_name,l_mm,w_um,ratio", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_gaussian_limit(self, preset_name, l_mm, w_um, ratio):
+        preset, gate, signal, comb = oracle_case(preset_name, l_mm, w_um, ratio)
+        expected = gaussian_comb_oracle(preset, gate, signal, comb, ratio)
+        assert comb_oracle(preset, gate, signal, comb, ratio, gaussian=True) == \
+            pytest.approx(expected, rel=1e-12)
 
 
 class TestGramRoute:

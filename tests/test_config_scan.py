@@ -77,7 +77,6 @@ def live_configs(photons_a, photons_b):
         "grid.n_q": (64, {}),
         "grid.n_omega_s": (64, {}),
         "grid.span_scale": (1.5, {}),
-        "grid.phase_matching": ("gaussian", {}),
         "scan.axes": ([{"variable": "l_mm", "values": [1.0, 3.0]}], {}),
         "output_dir": ("elsewhere", {}),
     }
@@ -917,8 +916,7 @@ class TestCli:
         # a default run_meta.json written while 128 uniform points were the
         # Omega default: its explicit sizes keep the trapezoid, so it
         # replays the K it recorded, and its own replay byte for byte
-        grid = {"n_omega_c": 128, "n_omega_s": 128, "n_q": None,
-                "phase_matching": "sinc", "span_scale": 1.0}
+        grid = {"n_omega_c": 128, "n_omega_s": 128, "n_q": None, "span_scale": 1.0}
         old = {"tool": "modesub", "version": "0.1.0", "wall_time_s": 0.0073,
                "config": {**resolve({}).resolved, "grid": grid},
                "environment": {"numpy": "2.4.6", "solve_single_thread": True}}
@@ -939,6 +937,30 @@ class TestCli:
         assert summary["K"] == pytest.approx(1.5147682678764327, rel=1e-12)
         omega_s = np.loadtxt(first / "modes.csv", delimiter=",", skiprows=2, usecols=0)
         assert np.array_equal(omega_s, uniform_grid(omega_s[-1], 128).points)
+
+    def test_run_meta_with_a_phase_matching_key_fails_until_it_is_deleted(
+            self, tmp_path, capsys):
+        # a run_meta.json written while grid.phase_matching chose between the
+        # sinc and a Gaussian surrogate: it names the key, exits 1 and makes
+        # no directory; without the key it replays the run byte for byte
+        payload = {"grid": SMALL_GRID, "comb": {"n_modes": 10}}
+        first, refused, replay = (tmp_path / name for name in ("first", "refused", "replay"))
+        assert main(["subtract", "--config", str(write_config(tmp_path, payload)),
+                     "--output-dir", str(first)]) == 0
+        meta = json.loads((first / "run_meta.json").read_text())
+        meta["config"]["grid"]["phase_matching"] = "sinc"
+        path = write_config(tmp_path, meta, "run_meta.json")
+        capsys.readouterr()
+        assert main(["subtract", "--config", str(path), "--output-dir", str(refused)]) == 1
+        assert capsys.readouterr().err == ("configuration error: grid.phase_matching: "
+                                           "unknown key\n")
+        assert not refused.exists()
+        del meta["config"]["grid"]["phase_matching"]
+        path = write_config(tmp_path, meta, "run_meta.json")
+        assert main(["subtract", "--config", str(path), "--output-dir", str(replay)]) == 0
+        for artifact in ("condition_summary.json", "overlap_matrix.csv"):
+            assert (first.joinpath(artifact).read_bytes()
+                    == replay.joinpath(artifact).read_bytes())
 
     def test_all_failed_scan_still_records_its_run(self, tmp_path, capsys):
         # every point fails the span guard: exit 2, and the directory still

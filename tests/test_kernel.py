@@ -9,9 +9,8 @@ from modesub import (GateSpec, GridConfig, SignalBeamSpec, build_kernel, decompo
                      kernel_gram)
 from modesub.dispersion import PRESETS, kernel_forms
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
-from modesub.kernel import (GAMMA_SINC, MAX_Q_DRIFT, MIN_LOBE_POINTS,
-                            MIN_MASS_CAPTURED, Q_ALIAS_TOL,
-                            SINC_SERIES_BELOW, KernelResolutionError, KernelSpanError,
+from modesub.kernel import (MAX_Q_DRIFT, MIN_LOBE_POINTS, MIN_MASS_CAPTURED,
+                            Q_ALIAS_TOL, SINC_SERIES_BELOW, KernelResolutionError, KernelSpanError,
                             _sample, _sine_over, derive_grids, omega_axis_size, sinc)
 from modesub.modes import (default_half_span, gauss_legendre_grid, hermite_gauss_values,
                            uniform_grid)
@@ -19,7 +18,7 @@ from modesub.modes import (default_half_span, gauss_legendre_grid, hermite_gauss
 from conftest import TAU_COMB_FS, collinear_preset, delta_k, omega_rule_shifts
 
 
-def first_principles(kernel, preset, gate, signal, phase_matching="sinc"):
+def first_principles(kernel, preset, gate, signal):
     """Gate spectrum x beam Gaussian x phase matching, each from its own formula,
     on the kernel's grid; also returns the phase-matching argument."""
     wc = kernel.omega_c.points[:, None, None]
@@ -30,8 +29,7 @@ def first_principles(kernel, preset, gate, signal, phase_matching="sinc"):
                 + preset.kp_s * math.tan(preset.phi) * (wc - 2 * ws))
     beam = np.sqrt(w_s) / np.pi**0.25 * np.exp(-0.5 * (w_s * beam_arg) ** 2)
     x = delta_k(preset, wc, qc, ws) * preset.length_um / 2.0
-    pm = sinc(x) if phase_matching == "sinc" else np.exp(-GAMMA_SINC * x**2)
-    return hermite_gauss_values(gate.order, gate.tau_g, wc - ws) * beam * pm, x
+    return hermite_gauss_values(gate.order, gate.tau_g, wc - ws) * beam * sinc(x), x
 
 
 def assert_matches_everywhere(values, expected):
@@ -202,20 +200,6 @@ class TestBuildKernel:
         with pytest.raises(KernelSpanError):
             build_kernel(bbo1co, gate94, signal_opt, cfg)
 
-    @pytest.mark.parametrize("order", [0, 2])
-    @pytest.mark.parametrize("l_um", [1000.0, 2000.0])
-    def test_surrogate_box_holds_the_continuum_norm(self, signal_opt, order, l_um):
-        # the surrogate's Gaussian tails are negligible past 1.5 x the spans,
-        # so the box norm is the closed form to rounding, for any gate order;
-        # span_scale widens the Omega spans, span_q the q_c span
-        preset = replace(PRESETS["bbo-phi1-co"], length_um=l_um)
-        gate = GateSpec(order=order, tau_g=94.0)
-        s_q = derive_grids(preset, gate, signal_opt,
-                           GridConfig(phase_matching="gaussian"))[1].points[-1]
-        cfg = GridConfig(span_scale=1.5, span_q=1.5 * s_q, phase_matching="gaussian")
-        captured = kernel_gram(preset, gate, signal_opt, cfg).diagnostics["mass_captured"]
-        assert captured == pytest.approx(1.0, abs=1e-12)
-
     def test_sinc_mass_outside_the_box_falls_as_one_over_span(self, gate94, signal_opt):
         # the sinc^2 tails past X x the spans hold a share ~ 1/X of the norm
         # (l = 1 mm: 0.0662 and 0.0329 at X = 1 and 2, same step)
@@ -270,11 +254,11 @@ class TestBuildKernel:
         assert g3[1].points[-1] == pytest.approx(0.123, rel=1e-12)
 
 
-def conditioned(preset, order, w_s, phase_matching, n_q):
+def conditioned(preset, order, w_s, n_q):
     """(K, lambda_1, purity, probability) at one point, or the error type."""
     gate = GateSpec(order=0, tau_g=94.0)
     signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
-    config = GridConfig(n_q=n_q, phase_matching=phase_matching)
+    config = GridConfig(n_q=n_q)
     try:
         (result,) = comb_subtraction_experiment(preset, gate, signal,
                                                 flat_comb(tau_s_fs=TAU_COMB_FS),
@@ -287,10 +271,9 @@ def conditioned(preset, order, w_s, phase_matching, n_q):
 
 
 class TestDerivedQAxis:
-    @pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
     @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi1-counter",
                                              "bbo-phi5-co", "bbo-phi5-counter"])
-    def test_matches_the_fixed_128_points(self, preset_name, phase_matching):
+    def test_matches_the_fixed_128_points(self, preset_name):
         # l and w_s corners, gate orders 0 and 2: the derived axis moves no
         # number by more than 1e-8.  At phi = 5 deg counter, l = 4 mm, order
         # 2, the drift over the order-2 box widens the q_c span past what 128
@@ -299,10 +282,10 @@ class TestDerivedQAxis:
             preset = replace(PRESETS[preset_name], length_um=l_um)
             for w_s in (50.0, 200.0):
                 for order in (0, 2):
-                    derived = conditioned(preset, order, w_s, phase_matching, None)
-                    fixed = conditioned(preset, order, w_s, phase_matching, 128)
+                    derived = conditioned(preset, order, w_s, None)
+                    fixed = conditioned(preset, order, w_s, 128)
                     if fixed is KernelResolutionError:
-                        fixed = conditioned(preset, order, w_s, phase_matching, 256)
+                        fixed = conditioned(preset, order, w_s, 256)
                     assert np.all(np.abs(derived - fixed) <= 1e-8 * np.abs(fixed))
 
     def test_step_follows_the_beam_and_the_lobe(self, bbo1co, gate94, signal_opt):
@@ -372,16 +355,13 @@ class TestFirstPrinciples:
     SERIES_SHAPE = (41, 41, 41)
 
     @pytest.mark.parametrize("shape", [(48, 47, 49), SERIES_SHAPE])
-    @pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
     @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi5-counter"])
     @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_every_sample_matches(self, signal_opt, order, preset_name,
-                                  phase_matching, shape):
+    def test_every_sample_matches(self, signal_opt, order, preset_name, shape):
         preset = PRESETS[preset_name]
         gate = GateSpec(order=order, tau_g=94.0)
-        cfg = GridConfig(*shape, phase_matching=phase_matching)
-        k = build_kernel(preset, gate, signal_opt, cfg, check=False)
-        expected, _ = first_principles(k, preset, gate, signal_opt, phase_matching)
+        k = build_kernel(preset, gate, signal_opt, GridConfig(*shape), check=False)
+        expected, _ = first_principles(k, preset, gate, signal_opt)
         assert_matches_everywhere(k.values, expected)
 
     def test_grid_reaches_the_series_branch(self, bbo1co, gate94, signal_opt):
@@ -447,14 +427,11 @@ class TestPointSymmetry:
     """The premise of the folded Gram sum, bit for bit on the dense array."""
 
     @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi5-counter"])
-    @pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
     @pytest.mark.parametrize("n_c", [64, 65])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
-    def test_kernel_is_point_symmetric(self, signal_opt, preset_name, phase_matching,
-                                       n_c, order):
+    def test_kernel_is_point_symmetric(self, signal_opt, preset_name, n_c, order):
         gate = GateSpec(order=order, tau_g=94.0)
-        cfg = GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41,
-                         phase_matching=phase_matching)
+        cfg = GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41)
         # the symmetry is algebraic; coarse spans need not pass the checks
         k = build_kernel(PRESETS[preset_name], gate, signal_opt, cfg,
                          check=False)
@@ -479,17 +456,15 @@ class TestKernelGram:
                     GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41))
         assert sum(evaluated) == (n_c + 1) // 2 * 41
 
-    @pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
     @pytest.mark.parametrize("n_c", [64, 45])
     def test_only_the_gram_blocks_carry_the_weights(self, bbo1co, gate94, signal_opt,
-                                                    n_c, phase_matching):
+                                                    n_c):
         # build_kernel's samples are the kernel itself; the blocks the Gram
         # folds are the same samples times sqrt(w_c w_q), the self-mirrored
         # centre row of an odd Omega_c axis at w_c / 2
-        cfg = GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41,
-                         phase_matching=phase_matching)
+        cfg = GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41)
         dense = build_kernel(bbo1co, gate94, signal_opt, cfg)
-        expected, _ = first_principles(dense, bbo1co, gate94, signal_opt, phase_matching)
+        expected, _ = first_principles(dense, bbo1co, gate94, signal_opt)
         assert_matches_everywhere(dense.values, expected)
         (g_wc, g_q, _), blocks, _, _ = _sample(bbo1co, gate94, signal_opt, cfg,
                                                check=True)
@@ -532,7 +507,7 @@ class TestOmegaNodeRule:
         def size(k, **comb):
             rates = {"match": abs(match[k]) * bbo1co.length_um / 2.0,
                      "beam": signal_opt.waist_s_um * abs(beam[k]), "gate": gate94.tau_g}
-            return omega_axis_size(span, {**rates, **comb}, "sinc")
+            return omega_axis_size(span, {**rates, **comb})
 
         g_wc, g_q, g_ws = derive_grids(bbo1co, gate94, signal_opt, GridConfig())
         conditioned = replace(signal_opt, comb_modes=40)
@@ -551,13 +526,12 @@ class TestOmegaNodeRule:
 
     def test_size_adds_each_factors_nodes(self):
         # the floor, rounded up to odd
-        assert omega_axis_size(1e-6, {"gate": 1.0}, "sinc") == 19
-        assert omega_axis_size(1e-6, {"gate": 1.0}, "gaussian") == 35
-        # sinc: 18.4 + 0.05 (0.66 200 + 1.84 20 + 2.85 94) = 40.2 -> 41
+        assert omega_axis_size(1e-6, {"gate": 1.0}) == 19
+        # 18.4 + 0.05 (0.66 200 + 1.84 20 + 2.85 94) = 40.2 -> 41
         rates = {"match": 200.0, "beam": 20.0, "gate": 94.0}
-        assert omega_axis_size(0.05, rates, "sinc") == 41
+        assert omega_axis_size(0.05, rates) == 41
         # the comb's top mode adds 0.30 x 0.05 x 800 = 12 nodes
-        assert omega_axis_size(0.05, {**rates, "comb": 800.0}, "sinc") == 53
+        assert omega_axis_size(0.05, {**rates, "comb": 800.0}) == 53
 
     def test_explicit_size_keeps_the_uniform_trapezoid(self, bbo1co, gate94, signal_opt):
         g_wc, _, g_ws = derive_grids(bbo1co, gate94, signal_opt,
@@ -566,22 +540,19 @@ class TestOmegaNodeRule:
         assert np.array_equal(g_wc.points, uniform_grid(span, 128).points)
         assert np.array_equal(g_ws.weights, uniform_grid(span, 65).weights)
 
-    @pytest.mark.parametrize("phase_matching", ["sinc", "gaussian"])
     @pytest.mark.parametrize("w_s", [50.0, 110.0, 200.0])
     @pytest.mark.parametrize("cut", ["co", "counter"])
-    def test_phi5_long_crystal_order2_solves(self, gate94, cut, w_s, phase_matching):
+    def test_phi5_long_crystal_order2_solves(self, gate94, cut, w_s):
         preset = replace(PRESETS[f"bbo-phi5-{cut}"], length_um=self.HARD["length_um"])
         signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
-        config = GridConfig(phase_matching=phase_matching)
         (result,) = comb_subtraction_experiment(preset, gate94, signal,
                                                 flat_comb(tau_s_fs=TAU_COMB_FS),
-                                                (self.HARD["order"],), config)
+                                                (self.HARD["order"],))
         assert result.grid["mass_captured"] >= MIN_MASS_CAPTURED
         # the same point on 128 uniform points still fails their lobe check
         with pytest.raises(KernelResolutionError, match="omega_c"):
             kernel_gram(preset, replace(gate94, order=self.HARD["order"]), signal,
-                        GridConfig(n_omega_c=128, n_omega_s=128,
-                                   phase_matching=phase_matching))
+                        GridConfig(n_omega_c=128, n_omega_s=128))
 
     def test_rule_matches_the_2n_solve(self):
         # the sweep's largest sinc solve (phi = 5 deg, l = 4 mm,
@@ -592,7 +563,7 @@ class TestOmegaNodeRule:
         corners = [("bbo-phi1-co", l_um, w_s, 0)
                    for l_um in (1000.0, 4000.0) for w_s in (50.0, 200.0)]
         for case in [hard, *corners]:
-            sizes, shifts = omega_rule_shifts(*case, "sinc")
+            sizes, shifts = omega_rule_shifts(*case)
             assert np.all(shifts <= 1e-12), (case, shifts)
             # the scan's n_omega_c and n_omega_s at the corners
             assert case is hard or max(sizes[:2]) <= 49

@@ -9,10 +9,15 @@ from modesub import kernel as kernel_mod
 from modesub import (PRESETS, CrystalPreset, GateSpec, GridConfig, KernelGrid,
                      ScanPoint, SignalBeamSpec, build_kernel, decompose,
                      gram_matrix, kernel_gram, schmidt_number_scan, uniform_grid)
+from modesub.analytic import GAMMA_SINC
 from modesub.config import resolve
-from modesub.kernel import (BLOCK_SAMPLES, GAMMA_SINC, KernelGram,
-                            KernelResolutionError, KernelSpanError)
-from modesub.schmidt import PIVOT_TIE, DecompositionError, schmidt_number_and_lead
+from modesub.kernel import (BLOCK_SAMPLES, KernelGram, KernelResolutionError,
+                            KernelSpanError)
+from modesub.schmidt import (PIVOT_TIE, DecompositionError, _parity_blocks,
+                             schmidt_number_and_lead)
+
+from conftest import TAU_COMB_FS
+from oracles import schmidt_number_oracle
 
 
 def separable_kernel():
@@ -68,22 +73,23 @@ class TestGramMatrix:
 class TestDecompose:
     def test_factorized_limit_reaches_unit_schmidt_number(self):
         # at phi = rho = 0 the kernel separates once the crystal far exceeds
-        # the temporal walk-off length; with the Gaussian surrogate the
-        # approach is exactly sqrt(1 + (l0/l)^2)
+        # the temporal walk-off length l0: the box-free K - 1 falls as l0 / l
+        # (0.0511 at 10 l0, 0.0167 at 30 l0), and a solve whose 401 uniform
+        # Omega_c points resolve the narrow sinc follows it
         kp_s, kp_c = 5.6138837221849, 5.810686538351809
         tau = 94.0
         l0 = tau / (math.sqrt(GAMMA_SINC / 2.0) * (kp_c - kp_s))
-        length = 2000.0 * l0
-        preset = CrystalPreset(name="collinear", lambda_s_um=0.8, kp_s=kp_s,
-                               kp_c=kp_c, rho=0.0, phi=0.0, theta_pm=0.0,
-                               length_um=length)
         gate = GateSpec(order=0, tau_g=tau)
         signal = SignalBeamSpec(waist_s_um=107.7, spectral_tau_fs=tau)
-        pm_sigma = 1.0 / (math.sqrt(2.0 * GAMMA_SINC) * (kp_c - kp_s) * length / 2.0)
-        cfg = GridConfig(n_omega_c=96, n_q=32, n_omega_s=128,
-                         span_omega_c=8.0 * pm_sigma, phase_matching="gaussian")
-        result = decompose(build_kernel(preset, gate, signal, cfg, check=False))
-        assert result.schmidt_number == pytest.approx(1.0, abs=1e-6)
+        presets = [CrystalPreset(name="collinear", lambda_s_um=0.8, kp_s=kp_s,
+                                 kp_c=kp_c, rho=0.0, phi=0.0, theta_pm=0.0,
+                                 length_um=m * l0) for m in (10.0, 30.0)]
+        k_10, k_30 = (schmidt_number_oracle(p, gate, signal) for p in presets)
+        assert 1.0 < k_30 < 1.02
+        assert (k_10 - 1.0) / (k_30 - 1.0) == pytest.approx(3.0, rel=0.03)
+        gram = kernel_gram(presets[0], gate, signal, GridConfig(n_omega_c=401))
+        k_solve = decompose(gram).schmidt_number / gram.diagnostics["mass_captured"] ** 2
+        assert k_solve == pytest.approx(k_10, rel=1e-5)
 
     def test_schmidt_number_invariant_under_rescaling(self, bbo1co, gate94, signal_opt):
         kernel = build_kernel(bbo1co, gate94, signal_opt,
@@ -241,6 +247,22 @@ class TestParitySplit:
         assert lead == pytest.approx(decompose(gram).lambdas_sq[0], rel=1e-12)
         assert lead == pytest.approx(2.0 / 5.65, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 9, 48, 49])
+    def test_blocks_are_the_mirror_sums_bit_for_bit(self, rng, n):
+        # [[H + M, sqrt 2 c], [sqrt 2 c^T, h_mm]] and H - M, entry by entry
+        h = rng.standard_normal((n, n))
+        h = h + h.T + (h + h.T)[::-1, ::-1]
+        m = n // 2
+        top, mirror = h[:m, :m], h[:m, ::-1][:, :m]
+        expected = top + mirror
+        if n % 2:
+            root2 = np.sqrt(2.0)
+            expected = np.block([[expected, root2 * h[:m, m:m + 1]],
+                                 [root2 * h[m:m + 1, :m], h[m:m + 1, m:m + 1]]])
+        even, odd = _parity_blocks(h)
+        assert even.tobytes() == expected.tobytes()
+        assert odd.tobytes() == (top - mirror).tobytes()
+
     def test_not_point_symmetric_gram_raises(self):
         kernel = separable_kernel()   # sig(Omega_s) is not even
         gram = KernelGram(gram=gram_matrix(kernel), omega_s=kernel.omega_s)
@@ -251,9 +273,9 @@ class TestParitySplit:
 class TestStreamedGram:
     """The streamed solve path against the dense kernel it never builds."""
 
-    @pytest.mark.parametrize("case", ["default", "gate-order-2", "gaussian",
-                                      "counter", "partial-block", "odd-axes",
-                                      "odd-axes-order-1", "odd-q-order-1"])
+    @pytest.mark.parametrize("case", ["default", "gate-order-2", "counter",
+                                      "partial-block", "odd-axes", "odd-axes-order-1",
+                                      "odd-q-order-1"])
     def test_matches_dense_oracle(self, case, bbo1co, gate94, signal_opt):
         preset, gate = bbo1co, gate94
         cfg = GridConfig(n_omega_c=64, n_q=64, n_omega_s=64)
@@ -265,8 +287,6 @@ class TestStreamedGram:
             order = 1 if case.endswith("order-1") else 0
             gate = GateSpec(order=order, tau_g=94.0)
             cfg = GridConfig(*((64, 63, 64) if case.startswith("odd-q") else (45, 40, 41)))
-        elif case == "gaussian":
-            cfg = replace(cfg, phase_matching="gaussian")
         elif case == "counter":
             preset = PRESETS["bbo-phi5-counter"]
             cfg = GridConfig(n_omega_c=128, n_q=96, n_omega_s=96)
@@ -303,6 +323,26 @@ class TestStreamedGram:
         with pytest.raises(error) as streamed:
             kernel_gram(preset, gate94, signal_opt, cfg)
         assert str(streamed.value) == str(dense.value)
+
+
+class TestSchmidtNumberOracle:
+    """The solve's K against the box-free oracle of the sinc kernel
+    (``tests/oracles.py``).  K / mass_captured^2 = ||L||^4 / sum
+    lambda_raw^2 holds the box's tr G^2 to the norm of the whole space, so
+    only the tails the box cuts off separate it from the oracle."""
+
+    @pytest.mark.parametrize("w_um", [50.0, 200.0])
+    @pytest.mark.parametrize("l_um", [1000.0, 4000.0])
+    @pytest.mark.parametrize("preset_name", sorted(PRESETS))
+    def test_k_over_mass_squared_matches_the_oracle(self, preset_name, l_um, w_um):
+        # at span_scale 3 the cut-off tails move it by 4e-7 to 5.3e-5
+        preset = replace(PRESETS[preset_name], length_um=l_um)
+        gate = GateSpec(order=0, tau_g=94.0)
+        signal = SignalBeamSpec(waist_s_um=w_um, spectral_tau_fs=TAU_COMB_FS)
+        gram = kernel_gram(preset, gate, signal, GridConfig(span_scale=3.0))
+        k, _ = schmidt_number_and_lead(gram)
+        assert k / gram.diagnostics["mass_captured"] ** 2 == pytest.approx(
+            schmidt_number_oracle(preset, gate, signal), rel=1e-4)
 
 
 class TestScan:
