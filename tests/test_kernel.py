@@ -32,6 +32,11 @@ def first_principles(kernel, preset, gate, signal):
     return hermite_gauss_values(gate.order, gate.tau_g, wc - ws) * beam * sinc(x), x
 
 
+def sinc_id(value):
+    """A case's test id with the phase matching, the kernel's sinc, named after it."""
+    return f"{value}-sinc"
+
+
 def assert_matches_everywhere(values, expected):
     """Every sample within 1e-12 relative, or 1e-15 of the largest |sample|."""
     assert np.all(np.isfinite(values))
@@ -272,7 +277,8 @@ def conditioned(preset, order, w_s, n_q):
 
 class TestDerivedQAxis:
     @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi1-counter",
-                                             "bbo-phi5-co", "bbo-phi5-counter"])
+                                             "bbo-phi5-co", "bbo-phi5-counter"],
+                             ids=sinc_id)
     def test_matches_the_fixed_128_points(self, preset_name):
         # l and w_s corners, gate orders 0 and 2: the derived axis moves no
         # number by more than 1e-8.  At phi = 5 deg counter, l = 4 mm, order
@@ -355,7 +361,8 @@ class TestFirstPrinciples:
     SERIES_SHAPE = (41, 41, 41)
 
     @pytest.mark.parametrize("shape", [(48, 47, 49), SERIES_SHAPE])
-    @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi5-counter"])
+    @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi5-counter"],
+                             ids=sinc_id)
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_every_sample_matches(self, signal_opt, order, preset_name, shape):
         preset = PRESETS[preset_name]
@@ -426,7 +433,8 @@ class TestTranscendentals:
 class TestPointSymmetry:
     """The premise of the folded Gram sum, bit for bit on the dense array."""
 
-    @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi5-counter"])
+    @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi5-counter"],
+                             ids=lambda name: f"sinc-{name}")
     @pytest.mark.parametrize("n_c", [64, 65])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_kernel_is_point_symmetric(self, signal_opt, preset_name, n_c, order):
@@ -456,7 +464,7 @@ class TestKernelGram:
                     GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41))
         assert sum(evaluated) == (n_c + 1) // 2 * 41
 
-    @pytest.mark.parametrize("n_c", [64, 45])
+    @pytest.mark.parametrize("n_c", [64, 45], ids=sinc_id)
     def test_only_the_gram_blocks_carry_the_weights(self, bbo1co, gate94, signal_opt,
                                                     n_c):
         # build_kernel's samples are the kernel itself; the blocks the Gram
@@ -540,7 +548,7 @@ class TestOmegaNodeRule:
         assert np.array_equal(g_wc.points, uniform_grid(span, 128).points)
         assert np.array_equal(g_ws.weights, uniform_grid(span, 65).weights)
 
-    @pytest.mark.parametrize("w_s", [50.0, 110.0, 200.0])
+    @pytest.mark.parametrize("w_s", [50.0, 110.0, 200.0], ids=sinc_id)
     @pytest.mark.parametrize("cut", ["co", "counter"])
     def test_phi5_long_crystal_order2_solves(self, gate94, cut, w_s):
         preset = replace(PRESETS[f"bbo-phi5-{cut}"], length_um=self.HARD["length_um"])
