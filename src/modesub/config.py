@@ -6,29 +6,37 @@ built.  Unknown keys are rejected, every reported error names the offending
 field, and the fully resolved configuration is JSON-dumpable so a run can
 be reproduced from its own metadata file.
 
-Each key is written once, in :data:`_SCHEMA`: its default, its rule and its
-doc.  A rule checks one given value and returns the value to store, an
-``int`` for a count and any other number as given; defaults are constants
-and are not re-checked.  A lab value's rule also checks that it stays
-finite in internal units (``length_mm``, ``waist_mm``, ``rep_rate_mhz``,
-the photon number of ``squeezing_db`` and the per-pulse share 1 /
-``finesse``), so a value that would overflow names its own key; a width
-whose nm -> fs conversion has no finite duration names its ``fwhm_nm``,
-or the carrier it converts at (:func:`_resolve_width`).  A key may be null where its default is null
-or a resolved config writes it as null (``comb.fwhm_nm``,
+Each key is written once, in :data:`_SCHEMA` or, for the keys of one
+scan axis, :data:`_AXIS_SCHEMA`: its default, its rule and its doc.  One
+merge (:func:`_merge_section`) reads both tables: it fills each default and
+checks each given key by its rule, in the order given, so of two unknown
+keys the first given is named.  A rule checks one given value and returns
+the value to store, an ``int`` for a count, a list of floats for an axis's
+``values`` and any other number as given; a list rule's error names the
+item (``scan.axes[0].values[1]``).  Defaults are constants and are not
+re-checked.  A lab value's rule also checks that it stays finite in
+internal units (``length_mm``, ``waist_mm``, ``rep_rate_mhz``, the photon
+number of ``squeezing_db`` and the per-pulse share 1 / ``finesse``), so a
+value that would overflow names its own key; a width whose nm -> fs
+conversion has no finite duration names its ``fwhm_nm``, or the carrier it
+converts at (:func:`_resolve_width`).  A key may be null where its default
+is null or a resolved config writes it as null (``comb.fwhm_nm``,
 ``crystal.preset`` of an inline crystal, ``comb.n_modes`` and
-``comb.squeezing_db`` of a CSV comb), so a ``run_meta.json`` loads
-again.  :func:`resolve` holds only the
-rules that span keys: an inline crystal's required keys and its exclusion
-with a named preset, the exclusive ``tau_fs``/``fwhm_nm`` pairs of the gate
-and the comb, the keys each comb preset reads (``n_modes`` and
-``squeezing_db`` for ``flat-40``, ``photons_csv`` for ``csv``; each is
-required by its own preset and rejected beside the other), the scan axes,
-and k'_c > k'_s > 0 at the cut and in the collinear limit, which the
-crystal build reports under the two k' keys it compares.  Every given
-key passes its own rule before any cross-key rule runs, so of two errors in
-one config the per-key one is reported: a wrong-typed inline key given
-alone names itself, not the inline keys it lacks.
+``comb.squeezing_db`` of a CSV comb), so a ``run_meta.json`` loads again.
+
+:func:`resolve` holds only the rules that span keys: an inline crystal's
+required keys and its exclusion with a named preset, the exclusive
+``tau_fs``/``fwhm_nm`` pairs of the gate and the comb, the keys each comb
+preset reads (``n_modes`` and ``squeezing_db`` for ``flat-40``,
+``photons_csv`` for ``csv``; each is required by its own preset and
+rejected beside the other), each axis's variable, swept once, and either
+its values or a range (``min`` and ``max``, min < max unless ``count`` is
+1, positive bounds for ``log`` spacing), and k'_c > k'_s > 0 at the cut and
+in the collinear limit, which the crystal build reports under the two k'
+keys it compares.  Every given key passes its own rule before any
+cross-key rule runs, so of two errors in one config the per-key one is
+reported: a wrong-typed inline key given alone names itself, not the
+inline keys it lacks.
 
 The comb sets the signal's time scale: the signal beam's spectral tau is
 the resolved ``comb.tau_fs``, the tau of the comb's Hermite-Gauss modes, so
@@ -163,8 +171,17 @@ def _axis_list(value):
 def _check(path: str, rule, value):
     try:
         return rule(value)
+    except ConfigError as exc:   # a list rule's error names its item: "[j]: ..."
+        raise ConfigError(f"{path}{exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _numbers(value):
+    """A non-empty list of numbers, stored as floats."""
+    if not isinstance(value, list) or not value:
+        raise ValueError("expected a non-empty list")
+    return [float(_check(f"[{j}]", _number, v)) for j, v in enumerate(value)]
 
 
 _OPT_NUMBER = _optional(_number)
@@ -253,10 +270,9 @@ _SCHEMA: dict[str, Any] = {
                        "q_c span holds the beam and its drift over them"),
     },
     "scan": {
-        "axes": ([], _axis_list, "swept axes (at most 3), each {variable, values} or "
-                 "{variable, min, max, count = 1, spacing = 'linear' | 'log'}; "
-                 "values, a list, excludes the ranged keys; a resolved axis "
-                 "lists its values"),
+        "axes": ([], _axis_list, "swept axes (at most 3), each an object of the "
+                 "`keys` below: a variable with its values, or with a range "
+                 "to sample; a resolved axis lists its values"),
     },
     "output_dir": ("out", _string, "directory for emitted artifacts"),
 }
@@ -281,24 +297,36 @@ _SCAN_SETTERS: dict[str, Callable[[ScanPoint, float], ScanPoint]] = {
     "gate_order": lambda p, v: replace(p, gate=replace(p.gate, order=v)),
 }
 _SCAN_VARIABLES = tuple(_SCAN_SETTERS)
-_AXIS_KEYS = ("variable", "values", "min", "max", "count", "spacing")
+# the keys of one scan axis, each (default, rule, description) as in _SCHEMA
+_AXIS_SCHEMA: dict[str, Any] = {
+    "variable": (None, _one_of(*_SCAN_VARIABLES),
+                 "the swept quantity, one of `variables`; required"),
+    "values": (None, _optional(_numbers),
+               "the swept values, a non-empty list; excludes the four range keys"),
+    "min": (None, _OPT_NUMBER, "first value of a range; required for a range"),
+    "max": (None, _OPT_NUMBER,
+            "last value of a range; required for a range, above min unless "
+            "count is 1"),
+    "count": (1, _int_at_least(1), "values sampled on the range"),
+    "spacing": ("linear", _one_of("linear", "log"),
+                "spacing of the range; 'log' needs min > 0"),
+}
 _INLINE_REQUIRED = ("name", "lambda_s_nm", "kp_s_fs_um", "kp_c_fs_um",
                     "rho_deg", "phi_deg")
 _INDICES = ("n_s", "n_g", "n_c")
 _INLINE_OPTIONAL = ("kp_c_collinear_fs_um", "theta_pm_deg") + _INDICES
 
 
+def _describe(spec: dict) -> dict:
+    return {key: _describe(body) if isinstance(body, dict)
+            else {"default": body[0], "doc": body[2]} for key, body in spec.items()}
+
+
 def schema() -> dict:
     """Machine-readable schema with defaults, for `config --schema`."""
-    out: dict[str, Any] = {}
-    for section, body in _SCHEMA.items():
-        if isinstance(body, dict):
-            out[section] = {key: {"default": default, "doc": doc}
-                            for key, (default, _, doc) in body.items()}
-        else:
-            default, _, doc = body
-            out[section] = {"default": default, "doc": doc}
-    out["scan"]["axes"]["variables"] = list(_SCAN_VARIABLES)
+    out = _describe(_SCHEMA)
+    out["scan"]["axes"].update(variables=list(_SCAN_VARIABLES),
+                               keys=_describe(_AXIS_SCHEMA))
     return out
 
 
@@ -326,19 +354,24 @@ def _resolve_width(name: str, section: dict, given: dict, carrier_um: float,
     section["fwhm_nm"] = None
 
 
-def _merge_section(name: str, given: dict | None) -> dict:
-    """The section's defaults, with each given key checked by its rule."""
-    spec = _SCHEMA[name]
-    merged = {key: default for key, (default, _, _) in spec.items()}
-    if given is None:
-        return merged
-    if not isinstance(given, dict):
-        raise ConfigError(f"{name}: expected an object")
-    for key, value in given.items():
+def _merge_section(path: str, spec: dict, given) -> dict:
+    """The defaults of ``spec``, with each key of ``given`` checked by its
+    rule in the order given.  ``spec`` maps a key to its (default, rule,
+    description), or to a nested table, merged as a section of its own;
+    ``path`` names the table in errors."""
+    if not isinstance(given, (dict, type(None))):
+        raise ConfigError(f"{path or 'top level'}: expected an object")
+    checked = {}
+    for key, value in (given or {}).items():
+        name = f"{path}.{key}" if path else key
         if key not in spec:
-            raise ConfigError(f"{name}.{key}: unknown key")
-        merged[key] = _check(f"{name}.{key}", spec[key][1], value)
-    return merged
+            raise ConfigError(f"{name}: unknown key")
+        body = spec[key]
+        checked[key] = (_merge_section(name, body, value) if isinstance(body, dict)
+                        else _check(name, body[1], value))
+    return {key: checked[key] if key in checked
+            else _merge_section(key, body, None) if isinstance(body, dict) else body[0]
+            for key, body in spec.items()}
 
 
 @dataclass(frozen=True)
@@ -418,21 +451,8 @@ def resolve(raw: dict) -> RunConfig:
     """Validate a parsed config dict, fill documented defaults and build
     what a command builds (the crystal, every scan point and the comb), so
     a config that resolves can run."""
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected an object")
-    for key in raw:
-        if key not in _SCHEMA:
-            raise ConfigError(f"{key}: unknown key")
-
-    crystal = _merge_section("crystal", raw.get("crystal"))
-    gate = _merge_section("gate", raw.get("gate"))
-    signal = _merge_section("signal", raw.get("signal"))
-    comb = _merge_section("comb", raw.get("comb"))
-    grid = _merge_section("grid", raw.get("grid"))
-    scan = _merge_section("scan", raw.get("scan"))
-    output_dir, output_rule, _ = _SCHEMA["output_dir"]
-    if "output_dir" in raw:
-        output_dir = _check("output_dir", output_rule, raw["output_dir"])
+    resolved = _merge_section("", _SCHEMA, raw)
+    crystal, gate, comb = resolved["crystal"], resolved["gate"], resolved["comb"]
 
     given_crystal = raw.get("crystal") or {}
     if any(given_crystal.get(k) is not None for k in _INLINE_REQUIRED):
@@ -472,47 +492,36 @@ def resolve(raw: dict) -> RunConfig:
     if comb["preset"] == "csv":  # still read from the working directory
         comb["photons_csv"] = str(Path(comb["photons_csv"]).absolute())
 
-    norm_axes = []
-    for i, axis in enumerate(scan["axes"]):
+    axes = []
+    for i, given_axis in enumerate(resolved["scan"]["axes"]):
         path = f"scan.axes[{i}]"
-        if not isinstance(axis, dict):
-            raise ConfigError(f"{path}: expected an object")
-        unknown = set(axis) - set(_AXIS_KEYS)
-        if unknown:
-            raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
-        var = axis.get("variable")
-        if var not in _SCAN_VARIABLES:
-            raise ConfigError(f"{path}.variable: must be one of {_SCAN_VARIABLES}")
-        swept = [a["variable"] for a in norm_axes]
+        axis = _merge_section(path, _AXIS_SCHEMA, given_axis)
+        var, values = axis["variable"], axis["values"]
+        if var is None:
+            raise ConfigError(f"{path}.variable: required, one of {_SCAN_VARIABLES}")
+        swept = [a["variable"] for a in axes]
         if var in swept:
             raise ConfigError(f"{path}.variable: {var!r} is already swept by "
                               f"scan.axes[{swept.index(var)}]")
-        if axis.get("values") is not None:
-            ranged = [key for key in ("min", "max", "count", "spacing") if key in axis]
+        if values is not None:
+            ranged = [key for key in ("min", "max", "count", "spacing") if key in given_axis]
             if ranged:
                 raise ConfigError(f"{path}: give values or min/max/count/spacing, "
                                   f"not both (got values and {ranged[0]})")
-            if not isinstance(axis["values"], list) or not axis["values"]:
-                raise ConfigError(f"{path}.values: expected a non-empty list")
-            values = [float(_check(f"{path}.values[{j}]", _number, v))
-                      for j, v in enumerate(axis["values"])]
         else:
-            count = _check(f"{path}.count", _int_at_least(1), axis.get("count", 1))
-            lo = float(_check(f"{path}.min", _number, axis.get("min")))
-            hi = float(_check(f"{path}.max", _number, axis.get("max")))
-            if count > 1 and not lo < hi:
+            lo, hi = axis["min"], axis["max"]
+            if lo is None or hi is None:
+                raise ConfigError(f"{path}.{'min' if lo is None else 'max'}: required "
+                                  "unless values are given")
+            if axis["count"] > 1 and not lo < hi:
                 raise ConfigError(f"{path}: min must be < max for a swept axis")
-            spacing = _check(f"{path}.spacing", _one_of("linear", "log"),
-                             axis.get("spacing", "linear"))
-            if spacing == "log" and lo <= 0:
+            if axis["spacing"] == "log" and lo <= 0:
                 raise ConfigError(f"{path}.min: log spacing needs positive bounds")
-            sample = np.geomspace if spacing == "log" else np.linspace
-            values = [float(v) for v in sample(lo, hi, count)]
-        norm_axes.append({"variable": var, "values": values})
-    scan["axes"] = norm_axes
+            sample = np.geomspace if axis["spacing"] == "log" else np.linspace
+            values = [float(v) for v in sample(float(lo), float(hi), axis["count"])]
+        axes.append({"variable": var, "values": values})
+    resolved["scan"]["axes"] = axes
 
-    resolved = {"crystal": crystal, "gate": gate, "signal": signal, "comb": comb,
-                "grid": grid, "scan": scan, "output_dir": output_dir}
     config = RunConfig(resolved=resolved)
     # every field passed its own rule; k'_c > k'_s > 0, at the cut and in
     # the collinear limit, are the crystal rules that span keys, and only an

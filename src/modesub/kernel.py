@@ -82,8 +82,11 @@ from .dispersion import CrystalPreset, kernel_forms
 from .modes import (QuadGrid, default_half_span, gauss_legendre_grid,
                     hermite_gauss_values, uniform_grid)
 
-# smallest share of the continuum norm^2 a checked grid box must hold
+# smallest share of the continuum norm^2 a checked grid box must hold, and
+# the largest: a box holds at most the whole continuum, so a share over 1 by
+# more than rounding is quadrature error, an axis that aliases the kernel
 MIN_MASS_CAPTURED = 0.9
+MAX_MASS_CAPTURED = 1.0 + 1e-9
 # fewest grid points across the phase-matching main lobe on a coupled axis
 MIN_LOBE_POINTS = 8.0
 # fewest points on any axis
@@ -109,7 +112,8 @@ SINC_SERIES_BELOW = 1e-2
 
 
 class KernelResolutionError(ValueError):
-    """Grid too coarse to resolve the phase-matching main lobe."""
+    """Grid too coarse to resolve the phase-matching main lobe, or to
+    integrate the kernel's norm (:func:`_checked_mass`)."""
 
 
 class KernelSpanError(ValueError):
@@ -326,9 +330,11 @@ def omega_axis_size(half_span: float, rates: dict[str, float]) -> int:
     within 6.9e-14 of the solve on twice its nodes.  Past the sweep the fit
     does not hold: a Gauss-Legendre rule needs about one node per radian
     the sinc turns through, and ``match`` gives 0.66, so where that term
-    outgrows the floor the axis aliases (a collinear 15.4 mm crystal at
-    span_scale 3: 221 Omega_c nodes read mass_captured 1.165, and 331 are
-    converged).  On the grid it takes:
+    outgrows the floor the axis aliases.  An alias that reads more than the
+    whole continuum norm raises :class:`KernelResolutionError`
+    (:data:`MAX_MASS_CAPTURED`; a collinear 15.4 mm crystal at span_scale 3
+    reads 1.168 on 223 Omega_c nodes, and 331 are converged); one that
+    reads less passes.  On the grid it takes:
 
         order  Omega_c   Omega_s   Omega_s with the 40-mode comb
         0      37-61     35-59     49-73
@@ -557,8 +563,11 @@ def _folded_gram(blocks, grids: tuple[QuadGrid, QuadGrid, QuadGrid]) -> np.ndarr
 def _checked_mass(norm_sq: float, continuum: float, check: bool) -> float:
     """``mass_captured`` = norm_sq / ``continuum`` (:func:`continuum_norm_sq`).
 
-    Raises :class:`KernelSpanError` when the norm vanished or overflowed,
-    and, with ``check``, when the share is under :data:`MIN_MASS_CAPTURED`.
+    Raises :class:`KernelSpanError` when the norm vanished or overflowed.
+    With ``check``, also raises it when the share is under
+    :data:`MIN_MASS_CAPTURED`, and raises :class:`KernelResolutionError`
+    when the share is over :data:`MAX_MASS_CAPTURED`, which only an aliased
+    axis can read.
     """
     if norm_sq <= 0 or not np.isfinite(norm_sq):
         raise KernelSpanError("kernel norm vanished or overflowed; check spans")
@@ -567,6 +576,10 @@ def _checked_mass(norm_sq: float, continuum: float, check: bool) -> float:
         raise KernelSpanError(
             f"the grid box holds {captured:.3f} of the kernel's continuum norm^2 "
             f"(limit {MIN_MASS_CAPTURED}); widen the grid spans")
+    if check and captured > MAX_MASS_CAPTURED:
+        raise KernelResolutionError(
+            f"the grid box reads {captured:.3f} of the kernel's continuum norm^2, "
+            "more than all of it: an axis aliases the kernel; give it more points")
     return captured
 
 
@@ -609,9 +622,11 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     Raises :class:`KernelResolutionError` when fewer than
     :data:`MIN_LOBE_POINTS` grid points fall across the phase-matching main
     lobe along any coupled uniform axis (a derived Omega axis is sized by
-    its node rule instead), and :class:`KernelSpanError` when the box
-    holds under :data:`MIN_MASS_CAPTURED` of the continuum norm^2, the share
-    ``diagnostics["mass_captured"]`` reports (:func:`_checked_mass`).
+    its node rule instead) or when the box reads over
+    :data:`MAX_MASS_CAPTURED` of the continuum norm^2, and
+    :class:`KernelSpanError` when it holds under :data:`MIN_MASS_CAPTURED`
+    of it, the share ``diagnostics["mass_captured"]`` reports
+    (:func:`_checked_mass`).
     """
     config = config or GridConfig()
     grids, blocks, continuum, diagnostics = _sample(preset, gate, signal, config, check)

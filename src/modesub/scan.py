@@ -12,9 +12,10 @@ Each writer (:func:`run_scan`, :func:`write_kernel_csv`,
 :func:`write_condition_summary`) takes the config and an existing output
 directory and returns the paths it wrote there; the CLI creates the
 directory and records the run in ``run_meta.json`` (:func:`write_run_meta`).
-All numeric CSV output uses ``repr`` (shortest round-trip) formatting and a
-fixed column order, so identical configurations reproduce byte-identical
-files.
+One helper (:func:`_csv`) writes every CSV table but the kernel dump, whose
+per-plane writer formats its values the same way for speed.  Numbers are
+written by ``repr`` (shortest round-trip) in a fixed column order, so
+identical configurations reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .kernel import (GridConfig, KernelResolutionError, KernelSpanError,
                      build_kernel, kernel_gram)
 from .schmidt import DecompositionError, decompose, schmidt_number_and_lead
 
-SCAN_HEADER = "l_um,w_um,phi_deg,gate_order,K,lambda1_frac,status"
+SCAN_HEADER = ("l_um", "w_um", "phi_deg", "gate_order", "K", "lambda1_frac", "status")
 # a grid that cannot resolve or hold the kernel, a failed eigensolve, or
 # undefined conditioning: a scan records them per point, and a single-point
 # command exits with them
@@ -48,11 +49,19 @@ N_LEADING_MODES = 6
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+def _csv(header, rows) -> str:
+    """The text of a CSV file: the header line, then one line per row, each
+    value formatted by :func:`_fmt`."""
+    return "\n".join(",".join(map(_fmt, row)) for row in [header, *rows]) + "\n"
 
 
 def write_run_meta(directory: Path, config: RunConfig, wall_s: float) -> Path:
@@ -108,17 +117,12 @@ def run_scan(config: RunConfig, directory: Path) -> list[Path]:
     raised.
     """
     rows = schmidt_number_scan(config.scan_points(), config.grid())
-    lines = [SCAN_HEADER]
-    for row in rows:
-        p = row.point
-        lines.append(",".join([
-            _fmt(p.preset.length_um), _fmt(p.signal.waist_s_um),
-            _fmt(math.degrees(p.preset.phi)), str(p.gate.order),
-            _fmt(row.schmidt_number), _fmt(row.lambda1_frac),
-            row.status.replace(",", ";"),
-        ]))
     table = directory / "scan_table.csv"
-    table.write_text("\n".join(lines) + "\n")
+    table.write_text(_csv(SCAN_HEADER, [
+        (row.point.preset.length_um, row.point.signal.waist_s_um,
+         math.degrees(row.point.preset.phi), row.point.gate.order,
+         row.schmidt_number, row.lambda1_frac, row.status.replace(",", ";"))
+        for row in rows]))
     if all(row.status != "ok" for row in rows):
         raise ScanFailed(f"all {len(rows)} scan points failed; see {table}", [table])
     return [table]
@@ -147,13 +151,10 @@ def write_modes_csv(config: RunConfig, directory: Path) -> list[Path]:
                                    config.signal(), config.grid()))
     m = min(N_LEADING_MODES, result.modes.shape[0])
     path = directory / "modes.csv"
-    with path.open("w") as fh:
-        fh.write("omega_s," + ",".join(f"mode_{i + 1}" for i in range(m)) + "\n")
-        fh.write("lambda_sq," + ",".join(_fmt(result.lambdas_sq[i])
-                                         for i in range(m)) + "\n")
-        for k, ws in enumerate(result.omega_s.points):
-            row = [_fmt(ws)] + [_fmt(result.modes[i, k]) for i in range(m)]
-            fh.write(",".join(row) + "\n")
+    path.write_text(_csv(["omega_s", *(f"mode_{i + 1}" for i in range(m))],
+                         [["lambda_sq", *result.lambdas_sq[:m]],
+                          *([ws, *column] for ws, column
+                            in zip(result.omega_s.points, result.modes[:m].T))]))
     return [path]
 
 
@@ -197,9 +198,7 @@ def gaussian_table_text(config: RunConfig, fmt: str) -> str:
         return json.dumps([{key: value if math.isfinite(value) else None
                             for key, value in row.items()} for row in rows],
                           indent=2) + "\n"
-    lines = [",".join(rows[0])]
-    lines += [",".join(map(_fmt, row.values())) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _csv(rows[0], [row.values() for row in rows])
 
 
 def write_gaussian_table(config: RunConfig, directory: Path,
@@ -228,15 +227,12 @@ def write_condition_summary(config: RunConfig, directory: Path) -> list[Path]:
     cond = res.condition
 
     overlap_path = directory / "overlap_matrix.csv"
-    with overlap_path.open("w") as fh:
-        n_comb = cond.overlap.shape[1]
-        fh.write("subtraction_mode," + ",".join(f"comb_{n + 1}"
-                                                for n in range(n_comb)) + "\n")
-        # pow(|v|, 2), rounded as a Python v ** 2 is; np.square's v * v
-        # differs in the last bit for about 1 value in 1000
-        weights = np.float_power(np.abs(cond.overlap[:N_LEADING_MODES]), 2).tolist()
-        for m, row in enumerate(weights, start=1):
-            fh.write(f"{m}," + ",".join(map(repr, row)) + "\n")
+    # pow(|v|, 2), rounded as a Python v ** 2 is; np.square's v * v differs
+    # in the last bit for about 1 value in 1000
+    weights = np.float_power(np.abs(cond.overlap[:N_LEADING_MODES]), 2)
+    overlap_path.write_text(_csv(
+        ["subtraction_mode", *(f"comb_{n + 1}" for n in range(weights.shape[1]))],
+        [[m, *row] for m, row in enumerate(weights, start=1)]))
 
     summary = {
         "K": cond.schmidt_number,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -14,13 +15,14 @@ from modesub import (GridConfig, _blas, build_kernel, comb_subtraction_experimen
                      decompose, kernel_gram)
 from modesub.analytic import single_mode_rate
 from modesub.cli import build_parser, main
-from modesub.config import _AXIS_KEYS, _SCHEMA, ConfigError, load_config, resolve, schema
+from modesub.config import (_AXIS_SCHEMA, _SCHEMA, ConfigError, load_config, resolve,
+                            schema)
 from modesub.dispersion import convert_bandwidth
 from modesub.kernel import MAX_Q_DRIFT, MIN_AXIS_POINTS, MIN_MASS_CAPTURED, derive_grids
 from modesub.modes import uniform_grid
-from modesub.scan import (N_LEADING_MODES, ScanFailed, run_scan, write_condition_summary,
-                          write_gaussian_table, write_kernel_csv, write_modes_csv,
-                          write_run_meta)
+from modesub.scan import (N_LEADING_MODES, ScanFailed, _csv, run_scan,
+                          write_condition_summary, write_gaussian_table, write_kernel_csv,
+                          write_modes_csv, write_run_meta)
 
 SMALL_GRID = {"n_omega_c": 48, "n_q": 48, "n_omega_s": 48}
 INLINE_CRYSTAL = {"name": "custom", "lambda_s_nm": 800.0, "kp_s_fs_um": 5.6139,
@@ -337,6 +339,22 @@ class TestResolve:
                                        {"variable": "w_um", "values": [80.0]},
                                        {"variable": "l_mm", "values": [2.5, 3.0]}]}})
 
+    def test_axis_unknown_key_named_in_the_order_given(self):
+        # as in a section, the first unknown key given, not the first by name
+        with pytest.raises(ConfigError, match=r"^scan\.axes\[0\]\.zeta: unknown key$"):
+            resolve({"scan": {"axes": [{"variable": "l_mm", "zeta": 1, "alpha": 2,
+                                        "values": [1.5]}]}})
+
+    @pytest.mark.parametrize("omitted,default", [("count", 1), ("spacing", "linear")])
+    def test_omitted_axis_key_takes_the_schema_default(self, capsys, omitted, default):
+        assert main(["config", "--schema"]) == 0
+        keys = json.loads(capsys.readouterr().out)["scan"]["axes"]["keys"]
+        assert keys[omitted]["default"] == default
+        axis = {"variable": "l_mm", "min": 1.5, "max": 3.0, "count": 3, "spacing": "log"}
+        del axis[omitted]
+        assert (resolve({"scan": {"axes": [axis]}}).resolved
+                == resolve({"scan": {"axes": [{**axis, omitted: default}]}}).resolved)
+
     @pytest.mark.parametrize("spacing,sample", [("linear", np.linspace),
                                                 ("log", np.geomspace)])
     def test_ranged_axis_resolves_to_its_values(self, tmp_path, capsys, spacing, sample):
@@ -409,10 +427,11 @@ class TestResolve:
         assert dump["gate"]["tau_fs"]["default"] == 94.0
         assert set(dump["scan"]["axes"]["variables"]) == {
             "l_mm", "w_um", "phi_deg", "gate_order"}
-        axis_doc = dump["scan"]["axes"]["doc"]
-        for key in _AXIS_KEYS:
-            assert re.search(rf"\b{key}\b", axis_doc), key
-        assert "'linear'" in axis_doc and "'log'" in axis_doc
+        axis_keys = dump["scan"]["axes"]["keys"]
+        assert list(axis_keys) == list(_AXIS_SCHEMA)
+        for key, (default, _, doc) in _AXIS_SCHEMA.items():
+            assert axis_keys[key] == {"default": default, "doc": doc}, key
+        assert "'log'" in axis_keys["spacing"]["doc"]
 
 
 class TestRunScan:
@@ -540,6 +559,19 @@ class TestArtifacts:
         for column, expected in enumerate([*axes, kernel.values]):
             assert np.array_equal(data[:, column].reshape(12, 10, 9), expected)
         assert np.all(data[:, 4] == 0.0)
+
+    def test_kernel_dump_formats_values_as_the_other_tables(self, tmp_path):
+        # the dump writes plane by plane for speed; its text is what the
+        # writer of every other table makes of the same rows
+        config = resolve({})
+        (path,) = write_kernel_csv(config, tmp_path)
+        kernel = build_kernel(config.preset(), config.gate(), config.signal(),
+                              config.grid())
+        rows = [(wc, qc, ws, kernel.values[i, j, k], "0.0")
+                for (i, wc), (j, qc), (k, ws) in itertools.product(
+                    enumerate(kernel.omega_c.points), enumerate(kernel.q_c.points),
+                    enumerate(kernel.omega_s.points))]
+        assert path.read_text() == _csv(["omega_c", "q_c", "omega_s", "re", "im"], rows)
 
     def test_modes_dump_layout(self, tmp_path):
         config = resolve({"grid": SMALL_GRID})
@@ -672,6 +704,17 @@ class TestCli:
         # a list-valued key may name its item instead: scan.axes[0]
         assert re.search(rf"configuration error: {re.escape(field)}[:\[]",
                          capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["1", {"x": 1}, True], ids=["string", "object", "bool"])
+    @pytest.mark.parametrize("key", list(_AXIS_SCHEMA))
+    def test_every_axis_key_rejects_a_wrong_type(self, tmp_path, capsys, key, value):
+        # on an otherwise valid ranged axis: the key's own rule runs before
+        # the rule that values exclude a range
+        axis = {"variable": "l_mm", "min": 1.0, "max": 2.0, "count": 2, key: value}
+        path = write_config(tmp_path, {"scan": {"axes": [axis]}})
+        assert main(["config", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: scan.axes[0].{key}: ")
 
     @pytest.mark.parametrize("change,field", [
         ({"name": 5}, "crystal.name"),

@@ -9,9 +9,10 @@ from modesub import (GateSpec, GridConfig, SignalBeamSpec, build_kernel, decompo
                      kernel_gram)
 from modesub.dispersion import PRESETS, kernel_forms
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
-from modesub.kernel import (MAX_Q_DRIFT, MIN_LOBE_POINTS, MIN_MASS_CAPTURED,
-                            Q_ALIAS_TOL, SINC_SERIES_BELOW, KernelResolutionError, KernelSpanError,
-                            _sample, _sine_over, derive_grids, omega_axis_size, sinc)
+from modesub.kernel import (MAX_MASS_CAPTURED, MAX_Q_DRIFT, MIN_LOBE_POINTS,
+                            MIN_MASS_CAPTURED, Q_ALIAS_TOL, SINC_SERIES_BELOW,
+                            KernelResolutionError, KernelSpanError, _sample, _sine_over,
+                            derive_grids, omega_axis_size, sinc)
 from modesub.modes import (default_half_span, gauss_legendre_grid, hermite_gauss_values,
                            uniform_grid)
 
@@ -204,6 +205,21 @@ class TestBuildKernel:
                          span_omega_c=0.005, span_omega_s=0.005)
         with pytest.raises(KernelSpanError):
             build_kernel(bbo1co, gate94, signal_opt, cfg)
+
+    @pytest.mark.parametrize("length_mm,span_scale", [(15.4, 3.0), (154.0, 1.0)])
+    def test_box_reading_more_than_the_continuum_is_an_alias(self, gate94, signal_opt,
+                                                             length_mm, span_scale):
+        # a collinear crystal past the node rule's sweep: its derived Omega_c
+        # axis aliases the sinc, and the box reads 1.168 and 1.595 of the
+        # continuum norm^2, more than any box can hold
+        preset = collinear_preset(length_um=length_mm * 1e3)
+        config = GridConfig(span_scale=span_scale)
+        with pytest.raises(KernelResolutionError, match="more than all of it"):
+            kernel_gram(preset, gate94, signal_opt, config)
+        with pytest.raises(KernelResolutionError, match="more than all of it"):
+            build_kernel(preset, gate94, signal_opt, config)
+        unchecked = build_kernel(preset, gate94, signal_opt, config, check=False)
+        assert unchecked.diagnostics["mass_captured"] > MAX_MASS_CAPTURED
 
     def test_sinc_mass_outside_the_box_falls_as_one_over_span(self, gate94, signal_opt):
         # the sinc^2 tails past X x the spans hold a share ~ 1/X of the norm
