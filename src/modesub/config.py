@@ -74,8 +74,7 @@ import numpy as np
 
 from .conditioning import CombState, comb_from_csv, flat_comb, photons_from_squeezing
 from .dispersion import BBO_PHI_MAX_RAD, PRESETS, CrystalPreset, convert_bandwidth
-from .kernel import (MIN_AXIS_POINTS, MIN_LOBE_POINTS, Q_ALIAS_TOL, GateSpec,
-                     GridConfig, SignalBeamSpec)
+from .kernel import MIN_AXIS_POINTS, Q_ALIAS_TOL, GateSpec, GridConfig, SignalBeamSpec
 
 
 class ConfigError(ValueError):
@@ -258,8 +257,7 @@ _SCHEMA: dict[str, Any] = {
         "n_q": (None, _optional(_GRID_SIZE),
                 "points on the transverse momentum axis; null derives them "
                 "from the beam's and the phase matching's bandwidth: the "
-                f"largest step whose trapezoid aliases stay under {Q_ALIAS_TOL:g} "
-                f"and under 1/{MIN_LOBE_POINTS:g} of the phase-matching lobe, "
+                f"largest step whose trapezoid aliases stay under {Q_ALIAS_TOL:g}, "
                 "over a span that holds the beam's drift"),
         "n_omega_s": (None, _optional(_GRID_SIZE),
                       "points on the signal frequency axis; null derives "
@@ -425,9 +423,7 @@ class RunConfig:
             raise ConfigError(f"comb.squeezing_db / comb.finesse: {exc}") from exc
 
     def grid(self) -> GridConfig:
-        g = self.resolved["grid"]
-        return GridConfig(n_omega_c=g["n_omega_c"], n_q=g["n_q"],
-                          n_omega_s=g["n_omega_s"], span_scale=g["span_scale"])
+        return GridConfig(**self.resolved["grid"])
 
     def scan_points(self) -> list[ScanPoint]:
         """The base point with each combination of axis values set on it,

@@ -31,6 +31,8 @@ out before any comb mode is sampled, and Omega_s, which adds the comb's top
 mode only for a solve conditioned on a comb
 (:attr:`SignalBeamSpec.comb_modes`).  A derived q_c axis is a uniform
 trapezoid sized by the beam and the phase matching (:func:`q_axis_size`).
+A derived axis answers only to the rule that sized it; an axis whose size
+the caller gives is held to the phase-matching main lobe (:func:`_sample`).
 
 The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
 (-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
@@ -88,6 +90,7 @@ from .modes import (QuadGrid, default_half_span, gauss_legendre_grid,
 MIN_MASS_CAPTURED = 0.9
 MAX_MASS_CAPTURED = 1.0 + 1e-9
 # fewest grid points across the phase-matching main lobe on a coupled axis
+# whose size the caller gives (a derived axis answers to its own rule)
 MIN_LOBE_POINTS = 8.0
 # fewest points on any axis
 MIN_AXIS_POINTS = 8
@@ -112,8 +115,9 @@ SINC_SERIES_BELOW = 1e-2
 
 
 class KernelResolutionError(ValueError):
-    """Grid too coarse to resolve the phase-matching main lobe, or to
-    integrate the kernel's norm (:func:`_checked_mass`)."""
+    """An axis of a given size too coarse to resolve the phase-matching main
+    lobe (:func:`_sample`; the message names the ``n_*`` key), or a grid
+    that reads more than the kernel's whole norm (:func:`_checked_mass`)."""
 
 
 class KernelSpanError(ValueError):
@@ -176,30 +180,26 @@ class SignalBeamSpec:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Axis sizes, span scaling and optional explicit half-spans.
+    """Axis sizes and span scaling: the ``grid.*`` keys of a run config.
 
-    ``n_omega_c = None`` and ``n_omega_s = None`` derive Gauss-Legendre
-    nodes on the Omega axes, as many as :func:`omega_axis_size` takes for
-    the factors sampled on the axis (:func:`_axes`); an explicit size gives
-    a uniform trapezoid axis of that many points, checked against the
-    phase-matching lobe.  Derived Omega half-spans (:func:`derive_grids`)
-    are scaled by ``span_scale``; the ``span_*`` fields replace them per
-    axis.  A derived q_c half-span is not scaled: it holds the beam and the
-    beam centre's drift over the Omega box, so it follows the Omega spans.
-    ``n_q = None`` derives the q_c size from the bandwidth of the beam and
-    of the phase matching (:func:`q_axis_size`): the largest step whose
-    trapezoid aliases stay under :data:`Q_ALIAS_TOL` and under
-    1/:data:`MIN_LOBE_POINTS` of the phase-matching lobe along q_c.  An
-    explicit ``n_q`` is used as given.
+    Each axis answers to what sized it.  ``n_omega_c = None`` and
+    ``n_omega_s = None`` derive Gauss-Legendre nodes on the Omega axes, as
+    many as :func:`omega_axis_size` takes for the factors sampled on the
+    axis (:func:`_axes`).  ``n_q = None`` derives the q_c size from the
+    bandwidth of the beam and of the phase matching (:func:`q_axis_size`):
+    the largest step whose trapezoid aliases stay under
+    :data:`Q_ALIAS_TOL`.  A given size gives a uniform trapezoid axis of
+    that many points, checked against the phase-matching lobe
+    (:func:`_sample`).  The derived Omega half-spans
+    (:func:`derive_grids`) are scaled by ``span_scale``.  The q_c half-span
+    is not scaled: it holds the beam and the beam centre's drift over the
+    Omega box, so it follows the Omega spans.
     """
 
     n_omega_c: int | None = None
     n_q: int | None = None
     n_omega_s: int | None = None
     span_scale: float = 1.0
-    span_omega_c: float | None = None   # half-span overrides, internal units
-    span_q: float | None = None
-    span_omega_s: float | None = None
 
     def __post_init__(self):
         if min((n for n in (self.n_omega_c, self.n_q, self.n_omega_s) if n is not None),
@@ -276,29 +276,29 @@ def q_axis_size(forms, length_um: float, w_s: float, span_q: float) -> int:
 
         2 pi / h >= 2 |m_q l/2| + 2 w_s |b_q| sqrt(ln(2 / eps)).
 
-    h also stays a factor 1 - 1e-9 under lobe_q / :data:`MIN_LOBE_POINTS`,
-    lobe_q = 2 pi / |m_q l/2|, so the resolution check never fires on
-    rounding.
+    That bound alone sizes the axis.  It can take fewer than
+    :data:`MIN_LOBE_POINTS` points across the q_c lobe 2 pi / |m_q l/2|:
+    the pair S S' needs only 2, and at phi = 5 deg counter, l = 4 mm,
+    w_s = 50 um, 43 points hold 3.7.  The main-lobe check guards only an
+    axis whose size the caller gave (:func:`_sample`).
 
     The aliasing is then negligible; what remains is the q_c trapezoid's
     O(h^2) endpoint term of the beam tail at the box edge, which
     :func:`_axes` keeps at least 1.5 beam widths past the beam's farthest
     drift (the derived Omega axes' Gauss-Legendre error falls
-    exponentially instead).  Against 128 points over the same span (256
-    where 128 miss the lobe) the derived axis moved K, lambda_1, purity
-    and probability by at most 1.75e-9 (all four presets, l = 1, 2.5 and
-    4 mm, w_s = 50, 110 and 200 um, gate orders 0-2, on derived Omega
-    axes), a shift that falls as h^2.  It takes 19-27 points on the
-    default configuration's 1-4 mm x 50-200 um lattice, and up to 181
-    where the drift widens the span (phi = 5 deg).
+    exponentially instead).  Against 4 n - 3 points over the same span, a
+    quarter of the step, the derived axis moves K, lambda_1, purity and
+    probability by at most 1.65e-9 on the sweep of
+    ``tests/test_calibration.py`` (the worst case phi = 1 deg co, l = 1 mm,
+    w_s = 200 um), a shift that falls as h^2.  It takes 19-25 points on the
+    default configuration's 1-4 mm x 50-200 um lattice, and up to 101 at
+    gate order 0 and 198 at order 2 on the sweep's grid, where the drift
+    widens the span (phi = 5 deg counter, l = 4 mm, w_s = 200 um).
     """
     _, beam, match = forms
     log_tol = np.log(2.0 / Q_ALIAS_TOL)
     beam_q, match_q = w_s * abs(beam[1]), abs(match[1] * length_um / 2.0)
     step = 2.0 * np.pi / (2.0 * match_q + 2.0 * beam_q * np.sqrt(log_tol))
-    if match_q != 0.0:
-        # the margin keeps lobe / step clear of MIN_LOBE_POINTS after rounding
-        step = min(step, 2.0 * np.pi / match_q / MIN_LOBE_POINTS * (1.0 - 1e-9))
     return max(MIN_AXIS_POINTS, int(np.ceil(2.0 * span_q / step)) + 1)
 
 
@@ -399,43 +399,36 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     the second.  The q_c size is :func:`q_axis_size`'s for that span, and
     ``q_drift_ratio`` reports d / span_q.
 
-    ``span_scale`` scales the derived Omega half-spans only; the q_c span
-    follows them through the drift.  An explicit ``span_*`` or ``n_*`` is
-    used as given.
+    ``span_scale`` scales the Omega half-spans only; the q_c span follows
+    them through the drift.  A given ``n_*`` is used as given.
     """
     l = preset.length_um
     w_s = signal.waist_s_um
-    span_omega = max(default_half_span(gate.tau_g, gate.order),
-                     default_half_span(signal.spectral_tau_fs),
-                     2.0 * np.pi / ((preset.kp_c - preset.kp_s) * l)) * config.span_scale
-    s_wc = config.span_omega_c if config.span_omega_c is not None else span_omega
-    s_ws = config.span_omega_s if config.span_omega_s is not None else span_omega
+    s_omega = max(default_half_span(gate.tau_g, gate.order),
+                  default_half_span(signal.spectral_tau_fs),
+                  2.0 * np.pi / ((preset.kp_c - preset.kp_s) * l)) * config.span_scale
 
     _, beam, match = forms
     gate_rate = gate.tau_g * math.sqrt(2 * gate.order + 1)
 
-    def omega_axis(span: float, n: int | None, k: int, label: str, **comb) -> QuadGrid:
+    def omega_axis(n: int | None, k: int, **comb) -> QuadGrid:
         if n is not None:
-            return uniform_grid(span, n, label=label)
+            return uniform_grid(s_omega, n)
         rates = {"match": abs(match[k]) * l / 2.0, "beam": w_s * abs(beam[k]),
                  "gate": gate_rate, **comb}
-        n = omega_axis_size(span, rates)
-        return gauss_legendre_grid(span, n, label=label)
+        return gauss_legendre_grid(s_omega, omega_axis_size(s_omega, rates))
 
     # only a solve conditioned on a comb samples its modes, on Omega_s
     comb = ({} if signal.comb_modes is None else
             {"comb": signal.spectral_tau_fs * math.sqrt(2 * signal.comb_modes - 1)})
 
-    drift = (abs(beam[0]) * s_wc + abs(beam[2]) * s_ws) / abs(beam[1])
-    if config.span_q is not None:
-        s_q = config.span_q
-    else:
-        # the margin keeps drift / s_q at or under MAX_Q_DRIFT after rounding
-        s_q = max(default_half_span(w_s), drift / MAX_Q_DRIFT * (1.0 + 1e-9))
+    # two products summed: the factored (|b_c| + |b_s|) S rounds differently
+    drift = (abs(beam[0]) * s_omega + abs(beam[2]) * s_omega) / abs(beam[1])
+    # the margin keeps drift / s_q at or under MAX_Q_DRIFT after rounding
+    s_q = max(default_half_span(w_s), drift / MAX_Q_DRIFT * (1.0 + 1e-9))
     n_q = config.n_q if config.n_q is not None else q_axis_size(forms, l, w_s, s_q)
-    grids = (omega_axis(s_wc, config.n_omega_c, 0, "omega_c"),
-             uniform_grid(s_q, n_q, label="q_c"),
-             omega_axis(s_ws, config.n_omega_s, 2, "omega_s", **comb))
+    grids = (omega_axis(config.n_omega_c, 0), uniform_grid(s_q, n_q),
+             omega_axis(config.n_omega_s, 2, **comb))
     return grids, {"n_omega_c": grids[0].size, "n_q": n_q,
                    "n_omega_s": grids[2].size, "q_drift_ratio": drift / s_q}
 
@@ -451,8 +444,11 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     """The kernel's quadrature axes, a plane-block writer, the continuum norm^2
     and, as diagnostics, the axis sizes and q_c drift ratio (:func:`_axes`).
 
-    The main-lobe resolution check runs on the uniform axes before any
-    sample is taken.  ``blocks(w_c, w_q)`` writes the samples times
+    Before any sample is taken, ``check`` holds each axis whose size the
+    caller gave to :data:`MIN_LOBE_POINTS` points across the phase-matching
+    main lobe; the error names the ``n_*`` key.  A derived axis answers to
+    the rule that sized it (:func:`omega_axis_size`, :func:`q_axis_size`)
+    and is not checked.  ``blocks(w_c, w_q)`` writes the samples times
     sqrt(w_c w_q), ``w_c`` the weights of the Omega_c rows [0, len(w_c))
     it samples and ``w_q`` those of every q_c plane.  It evaluates the 2-D
     (Omega_c, Omega_s) parts of the forms (module docstring) on those rows
@@ -484,17 +480,15 @@ def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     pm_form = tuple(c * half_l for c in match_form)
 
     if check:
-        # a derived Omega axis holds Gauss-Legendre nodes, whose spacing
-        # varies; its node rule (:func:`omega_axis_size`) is its guard
-        uniform = (config.n_omega_c is not None, True, config.n_omega_s is not None)
-        for grid, c, checked in zip((g_wc, g_q, g_ws), pm_form, uniform):
-            if c == 0.0 or not checked:
+        for key, grid, c in zip(("n_omega_c", "n_q", "n_omega_s"), (g_wc, g_q, g_ws),
+                                pm_form):
+            n = getattr(config, key)
+            if n is None or c == 0.0:
                 continue
-            dx = grid.points[1] - grid.points[0]
-            lobe_points = (2.0 * np.pi / abs(c)) / dx
+            lobe_points = (2.0 * np.pi / abs(c)) / (grid.points[1] - grid.points[0])
             if lobe_points < MIN_LOBE_POINTS:
                 raise KernelResolutionError(
-                    f"{grid.label}: {lobe_points:.1f} points across the "
+                    f"{key} = {n}: {lobe_points:.1f} points across the "
                     f"phase-matching main lobe, need >= {MIN_LOBE_POINTS}")
 
     w_s = signal.waist_s_um
@@ -560,6 +554,13 @@ def _folded_gram(blocks, grids: tuple[QuadGrid, QuadGrid, QuadGrid]) -> np.ndarr
     return gram + gram[::-1, ::-1]
 
 
+def _apart(value: float, bound: float) -> str:
+    """``value`` to at least 3 decimals, and to as many more as it takes to
+    differ from ``bound``: the rounding stays under a twentieth of the gap."""
+    decimals = max(3, 1 - math.floor(math.log10(abs(value - bound))))
+    return f"{value:.{decimals}f}"
+
+
 def _checked_mass(norm_sq: float, continuum: float, check: bool) -> float:
     """``mass_captured`` = norm_sq / ``continuum`` (:func:`continuum_norm_sq`).
 
@@ -567,19 +568,20 @@ def _checked_mass(norm_sq: float, continuum: float, check: bool) -> float:
     With ``check``, also raises it when the share is under
     :data:`MIN_MASS_CAPTURED`, and raises :class:`KernelResolutionError`
     when the share is over :data:`MAX_MASS_CAPTURED`, which only an aliased
-    axis can read.
+    axis can read.  The messages print the share to as many decimals as
+    set it apart from the limit, or from 1, that it missed (:func:`_apart`).
     """
     if norm_sq <= 0 or not np.isfinite(norm_sq):
         raise KernelSpanError("kernel norm vanished or overflowed; check spans")
     captured = norm_sq / continuum
     if check and captured < MIN_MASS_CAPTURED:
         raise KernelSpanError(
-            f"the grid box holds {captured:.3f} of the kernel's continuum norm^2 "
-            f"(limit {MIN_MASS_CAPTURED}); widen the grid spans")
+            f"the grid box holds {_apart(captured, MIN_MASS_CAPTURED)} of the kernel's "
+            f"continuum norm^2 (limit {MIN_MASS_CAPTURED}); widen the grid spans")
     if check and captured > MAX_MASS_CAPTURED:
         raise KernelResolutionError(
-            f"the grid box reads {captured:.3f} of the kernel's continuum norm^2, "
-            "more than all of it: an axis aliases the kernel; give it more points")
+            f"the grid box reads {_apart(captured, 1.0)} of the kernel's continuum "
+            "norm^2, more than all of it: an axis aliases the kernel; give it more points")
     return captured
 
 
@@ -620,9 +622,9 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     """Sample the reduced transfer function on a 3-D quadrature grid.
 
     Raises :class:`KernelResolutionError` when fewer than
-    :data:`MIN_LOBE_POINTS` grid points fall across the phase-matching main
-    lobe along any coupled uniform axis (a derived Omega axis is sized by
-    its node rule instead) or when the box reads over
+    :data:`MIN_LOBE_POINTS` points fall across the phase-matching main lobe
+    along a coupled axis whose size the config gives (a derived axis is
+    sized by its own rule instead) or when the box reads over
     :data:`MAX_MASS_CAPTURED` of the continuum norm^2, and
     :class:`KernelSpanError` when it holds under :data:`MIN_MASS_CAPTURED`
     of it, the share ``diagnostics["mass_captured"]`` reports

@@ -21,12 +21,16 @@ span holds the beam wherever its centre drifts over the Omega box
 (:func:`~modesub.kernel._axes`), and a derived q_c axis
 (:func:`~modesub.kernel.q_axis_size`) takes the largest step that keeps
 the aliases of the beam Gaussian times the phase matching under
-:data:`~modesub.kernel.Q_ALIAS_TOL`.  What is left there is the O(h^2)
-endpoint term of the beam tail, where the drift brings the beam near the
-q_c edge.  Against 128 points the derived axis moves K, lambda_1, purity
-and probability by at most 2e-9.  In the worst case found (phi = 1 deg
-co, l = 1 mm, w_s = 200 um) the shift against 256 points is 1.8e-9,
-1.5e-9 and 6.5e-10 at 19, 21 and 33 points: it falls as h^2.
+:data:`~modesub.kernel.Q_ALIAS_TOL`.  That bound is its only guard, as
+the node rule is a derived Omega axis's; only an axis of a given size
+is held to the phase-matching lobe (:func:`~modesub.kernel._sample`).
+What is left there is the O(h^2) endpoint term of the beam tail, where
+the drift brings the beam near the q_c edge.  Against 4 n - 3 points, a
+quarter of the step, the derived axis moves K, lambda_1, purity and
+probability by at most 1.65e-9 on the calibration sweep.  In the worst
+case found (phi = 1 deg co, l = 1 mm, w_s = 200 um) the shift against
+256 points is 1.8e-9, 1.5e-9 and 6.5e-10 at 19, 21 and 33 points: it
+falls as h^2.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ class QuadGrid:
 
     points: np.ndarray
     weights: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -66,7 +69,7 @@ class QuadGrid:
         return self.points.size
 
 
-def uniform_grid(half_span: float, n: int, label: str = "") -> QuadGrid:
+def uniform_grid(half_span: float, n: int) -> QuadGrid:
     """Uniform grid on [-half_span, half_span] with trapezoid weights.
 
     Points are built as integer offsets times the step so that the grid is
@@ -79,7 +82,7 @@ def uniform_grid(half_span: float, n: int, label: str = "") -> QuadGrid:
     points = offsets * dx
     weights = np.full(n, dx)
     weights[0] = weights[-1] = dx / 2.0
-    return QuadGrid(points, weights, label)
+    return QuadGrid(points, weights)
 
 
 def _legendre_and_slope(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +121,7 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre_grid(half_span: float, n: int, label: str = "") -> QuadGrid:
+def gauss_legendre_grid(half_span: float, n: int) -> QuadGrid:
     """n Gauss-Legendre nodes on [-half_span, half_span] with their weights.
 
     The nodes are antisymmetric and the weights palindromic to the last
@@ -128,7 +131,7 @@ def gauss_legendre_grid(half_span: float, n: int, label: str = "") -> QuadGrid:
     if half_span <= 0 or n < 2:
         raise ValueError("half_span must be > 0 and n >= 2")
     x, w = _legendre_rule(n)
-    return QuadGrid(half_span * x, half_span * w, label)
+    return QuadGrid(half_span * x, half_span * w)
 
 
 def _hermite_functions(order: int, u: np.ndarray):

@@ -48,27 +48,33 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def omega_rule_shifts(preset_name, length_um, w_s, order, tau_g=94.0, span_scale=1.0):
-    """The derived Omega node counts (:func:`modesub.kernel.omega_axis_size`)
-    of the scan path's and the subtract path's solves, and the relative
-    shifts between those solves and ones on twice the nodes: the scan
-    path's K and lambda_1, then the subtract path's K, lambda_1, purity and
-    probability against the 40-mode comb."""
+def six_figures(preset_name, length_um, w_s, order, tau_g=94.0, span_scale=1.0, **sizes):
+    """The scan path's and the subtract path's solves at one point: their
+    diagnostics, and the scan path's K and lambda_1, then the subtract
+    path's K, lambda_1, purity and probability against the 40-mode comb.
+    ``sizes`` are the ``n_*`` axis sizes to give; the rest are derived."""
     preset = replace(PRESETS[preset_name], length_um=length_um)
     gate = GateSpec(order=order, tau_g=tau_g)
     signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
-    config = GridConfig(span_scale=span_scale)
+    config = GridConfig(span_scale=span_scale, **sizes)
+    gram = kernel_gram(preset, gate, signal, config)
+    (result,) = comb_subtraction_experiment(preset, gate, signal,
+                                            flat_comb(tau_s_fs=TAU_COMB_FS),
+                                            (order,), config)
+    cond = result.condition
+    return (gram.diagnostics, result.grid), np.array([
+        *schmidt_number_and_lead(gram), cond.schmidt_number, cond.lambdas_sq[0],
+        cond.purity, cond.probability])
+
+
+def omega_rule_shifts(*case):
+    """The derived Omega node counts (:func:`modesub.kernel.omega_axis_size`)
+    of :func:`six_figures`' two solves, and the relative shifts of its six
+    figures on twice the nodes."""
 
     def solve():
-        gram = kernel_gram(preset, gate, signal, config)
-        (result,) = comb_subtraction_experiment(preset, gate, signal,
-                                                flat_comb(tau_s_fs=TAU_COMB_FS),
-                                                (order,), config)
-        cond = result.condition
-        sizes = [gram.diagnostics[k] for k in ("n_omega_c", "n_omega_s")]
-        sizes += [result.grid[k] for k in ("n_omega_c", "n_omega_s")]
-        return sizes, np.array([*schmidt_number_and_lead(gram), cond.schmidt_number,
-                                cond.lambdas_sq[0], cond.purity, cond.probability])
+        diagnostics, figures = six_figures(*case)
+        return [d[k] for d in diagnostics for k in ("n_omega_c", "n_omega_s")], figures
 
     sizes, rule = solve()
     size = modesub.kernel.omega_axis_size
@@ -77,3 +83,14 @@ def omega_rule_shifts(preset_name, length_um, w_s, order, tau_g=94.0, span_scale
         sizes_2n, doubled = solve()
     assert sizes_2n == [2 * n for n in sizes]
     return sizes, np.abs(rule - doubled) / np.abs(doubled)
+
+
+def q_rule_shifts(*case):
+    """The derived q_c size n (:func:`modesub.kernel.q_axis_size`) of
+    :func:`six_figures`' two solves, and the relative shifts of its six
+    figures on 4 n - 3 points over the same span, a quarter of the step."""
+    (scan, subtract), rule = six_figures(*case)
+    n_q = scan["n_q"]
+    assert subtract["n_q"] == n_q
+    _, fine = six_figures(*case, n_q=4 * n_q - 3)
+    return n_q, np.abs(rule - fine) / np.abs(fine)

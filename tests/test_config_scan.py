@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +421,12 @@ class TestResolve:
         assert resolve({"grid": {"n_q": 64}}).grid().n_q == 64
         with pytest.raises(ConfigError, match="grid.n_q"):
             resolve({"grid": {"n_q": 64.5}})
+
+    def test_grid_config_is_exactly_the_grid_keys(self):
+        # every field of a GridConfig is one a run config can set
+        assert [f.name for f in fields(GridConfig)] == list(schema()["grid"])
+        grid = {"n_omega_c": 33, "n_q": 21, "n_omega_s": 35, "span_scale": 1.5}
+        assert resolve({"grid": grid}).grid() == GridConfig(**grid)
 
     def test_schema_covers_every_key(self):
         dump = schema()

@@ -1,18 +1,20 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import modesub.kernel
 from modesub import (GateSpec, GridConfig, SignalBeamSpec, build_kernel, decompose,
                      kernel_gram)
 from modesub.dispersion import PRESETS, kernel_forms
 from modesub.conditioning import comb_subtraction_experiment, flat_comb
 from modesub.kernel import (MAX_MASS_CAPTURED, MAX_Q_DRIFT, MIN_LOBE_POINTS,
                             MIN_MASS_CAPTURED, Q_ALIAS_TOL, SINC_SERIES_BELOW,
-                            KernelResolutionError, KernelSpanError, _sample, _sine_over,
-                            derive_grids, omega_axis_size, sinc)
+                            KernelResolutionError, KernelSpanError, _checked_mass, _sample,
+                            _sine_over, derive_grids, omega_axis_size, sinc)
 from modesub.modes import (default_half_span, gauss_legendre_grid, hermite_gauss_values,
                            uniform_grid)
 
@@ -200,11 +202,39 @@ class TestBuildKernel:
             build_kernel(long_crystal, gate94, signal_opt,
                          GridConfig(n_omega_c=64, n_q=48, n_omega_s=48))
 
+    @pytest.mark.parametrize("key, preset_name, length_um, w_s", [
+        ("n_omega_c", "bbo-phi1-co", 11663.4, 107.7),
+        ("n_q", "bbo-phi5-counter", 4000.0, 50.0),
+        ("n_omega_s", "bbo-phi5-co", 11663.4, 107.7)])
+    def test_given_size_too_coarse_for_the_lobe_names_its_key(self, gate94, key,
+                                                              preset_name, length_um, w_s):
+        # 48 points on one axis, the other two derived: only the given axis
+        # is held to the lobe, and the error names its key
+        preset = replace(PRESETS[preset_name], length_um=length_um)
+        signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
+        config = GridConfig(**{key: 48})
+        for solve in (build_kernel, kernel_gram):
+            with pytest.raises(KernelResolutionError,
+                               match=rf"^{key} = 48: \d+\.\d points across the "
+                                     "phase-matching main lobe"):
+                solve(preset, gate94, signal, config)
+
     def test_span_guard(self, bbo1co, gate94, signal_opt):
-        cfg = GridConfig(n_omega_c=48, n_q=48, n_omega_s=48,
-                         span_omega_c=0.005, span_omega_s=0.005)
-        with pytest.raises(KernelSpanError):
+        # a tenth of the derived Omega spans holds 0.275 of the norm^2
+        cfg = GridConfig(n_omega_c=48, n_q=48, n_omega_s=48, span_scale=0.1)
+        with pytest.raises(KernelSpanError, match="holds 0.275 of"):
             build_kernel(bbo1co, gate94, signal_opt, cfg)
+
+    @pytest.mark.parametrize("share, error, shown", [
+        (0.8996, KernelSpanError, "holds 0.89960 of"),
+        (0.899999999, KernelSpanError, "holds 0.89999999900 of"),
+        (1.0000004, KernelResolutionError, "reads 1.00000040 of"),
+        (1.0 + 2e-9, KernelResolutionError, "reads 1.0000000020 of")])
+    def test_share_past_a_bound_prints_past_it(self, share, error, shown):
+        # a share just past either bound prints the digits that show it
+        with pytest.raises(error, match=re.escape(shown)):
+            _checked_mass(share, 1.0, check=True)
+        assert _checked_mass(share, 1.0, check=False) == share
 
     @pytest.mark.parametrize("length_mm,span_scale", [(15.4, 3.0), (154.0, 1.0)])
     def test_box_reading_more_than_the_continuum_is_an_alias(self, gate94, signal_opt,
@@ -246,11 +276,11 @@ class TestBuildKernel:
         # centered slice reduces to the gate intensity profile
         preset = collinear_preset(length_um=50.0)
         gate = GateSpec(order=0, tau_g=200.0)
-        cfg = GridConfig(n_omega_c=193, n_q=48, n_omega_s=33,
-                         span_omega_c=0.03, span_omega_s=0.004)
-        # the narrow omega_s slab intentionally does not contain the kernel;
-        # only the centered slice is inspected
+        # Omega half-spans of 0.030, about 4 gate widths 1 / tau_g; only
+        # the centered slice is inspected
+        cfg = GridConfig(n_omega_c=193, n_q=48, n_omega_s=33, span_scale=0.047)
         k = build_kernel(preset, gate, signal_opt, cfg, check=False)
+        assert k.omega_c.points[-1] == pytest.approx(0.030, abs=5e-4)
         mid = k.omega_s.size // 2
         assert k.omega_s.points[mid] == 0.0
         marginal = np.sum(np.abs(k.values[:, :, mid]) ** 2
@@ -259,7 +289,7 @@ class TestBuildKernel:
         corr = np.corrcoef(marginal, gate_intensity)[0, 1]
         assert corr > 0.99
 
-    def test_span_scale_and_overrides(self, bbo1co, gate94, signal_opt):
+    def test_span_scale_widens_the_omega_spans_only(self, bbo1co, gate94, signal_opt):
         g1 = derive_grids(bbo1co, gate94, signal_opt, GridConfig())
         g2 = derive_grids(bbo1co, gate94, signal_opt, GridConfig(span_scale=2.0))
         # the weights of a derived Omega axis sum to its box width
@@ -270,9 +300,6 @@ class TestBuildKernel:
             gx = derive_grids(bbo1co, gate94, signal_opt, GridConfig(span_scale=scale))
             assert gx[1].size == g1[1].size
             assert gx[1].points[-1] == g1[1].points[-1]
-        g3 = derive_grids(bbo1co, gate94, signal_opt,
-                          GridConfig(span_q=0.123))
-        assert g3[1].points[-1] == pytest.approx(0.123, rel=1e-12)
 
 
 def conditioned(preset, order, w_s, n_q):
@@ -310,7 +337,7 @@ class TestDerivedQAxis:
                         fixed = conditioned(preset, order, w_s, 256)
                     assert np.all(np.abs(derived - fixed) <= 1e-8 * np.abs(fixed))
 
-    def test_step_follows_the_beam_and_the_lobe(self, bbo1co, gate94, signal_opt):
+    def test_step_follows_the_aliasing_bound(self, bbo1co, gate94, signal_opt):
         gram = kernel_gram(bbo1co, gate94, signal_opt)
         g_q = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[1]
         assert gram.diagnostics["n_q"] == g_q.size
@@ -331,13 +358,15 @@ class TestDerivedQAxis:
         assert alias >= 1.0 and lobe >= MIN_LOBE_POINTS
         # the largest step that fits: one point fewer aliases
         assert band_and_lobe(bbo1co, g_q, g_q.size - 1)[0] < 1.0
-        # a long crystal's q lobe, not the beam, sets the step
+        # in a long crystal the aliasing bound, not the q lobe, still sets
+        # the step: 27 points hold 5.9 points across the lobe, which the
+        # lobe check of a given size would reject, and the solve raises nothing
         long = replace(bbo1co, length_um=11663.4)
         g_long = derive_grids(long, gate94, signal_opt, GridConfig())[1]
         alias, lobe = band_and_lobe(long, g_long, g_long.size)
-        assert alias > 1.0 and lobe >= MIN_LOBE_POINTS
-        alias, lobe = band_and_lobe(long, g_long, g_long.size - 1)
-        assert alias > 1.0 and lobe < MIN_LOBE_POINTS
+        assert alias >= 1.0 and lobe < MIN_LOBE_POINTS
+        assert band_and_lobe(long, g_long, g_long.size - 1)[0] < 1.0
+        assert kernel_gram(long, gate94, signal_opt).diagnostics["n_q"] == g_long.size
 
     @pytest.mark.parametrize("l_um", [1000.0, 4000.0])
     @pytest.mark.parametrize("w_s", [50.0, 200.0])
@@ -347,7 +376,7 @@ class TestDerivedQAxis:
         signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
         assert derive_grids(preset, gate94, signal, GridConfig())[1].size <= 29
 
-    def test_span_holds_the_beam_drift(self, gate94):
+    def test_span_holds_the_beam_drift(self, gate94, monkeypatch):
         # phi = 5 deg co, w_s = 200 um: the beam centre drifts 3.2 of the
         # beam's own 5 / w_s over the Omega box, so the drift sets the span
         preset = replace(PRESETS["bbo-phi5-co"], length_um=4000.0)
@@ -356,10 +385,27 @@ class TestDerivedQAxis:
         assert gram.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
         assert gram.diagnostics["q_drift_ratio"] == pytest.approx(MAX_Q_DRIFT)
         span_q = derive_grids(preset, gate94, signal, GridConfig())[1].points[-1]
-        wide = kernel_gram(preset, gate94, signal, GridConfig(span_q=2.0 * span_q))
+        # half the drift allowed doubles the span; the beam was already held
+        monkeypatch.setattr(modesub.kernel, "MAX_Q_DRIFT", MAX_Q_DRIFT / 2.0)
+        assert derive_grids(preset, gate94, signal, GridConfig())[1].points[-1] == (
+            pytest.approx(2.0 * span_q, rel=1e-12))
+        wide = kernel_gram(preset, gate94, signal)
         k, k_wide = (decompose(g).schmidt_number for g in (gram, wide))
         assert k == pytest.approx(k_wide, rel=1e-12)
         assert k == pytest.approx(4.423872, abs=1e-6)
+
+    def test_derived_axis_is_not_held_to_the_lobe(self):
+        # phi = 5 deg counter, l = 4 mm, w_s = 50 um: the aliasing bound
+        # takes 43 points, 3.7 across the q_c lobe, and the solve matches
+        # one on 4 n - 3 points over the same span, which hold 14.7
+        preset = replace(PRESETS["bbo-phi5-counter"], length_um=4000.0)
+        gate = GateSpec(order=0, tau_g=94.0)
+        signal = SignalBeamSpec(waist_s_um=50.0, spectral_tau_fs=TAU_COMB_FS)
+        n_q = kernel_gram(preset, gate, signal).diagnostics["n_q"]
+        assert n_q == 43
+        derived, fine = (conditioned(preset, 0, 50.0, n) for n in (None, 4 * n_q - 3))
+        assert isinstance(derived, np.ndarray) and isinstance(fine, np.ndarray)
+        assert np.all(np.abs(derived - fine) <= 1e-9 * np.abs(fine))
 
     def test_explicit_size_used_as_given(self, bbo1co, gate94, signal_opt):
         kernel = build_kernel(bbo1co, gate94, signal_opt, GridConfig(n_q=64))

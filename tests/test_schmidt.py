@@ -22,9 +22,9 @@ from oracles import schmidt_number_oracle
 
 def separable_kernel():
     """Handcrafted rank-one kernel: converted-side function times signal-side."""
-    g_wc = uniform_grid(1.0, 24, label="omega_c")
-    g_q = uniform_grid(1.0, 20, label="q_c")
-    g_ws = uniform_grid(1.0, 28, label="omega_s")
+    g_wc = uniform_grid(1.0, 24)
+    g_q = uniform_grid(1.0, 20)
+    g_ws = uniform_grid(1.0, 28)
     conv = np.exp(-(g_wc.points[:, None] ** 2 + g_q.points[None, :] ** 2))
     sig = np.exp(-2.0 * g_ws.points**2) * (1.0 + g_ws.points)
     values = conv[:, :, None] * sig[None, None, :]
@@ -312,8 +312,9 @@ class TestStreamedGram:
 
     @pytest.mark.parametrize("length_um,cfg,error", [
         (11663.4, GridConfig(n_omega_c=64, n_q=48, n_omega_s=48), KernelResolutionError),
-        (2000.0, GridConfig(n_omega_c=48, n_q=48, n_omega_s=48,
-                            span_omega_c=0.005, span_omega_s=0.005), KernelSpanError),
+        # a tenth of the derived Omega spans holds 0.275 of the norm^2
+        (2000.0, GridConfig(n_omega_c=48, n_q=48, n_omega_s=48, span_scale=0.1),
+         KernelSpanError),
     ])
     def test_same_errors_as_dense_oracle(self, bbo1co, gate94, signal_opt,
                                          length_um, cfg, error):
