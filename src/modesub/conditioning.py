@@ -209,7 +209,8 @@ class ExperimentResult:
 def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
                                 signal: SignalBeamSpec, comb: CombState,
                                 gate_orders: Sequence[int] = (0, 1, 2),
-                                config: GridConfig | None = None) -> list[ExperimentResult]:
+                                config: GridConfig = GridConfig()
+                                ) -> list[ExperimentResult]:
     """Match the gate to successive comb modes and condition on a herald.
 
     For each requested order the gate spectral profile is set to that comb
@@ -219,7 +220,6 @@ def comb_subtraction_experiment(preset: CrystalPreset, gate: GateSpec,
     The signal's ``comb_modes`` is set from ``comb``, so a derived Omega_s
     axis resolves its top mode (:func:`~modesub.kernel.omega_axis_size`).
     """
-    config = config or GridConfig()
     signal = dc_replace(signal, comb_modes=comb.n_modes)
     results = []
     for order in gate_orders:

@@ -41,7 +41,9 @@ inline keys it lacks.
 The comb sets the signal's time scale: the signal beam's spectral tau is
 the resolved ``comb.tau_fs``, the tau of the comb's Hermite-Gauss modes, so
 the subtraction modes and the comb modes share one time scale and the Omega
-box is sized from it (:func:`modesub.kernel.derive_grids`).  The signal
+box is sized from it.  The ``grid.*`` keys resolve to a
+:class:`~modesub.kernel.GridConfig`; :func:`modesub.kernel.derive_grids`
+sizes every axis from it and guards each size a config gives.  The signal
 beam carries no comb count: only ``subtract`` samples the comb, and
 :func:`~modesub.conditioning.comb_subtraction_experiment` takes the count
 from the comb it is handed.

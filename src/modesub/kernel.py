@@ -24,15 +24,18 @@ unfolded sums over every row, which the tests hold the streamed route to.
 Both measure truncation as ``mass_captured``: the share of the closed-form
 continuum ||L||^2 (:func:`continuum_norm_sq`) in the box, whatever the step.
 
-:func:`_axes` sizes every axis.  A derived Omega axis holds Gauss-Legendre
-nodes for the factors sampled on it (:func:`omega_axis_size`): the kernel's
-own phase matching, beam and gate size Omega_c, which the Gram integrates
-out before any comb mode is sampled, and Omega_s, which adds the comb's top
-mode only for a solve conditioned on a comb
-(:attr:`SignalBeamSpec.comb_modes`).  A derived q_c axis is a uniform
-trapezoid sized by the beam and the phase matching (:func:`q_axis_size`).
-A derived axis answers only to the rule that sized it; an axis whose size
-the caller gives is held to the phase-matching main lobe (:func:`_sample`).
+:func:`derive_grids` sizes and guards every axis.  A derived Omega axis
+holds Gauss-Legendre nodes for the factors sampled on it
+(:func:`omega_axis_size`): the kernel's own phase matching, beam and gate
+size Omega_c, which the Gram integrates out before any comb mode is
+sampled, and Omega_s, which adds the comb's top mode only for a solve
+conditioned on a comb (:attr:`SignalBeamSpec.comb_modes`).  A derived q_c
+axis is a uniform trapezoid sized by the beam and the phase matching
+(:func:`q_axis_size`).  A derived axis answers only to the rule that sized
+it; an axis whose size the caller gives is held to the phase-matching main
+lobe in the same place, before any sample is taken.  Every kernel and
+every Gram the module returns has passed those checks and the box's
+norm^2 checks (:func:`_checked_mass`).
 
 The kernel is point-symmetric: L(-Omega_c, -q_c, -Omega_s) =
 (-1)^order L(Omega_c, q_c, Omega_s).  Each factor's argument is a linear
@@ -40,10 +43,11 @@ form with no constant term, the gate is carrier-centred (a
 :class:`GateSpec` has no centre) and the HG mode has parity (-1)^order,
 and the axes, :func:`~modesub.modes.uniform_grid` or
 :func:`~modesub.modes.gauss_legendre_grid`, are antisymmetric to the last
-bit, so the identity holds bit for bit on the sampled array.  The
-Gram matrix only sees products of two samples, so the sign drops out: :func:`kernel_gram`, and only it, samples the Omega_c rows
-[0, ceil(n_c/2)) and completes its sum by reflection, the centre row of an
-odd axis, which mirrors onto itself, entering at half weight.
+bit, so the identity holds bit for bit on the sampled array.  The Gram
+matrix only sees products of two samples, so the sign drops out:
+:func:`kernel_gram`, and only it, samples the Omega_c rows [0, ceil(n_c/2))
+and completes its sum by reflection, the centre row of an odd axis, which
+mirrors onto itself, entering at half weight.
 
 Each factor's argument is linear in (Omega_c, q_c, Omega_s)
 (:func:`~modesub.dispersion.kernel_forms`), so it splits into a 2-D
@@ -103,8 +107,8 @@ OMEGA_NODES_PER_RADIAN = {"match": 0.66, "beam": 1.84, "gate": 2.85, "comb": 0.3
 # q_c axis (:func:`q_axis_size`)
 Q_ALIAS_TOL = 1e-12
 # largest beam-centre drift over the Omega box, as a share of the q_c
-# half-span; a derived q_c span widens to keep it (:func:`_axes`), which
-# leaves at least 5 (1 - MAX_Q_DRIFT) = 1.5 beam widths 1/w_s of margin
+# half-span; a derived q_c span widens to keep it (:func:`derive_grids`),
+# which leaves at least 5 (1 - MAX_Q_DRIFT) = 1.5 beam widths 1/w_s of margin
 MAX_Q_DRIFT = 0.7
 # kernel samples per block of whole q_c planes the sampler writes; each
 # block is one BLAS syrk call of the Gram accumulation
@@ -116,8 +120,8 @@ SINC_SERIES_BELOW = 1e-2
 
 class KernelResolutionError(ValueError):
     """An axis of a given size too coarse to resolve the phase-matching main
-    lobe (:func:`_sample`; the message names the ``n_*`` key), or a grid
-    that reads more than the kernel's whole norm (:func:`_checked_mass`)."""
+    lobe (:func:`derive_grids`; the message names the ``n_*`` key), or a
+    grid that reads more than the kernel's whole norm (:func:`_checked_mass`)."""
 
 
 class KernelSpanError(ValueError):
@@ -161,8 +165,9 @@ class SignalBeamSpec:
     matched against a comb:
     :func:`~modesub.conditioning.comb_subtraction_experiment` sets it from
     the comb it is handed.  It sizes only a derived Omega_s axis, whose
-    nodes must then resolve the top comb mode too (:func:`_axes`); a scan,
-    a mode dump or a kernel dump samples no comb mode and leaves it None.
+    nodes must then resolve the top comb mode too (:func:`derive_grids`,
+    where every axis is sized and guarded); a scan, a mode dump or a kernel
+    dump samples no comb mode and leaves it None.
     """
 
     waist_s_um: float
@@ -182,18 +187,18 @@ class SignalBeamSpec:
 class GridConfig:
     """Axis sizes and span scaling: the ``grid.*`` keys of a run config.
 
-    Each axis answers to what sized it.  ``n_omega_c = None`` and
-    ``n_omega_s = None`` derive Gauss-Legendre nodes on the Omega axes, as
-    many as :func:`omega_axis_size` takes for the factors sampled on the
-    axis (:func:`_axes`).  ``n_q = None`` derives the q_c size from the
-    bandwidth of the beam and of the phase matching (:func:`q_axis_size`):
-    the largest step whose trapezoid aliases stay under
-    :data:`Q_ALIAS_TOL`.  A given size gives a uniform trapezoid axis of
-    that many points, checked against the phase-matching lobe
-    (:func:`_sample`).  The derived Omega half-spans
-    (:func:`derive_grids`) are scaled by ``span_scale``.  The q_c half-span
-    is not scaled: it holds the beam and the beam centre's drift over the
-    Omega box, so it follows the Omega spans.
+    Past this class's own checks, only :func:`derive_grids` reads the
+    sizes: it sizes and guards every axis, and each answers to what sized
+    it.  ``n_omega_c = None`` and ``n_omega_s = None`` derive Gauss-Legendre
+    nodes on the Omega axes, as many as :func:`omega_axis_size` takes for
+    the factors sampled on the axis.  ``n_q = None`` derives the q_c size
+    from the bandwidth of the beam and of the phase matching
+    (:func:`q_axis_size`): the largest step whose trapezoid aliases stay
+    under :data:`Q_ALIAS_TOL`.  A given size gives a uniform trapezoid axis
+    of that many points, checked against the phase-matching lobe.  The
+    derived Omega half-spans are scaled by ``span_scale``.  The q_c
+    half-span is not scaled: it holds the beam and the beam centre's drift
+    over the Omega box, so it follows the Omega spans.
     """
 
     n_omega_c: int | None = None
@@ -280,12 +285,12 @@ def q_axis_size(forms, length_um: float, w_s: float, span_q: float) -> int:
     :data:`MIN_LOBE_POINTS` points across the q_c lobe 2 pi / |m_q l/2|:
     the pair S S' needs only 2, and at phi = 5 deg counter, l = 4 mm,
     w_s = 50 um, 43 points hold 3.7.  The main-lobe check guards only an
-    axis whose size the caller gave (:func:`_sample`).
+    axis whose size the caller gave (:func:`derive_grids`).
 
     The aliasing is then negligible; what remains is the q_c trapezoid's
     O(h^2) endpoint term of the beam tail at the box edge, which
-    :func:`_axes` keeps at least 1.5 beam widths past the beam's farthest
-    drift (the derived Omega axes' Gauss-Legendre error falls
+    :func:`derive_grids` keeps at least 1.5 beam widths past the beam's
+    farthest drift (the derived Omega axes' Gauss-Legendre error falls
     exponentially instead).  Against 4 n - 3 points over the same span, a
     quarter of the step, the derived axis moves K, lambda_1, purity and
     probability by at most 1.65e-9 on the sweep of
@@ -308,13 +313,13 @@ def omega_axis_size(half_span: float, rates: dict[str, float]) -> int:
     The least odd n >= n_0 + half_span sum_i c_i r_i, and at least
     :data:`MIN_AXIS_POINTS`, with n_0 the :data:`OMEGA_NODE_FLOOR` and c_i
     the :data:`OMEGA_NODES_PER_RADIAN`.  ``rates`` maps each factor sampled
-    on the axis to the rate r_i (fs) it turns at along it (:func:`_axes`):
-    ``match`` the phase matching, ``beam`` the beam Gaussian, ``gate`` the
-    gate's top HG order and, on the Omega_s axis of a solve conditioned on
-    a comb, ``comb`` the top comb mode.  The factors multiply, so their
-    bandwidths, and the node counts they take, add; a single c max(r_i)
-    over-resolves one factor to reach another.  An odd n puts a node at
-    Omega = 0.
+    on the axis to the rate r_i (fs) it turns at along it
+    (:func:`derive_grids`): ``match`` the phase matching, ``beam`` the beam
+    Gaussian, ``gate`` the gate's top HG order and, on the Omega_s axis of
+    a solve conditioned on a comb, ``comb`` the top comb mode.  The factors
+    multiply, so their bandwidths, and the node counts they take, add; a
+    single c max(r_i) over-resolves one factor to reach another.  An odd n
+    puts a node at Omega = 0.
 
     n_0 and the c_i are a linear-programme fit of the least n per axis
     within 2e-13 of a converged solve (K, lambda_1, purity and probability)
@@ -363,16 +368,9 @@ def continuum_norm_sq(forms, length_um: float) -> float:
 
 
 def derive_grids(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-                 config: GridConfig) -> tuple[QuadGrid, QuadGrid, QuadGrid]:
-    """Default quadrature axes for a kernel build; :func:`_axes` sizes them."""
-    forms = kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho)
-    return _axes(preset, gate, signal, config, forms)[0]
-
-
-def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-          config: GridConfig, forms):
+                 config: GridConfig) -> tuple[tuple[QuadGrid, QuadGrid, QuadGrid], dict]:
     """The kernel's quadrature axes, and the axis sizes and the q_c drift
-    ratio as diagnostics; the one place an axis is sized.
+    ratio as diagnostics; the one place an axis is sized and guarded.
 
     Omega spans come from the gate and comb time scales and from the
     phase-matching bandwidth 2 pi / (k'_c - k'_s) l, the sinc's main lobe
@@ -381,27 +379,32 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     A derived Omega axis holds :func:`omega_axis_size`'s Gauss-Legendre
     nodes for the factors sampled on it, each at the rate it turns along
     the axis: the phase matching, at |m| l/2 (m its coefficient in the
-    match row of ``forms``); the beam, at w_s |b| (b likewise, of the beam
-    row); and the gate's top HG order, at tau_g sqrt(2 order + 1).  Those
-    are the kernel's own factors, and they alone size Omega_c, which the
-    Gram integrates out before any comb mode is sampled.  Omega_s adds the
-    comb's top mode, at tau_s sqrt(2 N - 1), only when ``signal`` carries a
-    comb count N: a solve conditioned on a comb samples its modes on
-    Omega_s, and a scan or a dump samples none.  An explicit size gives a
-    uniform trapezoid axis.
+    match row of :func:`~modesub.dispersion.kernel_forms`); the beam, at
+    w_s |b| (b likewise, of the beam row); and the gate's top HG order, at
+    tau_g sqrt(2 order + 1).  Those are the kernel's own factors, and they
+    alone size Omega_c, which the Gram integrates out before any comb mode
+    is sampled.  Omega_s adds the comb's top mode, at tau_s sqrt(2 N - 1),
+    only when ``signal`` carries a comb count N: a solve conditioned on a
+    comb samples its modes on Omega_s, and a scan or a dump samples none.
 
     The q_c span holds the signal beam where the Omega box puts it.  Over
     the box the beam centre q* = -(b_c Omega_c + b_s Omega_s) / b_q (b the
-    beam row of ``forms``) drifts by up to d = (|b_c| S_c + |b_s| S_s) /
-    |b_q|, S_c and S_s the Omega half-spans.  The derived q_c half-span is
-    the larger of the beam's own 5 / w_s and d / :data:`MAX_Q_DRIFT`; only
-    points with a large drift, such as phi = 5 deg with a wide beam, take
-    the second.  The q_c size is :func:`q_axis_size`'s for that span, and
-    ``q_drift_ratio`` reports d / span_q.
+    beam row) drifts by up to d = (|b_c| S_c + |b_s| S_s) / |b_q|, S_c and
+    S_s the Omega half-spans.  The derived q_c half-span is the larger of
+    the beam's own 5 / w_s and d / :data:`MAX_Q_DRIFT`; only points with a
+    large drift, such as phi = 5 deg with a wide beam, take the second.
+    The q_c size is :func:`q_axis_size`'s for that span, and
+    ``q_drift_ratio`` reports d / span_q.  ``span_scale`` scales the Omega
+    half-spans only; the q_c span follows them through the drift.
 
-    ``span_scale`` scales the Omega half-spans only; the q_c span follows
-    them through the drift.  A given ``n_*`` is used as given.
+    A derived axis answers to the rule that sized it and is not checked.
+    A given ``n_*`` gives a uniform trapezoid axis of that many points,
+    held to :data:`MIN_LOBE_POINTS` points across the phase-matching main
+    lobe 2 pi / |m l/2| along it; a coarser one raises
+    :class:`KernelResolutionError` naming its ``n_*`` key, the axes checked
+    in the order Omega_c, q_c, Omega_s.
     """
+    forms = kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho)
     l = preset.length_um
     w_s = signal.waist_s_um
     s_omega = max(default_half_span(gate.tau_g, gate.order),
@@ -411,9 +414,20 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     _, beam, match = forms
     gate_rate = gate.tau_g * math.sqrt(2 * gate.order + 1)
 
-    def omega_axis(n: int | None, k: int, **comb) -> QuadGrid:
+    def given(key: str, n: int, span: float, k: int) -> QuadGrid:
+        grid = uniform_grid(span, n)
+        c = match[k] * (l / 2.0)
+        lobe_points = math.inf if c == 0.0 else (
+            (2.0 * np.pi / abs(c)) / (grid.points[1] - grid.points[0]))
+        if lobe_points < MIN_LOBE_POINTS:
+            raise KernelResolutionError(
+                f"{key} = {n}: {lobe_points:.1f} points across the "
+                f"phase-matching main lobe, need >= {MIN_LOBE_POINTS}")
+        return grid
+
+    def omega_axis(key: str, n: int | None, k: int, **comb) -> QuadGrid:
         if n is not None:
-            return uniform_grid(s_omega, n)
+            return given(key, n, s_omega, k)
         rates = {"match": abs(match[k]) * l / 2.0, "beam": w_s * abs(beam[k]),
                  "gate": gate_rate, **comb}
         return gauss_legendre_grid(s_omega, omega_axis_size(s_omega, rates))
@@ -426,11 +440,12 @@ def _axes(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     drift = (abs(beam[0]) * s_omega + abs(beam[2]) * s_omega) / abs(beam[1])
     # the margin keeps drift / s_q at or under MAX_Q_DRIFT after rounding
     s_q = max(default_half_span(w_s), drift / MAX_Q_DRIFT * (1.0 + 1e-9))
-    n_q = config.n_q if config.n_q is not None else q_axis_size(forms, l, w_s, s_q)
-    grids = (omega_axis(config.n_omega_c, 0), uniform_grid(s_q, n_q),
-             omega_axis(config.n_omega_s, 2, **comb))
-    return grids, {"n_omega_c": grids[0].size, "n_q": n_q,
-                   "n_omega_s": grids[2].size, "q_drift_ratio": drift / s_q}
+    g_wc = omega_axis("n_omega_c", config.n_omega_c, 0)
+    g_q = (uniform_grid(s_q, q_axis_size(forms, l, w_s, s_q)) if config.n_q is None
+           else given("n_q", config.n_q, s_q, 1))
+    g_ws = omega_axis("n_omega_s", config.n_omega_s, 2, **comb)
+    return (g_wc, g_q, g_ws), {"n_omega_c": g_wc.size, "n_q": g_q.size,
+                               "n_omega_s": g_ws.size, "q_drift_ratio": drift / s_q}
 
 
 def _outer_part(coeffs, omega_c, omega_s):
@@ -440,56 +455,41 @@ def _outer_part(coeffs, omega_c, omega_s):
 
 
 def _sample(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-            config: GridConfig, check: bool):
+            config: GridConfig):
     """The kernel's quadrature axes, a plane-block writer, the continuum norm^2
-    and, as diagnostics, the axis sizes and q_c drift ratio (:func:`_axes`).
+    and, as diagnostics, the axis sizes and q_c drift ratio.
 
-    Before any sample is taken, ``check`` holds each axis whose size the
-    caller gave to :data:`MIN_LOBE_POINTS` points across the phase-matching
-    main lobe; the error names the ``n_*`` key.  A derived axis answers to
-    the rule that sized it (:func:`omega_axis_size`, :func:`q_axis_size`)
-    and is not checked.  ``blocks(w_c, w_q)`` writes the samples times
-    sqrt(w_c w_q), ``w_c`` the weights of the Omega_c rows [0, len(w_c))
-    it samples and ``w_q`` those of every q_c plane.  It evaluates the 2-D
-    (Omega_c, Omega_s) parts of the forms (module docstring) on those rows
-    once, with their sin and cos and their gate amplitude, which takes
-    sqrt(w_c) row by row.  It then yields ``(start, block)``: the q_c planes
-    [start, start + len(block)), written into one reused contiguous block
-    ([planes, rows, n_s], real float64) of about :data:`BLOCK_SAMPLES`
-    samples.  On a plane the 1-D q_c parts are scalars, so every 3-D op is
-    one contiguous pass over the block, a 2-D part and the planes' scalars
-    broadcast along each plane, in place or into one block-sized temporary;
-    a derived grid's planes are small (735 samples at the default scan
-    point), and one numpy call per op and block, not per plane, keeps the
-    call overhead off them.  Per block the sinc takes two multiplies, an
-    add, the add u + v, the divide and the |x| mask of :func:`_sine_over`.
-    The beam then takes an add, a square, the subtract from log sqrt(w_q[k])
-    that puts plane k's weight in its exponent, and an exp, and two
-    multiplies apply the beam and the gate.  Only the beam's exp sees every
-    sample.  With unit weights
+    :func:`derive_grids` sizes the axes and guards each one whose size
+    ``config`` gives, before any sample is taken.  ``blocks(w_c, w_q)``
+    writes the samples times sqrt(w_c w_q), ``w_c`` the weights of the
+    Omega_c rows [0, len(w_c)) it samples and ``w_q`` those of every q_c
+    plane.  It evaluates the 2-D (Omega_c, Omega_s) parts of the forms
+    (module docstring) on those rows once, with their sin and cos and their
+    gate amplitude, which takes sqrt(w_c) row by row.  It then yields
+    ``(start, block)``: the q_c planes [start, start + len(block)), written
+    into one reused contiguous block ([planes, rows, n_s], real float64) of
+    about :data:`BLOCK_SAMPLES` samples.  On a plane the 1-D q_c parts are
+    scalars, so every 3-D op is one contiguous pass over the block, a 2-D
+    part and the planes' scalars broadcast along each plane, in place or
+    into one block-sized temporary; a derived grid's planes are small (735
+    samples at the default scan point), and one numpy call per op and
+    block, not per plane, keeps the call overhead off them.  Per block the
+    sinc takes two multiplies, an add, the add u + v, the divide and the
+    |x| mask of :func:`_sine_over`.  The beam then takes an add, a square,
+    the subtract from log sqrt(w_q[k]) that puts plane k's weight in its
+    exponent, and an exp, and two multiplies apply the beam and the gate.
+    Only the beam's exp sees every sample.  With unit weights
     (:func:`build_kernel`) sqrt 1 = 1 and log 1 = 0, so the samples are the
     unweighted kernel's to the last bit.  Every sample takes the same ops
     in the same order, so it is the same to the last bit whatever the block
     shape.
     """
+    (g_wc, g_q, g_ws), diagnostics = derive_grids(preset, gate, signal, config)
     forms = kernel_forms(preset.kp_s, preset.kp_c, preset.phi, preset.rho)
-    (g_wc, g_q, g_ws), diagnostics = _axes(preset, gate, signal, config, forms)
     continuum = continuum_norm_sq(forms, preset.length_um)
     gate_form, beam_form, match_form = forms
     half_l = preset.length_um / 2.0
     pm_form = tuple(c * half_l for c in match_form)
-
-    if check:
-        for key, grid, c in zip(("n_omega_c", "n_q", "n_omega_s"), (g_wc, g_q, g_ws),
-                                pm_form):
-            n = getattr(config, key)
-            if n is None or c == 0.0:
-                continue
-            lobe_points = (2.0 * np.pi / abs(c)) / (grid.points[1] - grid.points[0])
-            if lobe_points < MIN_LOBE_POINTS:
-                raise KernelResolutionError(
-                    f"{key} = {n}: {lobe_points:.1f} points across the "
-                    f"phase-matching main lobe, need >= {MIN_LOBE_POINTS}")
 
     w_s = signal.waist_s_um
     amp = np.sqrt(w_s) / np.pi**0.25
@@ -561,24 +561,24 @@ def _apart(value: float, bound: float) -> str:
     return f"{value:.{decimals}f}"
 
 
-def _checked_mass(norm_sq: float, continuum: float, check: bool) -> float:
+def _checked_mass(norm_sq: float, continuum: float) -> float:
     """``mass_captured`` = norm_sq / ``continuum`` (:func:`continuum_norm_sq`).
 
-    Raises :class:`KernelSpanError` when the norm vanished or overflowed.
-    With ``check``, also raises it when the share is under
-    :data:`MIN_MASS_CAPTURED`, and raises :class:`KernelResolutionError`
-    when the share is over :data:`MAX_MASS_CAPTURED`, which only an aliased
-    axis can read.  The messages print the share to as many decimals as
-    set it apart from the limit, or from 1, that it missed (:func:`_apart`).
+    Raises :class:`KernelSpanError` when the norm vanished or overflowed or
+    the share is under :data:`MIN_MASS_CAPTURED`, and
+    :class:`KernelResolutionError` when the share is over
+    :data:`MAX_MASS_CAPTURED`, which only an aliased axis can read.  The
+    messages print the share to as many decimals as set it apart from the
+    limit, or from 1, that it missed (:func:`_apart`).
     """
     if norm_sq <= 0 or not np.isfinite(norm_sq):
         raise KernelSpanError("kernel norm vanished or overflowed; check spans")
     captured = norm_sq / continuum
-    if check and captured < MIN_MASS_CAPTURED:
+    if captured < MIN_MASS_CAPTURED:
         raise KernelSpanError(
             f"the grid box holds {_apart(captured, MIN_MASS_CAPTURED)} of the kernel's "
             f"continuum norm^2 (limit {MIN_MASS_CAPTURED}); widen the grid spans")
-    if check and captured > MAX_MASS_CAPTURED:
+    if captured > MAX_MASS_CAPTURED:
         raise KernelResolutionError(
             f"the grid box reads {_apart(captured, 1.0)} of the kernel's continuum "
             "norm^2, more than all of it: an axis aliases the kernel; give it more points")
@@ -587,7 +587,7 @@ def _checked_mass(norm_sq: float, continuum: float, check: bool) -> float:
 
 @one_blas_thread()
 def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-                config: GridConfig | None = None) -> KernelGram:
+                config: GridConfig = GridConfig()) -> KernelGram:
     """Signal-side Gram operator of the kernel, streamed block by block.
 
     Same checks and errors as :func:`build_kernel`; memory stays at
@@ -608,30 +608,29 @@ def kernel_gram(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     block's numpy passes, which then run slower.  The thread count does not
     change a sample or a Gram entry.
     """
-    config = config or GridConfig()
-    grids, blocks, continuum, diagnostics = _sample(preset, gate, signal, config, check=True)
+    grids, blocks, continuum, diagnostics = _sample(preset, gate, signal, config)
     gram = _folded_gram(blocks, grids)
     norm_sq = float(np.diag(gram) @ grids[2].weights)
-    captured = _checked_mass(norm_sq, continuum, check=True)
+    captured = _checked_mass(norm_sq, continuum)
     return KernelGram(gram=gram, omega_s=grids[2],
                       diagnostics={**diagnostics, "mass_captured": captured})
 
 
 def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
-                 config: GridConfig | None = None, *, check: bool = True) -> KernelGrid:
+                 config: GridConfig = GridConfig()) -> KernelGrid:
     """Sample the reduced transfer function on a 3-D quadrature grid.
 
-    Raises :class:`KernelResolutionError` when fewer than
-    :data:`MIN_LOBE_POINTS` points fall across the phase-matching main lobe
-    along a coupled axis whose size the config gives (a derived axis is
-    sized by its own rule instead) or when the box reads over
+    :func:`derive_grids` sizes the axes and raises
+    :class:`KernelResolutionError` for an axis whose size the config gives
+    with fewer than :data:`MIN_LOBE_POINTS` points across the
+    phase-matching main lobe, before any sample is taken.  After sampling,
+    the box raises :class:`KernelResolutionError` when it reads over
     :data:`MAX_MASS_CAPTURED` of the continuum norm^2, and
     :class:`KernelSpanError` when it holds under :data:`MIN_MASS_CAPTURED`
     of it, the share ``diagnostics["mass_captured"]`` reports
-    (:func:`_checked_mass`).
+    (:func:`_checked_mass`).  Every kernel it returns has passed both.
     """
-    config = config or GridConfig()
-    grids, blocks, continuum, diagnostics = _sample(preset, gate, signal, config, check)
+    grids, blocks, continuum, diagnostics = _sample(preset, gate, signal, config)
     g_wc, g_q, g_ws = grids
     values = np.empty((g_wc.size, g_q.size, g_ws.size))
     # a q_c plane of the array is strided, and the writer runs about twice
@@ -641,6 +640,6 @@ def build_kernel(preset: CrystalPreset, gate: GateSpec, signal: SignalBeamSpec,
     # |L|^2 w_c w_q w_s summed in one pass over the array, no dense temporary
     norm_sq = float(g_wc.weights @ np.einsum("cqs,cqs,s->cq", values, values,
                                              g_ws.weights) @ g_q.weights)
-    captured = _checked_mass(norm_sq, continuum, check)
+    captured = _checked_mass(norm_sq, continuum)
     return KernelGrid(values=values, omega_c=g_wc, q_c=g_q, omega_s=g_ws,
                       diagnostics={**diagnostics, "mass_captured": captured})

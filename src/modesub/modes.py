@@ -18,12 +18,12 @@ Omega axis of a given size, and every q_c axis, is a uniform trapezoid
 has not decayed at the box edge.  Where the box holds the whole integrand
 the error is aliasing, which falls exponentially in 1/h.  A derived q_c
 span holds the beam wherever its centre drifts over the Omega box
-(:func:`~modesub.kernel._axes`), and a derived q_c axis
+(:func:`~modesub.kernel.derive_grids`), and a derived q_c axis
 (:func:`~modesub.kernel.q_axis_size`) takes the largest step that keeps
 the aliases of the beam Gaussian times the phase matching under
 :data:`~modesub.kernel.Q_ALIAS_TOL`.  That bound is its only guard, as
 the node rule is a derived Omega axis's; only an axis of a given size
-is held to the phase-matching lobe (:func:`~modesub.kernel._sample`).
+is held to the phase-matching lobe, in the same place.
 What is left there is the O(h^2) endpoint term of the beam tail, where
 the drift brings the beam near the q_c edge.  Against 4 n - 3 points, a
 quarter of the step, the derived axis moves K, lambda_1, purity and

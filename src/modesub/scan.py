@@ -91,7 +91,7 @@ class ScanRow:
 
 
 def schmidt_number_scan(points: Sequence[ScanPoint],
-                        config: GridConfig | None = None) -> list[ScanRow]:
+                        config: GridConfig = GridConfig()) -> list[ScanRow]:
     """K and lambda_1 / sum lambda of the kernel at each point, in input
     order, from the eigenvalues alone
     (:func:`~modesub.schmidt.schmidt_number_and_lead`).

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -46,6 +47,17 @@ def signal_opt():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def open_bounds(monkeypatch):
+    """Lift the kernel's guards for a test that samples a grid a run would
+    reject: the main-lobe rule of a given size and both bounds on the box's
+    share of the continuum norm^2.  Such a test checks the samples
+    themselves, which the guards do not touch."""
+    monkeypatch.setattr(modesub.kernel, "MIN_LOBE_POINTS", 0.0)
+    monkeypatch.setattr(modesub.kernel, "MIN_MASS_CAPTURED", 0.0)
+    monkeypatch.setattr(modesub.kernel, "MAX_MASS_CAPTURED", math.inf)
 
 
 def six_figures(preset_name, length_um, w_s, order, tau_g=94.0, span_scale=1.0, **sizes):

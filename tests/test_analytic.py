@@ -278,7 +278,7 @@ class TestCovariance:
                     * math.exp(-GAMMA_SINC * x**2))
 
         spans = np.array([grid.points[-1] for grid in
-                          derive_grids(preset, gate, signal, GridConfig())])
+                          derive_grids(preset, gate, signal, GridConfig())[0]])
         for _ in range(20):
             x = rng.uniform(-0.7, 0.7, 3) * spans
             assert -2.0 * math.log(model(*x) / model(0.0, 0.0, 0.0)) == pytest.approx(

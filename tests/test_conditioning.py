@@ -420,7 +420,7 @@ class TestExperiment:
         comb = flat_comb(n_modes=100, tau_s_fs=TAU_S)
         (result,) = comb_subtraction_experiment(bbo1co, gate94, signal, comb, (0,))
         sizes = {n: derive_grids(bbo1co, gate94, replace(signal, comb_modes=n),
-                                 GridConfig())[2].size for n in (None, 40, 100)}
+                                 GridConfig())[0][2].size for n in (None, 40, 100)}
         assert result.grid["n_omega_s"] == sizes[100] > sizes[40] > sizes[None]
 
     def test_comb_sampled_once_per_order(self, bbo1co, monkeypatch):

@@ -214,7 +214,7 @@ class TestResolve:
         # the comb's 5/tau is the widest of the derived Omega half-spans; the
         # Gauss-Legendre weights sum to the box width
         for axis in derive_grids(config.preset(), config.gate(), config.signal(),
-                                 config.grid())[::2]:
+                                 config.grid())[0][::2]:
             assert axis.weights.sum() / 2.0 == pytest.approx(5.0 / 40.0, rel=1e-12)
 
     def test_comb_fwhm_sets_the_signal_time_scale(self):
@@ -236,9 +236,9 @@ class TestResolve:
         sizes = [comb_subtraction_experiment(c.preset(), c.gate(), c.signal(), c.comb(),
                                              (0,), c.grid())[0].grid["n_omega_s"]
                  for c in configs]
-        assert sizes == [derive_grids(c.preset(), c.gate(),
-                                      replace(c.signal(), comb_modes=n), c.grid())[2].size
-                         for c, n in zip(configs, (40, 60, 10))]
+        derived = [derive_grids(c.preset(), c.gate(), replace(c.signal(), comb_modes=n),
+                                c.grid())[0] for c, n in zip(configs, (40, 60, 10))]
+        assert sizes == [omega_s.size for _, _, omega_s in derived]
         assert sizes[2] < sizes[0] < sizes[1]
 
     @pytest.mark.parametrize("key,value", [("tau_fs", 40.0), ("fwhm_nm", 6.0)])

@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every private name
 the package defines is read by the package, no module imports another
 module's private name, every f-string has a placeholder, and no handler
-swallows a broad exception.  Importing the CLI, resolving a config and
+swallows a broad exception, and no package function has a parameter that
+only tests pass.  Importing the CLI, resolving a config and
 solving on derived Gauss-Legendre axes leave ``numpy.polynomial``
 unimported: importing it costs about 3 ms and 1.6 MB, which would land in
 every run's set-up time or memory.
@@ -19,9 +20,14 @@ catches ``ValueError``, ``Exception`` or ``BaseException``, or everything,
 must end in a ``raise`` (wrapping into a named error counts): otherwise a
 bug raising one of them turns into a result or an exit code.  Handlers of
 narrower classes, such as ``OSError`` at the I/O boundaries, are left alone.
+A defaulted or keyword-only parameter of a package function must be passed
+by some call in the program, ``src`` or ``bench`` outside their tests: one
+that only tests pass is an option no run can take, a branch kept for them
+alone (:func:`unpassed_parameters`).
 """
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +41,8 @@ PACKAGE = Path(modesub.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+PROGRAM = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")
+                 if not p.name.startswith("test_"))
 EXEMPT = {"annotations"}
 BROAD = {"ValueError", "Exception", "BaseException"}
 
@@ -92,6 +100,76 @@ def placeholder_free_fstrings(source: str) -> list[int]:
             and not any(isinstance(v, ast.FormattedValue) for v in node.values)]
 
 
+def optional_parameters(source: str) -> list[tuple[str, str, str, int | None]]:
+    """``(call name, function, parameter, position)`` for each defaulted or
+    keyword-only parameter of each function in ``source``; the position is
+    None for a keyword-only one.  A method's ``self`` or ``cls`` takes no
+    position, and ``__init__`` is called by its class's name."""
+    tree = ast.parse(source)
+    methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        bound = id(node) in methods and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        name = methods[id(node)] if node.name == "__init__" else node.name
+        first = len(positional) - len(node.args.defaults)
+        found += [(name, node.name, arg.arg, i - bound)
+                  for i, arg in enumerate(positional) if i >= first]
+        found += [(name, node.name, arg.arg, None) for arg in node.args.kwonlyargs]
+    return found
+
+
+def callee(call: ast.Call) -> str | None:
+    """The last name of a call's callee: ``f`` of ``f(...)`` and ``m.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def unpassed_parameters(package: list[str], callers: list[str]) -> list[str]:
+    """``function(parameter)`` for each :func:`optional_parameters` entry of
+    ``package`` that no call in ``callers`` passes, by position or by name.
+
+    A call is matched to a definition by :func:`callee`.  A call that
+    unpacks ``*args`` passes every position, and one that unpacks a ``**``
+    mapping passes every name.  A keyword handed to a function that
+    forwards its own ``**`` parameter to a call counts as passed to every
+    function with a parameter of that name: the forwarded call's callee is
+    often looked up when it runs (``cmd_write(args, fmt=...)`` reaches
+    ``write_gaussian_table`` through a table of writers).
+    """
+    trees = [ast.parse(source) for source in callers]
+    calls = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    forwarders = {node.name for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.args.kwarg is not None
+                  and any(k.arg is None and isinstance(k.value, ast.Name)
+                          and k.value.id == node.args.kwarg.arg
+                          for call in ast.walk(node) if isinstance(call, ast.Call)
+                          for k in call.keywords)}
+    forwarded = {k.arg for call in calls if callee(call) in forwarders
+                 for k in call.keywords}
+    positions, names = {}, {}   # per callee: most positions passed, names passed
+    for call in calls:
+        name = callee(call)
+        given = (math.inf if any(isinstance(a, ast.Starred) for a in call.args)
+                 else len(call.args))
+        positions[name] = max(positions.get(name, 0), given)
+        names.setdefault(name, set()).update(k.arg for k in call.keywords)
+    unpassed = set()
+    for name, function, parameter, position in (
+            entry for source in package for entry in optional_parameters(source)):
+        by_name = {parameter, None} & names.get(name, set()) or parameter in forwarded
+        by_position = position is not None and position < positions.get(name, 0)
+        if not (by_name or by_position):
+            unpassed.add(f"{function}({parameter})")
+    return sorted(unpassed)
+
+
 def swallowing_handlers(source: str) -> list[int]:
     """Lines of the ``except`` clauses that catch a :data:`BROAD` class, or
     everything, and do not end in a ``raise``."""
@@ -133,6 +211,19 @@ def test_detects_an_fstring_without_placeholders():
     assert placeholder_free_fstrings(source) == [2, 5]
 
 
+def test_detects_a_parameter_only_tests_pass():
+    package = ("def solve(a, b=1, *, check=True, fast=False):\n    pass\n"
+               "class Box:\n    def __init__(self, size, scale=1.0):\n        pass\n"
+               "    def fill(self, value=0.0, mode='a'):\n        pass\n"
+               "def write(config, fmt='csv'):\n    pass\n"
+               "def spread(x, y=0, z=0):\n    pass\n")
+    callers = ("def run(name, **options):\n    writer = {'w': write}[name]\n"
+               "    return writer(name, **options)\n"
+               "solve(1, 2, fast=True)\nBox(3, 2.0).fill(1.0)\n"
+               "run('w', fmt='json')\nspread(*values)\n")
+    assert unpassed_parameters([package], [callers]) == ["fill(mode)", "solve(check)"]
+
+
 def test_detects_a_swallowing_handler():
     source = ("try:\n    f()\nexcept ValueError as exc:\n    print(exc)\n"
               "try:\n    f()\nexcept (KeyError, Exception):\n    pass\n"
@@ -162,6 +253,11 @@ def test_no_imported_private_names(module):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_fstring_without_placeholders(path):
     assert placeholder_free_fstrings(path.read_text()) == []
+
+
+def test_no_parameter_only_tests_pass():
+    package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unpassed_parameters(package, [p.read_text() for p in PROGRAM]) == []
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -209,11 +209,12 @@ class TestBuildKernel:
     def test_given_size_too_coarse_for_the_lobe_names_its_key(self, gate94, key,
                                                               preset_name, length_um, w_s):
         # 48 points on one axis, the other two derived: only the given axis
-        # is held to the lobe, and the error names its key
+        # is held to the lobe, and the error names its key.  derive_grids
+        # raises it, so both solves raise it before any sample is taken
         preset = replace(PRESETS[preset_name], length_um=length_um)
         signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
         config = GridConfig(**{key: 48})
-        for solve in (build_kernel, kernel_gram):
+        for solve in (build_kernel, kernel_gram, derive_grids):
             with pytest.raises(KernelResolutionError,
                                match=rf"^{key} = 48: \d+\.\d points across the "
                                      "phase-matching main lobe"):
@@ -233,23 +234,22 @@ class TestBuildKernel:
     def test_share_past_a_bound_prints_past_it(self, share, error, shown):
         # a share just past either bound prints the digits that show it
         with pytest.raises(error, match=re.escape(shown)):
-            _checked_mass(share, 1.0, check=True)
-        assert _checked_mass(share, 1.0, check=False) == share
+            _checked_mass(share, 1.0)
 
     @pytest.mark.parametrize("length_mm,span_scale", [(15.4, 3.0), (154.0, 1.0)])
     def test_box_reading_more_than_the_continuum_is_an_alias(self, gate94, signal_opt,
                                                              length_mm, span_scale):
         # a collinear crystal past the node rule's sweep: its derived Omega_c
         # axis aliases the sinc, and the box reads 1.168 and 1.595 of the
-        # continuum norm^2, more than any box can hold
+        # continuum norm^2, more than any box can hold; both routes print it
+        share = {15.4: "1.168", 154.0: "1.595"}[length_mm]
         preset = collinear_preset(length_um=length_mm * 1e3)
         config = GridConfig(span_scale=span_scale)
-        with pytest.raises(KernelResolutionError, match="more than all of it"):
-            kernel_gram(preset, gate94, signal_opt, config)
-        with pytest.raises(KernelResolutionError, match="more than all of it"):
-            build_kernel(preset, gate94, signal_opt, config)
-        unchecked = build_kernel(preset, gate94, signal_opt, config, check=False)
-        assert unchecked.diagnostics["mass_captured"] > MAX_MASS_CAPTURED
+        for solve in (kernel_gram, build_kernel):
+            with pytest.raises(KernelResolutionError, match="more than all of it") as exc:
+                solve(preset, gate94, signal_opt, config)
+            read = re.search(r"reads (\d+\.\d+) of", str(exc.value)).group(1)
+            assert read == share and float(read) > MAX_MASS_CAPTURED
 
     def test_sinc_mass_outside_the_box_falls_as_one_over_span(self, gate94, signal_opt):
         # the sinc^2 tails past X x the spans hold a share ~ 1/X of the norm
@@ -270,6 +270,7 @@ class TestBuildKernel:
         assert coarse >= MIN_MASS_CAPTURED
         assert coarse == pytest.approx(fine, abs=1e-4)
 
+    @pytest.mark.usefixtures("open_bounds")
     def test_gate_marginal_recovery_in_long_pulse_limit(self, signal_opt):
         # narrowband gate in a thin crystal: phase matching is flat across
         # the gate bandwidth and the kernel's frequency dependence on the
@@ -277,9 +278,9 @@ class TestBuildKernel:
         preset = collinear_preset(length_um=50.0)
         gate = GateSpec(order=0, tau_g=200.0)
         # Omega half-spans of 0.030, about 4 gate widths 1 / tau_g; only
-        # the centered slice is inspected
+        # the centered slice is inspected, so the box need not hold the norm
         cfg = GridConfig(n_omega_c=193, n_q=48, n_omega_s=33, span_scale=0.047)
-        k = build_kernel(preset, gate, signal_opt, cfg, check=False)
+        k = build_kernel(preset, gate, signal_opt, cfg)
         assert k.omega_c.points[-1] == pytest.approx(0.030, abs=5e-4)
         mid = k.omega_s.size // 2
         assert k.omega_s.points[mid] == 0.0
@@ -290,14 +291,14 @@ class TestBuildKernel:
         assert corr > 0.99
 
     def test_span_scale_widens_the_omega_spans_only(self, bbo1co, gate94, signal_opt):
-        g1 = derive_grids(bbo1co, gate94, signal_opt, GridConfig())
-        g2 = derive_grids(bbo1co, gate94, signal_opt, GridConfig(span_scale=2.0))
+        g1 = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[0]
+        g2 = derive_grids(bbo1co, gate94, signal_opt, GridConfig(span_scale=2.0))[0]
         # the weights of a derived Omega axis sum to its box width
         assert g2[0].weights.sum() == pytest.approx(2.0 * g1[0].weights.sum(), rel=1e-12)
         # span_scale widens the Omega spans only: the q_c axis holds the
         # beam, and at this point the drift over the wider box fits in it
         for scale in (0.8, 2.0):
-            gx = derive_grids(bbo1co, gate94, signal_opt, GridConfig(span_scale=scale))
+            gx = derive_grids(bbo1co, gate94, signal_opt, GridConfig(span_scale=scale))[0]
             assert gx[1].size == g1[1].size
             assert gx[1].points[-1] == g1[1].points[-1]
 
@@ -339,7 +340,7 @@ class TestDerivedQAxis:
 
     def test_step_follows_the_aliasing_bound(self, bbo1co, gate94, signal_opt):
         gram = kernel_gram(bbo1co, gate94, signal_opt)
-        g_q = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[1]
+        g_q = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[0][1]
         assert gram.diagnostics["n_q"] == g_q.size
         assert gram.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
         _, beam, match = kernel_forms(bbo1co.kp_s, bbo1co.kp_c, bbo1co.phi, bbo1co.rho)
@@ -362,7 +363,7 @@ class TestDerivedQAxis:
         # the step: 27 points hold 5.9 points across the lobe, which the
         # lobe check of a given size would reject, and the solve raises nothing
         long = replace(bbo1co, length_um=11663.4)
-        g_long = derive_grids(long, gate94, signal_opt, GridConfig())[1]
+        g_long = derive_grids(long, gate94, signal_opt, GridConfig())[0][1]
         alias, lobe = band_and_lobe(long, g_long, g_long.size)
         assert alias >= 1.0 and lobe < MIN_LOBE_POINTS
         assert band_and_lobe(long, g_long, g_long.size - 1)[0] < 1.0
@@ -374,7 +375,7 @@ class TestDerivedQAxis:
         # the aliasing bound, not a fixed step per waist, sizes the axis
         preset = replace(PRESETS["bbo-phi1-co"], length_um=l_um)
         signal = SignalBeamSpec(waist_s_um=w_s, spectral_tau_fs=TAU_COMB_FS)
-        assert derive_grids(preset, gate94, signal, GridConfig())[1].size <= 29
+        assert derive_grids(preset, gate94, signal, GridConfig())[0][1].size <= 29
 
     def test_span_holds_the_beam_drift(self, gate94, monkeypatch):
         # phi = 5 deg co, w_s = 200 um: the beam centre drifts 3.2 of the
@@ -384,10 +385,10 @@ class TestDerivedQAxis:
         gram = kernel_gram(preset, gate94, signal)
         assert gram.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
         assert gram.diagnostics["q_drift_ratio"] == pytest.approx(MAX_Q_DRIFT)
-        span_q = derive_grids(preset, gate94, signal, GridConfig())[1].points[-1]
+        span_q = derive_grids(preset, gate94, signal, GridConfig())[0][1].points[-1]
         # half the drift allowed doubles the span; the beam was already held
         monkeypatch.setattr(modesub.kernel, "MAX_Q_DRIFT", MAX_Q_DRIFT / 2.0)
-        assert derive_grids(preset, gate94, signal, GridConfig())[1].points[-1] == (
+        assert derive_grids(preset, gate94, signal, GridConfig())[0][1].points[-1] == (
             pytest.approx(2.0 * span_q, rel=1e-12))
         wide = kernel_gram(preset, gate94, signal)
         k, k_wide = (decompose(g).schmidt_number for g in (gram, wide))
@@ -411,7 +412,7 @@ class TestDerivedQAxis:
         kernel = build_kernel(bbo1co, gate94, signal_opt, GridConfig(n_q=64))
         assert kernel.q_c.size == kernel.diagnostics["n_q"] == 64
         assert 0.0 < kernel.diagnostics["q_drift_ratio"] <= MAX_Q_DRIFT
-        derived = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[1]
+        derived = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[0][1]
         assert kernel.q_c.points[-1] - kernel.q_c.points[0] == pytest.approx(
             derived.points[-1] - derived.points[0], rel=1e-12)
 
@@ -426,16 +427,16 @@ class TestFirstPrinciples:
     @pytest.mark.parametrize("preset_name", ["bbo-phi1-co", "bbo-phi5-counter"],
                              ids=sinc_id)
     @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.usefixtures("open_bounds")
     def test_every_sample_matches(self, signal_opt, order, preset_name, shape):
         preset = PRESETS[preset_name]
         gate = GateSpec(order=order, tau_g=94.0)
-        k = build_kernel(preset, gate, signal_opt, GridConfig(*shape), check=False)
+        k = build_kernel(preset, gate, signal_opt, GridConfig(*shape))
         expected, _ = first_principles(k, preset, gate, signal_opt)
         assert_matches_everywhere(k.values, expected)
 
     def test_grid_reaches_the_series_branch(self, bbo1co, gate94, signal_opt):
-        k = build_kernel(bbo1co, gate94, signal_opt, GridConfig(*self.SERIES_SHAPE),
-                         check=False)
+        k = build_kernel(bbo1co, gate94, signal_opt, GridConfig(*self.SERIES_SHAPE))
         _, x = first_principles(k, bbo1co, gate94, signal_opt)
         assert np.any(x == 0.0)
         # deep in the series branch, where the quotient would lose the most
@@ -459,9 +460,9 @@ class TestWideSignalBeam:
             assert kernel.diagnostics["mass_captured"] >= MIN_MASS_CAPTURED
 
     @pytest.mark.parametrize("preset_name", ["bbo-phi5-co", "bbo-phi5-counter"])
-    def test_unchecked_values_match_first_principles(self, gate94, preset_name):
+    def test_values_match_first_principles(self, gate94, preset_name):
         preset = PRESETS[preset_name]
-        k = build_kernel(preset, gate94, self.WIDE, GridConfig(64, 64, 64), check=False)
+        k = build_kernel(preset, gate94, self.WIDE, GridConfig(64, 64, 64))
         expected, _ = first_principles(k, preset, gate94, self.WIDE)
         assert_matches_everywhere(k.values, expected)
 
@@ -499,12 +500,12 @@ class TestPointSymmetry:
                              ids=lambda name: f"sinc-{name}")
     @pytest.mark.parametrize("n_c", [64, 65])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.usefixtures("open_bounds")
     def test_kernel_is_point_symmetric(self, signal_opt, preset_name, n_c, order):
         gate = GateSpec(order=order, tau_g=94.0)
         cfg = GridConfig(n_omega_c=n_c, n_q=40, n_omega_s=41)
         # the symmetry is algebraic; coarse spans need not pass the checks
-        k = build_kernel(PRESETS[preset_name], gate, signal_opt, cfg,
-                         check=False)
+        k = build_kernel(PRESETS[preset_name], gate, signal_opt, cfg)
         for grid in (k.omega_c, k.q_c, k.omega_s):
             assert np.array_equal(grid.points, -grid.points[::-1])
             assert np.array_equal(grid.weights, grid.weights[::-1])
@@ -536,8 +537,7 @@ class TestKernelGram:
         dense = build_kernel(bbo1co, gate94, signal_opt, cfg)
         expected, _ = first_principles(dense, bbo1co, gate94, signal_opt)
         assert_matches_everywhere(dense.values, expected)
-        (g_wc, g_q, _), blocks, _, _ = _sample(bbo1co, gate94, signal_opt, cfg,
-                                               check=True)
+        (g_wc, g_q, _), blocks, _, _ = _sample(bbo1co, gate94, signal_opt, cfg)
         w_c = g_wc.weights[:(n_c + 1) // 2].copy()
         if n_c % 2:
             w_c[-1] /= 2.0
@@ -579,9 +579,9 @@ class TestOmegaNodeRule:
                      "beam": signal_opt.waist_s_um * abs(beam[k]), "gate": gate94.tau_g}
             return omega_axis_size(span, {**rates, **comb})
 
-        g_wc, g_q, g_ws = derive_grids(bbo1co, gate94, signal_opt, GridConfig())
+        g_wc, g_q, g_ws = derive_grids(bbo1co, gate94, signal_opt, GridConfig())[0]
         conditioned = replace(signal_opt, comb_modes=40)
-        c_wc, c_q, c_ws = derive_grids(bbo1co, gate94, conditioned, GridConfig())
+        c_wc, c_q, c_ws = derive_grids(bbo1co, gate94, conditioned, GridConfig())[0]
         # the comb's 40th mode turns at tau_s sqrt(79), on Omega_s alone
         comb_rate = signal_opt.spectral_tau_fs * math.sqrt(79)
         assert g_wc.size == c_wc.size == size(0)
@@ -605,7 +605,7 @@ class TestOmegaNodeRule:
 
     def test_explicit_size_keeps_the_uniform_trapezoid(self, bbo1co, gate94, signal_opt):
         g_wc, _, g_ws = derive_grids(bbo1co, gate94, signal_opt,
-                                     GridConfig(n_omega_c=128, n_omega_s=65))
+                                     GridConfig(n_omega_c=128, n_omega_s=65))[0]
         span = default_half_span(signal_opt.spectral_tau_fs)
         assert np.array_equal(g_wc.points, uniform_grid(span, 128).points)
         assert np.array_equal(g_ws.weights, uniform_grid(span, 65).weights)
